@@ -53,7 +53,7 @@ def main():
 
     exact = bench(banana_score)
     fit = fit_estimator(KIND_STEIN_V, train, metric, eta=0.1)
-    estimated = bench(lambda x: fit.predict(x[None, :])[0])
+    estimated = bench(fit.predict)
 
     print(f"{'':<18} {'exact score':>12} {'estimated score':>16}")
     for label, attr in [

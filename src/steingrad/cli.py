@@ -32,8 +32,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +56,6 @@ from .estimators import (
 )
 from .kernels import EPANECHNIKOV, RBF, KernelSpec, median_heuristic
 from .sampler import HmcConfig, banana_sample, banana_score, banana_log_density, run_hmc
-
-THREADS_ENV = "STEINGRAD_THREADS"
 
 _ESTIMATOR_NAMES = {
     "kde": KIND_KDE,
@@ -84,7 +82,27 @@ def _estimator_kind(name: str, family: str) -> str:
 # config plumbing
 
 
-def _load_config(path, allowed):
+# JSON types a config value may have, per argparse type of its flag; bool
+# is excluded from the numbers because json gives true/false as bool
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+}
+
+
+def _config_fields(sub):
+    """Config key -> argparse type (bool for on/off flags) of a subparser."""
+    fields = {}
+    for action in sub._actions:
+        if action.dest in ("help", "config"):
+            continue
+        is_switch = isinstance(action, argparse.BooleanOptionalAction)
+        fields[action.dest] = bool if is_switch else action.type
+    return fields
+
+
+def _load_config(path, fields):
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -94,18 +112,25 @@ def _load_config(path, allowed):
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(set(obj) - set(fields))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
+    for key, value in obj.items():
+        if value is None or fields[key] not in _CONFIG_TYPES:
+            continue
+        types, what = _CONFIG_TYPES[fields[key]]
+        ok = isinstance(value, types) and isinstance(value, bool) == (fields[key] is bool)
+        if not ok:
+            raise ValueError(f"{path}: config field {key!r} must be {what}, got {value!r}")
     return obj
 
 
 class _Options:
     """Flag > config file > default resolution for one subcommand."""
 
-    def __init__(self, args, allowed):
+    def __init__(self, args):
         self.args = args
-        self.config = _load_config(args.config, allowed)
+        self.config = _load_config(args.config, args.config_fields)
 
     def get(self, name, default=None):
         value = getattr(self.args, name, None)
@@ -147,7 +172,7 @@ def _require_seed(opts):
     seed = opts.get("seed")
     if seed is None:
         raise ValueError("this command needs --seed (or a 'seed' config entry)")
-    return int(seed)
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +248,7 @@ def _jsonable(value):
 
 
 def cmd_estimate(args) -> int:
-    allowed = [
-        "input", "output", "sidecar", "estimator", "kernel", "sigma2",
-        "bandwidth_scale", "eta",
-    ]
-    opts = _Options(args, allowed)
+    opts = _Options(args)
     input_path = opts.get("input")
     output_path = opts.get("output")
     if not input_path or not output_path:
@@ -254,11 +275,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ksd(args) -> int:
-    allowed = [
-        "samples", "grads", "kernel", "sigma2", "bandwidth_scale",
-        "statistic", "include_constant", "output",
-    ]
-    opts = _Options(args, allowed)
+    opts = _Options(args)
     samples_path = opts.get("samples")
     grads_path = opts.get("grads")
     if not samples_path or not grads_path:
@@ -267,7 +284,7 @@ def cmd_ksd(args) -> int:
     gs = _read_matrix_csv(grads_path, "g")
     spec = _resolve_spec(opts, train=xs)
     statistic = str(opts.get("statistic", "v")).lower()
-    include_constant = bool(opts.get("include_constant", True))
+    include_constant = opts.get("include_constant", True)
     if statistic == "v":
         est = ksd_v(xs, gs, spec, includes_constant=include_constant)
     elif statistic == "u":
@@ -297,29 +314,23 @@ _PRESETS = {
 
 
 def cmd_banana(args) -> int:
-    allowed = [
-        "preset", "seed", "estimator", "kernel", "sigma2", "bandwidth_scale",
-        "eta", "n_train", "n_chains", "n_iters", "stepsize", "n_leapfrog",
-        "burn_in", "init_noise", "banana_b", "banana_v", "ksd_pool_cap",
-        "output", "trajectories",
-    ]
-    opts = _Options(args, allowed)
+    opts = _Options(args)
     seed = _require_seed(opts)
     preset = opts.get("preset", "desk")
     if preset not in _PRESETS:
         raise ValueError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
-    n_chains = int(opts.get("n_chains", _PRESETS[preset]["n_chains"]))
-    n_iters = int(opts.get("n_iters", _PRESETS[preset]["n_iters"]))
+    n_chains = opts.get("n_chains", _PRESETS[preset]["n_chains"])
+    n_iters = opts.get("n_iters", _PRESETS[preset]["n_iters"])
     cfg = HmcConfig(
         n_chains=n_chains,
         n_iters=n_iters,
         stepsize=float(opts.get("stepsize", 0.5)),
-        n_leapfrog=int(opts.get("n_leapfrog", 10)),
+        n_leapfrog=opts.get("n_leapfrog", 10),
         burn_in_fraction=float(opts.get("burn_in", 0.2)),
     )
     b = float(opts.get("banana_b", 0.03))
     v = float(opts.get("banana_v", 100.0))
-    n_train = int(opts.get("n_train", 200))
+    n_train = opts.get("n_train", 200)
     init_noise = float(opts.get("init_noise", 2.0))
     if init_noise < 0:
         raise ValueError(f"init_noise must be >= 0, got {init_noise!r}")
@@ -340,7 +351,7 @@ def cmd_banana(args) -> int:
 
     fitted = None
     if name == "exact":
-        score_fn = lambda x: banana_score(x, b, v)  # noqa: E731
+        score_fn = partial(banana_score, b=b, v=v)
         spec = None
         eta = None
     else:
@@ -353,19 +364,17 @@ def cmd_banana(args) -> int:
             )
         eta = float(opts.get("eta", DEFAULT_ETA))
         fitted = fit_estimator(kind, train, spec, eta)
-        score_fn = lambda x: fitted.predict(x[None, :])[0]  # noqa: E731
+        score_fn = fitted.predict
 
-    n_threads = int(os.environ.get(THREADS_ENV, "1") or "1")
     stats = run_hmc(
-        lambda x: banana_log_density(x, b, v),
+        partial(banana_log_density, b=b, v=v),
         score_fn,
         cfg,
         init,
         chain_seeds=ss_chains.spawn(n_chains),
-        ksd_score_fn=lambda x: banana_score(x, b, v),
+        ksd_score_fn=partial(banana_score, b=b, v=v),
         ksd_spec=metric_spec,
-        ksd_pool_cap=int(opts.get("ksd_pool_cap", 2000)),
-        n_threads=max(1, n_threads),
+        ksd_pool_cap=opts.get("ksd_pool_cap", 2000),
     )
 
     report = {
@@ -419,16 +428,12 @@ def cmd_banana(args) -> int:
 
 
 def cmd_entropy_check(args) -> int:
-    allowed = [
-        "sigma", "n", "seed", "estimators", "kernel", "sigma2",
-        "bandwidth_scale", "eta", "output",
-    ]
-    opts = _Options(args, allowed)
+    opts = _Options(args)
     seed = _require_seed(opts)
     sigma = float(opts.get("sigma", 1.5))
     if not math.isfinite(sigma) or sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    n = int(opts.get("n", 2000))
+    n = opts.get("n", 2000)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     names = opts.get("estimators", "kde,stein-v,score")
@@ -503,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--estimator", default=None, choices=sorted(_ESTIMATOR_NAMES))
     _add_kernel_flags(est)
     est.add_argument("--eta", type=float, default=None)
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=cmd_estimate, config_fields=_config_fields(est))
 
     ksd = subs.add_parser("ksd", help="kernelised Stein discrepancy of a sample")
     ksd.add_argument("--config", default=None)
@@ -518,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
     )
     ksd.add_argument("--output", default=None, help="report path (default stdout)")
-    ksd.set_defaults(func=cmd_ksd)
+    ksd.set_defaults(func=cmd_ksd, config_fields=_config_fields(ksd))
 
     ban = subs.add_parser("banana", help="gradient-free HMC banana benchmark")
     ban.add_argument("--config", default=None)
@@ -543,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     ban.add_argument("--ksd-pool-cap", dest="ksd_pool_cap", type=int, default=None)
     ban.add_argument("--output", default=None, help="report path (default stdout)")
     ban.add_argument("--trajectories", default=None, help="per-iteration CSV path")
-    ban.set_defaults(func=cmd_banana)
+    ban.set_defaults(func=cmd_banana, config_fields=_config_fields(ban))
 
     ent = subs.add_parser("entropy-check", help="entropy-gradient benchmark")
     ent.add_argument("--config", default=None)
@@ -558,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(ent)
     ent.add_argument("--eta", type=float, default=None)
     ent.add_argument("--output", default=None, help="report path (default stdout)")
-    ent.set_defaults(func=cmd_entropy_check)
+    ent.set_defaults(func=cmd_entropy_check, config_fields=_config_fields(ent))
     return parser
 
 

@@ -26,6 +26,7 @@ returns a serialisable :class:`FittedEstimator`.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import kernels
 from .errors import DegenerateDenominatorError, NumericalError
@@ -104,15 +105,15 @@ def kde_fit(samples, spec: KernelSpec) -> np.ndarray:
 
 def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     # same ratio form as kde_fit, evaluated at new points
-    diff = points[:, None, :] - train[None, :, :]
-    sq = np.einsum("mkd,mkd->mk", diff, diff)
-    d = train.shape[1]
+    sq = cdist(points, train, "sqeuclidean")
+    n, d = train.shape
     if spec.family == RBF:
         kmat = np.exp(-0.5 * sq / spec.sigma2)
-        num = -(kmat[:, :, None] * diff).sum(axis=1) / spec.sigma2
+        # sum_k k(y, x^k) (y - x^k) in row-sum/matmul form, O(M K) memory
+        num = -(kmat.sum(axis=1)[:, None] * points - kmat @ train) / spec.sigma2
     else:
         kmat = 1.0 - sq / d
-        num = -(2.0 / d) * diff.sum(axis=1)
+        num = -(2.0 / d) * (n * points - train.sum(axis=0)[None, :])
     denom = kmat.sum(axis=1)
     zero = np.nonzero(denom == 0.0)[0]
     if zero.size:
@@ -180,38 +181,41 @@ def stein_predict(fitted: "FittedEstimator", points) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, training data {train.shape[1]}"
         )
     spec, eta = fitted.spec, fitted.eta
-    out = np.empty_like(pts)
-    for i, y in enumerate(pts):
-        diff = train - y[None, :]
-        sq = np.einsum("kd,kd->k", diff, diff)
-        if spec.family == RBF:
-            kvec = np.exp(-0.5 * sq / spec.sigma2)
-            grad_y = kvec[:, None] * diff / spec.sigma2
-        else:
-            kvec = 1.0 - sq / train.shape[1]
-            grad_y = (2.0 / train.shape[1]) * diff
-        smoothed = kinv @ kvec
-        # k(y, y) = 1 for both families
-        schur = 1.0 + eta - float(kvec @ smoothed)
-        if schur <= 0:
-            raise NumericalError(
-                f"Schur complement {schur:.3e} <= 0 at prediction point {i}; "
-                f"the augmented system is numerically degenerate"
-            )
-        out[i] = -(kvec @ grads - (smoothed + 1.0) @ grad_y) / schur
-    return out
+    d = train.shape[1]
+    # one row per query: k_yX, (K + eta I)^-1 k_Xy, and the weights w that
+    # turn the kernel gradients into w @ X - sum(w) y, all O(M K) memory
+    sq = cdist(pts, train, "sqeuclidean")
+    if spec.family == RBF:
+        kmat = np.exp(-0.5 * sq / spec.sigma2)
+    else:
+        kmat = 1.0 - sq / d
+    smoothed = kmat @ kinv.T
+    # k(y, y) = 1 for both families
+    schur = 1.0 + eta - np.einsum("mk,mk->m", kmat, smoothed)
+    bad = np.nonzero(schur <= 0)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            f"Schur complement {schur[i]:.3e} <= 0 at prediction point {i}; "
+            f"the augmented system is numerically degenerate"
+        )
+    if spec.family == RBF:
+        weights, scale = (smoothed + 1.0) * kmat, 1.0 / spec.sigma2
+    else:
+        weights, scale = smoothed + 1.0, 2.0 / d
+    pulled = scale * (weights @ train - weights.sum(axis=1)[:, None] * pts)
+    return -(kmat @ grads - pulled) / schur[:, None]
 
 
 def _expansion_predict(coeffs, train, spec, points):
-    # rows: sum_k a_k * grad_first k(y^i, x^k)
-    diff = points[:, None, :] - train[None, :, :]  # (M, K, d)
+    # rows: sum_k a_k * grad_first k(y^i, x^k) = sum_k w_ik (y^i - x^k)
     d = train.shape[1]
     if spec.family == RBF:
-        sq = np.einsum("mkd,mkd->mk", diff, diff)
+        sq = cdist(points, train, "sqeuclidean")
         weights = -np.exp(-0.5 * sq / spec.sigma2) * coeffs[None, :] / spec.sigma2
-    else:
-        weights = np.broadcast_to((-2.0 / d) * coeffs[None, :], diff.shape[:2])
-    return np.einsum("mk,mkd->md", weights, diff)
+        return weights.sum(axis=1)[:, None] * points - weights @ train
+    weights = (-2.0 / d) * coeffs
+    return weights.sum() * points - (weights @ train)[None, :]
 
 
 def score_matching_fit(samples, spec: KernelSpec, eta: float = DEFAULT_ETA) -> np.ndarray:
@@ -390,7 +394,12 @@ class FittedEstimator:
         return _expansion_predict(self.coeffs, self.train, self.spec, self.train)
 
     def predict(self, points) -> np.ndarray:
-        """Gradient field at new points; not every kind supports this."""
+        """Gradient field at new points; not every kind supports this.
+
+        ``points`` is an (n, d) batch and the result holds one score row per
+        point, so ``predict`` serves directly as the score function of
+        :func:`steingrad.run_hmc`.
+        """
         pts = as_samples(points, name="points")
         if pts.shape[1] != self.train.shape[1]:
             raise ValueError(

@@ -14,18 +14,21 @@ The benchmark target is the banana distribution
 
 with defaults b = 0.03, v = 100, so E[x2] = 0 and Var(x2) = 1 + 2 b^2 v^2.
 
-Chains are independent: each one owns a private RNG stream derived from
-(master seed, chain index), so results are bitwise reproducible for a given
-seed regardless of execution order, and chains may run on a thread pool.
+All chains advance in lockstep: positions and momenta are (n_chains, d)
+arrays, and each leapfrog step makes one score call on every chain's row at
+once, so score functions follow the batched contract (n, d) -> (n, d).  The
+chains stay independent: each one owns a private RNG stream derived from
+(master seed, chain index), and a chain whose trajectory diverges is masked
+out of its iteration without touching the others, so a chain's path depends
+only on its own seed and start and results are bitwise reproducible.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import ksd_to_target
+from .discrepancy import ksd_v
 from .errors import DivergenceError
 from .kernels import KernelSpec, as_samples
 
@@ -41,32 +44,46 @@ def _check_banana_params(b, v):
     return float(b), float(v)
 
 
-def _banana_point(x):
+def _banana_points(x):
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"banana target is 2-D, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 2:
+        raise ValueError(
+            f"banana target is 2-D: expected shape (2,) or (n, 2), got {arr.shape}"
+        )
     return arr
 
 
-def banana_log_density(x, b: float = BANANA_B, v: float = BANANA_V) -> float:
-    """log N(x1; 0, v) + log N(x2; b (x1^2 - v), 1), normalising constants in."""
+def banana_log_density(x, b: float = BANANA_B, v: float = BANANA_V):
+    """log N(x1; 0, v) + log N(x2; b (x1^2 - v), 1), normalising constants in.
+
+    A point of shape (2,) gives a float, a batch of shape (n, 2) an (n,)
+    array.
+    """
     b, v = _check_banana_params(b, v)
-    x = _banana_point(x)
-    resid = x[1] - b * (x[0] ** 2 - v)
-    return float(
+    x = _banana_points(x)
+    x1, x2 = x[..., 0], x[..., 1]
+    # products, not ** 2: numpy's scalar power can round differently from
+    # its array square, and a point must score as it does inside a batch
+    resid = x2 - b * (x1 * x1 - v)
+    logp = (
         -0.5 * math.log(2.0 * math.pi * v)
-        - 0.5 * x[0] ** 2 / v
+        - 0.5 * (x1 * x1) / v
         - 0.5 * math.log(2.0 * math.pi)
-        - 0.5 * resid**2
+        - 0.5 * (resid * resid)
     )
+    return float(logp) if x.ndim == 1 else logp
 
 
 def banana_score(x, b: float = BANANA_B, v: float = BANANA_V) -> np.ndarray:
-    """Gradient of the banana log density: (-x1/v + 2 b x1 r, -r)."""
+    """Gradient of the banana log density: (-x1/v + 2 b x1 r, -r).
+
+    Returns the shape of ``x``: (2,) for a point, (n, 2) for a batch.
+    """
     b, v = _check_banana_params(b, v)
-    x = _banana_point(x)
-    resid = x[1] - b * (x[0] ** 2 - v)
-    return np.array([-x[0] / v + 2.0 * b * x[0] * resid, -resid])
+    x = _banana_points(x)
+    x1, x2 = x[..., 0], x[..., 1]
+    resid = x2 - b * (x1 * x1 - v)
+    return np.stack([-x1 / v + 2.0 * b * x1 * resid, -resid], axis=-1)
 
 
 def banana_sample(n: int, rng: np.random.Generator, b: float = BANANA_B, v: float = BANANA_V) -> np.ndarray:
@@ -144,86 +161,140 @@ class ChainStats:
     accepts: np.ndarray | None  # (n_chains, n_iters) bool
 
 
+def _one_row(score_fn):
+    """A d-vector score function as the batched (1, d) -> (1, d) contract."""
+    return lambda x: np.asarray(score_fn(x[0]), dtype=float)[None]
+
+
 def leapfrog(q, p, stepsize: float, n_steps: int, score_fn):
     """Integrate Hamilton's equations with the leapfrog scheme.
 
     Kinetic energy is ||p||^2 / 2 (identity mass); the force is the score,
     i.e. d p / d t = grad log pi(q).  n_steps = 0 returns the inputs
-    unchanged.  A non-finite position, momentum, or score raises
+    unchanged.
+
+    Batched form: ``q`` and ``p`` are (n_chains, d) and ``score_fn`` maps an
+    (n, d) array of positions to the (n, d) array of their scores; each step
+    makes one ``score_fn`` call on all chains.  Returns ``(q, p,
+    diverged_at)``, where ``diverged_at[c]`` is the step at which chain c's
+    position, momentum or score first went non-finite, or -1.  A diverged
+    chain's rows of ``q`` and ``p`` are its inputs, and from its divergence
+    on it is evaluated at its input position, so ``score_fn`` only ever sees
+    finite rows.
+
+    Single-chain form: ``q`` and ``p`` are d-vectors and ``score_fn`` maps a
+    d-vector to a d-vector.  Returns ``(q, p)``; a divergence raises
     DivergenceError carrying the step index.
     """
-    q = np.asarray(q, dtype=float).copy()
-    p = np.asarray(p, dtype=float).copy()
-    if q.ndim != 1 or q.shape != p.shape:
+    q = np.array(q, dtype=float)
+    p = np.array(p, dtype=float)
+    if q.ndim not in (1, 2) or q.shape != p.shape:
         raise ValueError(
-            f"q and p must be 1-D vectors of equal length, got {q.shape}, {p.shape}"
+            f"q and p must be d-vectors or (n_chains, d) arrays of equal shape, "
+            f"got {q.shape}, {p.shape}"
         )
     if not np.isfinite(stepsize) or stepsize <= 0:
         raise ValueError(f"stepsize must be > 0, got {stepsize!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_steps == 0:
-        return q, p
-    eps = float(stepsize)
+    if q.ndim == 2:
+        return _integrate(q, p, float(stepsize), n_steps, score_fn)
+    q, p, diverged_at = _integrate(
+        q[None], p[None], float(stepsize), n_steps, _one_row(score_fn)
+    )
+    if diverged_at[0] >= 0:
+        step = int(diverged_at[0])
+        raise DivergenceError(f"trajectory diverged at leapfrog step {step}", step=step)
+    return q[0], p[0]
 
-    def force(state, step):
-        g = np.asarray(score_fn(state), dtype=float)
-        if g.shape != state.shape or not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"score function diverged at leapfrog step {step}", step=step
+
+def _integrate(q, p, eps, n_steps, score_fn):
+    """The leapfrog scheme over a leading chain axis, with a divergence mask."""
+    q0, p0 = q, p
+    diverged_at = np.full(q.shape[0], -1)
+    if n_steps == 0:
+        return q, p, diverged_at
+
+    def force(x):
+        g = np.asarray(score_fn(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValueError(
+                f"score_fn returned shape {g.shape} for positions of shape {x.shape}"
             )
         return g
 
-    p = p + 0.5 * eps * force(q, 0)
+    def settle(q, p, checked, step):
+        # chains with a non-finite row in `checked` diverge at this step; every
+        # diverged chain is put back at its input state
+        new = ~np.isfinite(checked).all(axis=1) & (diverged_at < 0)
+        diverged_at[new] = step
+        if diverged_at.max() < 0:
+            return q, p
+        dead = (diverged_at >= 0)[:, None]
+        return np.where(dead, q0, q), np.where(dead, p0, p)
+
+    # a non-finite score leaves a non-finite momentum, so checking p after
+    # each kick also covers the score
+    p = p + 0.5 * eps * force(q)
+    q, p = settle(q, p, p, 0)
     for step in range(n_steps):
         q = q + eps * p
-        if not np.all(np.isfinite(q)):
-            raise DivergenceError(
-                f"position diverged at leapfrog step {step}", step=step
-            )
+        q, p = settle(q, p, q, step)
         scale = eps if step < n_steps - 1 else 0.5 * eps
-        p = p + scale * force(q, step)
-        if not np.all(np.isfinite(p)):
-            raise DivergenceError(
-                f"momentum diverged at leapfrog step {step}", step=step
+        p = p + scale * force(q)
+        q, p = settle(q, p, p, step)
+    return q, p, diverged_at
+
+
+def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
+    """Advance the chains of ``init`` (n_chains, d) in lockstep.
+
+    Returns the trajectories (n_chains, n_iters, d), the accept flags
+    (n_chains, n_iters) and the number of divergent iterations per chain.
+    """
+    q = np.array(init, dtype=float)
+    n_chains, d = q.shape
+    traj = np.empty((n_chains, cfg.n_iters, d))
+    accepts = np.zeros((n_chains, cfg.n_iters), dtype=bool)
+    n_div = np.zeros(n_chains, dtype=int)
+    logp = [float(target_logp(x)) for x in q]
+    p = np.empty_like(q)
+    u = np.empty(n_chains)
+    for t in range(cfg.n_iters):
+        for c, rng in enumerate(rngs):
+            p[c] = rng.standard_normal(d)
+            u[c] = rng.uniform()
+        q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
+        for c in range(n_chains):
+            if diverged_at[c] >= 0:
+                n_div[c] += 1
+                continue
+            logp_new = float(target_logp(q_new[c]))
+            log_alpha = (logp_new - 0.5 * float(p_new[c] @ p_new[c])) - (
+                logp[c] - 0.5 * float(p[c] @ p[c])
             )
-    return q, p
+            if log_alpha >= 0.0 or math.log(u[c]) < log_alpha:
+                q[c], logp[c] = q_new[c], logp_new
+                accepts[c, t] = True
+        traj[:, t] = q
+    return traj, accepts, n_div
 
 
 def run_chain(target_logp, score_fn, cfg: HmcConfig, q0, rng: np.random.Generator):
     """Run one chain; returns (trajectory, accept flags, divergence count).
 
-    Each iteration draws a fresh momentum, integrates cfg.n_leapfrog steps,
-    and accepts with the standard Metropolis-Hastings ratio evaluated with
-    the exact target log density.  A divergent trajectory counts as a
-    rejection.
+    The single-chain case of :func:`run_hmc`: ``q0`` is a d-vector and
+    ``score_fn`` maps a d-vector to a d-vector.  Each iteration draws a
+    fresh momentum and then the uniform of the accept test, integrates
+    cfg.n_leapfrog steps, and accepts with the standard Metropolis-Hastings
+    ratio evaluated with the exact target log density.  A divergent
+    trajectory counts as a rejection.
     """
-    q = np.asarray(q0, dtype=float).copy()
-    if q.ndim != 1:
-        raise ValueError(f"initial state must be a 1-D vector, got shape {q.shape}")
-    d = q.size
-    traj = np.empty((cfg.n_iters, d))
-    accepts = np.zeros(cfg.n_iters, dtype=bool)
-    logp = float(target_logp(q))
-    n_div = 0
-    for t in range(cfg.n_iters):
-        p = rng.standard_normal(d)
-        u = rng.uniform()
-        try:
-            q_new, p_new = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
-        except DivergenceError:
-            n_div += 1
-            traj[t] = q
-            continue
-        logp_new = float(target_logp(q_new))
-        log_alpha = (logp_new - 0.5 * float(p_new @ p_new)) - (
-            logp - 0.5 * float(p @ p)
-        )
-        if log_alpha >= 0.0 or math.log(u) < log_alpha:
-            q, logp = q_new, logp_new
-            accepts[t] = True
-        traj[t] = q
-    return traj, accepts, n_div
+    q0 = np.asarray(q0, dtype=float)
+    if q0.ndim != 1:
+        raise ValueError(f"initial state must be a 1-D vector, got shape {q0.shape}")
+    traj, accepts, n_div = _run_chains(target_logp, _one_row(score_fn), cfg, q0[None], [rng])
+    return traj[0], accepts[0], int(n_div[0])
 
 
 def _chain_rngs(seed, n_chains, chain_seeds):
@@ -249,16 +320,19 @@ def run_hmc(
     ksd_score_fn=None,
     ksd_spec: KernelSpec | None = None,
     ksd_pool_cap: int = 2000,
-    n_threads: int = 1,
     keep_trajectories: bool = True,
 ) -> ChainStats:
-    """Run cfg.n_chains independent HMC chains and summarise them.
+    """Run cfg.n_chains independent HMC chains in lockstep and summarise them.
 
     Parameters
     ----------
-    target_logp, score_fn
-        Exact log density used in the accept step, and the (possibly
-        estimated) score driving the leapfrog dynamics.
+    target_logp
+        Exact log density of one d-vector, used in the accept step; called
+        once per chain and iteration.
+    score_fn
+        The (possibly estimated) score driving the leapfrog dynamics, on
+        the batched contract (n, d) -> (n, d): each leapfrog step calls it
+        once with the positions of all chains.
     init : (n_chains, d) array
         One starting state per chain.
     seed : int
@@ -267,13 +341,12 @@ def run_hmc(
     chain_seeds : sequence, optional
         Explicit per-chain seeds overriding the derivation from ``seed``.
     ksd_score_fn, ksd_spec : optional
-        When both are given, the kernelised Stein discrepancy of the
-        post-burn-in samples against that score is reported, per chain
-        (averaged) and pooled.  The pooled sample is thinned evenly to at
-        most ``ksd_pool_cap`` points to keep the quadratic cost bounded.
-    n_threads : int
-        Chains run on a thread pool of this size when > 1; the result is
-        identical either way.
+        When both are given, the kernelised Stein discrepancy (constant term
+        included) of the post-burn-in samples against that score is
+        reported, per chain (averaged) and pooled.  ``ksd_score_fn`` follows
+        the (n, d) -> (n, d) contract and is called once, on every
+        post-burn-in sample.  The pooled sample is thinned evenly to at most
+        ``ksd_pool_cap`` points to keep the quadratic cost bounded.
     """
     init = as_samples(init, name="init")
     if init.shape[0] != cfg.n_chains:
@@ -286,18 +359,7 @@ def run_hmc(
         raise ValueError(f"ksd_pool_cap must be >= 2, got {ksd_pool_cap}")
     rngs = _chain_rngs(seed, cfg.n_chains, chain_seeds)
 
-    def job(c):
-        return run_chain(target_logp, score_fn, cfg, init[c], rngs[c])
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=min(n_threads, cfg.n_chains)) as pool:
-            results = list(pool.map(job, range(cfg.n_chains)))
-    else:
-        results = [job(c) for c in range(cfg.n_chains)]
-
-    traj = np.stack([r[0] for r in results])  # (C, T, d)
-    accepts = np.stack([r[1] for r in results])
-    n_div = int(sum(r[2] for r in results))
+    traj, accepts, n_div = _run_chains(target_logp, score_fn, cfg, init, rngs)
     n_burn = int(cfg.n_iters * cfg.burn_in_fraction)
     post = traj[:, n_burn:, :]
     chain_means = post[:, :, 0].mean(axis=1)
@@ -309,15 +371,22 @@ def run_hmc(
 
     ksd_pooled = ksd_mean = float("nan")
     if ksd_score_fn is not None:
+        pooled = post.reshape(-1, traj.shape[2])
+        grads = np.asarray(ksd_score_fn(pooled), dtype=float)
+        if grads.shape != pooled.shape:
+            raise ValueError(
+                f"ksd_score_fn returned shape {grads.shape} for samples of "
+                f"shape {pooled.shape}"
+            )
+        chain_grads = grads.reshape(post.shape)
         per_chain = [
-            ksd_to_target(post[c], ksd_score_fn, ksd_spec, statistic="v").value
+            ksd_v(post[c], chain_grads[c], ksd_spec, includes_constant=True).value
             for c in range(cfg.n_chains)
         ]
         ksd_mean = float(np.mean(per_chain))
-        pooled = post.reshape(-1, traj.shape[2])
         step = max(1, math.ceil(pooled.shape[0] / ksd_pool_cap))
-        ksd_pooled = ksd_to_target(
-            pooled[::step], ksd_score_fn, ksd_spec, statistic="v"
+        ksd_pooled = ksd_v(
+            pooled[::step], grads[::step], ksd_spec, includes_constant=True
         ).value
 
     return ChainStats(
@@ -326,7 +395,7 @@ def run_hmc(
         se_mean_x1=se_mean_x1,
         ksd_pooled=ksd_pooled,
         ksd_mean_per_chain=ksd_mean,
-        n_divergent=n_div,
+        n_divergent=int(n_div.sum()),
         trajectories=traj if keep_trajectories else None,
         accepts=accepts if keep_trajectories else None,
     )

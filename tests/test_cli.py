@@ -275,6 +275,20 @@ class TestKsd:
         )
         assert rc == 2
 
+    def test_string_boolean_in_config_rejected(self, tmp_path, capsys):
+        # "false" is a non-empty string: bool() would read it as true
+        path, xs = sample_file(tmp_path, seed=12, n=5)
+        gpath = tmp_path / "grads.csv"
+        write_csv(gpath, "g", -xs)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {"samples": str(path), "grads": str(gpath), "include_constant": "false"}
+            )
+        )
+        assert main(["ksd", "--config", str(config)]) == 2
+        assert "'include_constant'" in capsys.readouterr().err
+
     def test_report_file_output(self, tmp_path):
         path, xs = sample_file(tmp_path, seed=12, n=5)
         gpath = tmp_path / "grads.csv"
@@ -358,6 +372,20 @@ class TestBanana:
         assert report["eta"] == 0.1
         assert report["fit_diagnostics"] == {"jitter": 0.0, "jitter_level": 0}
 
+    @pytest.mark.parametrize(
+        "field", ["n_chains", "n_iters", "n_leapfrog", "n_train", "ksd_pool_cap", "seed"]
+    )
+    def test_fractional_count_in_config_rejected(self, tmp_path, capsys, field):
+        # int() would truncate 2.7 to 2 without a word
+        config = tmp_path / "config.json"
+        small = {"seed": 5, "n_chains": 2, "n_iters": 5, "n_leapfrog": 3, "n_train": 30}
+        config.write_text(json.dumps({**small, field: 2.7}))
+        out = tmp_path / "report.json"
+        argv = ["banana", "--config", str(config), "--estimator", "exact", "--output", str(out)]
+        assert main(argv) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stein_u_cannot_drive_sampler(self, tmp_path):
         rc, _ = self.run_banana(tmp_path, "--estimator", "stein-u")
         assert rc == 2
@@ -393,6 +421,12 @@ class TestEntropyCheck:
             assert entry["abs_error"] == pytest.approx(
                 abs(entry["value"] - report["analytic"]), rel=1e-12
             )
+
+    def test_fractional_sample_count_in_config_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "n": 200.5, "estimators": "kde"}))
+        assert main(["entropy-check", "--config", str(config)]) == 2
+        assert "'n'" in capsys.readouterr().err
 
     def test_unknown_estimator_name(self, tmp_path):
         rc = main(["entropy-check", "--seed", "1", "--estimators", "mystery"])

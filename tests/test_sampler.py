@@ -213,15 +213,6 @@ class TestRunHmc:
         assert a.acceptance_rate == b.acceptance_rate
         assert a.mean_x1 == b.mean_x1
 
-    def test_thread_pool_matches_serial(self):
-        cfg = HmcConfig(n_chains=6, n_iters=40, stepsize=0.5, n_leapfrog=5)
-        init = np.zeros((6, 2))
-        serial = run_hmc(banana_log_density, banana_score, cfg, init, seed=12)
-        pooled = run_hmc(
-            banana_log_density, banana_score, cfg, init, seed=12, n_threads=3
-        )
-        np.testing.assert_array_equal(serial.trajectories, pooled.trajectories)
-
     def test_chains_commute_with_seed_permutation(self):
         # A chain's path depends only on its own seed and start, never on
         # its position in the batch.
@@ -239,6 +230,43 @@ class TestRunHmc:
             chain_seeds=[seeds[i] for i in perm],
         )
         np.testing.assert_array_equal(b.trajectories, a.trajectories[perm])
+
+    def test_divergence_mask_matches_chains_run_alone(self):
+        # The score is infinite beyond x0 = 1, so chains that step there
+        # diverge.  The two chains that start there diverge on every
+        # iteration; the others only when a trajectory crosses the line.
+        threshold = 1.0
+        calls = []
+
+        def capped_score(x):
+            assert np.all(np.isfinite(x)), "non-finite position reached the score"
+            calls.append(x.shape)
+            return np.where(x[..., :1] > threshold, np.inf, -x)
+
+        cfg = HmcConfig(n_chains=6, n_iters=30, stepsize=0.5, n_leapfrog=5)
+        init = np.array(
+            [[-1.5, 0.0], [-0.5, 1.0], [0.0, 0.0], [0.5, -1.0], [1.5, 0.5], [2.0, -2.0]]
+        )
+        seeds = [11, 22, 33, 44, 55, 66]
+        res = run_hmc(std_normal_logp, capped_score, cfg, init, chain_seeds=seeds)
+        assert calls == [(6, 2)] * (cfg.n_iters * (cfg.n_leapfrog + 1))
+
+        alone = [
+            run_chain(
+                std_normal_logp, capped_score, cfg, init[c], np.random.default_rng(seeds[c])
+            )
+            for c in range(6)
+        ]
+        for c, (traj, accepts, _) in enumerate(alone):
+            np.testing.assert_array_equal(res.trajectories[c], traj)
+            np.testing.assert_array_equal(res.accepts[c], accepts)
+        n_div = [n for _, _, n in alone]
+        assert res.n_divergent == sum(n_div)
+        assert n_div[4] == n_div[5] == cfg.n_iters
+        assert 0 < sum(n_div[:4]) < 4 * cfg.n_iters
+        for c in (4, 5):
+            np.testing.assert_array_equal(res.trajectories[c], np.tile(init[c], (30, 1)))
+            assert not res.accepts[c].any()
 
     def test_summaries_recomputable_from_trajectories(self):
         cfg = HmcConfig(

@@ -24,8 +24,9 @@ File formats
 Sample CSV: header ``x0,...,x{d-1}``, one sample per row.  Gradient CSV:
 same layout with header ``g0,...,g{d-1}``.  The estimate sidecar holds the
 full serialised estimator: kind, kernel family and effective bandwidth, eta,
-training data, gradient field or coefficients, the cached inverse for the
-predictive Stein fit, and fit diagnostics (jitter ladder use).
+training data, gradient field or coefficients, and fit diagnostics (jitter
+ladder use), O(K d) numbers in all.  The predictive Stein fit's training-block
+inverse is not stored; a reloaded estimator solves it on its first prediction.
 """
 
 import argparse

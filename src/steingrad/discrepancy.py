@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_samples, build_matrices, cross_hess_trace_matrix
+from .kernels import KernelSpec, as_samples, build_matrices
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ def _check_inputs(samples, grads):
     return xs, gs
 
 
-def _terms(xs, gs, spec):
-    mats = build_matrices(xs, spec)
+def _terms(xs, gs, spec, includes_constant):
+    mats = build_matrices(xs, spec, with_trace=includes_constant)
     quad = float(np.einsum("ij,id,jd->", mats.k_matrix, gs, gs))
     cross = float((gs * mats.grad_sum).sum())
     return mats, quad, cross
@@ -50,10 +50,10 @@ def _terms(xs, gs, spec):
 def ksd_v(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> KsdEstimate:
     """V-statistic kernelised Stein discrepancy (squared)."""
     xs, gs = _check_inputs(samples, grads)
-    mats, quad, cross = _terms(xs, gs, spec)
+    mats, quad, cross = _terms(xs, gs, spec, includes_constant)
     total = quad + 2.0 * cross
     if includes_constant:
-        total += float(cross_hess_trace_matrix(xs, spec).sum())
+        total += float(mats.trace.sum())
     n = xs.shape[0]
     return KsdEstimate(total / n**2, "v", includes_constant)
 
@@ -64,15 +64,14 @@ def ksd_u(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> 
     n = xs.shape[0]
     if n < 2:
         raise ValueError("U-statistic needs at least two samples")
-    mats, quad, cross = _terms(xs, gs, spec)
+    mats, quad, cross = _terms(xs, gs, spec, includes_constant)
     quad_diag = float(np.diag(mats.k_matrix) @ np.einsum("kd,kd->k", gs, gs))
     # the j = l cross terms contain grad k(x, x') at x' = x, which is zero
     # for translation-invariant kernels, so only the quadratic diagonal and
     # (optionally) the trace diagonal are subtracted
     total = quad - quad_diag + 2.0 * cross
     if includes_constant:
-        tr = cross_hess_trace_matrix(xs, spec)
-        total += float(tr.sum()) - float(np.trace(tr))
+        total += float(mats.trace.sum()) - float(np.trace(mats.trace))
     return KsdEstimate(total / (n * (n - 1)), "u", includes_constant)
 
 

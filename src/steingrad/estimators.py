@@ -10,7 +10,8 @@ the samples or as a K-vector of kernel-expansion coefficients:
   G = -(K + eta I)^-1 <grad, K> (V-statistic) or with the kernel diagonal
   removed (U-statistic).
 - ``stein_predict``: out-of-sample extension of the V-statistic fit via the
-  block (Schur-complement) solve of the augmented system.
+  block (Schur-complement) solve of the augmented system; the training-block
+  inverse it needs is built on the first prediction, not by the fit.
 - ``score_matching_fit`` / ``score_matching_predict``: closed-form ridge
   score matching in the expansion g(x) = sum_k a_k grad_x k(x, x^k), with
   per-family closed forms for RBF and Epanechnikov kernels.
@@ -24,6 +25,7 @@ returns a serialisable :class:`FittedEstimator`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -166,14 +168,16 @@ def stein_predict(fitted: "FittedEstimator", points) -> np.ndarray:
 
     where grad_y k(., y) stacks the second-argument kernel gradients, one
     row per training point.  Equivalent to refitting on the augmented sample
-    and reading off the new row, without the refit.
+    and reading off the new row, without the refit.  (K + eta I)^-1 is
+    ``fitted.kinv``, solved from train, kernel and eta on the first call and
+    kept on the fitted object for later ones.
     """
     if fitted.kind != KIND_STEIN_V:
         raise ValueError(
             f"stein_predict needs a {KIND_STEIN_V!r} fit, got {fitted.kind!r}"
         )
-    if fitted.kinv is None or fitted.grads is None:
-        raise ValueError("fitted estimator lacks the cached training-block inverse")
+    if fitted.grads is None:
+        raise ValueError("fitted estimator lacks the gradient field at train")
     pts = as_samples(points, name="points")
     train, grads, kinv = fitted.train, fitted.grads, fitted.kinv
     if pts.shape[1] != train.shape[1]:
@@ -374,8 +378,8 @@ class FittedEstimator:
 
     Exactly one of ``grads`` (nonparametric kinds: the gradient field is the
     parameter set) and ``coeffs`` (expansion kinds) is populated.  ``kinv``
-    caches (K + eta I)^-1 and exists only for the predictive V-statistic
-    nonparametric fit.
+    is derived state, not a field: (K + eta I)^-1 of the predictive
+    V-statistic nonparametric fit, solved on first use and then kept.
     """
 
     kind: str
@@ -384,8 +388,23 @@ class FittedEstimator:
     eta: float
     grads: np.ndarray | None = None
     coeffs: np.ndarray | None = None
-    kinv: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def kinv(self) -> np.ndarray | None:
+        """(K + eta I)^-1 for a stein-nonparam-v fit, None for other kinds.
+
+        Solved from train, kernel and eta on first access, with an identity
+        right-hand side, and kept on this object; fits that never predict
+        never pay the second solve.
+        """
+        if self.kind != KIND_STEIN_V:
+            return None
+        _, system = _stein_system(self.train, self.spec, self.eta, "v")
+        kinv, _, _ = solve_symmetric(
+            system, np.eye(self.train.shape[0]), name="stein predictive inverse"
+        )
+        return kinv
 
     def grads_at_train(self) -> np.ndarray:
         """Gradient field at the training samples (the fit output)."""
@@ -429,12 +448,21 @@ class FittedEstimator:
             "train": self.train.tolist(),
             "grads": None if self.grads is None else self.grads.tolist(),
             "coeffs": None if self.coeffs is None else self.coeffs.tolist(),
-            "kinv": None if self.kinv is None else self.kinv.tolist(),
             "diagnostics": dict(self.diagnostics),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FittedEstimator":
+        """Rebuild an estimator written by :meth:`to_json_dict`.
+
+        The record is checked before anything is built: the kind must carry
+        exactly its own parameter set (``grads`` for the gradient-field
+        kinds, ``coeffs`` for the expansion kinds), ``grads`` must have the
+        shape of ``train`` and ``coeffs`` one entry per training point, and
+        every value must be finite.  A violation raises ``ValueError``
+        naming the field.  A ``kinv`` entry, written by older versions, is
+        ignored: the inverse is derived from train, kernel and eta.
+        """
         try:
             kind = obj["kind"]
             kernel = obj["kernel"]
@@ -445,17 +473,32 @@ class FittedEstimator:
             raise ValueError(f"malformed estimator record: {exc}") from exc
         if kind not in KINDS:
             raise ValueError(f"unknown estimator kind {kind!r}")
-        grads = obj.get("grads")
-        coeffs = obj.get("coeffs")
-        kinv = obj.get("kinv")
+        if not np.isfinite(eta):
+            raise ValueError(f"eta must be finite, got {eta!r}")
+        field_name = "grads" if kind in _GRAD_KINDS else "coeffs"
+        other = "coeffs" if kind in _GRAD_KINDS else "grads"
+        if obj.get(other) is not None:
+            raise ValueError(f"{kind!r} record carries {other!r}; it takes {field_name!r}")
+        if obj.get(field_name) is None:
+            raise ValueError(f"{kind!r} record lacks {field_name!r}")
+        try:
+            params = np.asarray(obj[field_name], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{field_name} is not numeric: {exc}") from exc
+        want = train.shape if kind in _GRAD_KINDS else train.shape[:1]
+        if params.shape != want:
+            raise ValueError(
+                f"{field_name} has shape {params.shape}, expected {want} for "
+                f"{train.shape[0]} training points in dimension {train.shape[1]}"
+            )
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"{field_name} contains non-finite entries")
         return cls(
             kind=kind,
             train=train,
             spec=spec,
             eta=eta,
-            grads=None if grads is None else as_samples(grads, name="grads"),
-            coeffs=None if coeffs is None else np.asarray(coeffs, dtype=float),
-            kinv=None if kinv is None else np.asarray(kinv, dtype=float),
+            **{field_name: params},
             diagnostics=dict(obj.get("diagnostics") or {}),
         )
 
@@ -465,24 +508,20 @@ def fit_estimator(
 ) -> FittedEstimator:
     """Fit any estimator kind and package the result.
 
-    The V-statistic nonparametric Stein fit also caches (K + eta I)^-1 so
-    that the result can predict out of sample.
+    Each fit makes one solve.  The V-statistic nonparametric Stein fit can
+    predict out of sample; the inverse that needs is solved on its first
+    prediction (see :attr:`FittedEstimator.kinv`), not here.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
     xs = as_samples(samples)
     diagnostics: dict = {}
-    grads = coeffs = kinv = None
+    grads = coeffs = None
     if kind == KIND_KDE:
         grads = kde_fit(xs, spec)
     elif kind in (KIND_STEIN_V, KIND_STEIN_U):
         stat = "v" if kind == KIND_STEIN_V else "u"
         grads, diagnostics = _stein_nonparametric_fit(xs, spec, eta, stat)
-        if kind == KIND_STEIN_V:
-            _, system = _stein_system(xs, spec, _check_eta(eta), "v")
-            kinv, _, _ = solve_symmetric(
-                system, np.eye(xs.shape[0]), name="stein predictive inverse"
-            )
     elif kind in (KIND_SCORE_RBF, KIND_SCORE_EPANECHNIKOV):
         expected = RBF if kind == KIND_SCORE_RBF else EPANECHNIKOV
         if spec.family != expected:
@@ -500,6 +539,5 @@ def fit_estimator(
         eta=float(eta),
         grads=grads,
         coeffs=coeffs,
-        kinv=kinv,
         diagnostics=diagnostics,
     )

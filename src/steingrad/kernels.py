@@ -25,7 +25,7 @@ first-argument gradients.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import DegenerateBandwidthError
 
@@ -82,11 +82,15 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelMatrices:
-    """Matrices built from one sample set: kernel, summed gradient, Gram."""
+    """Matrices built from one sample set: kernel, summed gradient, Gram.
+
+    ``trace`` is the cross_hess_trace matrix, filled only when requested.
+    """
 
     k_matrix: np.ndarray  # (K, K), symmetric, unit diagonal
     grad_sum: np.ndarray  # (K, d), <nabla, K>
     gram: np.ndarray      # (K, K), X X^T
+    trace: np.ndarray | None = None  # (K, K), cross_hess_trace per pair
 
 
 def kernel_eval(x, y, spec: KernelSpec) -> float:
@@ -140,31 +144,56 @@ def cross_hess_trace(x, y, spec: KernelSpec) -> float:
 
 
 def _sq_dists(xs: np.ndarray) -> np.ndarray:
-    # Broadcast form keeps the matrix exactly symmetric (same float ops for
-    # (i, j) and (j, i)), which the dot-product expansion would not.
-    diff = xs[:, None, :] - xs[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # pdist computes each unordered pair once and squareform mirrors it, so
+    # the matrix is exactly symmetric with an exact zero diagonal; O(K^2)
+    # memory, with no (K, K, d) difference tensor
+    return squareform(pdist(xs, "sqeuclidean"))
 
 
-def build_matrices(samples, spec: KernelSpec) -> KernelMatrices:
+def _rbf_kernel(sq: np.ndarray, sigma2: float) -> np.ndarray:
+    # exp(-0.5 * sq / sigma2) in one (K, K) buffer, same operation order
+    out = np.multiply(sq, -0.5)
+    np.divide(out, sigma2, out=out)
+    return np.exp(out, out=out)
+
+
+def _rbf_trace(sq: np.ndarray, k_matrix: np.ndarray, d: int, sigma2: float) -> np.ndarray:
+    # k * (d / s2 - sq / s2**2), overwriting sq
+    np.divide(sq, sigma2**2, out=sq)
+    np.subtract(d / sigma2, sq, out=sq)
+    return np.multiply(k_matrix, sq, out=sq)
+
+
+def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> KernelMatrices:
     """Build k_matrix, grad_sum and gram for one sample set.
 
     The grad_sum column j holds sum_k d/d x^k_j k(x^i, x^k): the kernel
     gradient taken in its second argument and summed over the sample, the
-    quantity every estimator in this package consumes.
+    quantity every estimator in this package consumes.  With ``with_trace``
+    the cross_hess_trace matrix is filled from the same squared distances,
+    so a discrepancy makes one distance pass instead of two.
     """
     xs = as_samples(samples)
     n, d = xs.shape
     sq = _sq_dists(xs)
+    trace = None
     if spec.family == RBF:
-        k_matrix = np.exp(-0.5 * sq / spec.sigma2)
+        k_matrix = _rbf_kernel(sq, spec.sigma2)
         # sum_k K_ik (x^i - x^k) / sigma2, written with row sums to avoid
-        # materialising the (K, K, d) difference tensor again
+        # materialising the (K, K, d) difference tensor
         grad_sum = (k_matrix.sum(axis=1)[:, None] * xs - k_matrix @ xs) / spec.sigma2
+        if with_trace:
+            trace = _rbf_trace(sq, k_matrix, d, spec.sigma2)
     else:
-        k_matrix = 1.0 - sq / d
+        # 1 - sq / d, in sq's buffer
+        np.divide(sq, d, out=sq)
+        k_matrix = np.subtract(1.0, sq, out=sq)
         grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
-    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, gram=xs @ xs.T)
+        if with_trace:
+            trace = np.full((n, n), 2.0)
+    return KernelMatrices(
+        k_matrix=k_matrix, grad_sum=grad_sum, gram=xs @ xs.T, trace=trace
+    )
 
 
 def cross_hess_trace_matrix(samples, spec: KernelSpec) -> np.ndarray:
@@ -173,8 +202,7 @@ def cross_hess_trace_matrix(samples, spec: KernelSpec) -> np.ndarray:
     n, d = xs.shape
     if spec.family == RBF:
         sq = _sq_dists(xs)
-        s2 = spec.sigma2
-        return np.exp(-0.5 * sq / s2) * (d / s2 - sq / s2**2)
+        return _rbf_trace(sq, _rbf_kernel(sq, spec.sigma2), d, spec.sigma2)
     return np.full((n, n), 2.0)
 
 

@@ -63,10 +63,9 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
     k = mat.shape[0]
     scale = abs(float(np.trace(mat))) / k
     bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(rhs)))
-    eye = np.eye(k)
     for level, mult in enumerate(JITTER_LADDER):
         jitter = mult * scale
-        system = mat + jitter * eye if jitter else mat
+        system = mat + jitter * np.eye(k) if jitter else mat
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -99,6 +99,39 @@ class TestEstimate:
         pts = np.random.default_rng(2).standard_normal((5, 2))
         np.testing.assert_allclose(fitted.predict(pts), direct.predict(pts), atol=1e-12)
 
+    def test_stein_v_sidecar_holds_no_inverse(self, tmp_path):
+        # The predictive inverse is derived state: the sidecar holds train,
+        # the gradient field and a few scalars, O(K d) numbers, not K^2.
+        n, d = 60, 2
+        path, xs = sample_file(tmp_path, seed=5, n=n, d=d)
+        out = tmp_path / "grads.csv"
+        rc = main(
+            [
+                "estimate",
+                "--input", str(path),
+                "--output", str(out),
+                "--estimator", "stein-v",
+                "--sigma2", "1.5",
+            ]
+        )
+        assert rc == 0
+        with open(tmp_path / "grads.json", encoding="utf-8") as fh:
+            record = json.load(fh)
+        assert "kinv" not in record
+
+        def count_numbers(obj):
+            if isinstance(obj, dict):
+                return sum(count_numbers(v) for v in obj.values())
+            if isinstance(obj, list):
+                return sum(count_numbers(v) for v in obj)
+            return int(isinstance(obj, (int, float)) and not isinstance(obj, bool))
+
+        assert count_numbers(record) <= 2 * n * d + 10
+        fitted = FittedEstimator.from_json_dict(record)
+        direct = fit_estimator(KIND_STEIN_V, xs, KernelSpec("rbf", 1.5), 0.1)
+        pts = np.random.default_rng(6).standard_normal((5, d))
+        np.testing.assert_allclose(fitted.predict(pts), direct.predict(pts), atol=1e-12)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         path, _ = sample_file(tmp_path, seed=3)
         out = tmp_path / "grads.csv"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steingrad as sg
 from steingrad import (
@@ -447,6 +449,78 @@ class TestFittedEstimator:
         with pytest.raises(ValueError):
             FittedEstimator.from_json_dict(bad)
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda r: r.update(coeffs=[0.0] * len(r["train"])), "coeffs"),
+            (lambda r: r.update(grads=None), "grads"),
+            (lambda r: r.update(grads=r["grads"][:-1]), "grads"),
+            (lambda r: r.update(grads=[row + [0.0] for row in r["grads"]]), "grads"),
+            (lambda r: r["grads"][2].__setitem__(1, float("nan")), "grads"),
+            (lambda r: r.update(eta=float("inf")), "eta"),
+        ],
+        ids=["both-params", "no-grads", "grads-rows", "grads-cols", "grads-nan", "eta-inf"],
+    )
+    def test_from_json_rejects_inconsistent_grad_record(self, edit, field):
+        fit = fit_estimator(KIND_STEIN_V, gaussian_sample(32, n=6), RBF)
+        record = json.loads(json.dumps(fit.to_json_dict()))
+        edit(record)
+        with pytest.raises(ValueError, match=field):
+            FittedEstimator.from_json_dict(record)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda r: r.update(grads=[[0.0] * 2] * len(r["train"])), "grads"),
+            (lambda r: r.update(coeffs=None), "coeffs"),
+            (lambda r: r.update(coeffs=r["coeffs"] + [1.0]), "coeffs"),
+            (lambda r: r.update(coeffs=[r["coeffs"]]), "coeffs"),
+            (lambda r: r["coeffs"].__setitem__(0, float("inf")), "coeffs"),
+        ],
+        ids=["both-params", "no-coeffs", "coeffs-length", "coeffs-2d", "coeffs-inf"],
+    )
+    def test_from_json_rejects_inconsistent_coeff_record(self, edit, field):
+        fit = fit_estimator(KIND_SCORE_RBF, gaussian_sample(33, n=6), RBF)
+        record = json.loads(json.dumps(fit.to_json_dict()))
+        edit(record)
+        with pytest.raises(ValueError, match=field):
+            FittedEstimator.from_json_dict(record)
+
+    def test_from_json_ignores_legacy_kinv(self):
+        # older sidecars stored the inverse; it is derivable, so a stale or
+        # even wrong copy is dropped and the inverse solved afresh
+        xs = gaussian_sample(34, n=8)
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
+        record = fit.to_json_dict()
+        assert "kinv" not in record
+        record["kinv"] = np.zeros((8, 8)).tolist()
+        back = FittedEstimator.from_json_dict(record)
+        np.testing.assert_array_equal(back.kinv, fit.kinv)
+
+    def test_fit_makes_one_solve_and_predict_adds_one(self, monkeypatch):
+        from steingrad import estimators
+
+        calls = []
+        real = estimators.solve_symmetric
+
+        def counting(mat, rhs, name="linear system"):
+            calls.append(name)
+            return real(mat, rhs, name)
+
+        monkeypatch.setattr(estimators, "solve_symmetric", counting)
+        xs = gaussian_sample(35, n=9)
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
+        assert calls == ["stein v-statistic system"]
+        pts = gaussian_sample(36, n=3)
+        first = fit.predict(pts)
+        fit.predict(pts)
+        assert calls == ["stein v-statistic system", "stein predictive inverse"]
+        # the lazily solved inverse is the one the eager fit used to store
+        _, system = estimators._stein_system(xs, RBF, 0.1, "v")
+        want, _, _ = real(system, np.eye(9), "stein predictive inverse")
+        np.testing.assert_array_equal(fit.kinv, want)
+        np.testing.assert_array_equal(fit.predict(pts), first)
+
     def test_grads_at_train_for_expansion_kinds(self):
         xs = gaussian_sample(29, n=7)
         fit = fit_estimator(KIND_SCORE_RBF, xs, RBF, eta=0.1)
@@ -462,6 +536,37 @@ class TestFittedEstimator:
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=0.1)
         assert fit.diagnostics["jitter"] == 0.0
         assert fit.diagnostics["jitter_level"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    d=st.integers(1, 3),
+    sigma2=st.floats(0.5, 4.0),
+    eta=st.floats(0.05, 1.0),
+)
+def test_json_round_trip_is_exact(kind, seed, n, d, sigma2, eta):
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal((n, d))
+    spec = EPAN if kind == KIND_SCORE_EPANECHNIKOV else KernelSpec("rbf", sigma2)
+    fit = fit_estimator(kind, xs, spec, eta=eta)
+    back = FittedEstimator.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
+    assert (back.kind, back.eta, back.spec) == (fit.kind, fit.eta, fit.spec)
+    assert back.diagnostics == fit.diagnostics
+    np.testing.assert_array_equal(back.train, fit.train)
+    for name in ("grads", "coeffs"):
+        want = getattr(fit, name)
+        if want is None:
+            assert getattr(back, name) is None
+        else:
+            np.testing.assert_array_equal(getattr(back, name), want)
+    if kind == KIND_STEIN_V:
+        pts = rng.standard_normal((4, d))
+        want = fit.predict(pts)
+        got = back.predict(pts)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestAccuracyOnGaussian:

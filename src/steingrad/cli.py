@@ -220,11 +220,11 @@ def _read_matrix_csv(path, prefix):
 
 
 def _write_matrix_csv(path, prefix, arr):
+    # the bytes csv.writer would write: float reprs never need quoting
+    rows = np.asarray(arr, dtype=float).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{i}" for i in range(arr.shape[1])])
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write(",".join(f"{prefix}{i}" for i in range(arr.shape[1])) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _dump_json(obj, path=None):

@@ -42,7 +42,8 @@ def _check_inputs(samples, grads):
 
 def _terms(xs, gs, spec, includes_constant):
     mats = build_matrices(xs, spec, with_trace=includes_constant)
-    quad = float(np.einsum("ij,id,jd->", mats.k_matrix, gs, gs))
+    # tr(G^T K G) through one BLAS matrix product
+    quad = float((gs * (mats.k_matrix @ gs)).sum())
     cross = float((gs * mats.grad_sum).sum())
     return mats, quad, cross
 

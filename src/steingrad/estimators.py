@@ -228,10 +228,15 @@ def score_matching_fit(samples, spec: KernelSpec, eta: float = DEFAULT_ETA) -> n
     The fitted score is g(x) = sum_k a_k grad_x k(x, x^k).  Per family:
 
     rbf: a = (Sigma + eta I)^-1 v with
-         Sigma = sum_i D_i^T D_i,    D_i = diag(x_i) K - K diag(x_i),
-         v = sum_i [ sigma2 K 1 - (K (x_i*x_i) + diag(x_i*x_i) K 1
-                                   - 2 diag(x_i) K x_i) ],
-         x_i the i-th coordinate column of the sample matrix.
+         Sigma = sum_i D_i^T D_i,    D_i = diag(x_i) K - K diag(x_i)
+               = B + B^T + (K K) o G,    B = (K o (1/2 1 n^T - G)) K,
+         v = d sigma2 K 1 - (K n + n o K 1 - 2 rowsum(X o (K X))),
+         x_i the i-th coordinate column of the sample matrix X, n its
+         squared row norms, G = X X^T and o the elementwise product.
+         The sum over coordinates costs d K x K x K products (symmetric
+         ones, at half the flops of a general product) and the
+         coordinate-free form 2 general ones, so Sigma is the sum for
+         d <= 2 and the coordinate-free form from d = 3 on.
 
     epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
          Sigma_kk' = (1/d^2) [ x^k . x^k'
@@ -246,29 +251,56 @@ def score_matching_fit(samples, spec: KernelSpec, eta: float = DEFAULT_ETA) -> n
     return coeffs
 
 
+# from this dimension on, Sigma's 2 coordinate-free K^3 products beat the
+# d symmetric products of the per-coordinate sum; at d = 2 they run about
+# even (K = 1000, 2-core host: 0.041 s for the sum, 0.047 s for the form)
+_SIGMA_CLOSED_FORM_MIN_D = 3
+
+
+def _score_sigma_by_coordinate(xs, km):
+    sigma = np.zeros_like(km)
+    for xi in xs.T:
+        d_i = xi[:, None] * km - km * xi[None, :]
+        sigma += d_i.T @ d_i
+    return sigma
+
+
+def _score_sigma_closed_form(xs, km, sqn):
+    # B + B^T + (K K) o G in one scratch buffer besides G and B:
+    # K o (1/2 n^T - G), then K K o G, then + B + B^T
+    gram = xs @ xs.T
+    buf = np.subtract(0.5 * sqn, gram)
+    buf *= km
+    b = buf @ km
+    np.matmul(km, km, out=buf)
+    buf *= gram
+    buf += b
+    buf += b.T
+    return buf
+
+
 def _score_matching_fit(xs, spec, eta):
     n, d = xs.shape
     if spec.family == RBF:
-        mats = build_matrices(xs, spec)
-        km = mats.k_matrix
+        km = build_matrices(xs, spec).k_matrix
         ksum = km.sum(axis=1)
-        s2 = spec.sigma2
-        sigma = np.zeros((n, n))
-        v = np.zeros(n)
-        for i in range(d):
-            xi = xs[:, i]
-            d_i = xi[:, None] * km - km * xi[None, :]
-            sigma += d_i.T @ d_i
-            v += s2 * ksum - (km @ (xi * xi) + (xi * xi) * ksum - 2.0 * xi * (km @ xi))
+        sqn = np.einsum("kd,kd->k", xs, xs)
+        v = d * spec.sigma2 * ksum - (
+            km @ sqn + sqn * ksum - 2.0 * (xs * (km @ xs)).sum(axis=1)
+        )
+        if d < _SIGMA_CLOSED_FORM_MIN_D:
+            sigma = _score_sigma_by_coordinate(xs, km)
+        else:
+            sigma = _score_sigma_closed_form(xs, km, sqn)
+        del km  # freed before the solve copies the system
     else:
         gram = xs @ xs.T
         sqn = np.einsum("kd,kd->k", xs, xs)
         row = gram.sum(axis=1)
         sigma = (gram + (sqn.sum() - row[:, None] - row[None, :]) / n) / d**2
         v = np.full(n, 0.5)
-    system = sigma.copy()
-    system[np.diag_indices_from(system)] += eta
-    coeffs, jitter, level = solve_symmetric(system, v, name="score matching system")
+    sigma[np.diag_indices_from(sigma)] += eta
+    coeffs, jitter, level = solve_symmetric(sigma, v, name="score matching system")
     return coeffs, {"jitter": jitter, "jitter_level": level}
 
 
@@ -316,32 +348,47 @@ def _parametric_system(xs, spec, statistic):
     """Quadratic form (lam, b) of the parametric Stein objective."""
     if spec.family != RBF:
         raise ValueError("parametric Stein fits support the rbf family only")
-    mats = build_matrices(xs, spec)
-    km, gram = mats.k_matrix, mats.gram
+    km = build_matrices(xs, spec).k_matrix
+    gram = xs @ xs.T
+    ksum = km.sum(axis=1)
+    sqn = np.diag(gram)
     kk = km @ km
     kx = km * gram
-    sqn = np.diag(gram)
-    b = ((km * sqn[None, :]) @ km + kk * gram - km @ kx - kx @ km).sum(axis=1)
-    if statistic == "v":
-        lam = gram * (kk @ km) + km @ kx @ km - (kk * gram) @ km - km @ (kk * gram)
-    else:
-        km0 = km - np.diag(np.diag(km))
-        kx0 = kx - np.diag(np.diag(kx))
-        lam = (
-            gram * (km @ km0 @ km)
-            + km @ kx0 @ km
-            - ((km @ km0) * gram) @ km
-            - km @ ((km0 @ km) * gram)
-        )
+    # the row sums of K diag(n) K + (K K) o G - K (K o G) - (K o G) K, each
+    # as a matrix-vector product
+    b = (
+        km @ (sqn * ksum)
+        + np.einsum("ij,ij->i", kk, gram)
+        - km @ kx.sum(axis=1)
+        - kx @ ksum
+    )
+    # lam = G o (P K) + K Q K - t - t^T with t = (P o G) K, P = K K and
+    # Q = K o G; U zeroes the diagonal of Q and of P's second factor.  The
+    # last term is t^T because K and G are symmetric.  Built in place to
+    # hold few (K, K) arrays at once.
+    if statistic == "u":
+        np.fill_diagonal(kx, 0.0)
+        km0 = km.copy()
+        np.fill_diagonal(km0, 0.0)
+        kk = km @ km0
+        del km0
+    kxk = km @ kx @ km
+    del kx
+    t = (kk * gram) @ km
+    lam = kk @ km
+    del kk
+    lam *= gram
+    lam += kxk
+    lam -= t
+    lam -= t.T
     return lam, b
 
 
 def _stein_parametric_fit(xs, spec, eta, statistic):
     lam, b = _parametric_system(xs, spec, statistic)
-    system = lam.copy()
-    system[np.diag_indices_from(system)] += eta
+    lam[np.diag_indices_from(lam)] += eta
     coeffs, jitter, level = solve_symmetric(
-        system, b, name=f"parametric stein {statistic}-statistic system"
+        lam, b, name=f"parametric stein {statistic}-statistic system"
     )
     return coeffs, {"jitter": jitter, "jitter_level": level}
 

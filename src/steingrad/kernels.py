@@ -15,7 +15,6 @@ Conventions used throughout the package:
     <grad, K>   [i, j] = sum_k d/d x^k_j k(x^i, x^k)   "grad_sum"
                 (derivative in the *second* kernel argument, summed over
                  training points)
-    gram[i, j]  = x^i . x^j
 
 ``grad_sum`` is the K x d matrix written <nabla, K> in the score-estimation
 literature; for translation-invariant kernels it equals minus the sum of
@@ -82,14 +81,13 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelMatrices:
-    """Matrices built from one sample set: kernel, summed gradient, Gram.
+    """Matrices built from one sample set: kernel and summed gradient.
 
     ``trace`` is the cross_hess_trace matrix, filled only when requested.
     """
 
     k_matrix: np.ndarray  # (K, K), symmetric, unit diagonal
     grad_sum: np.ndarray  # (K, d), <nabla, K>
-    gram: np.ndarray      # (K, K), X X^T
     trace: np.ndarray | None = None  # (K, K), cross_hess_trace per pair
 
 
@@ -165,7 +163,7 @@ def _rbf_trace(sq: np.ndarray, k_matrix: np.ndarray, d: int, sigma2: float) -> n
 
 
 def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> KernelMatrices:
-    """Build k_matrix, grad_sum and gram for one sample set.
+    """Build k_matrix and grad_sum for one sample set.
 
     The grad_sum column j holds sum_k d/d x^k_j k(x^i, x^k): the kernel
     gradient taken in its second argument and summed over the sample, the
@@ -191,9 +189,7 @@ def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> Kerne
         grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
         if with_trace:
             trace = np.full((n, n), 2.0)
-    return KernelMatrices(
-        k_matrix=k_matrix, grad_sum=grad_sum, gram=xs @ xs.T, trace=trace
-    )
+    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, trace=trace)
 
 
 def cross_hess_trace_matrix(samples, spec: KernelSpec) -> np.ndarray:

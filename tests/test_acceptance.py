@@ -6,7 +6,9 @@ Every test runs a frozen benchmark configuration, prints
 
 directly to the terminal (bypassing pytest capture), and then asserts.  The
 configurations, tolerances, and time budgets are fixed; do not tune them to
-make a failing criterion pass.
+make a failing criterion pass.  One further check, on the score-matching
+fit at each side of its dimension switch, reuses criterion 1's loop-built
+objective and prints no verdict line.
 """
 
 import json
@@ -14,6 +16,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import steingrad as sg
 from steingrad import KernelSpec, fit_estimator, kde_fit, stein_nonparametric_fit
@@ -67,6 +70,24 @@ def _loop_score_matching_form(xs, spec):
         q += grads_i @ grads_i.T / n
         r -= np.array([cross_hess_trace(xs[i], xs[k], spec) for k in range(n)]) / n
     return q, r
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_score_matching_fit_matches_loop_form_across_the_switch(d):
+    # the rbf fit sums Sigma over coordinates for d <= 2 and builds it in
+    # its coordinate-free form from d = 3 on; both sides must minimise the
+    # same loop-built objective as in criterion 1
+    rng = np.random.default_rng(2000 + d)
+    n = 14
+    xs = rng.standard_normal((n, d))
+    sigma2 = d * float(rng.uniform(0.5, 3.0))
+    spec = KernelSpec(RBF, sigma2)
+    eta = 0.1
+    q, r = _loop_score_matching_form(xs, spec)
+    scale = n * sigma2**2
+    want = quadratic_minimiser(scale * q, scale * r, ridge=eta)
+    got = sg.score_matching_fit(xs, spec, eta=eta)
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
 def _loop_parametric_system(xs, spec, statistic):

@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import io
 import json
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from steingrad import FittedEstimator, KernelSpec, fit_estimator, ksd_u, ksd_v
-from steingrad.cli import main
+from steingrad.cli import _write_matrix_csv, main
 from steingrad.estimators import KIND_SCORE_RBF, KIND_STEIN_V
 
 
@@ -255,6 +259,35 @@ class TestEstimate:
             ]
         )
         assert rc == 2
+
+
+# signed zero, the smallest subnormal, a mid-range subnormal, huge and
+# integer-valued floats
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.5e-310, 1e300, -1e300, 3.0, -2.0, 1e16]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arr=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 6), st.integers(1, 4)),
+        elements=st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)),
+    )
+)
+def test_matrix_csv_bytes_match_csv_writer(csv_dir, arr):
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow([f"g{i}" for i in range(arr.shape[1])])
+    for row in arr:
+        writer.writerow([repr(float(v)) for v in row])
+    path = csv_dir / "g.csv"
+    _write_matrix_csv(path, "g", arr)
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 class TestKsd:

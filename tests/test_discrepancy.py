@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from steingrad import KernelSpec, ksd_to_target, ksd_u, ksd_v
 from steingrad.kernels import (
@@ -15,12 +18,30 @@ RBF = KernelSpec("rbf", 1.1)
 EPAN = KernelSpec("epanechnikov")
 
 
-def stein_kernel(x, gx, y, gy, spec):
-    """u(x, y) for gradient field values gx, gy: the full four-term form."""
+def stein_terms(x, gx, y, gy, spec):
+    """The four terms of u(x, y) for gradient field values gx, gy."""
     k = kernel_eval(x, y, spec)
     gkx = kernel_grad_first_arg(x, y, spec)
     gky = kernel_grad_first_arg(y, x, spec)  # gradient in the second slot
-    return float(gx @ gy * k + gx @ gky + gkx @ gy + cross_hess_trace(x, y, spec))
+    return (float(gx @ gy * k), float(gx @ gky), float(gkx @ gy), cross_hess_trace(x, y, spec))
+
+
+def stein_kernel(x, gx, y, gy, spec):
+    """u(x, y) for gradient field values gx, gy: the full four-term form."""
+    return sum(stein_terms(x, gx, y, gy, spec))
+
+
+def term_magnitude(xs, gs, spec):
+    """Sum over all pairs of the absolute Stein-kernel terms.
+
+    Rounding in any order of summing the discrepancy's terms stays within
+    a small multiple of machine epsilon times this.
+    """
+    return sum(
+        sum(abs(t) for t in stein_terms(x, gx, y, gy, spec))
+        for x, gx in zip(xs, gs)
+        for y, gy in zip(xs, gs)
+    )
 
 
 def random_case(seed, n=7, d=2):
@@ -49,30 +70,53 @@ class TestAgainstBruteForce:
         assert got.statistic == "u"
 
 
-class TestStructure:
-    def test_v_statistic_with_constant_is_nonnegative(self):
-        # The full Stein kernel is positive semi-definite, so the V-statistic
-        # (a quadratic form in it) cannot go negative.
-        for seed in range(20):
-            xs, gs = random_case(seed, n=10, d=3)
-            assert ksd_v(xs, gs, RBF, includes_constant=True).value >= -1e-10
+def samples_and_grads(max_n=9, max_d=3):
+    """(xs, gs) pairs of equal shape with bounded finite entries."""
+    coords = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    grads = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+    shapes = st.tuples(st.integers(2, max_n), st.integers(1, max_d))
+    return shapes.flatmap(
+        lambda shape: st.tuples(
+            arrays(np.float64, shape, elements=coords),
+            arrays(np.float64, shape, elements=grads),
+        )
+    )
 
-    def test_u_and_v_differ_by_diagonal(self):
-        # K^2 V - K(K-1) U telescopes to the diagonal sum_i u(x_i, x_i).
-        for spec in (RBF, EPAN):
-            for constant in (False, True):
-                xs, gs = random_case(3, n=8)
-                n = len(xs)
-                v = ksd_v(xs, gs, spec, includes_constant=constant).value
-                u = ksd_u(xs, gs, spec, includes_constant=constant).value
-                diag = sum(
-                    stein_kernel(xs[i], gs[i], xs[i], gs[i], spec)
-                    - (0.0 if constant else cross_hess_trace(xs[i], xs[i], spec))
-                    for i in range(n)
-                )
-                assert n * n * v - n * (n - 1) * u == pytest.approx(
-                    diag, rel=1e-9, abs=1e-12
-                )
+
+class TestStructure:
+    @settings(max_examples=100, deadline=None)
+    @given(case=samples_and_grads(), sigma2=st.floats(0.05, 20.0))
+    def test_v_statistic_with_constant_is_nonnegative(self, case, sigma2):
+        # The full Stein kernel is positive semi-definite, so the V-statistic
+        # (a quadratic form in it) cannot go negative beyond rounding.
+        xs, gs = case
+        spec = KernelSpec("rbf", sigma2)
+        value = ksd_v(xs, gs, spec, includes_constant=True).value
+        assert value >= -1e-12 * term_magnitude(xs, gs, spec) / len(xs) ** 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=samples_and_grads(),
+        sigma2=st.floats(0.05, 20.0),
+        family=st.sampled_from(["rbf", "epanechnikov"]),
+        constant=st.booleans(),
+    )
+    def test_u_and_v_differ_by_diagonal(self, case, sigma2, family, constant):
+        # K^2 V - K(K-1) U telescopes to the diagonal sum_i u(x_i, x_i),
+        # which is sum_i (k_ii |g_i|^2 + trace_ii), the trace only with the
+        # constant.
+        xs, gs = case
+        n = len(xs)
+        spec = KernelSpec("rbf", sigma2) if family == "rbf" else EPAN
+        v = ksd_v(xs, gs, spec, includes_constant=constant).value
+        u = ksd_u(xs, gs, spec, includes_constant=constant).value
+        diag = sum(
+            stein_kernel(x, g, x, g, spec)
+            - (0.0 if constant else cross_hess_trace(x, x, spec))
+            for x, g in zip(xs, gs)
+        )
+        slack = 1e-12 * term_magnitude(xs, gs, spec)
+        assert abs(n * n * v - n * (n - 1) * u - diag) <= slack
 
     def test_zero_gradient_field_without_constant_is_zero(self):
         xs, _ = random_case(4)

@@ -315,7 +315,7 @@ class TestSteinParametric:
         sigma2 = 0.9
         spec = KernelSpec("rbf", sigma2)
         mats = build_matrices(xs, spec)
-        km, gram = mats.k_matrix, mats.gram
+        km, gram = mats.k_matrix, xs @ xs.T
         n = len(xs)
         lam_v = np.zeros((n, n))
         lam_u = np.zeros((n, n))

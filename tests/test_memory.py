@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from steingrad import KernelSpec, build_matrices, fit_estimator, ksd_v, median_heuristic
-from steingrad.estimators import KIND_STEIN_V
+from steingrad.estimators import KIND_SCORE_RBF, KIND_STEIN_V
 from steingrad.kernels import cross_hess_trace_matrix
 
 K, D = 400, 50
@@ -25,6 +25,7 @@ CALLS = {
     "cross_hess_trace_matrix": lambda: cross_hess_trace_matrix(XS, SPEC),
     "ksd_v": lambda: ksd_v(XS, -XS, SPEC, includes_constant=True),
     "stein-v fit": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC),
+    "score-rbf fit": lambda: fit_estimator(KIND_SCORE_RBF, XS, SPEC),
 }
 
 

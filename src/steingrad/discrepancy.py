@@ -8,7 +8,8 @@ the V-statistic is the full double sum
                                 + trace(grad_{x^j} grad_{x^l} k_jl) ]
 
 computed here in matrix form as trace(G^T K G + 2 G^T <grad, K>) plus the
-pairwise trace term.  The last (gradient-free) term is constant in G, so it
+sum of the pairwise trace term, which the kernel layer returns as one
+scalar.  The last (gradient-free) term is constant in G, so it
 is optional: fits minimise the constant-free part, sample-quality metrics
 want it included.  The U-statistic drops the j = l terms and normalises by
 K (K - 1); for the translation-invariant families here the diagonal of the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_samples, build_matrices
+from .kernels import KernelSpec, as_samples, build_matrices, cross_hess_trace
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def ksd_v(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> 
     mats, quad, cross = _terms(xs, gs, spec, includes_constant)
     total = quad + 2.0 * cross
     if includes_constant:
-        total += float(mats.trace.sum())
+        total += mats.trace
     n = xs.shape[0]
     return KsdEstimate(total / n**2, "v", includes_constant)
 
@@ -69,10 +70,11 @@ def ksd_u(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> 
     quad_diag = float(np.diag(mats.k_matrix) @ np.einsum("kd,kd->k", gs, gs))
     # the j = l cross terms contain grad k(x, x') at x' = x, which is zero
     # for translation-invariant kernels, so only the quadratic diagonal and
-    # (optionally) the trace diagonal are subtracted
+    # (optionally) the trace diagonal, K times its value at zero
+    # displacement, are subtracted
     total = quad - quad_diag + 2.0 * cross
     if includes_constant:
-        total += float(mats.trace.sum()) - float(np.trace(mats.trace))
+        total += mats.trace - n * cross_hess_trace(xs[0], xs[0], spec)
     return KsdEstimate(total / (n * (n - 1)), "u", includes_constant)
 
 

@@ -126,12 +126,13 @@ def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.
 
 
 def _stein_system(xs, spec, eta, statistic):
+    # grad_sum and the system matrix, built in the kernel matrix's buffer
     mats = build_matrices(xs, spec)
-    system = mats.k_matrix.copy()
+    system = mats.k_matrix
     if statistic == "u":
         np.fill_diagonal(system, 0.0)
     system[np.diag_indices_from(system)] += eta
-    return mats, system
+    return mats.grad_sum, system
 
 
 def stein_nonparametric_fit(
@@ -151,9 +152,9 @@ def _stein_nonparametric_fit(samples, spec, eta, statistic):
     xs = as_samples(samples)
     stat = _check_statistic(statistic)
     eta = _check_eta(eta, stat)
-    mats, system = _stein_system(xs, spec, eta, stat)
+    grad_sum, system = _stein_system(xs, spec, eta, stat)
     grads, jitter, level = solve_symmetric(
-        system, -mats.grad_sum, name=f"stein {stat}-statistic system"
+        system, -grad_sum, name=f"stein {stat}-statistic system"
     )
     return grads, {"jitter": jitter, "jitter_level": level}
 
@@ -243,7 +244,9 @@ def score_matching_fit(samples, spec: KernelSpec, eta: float = DEFAULT_ETA) -> n
                                + (1/K) sum_j (||x^j||^2 - (x^k + x^k') . x^j) ].
 
     Both are the exact minimisers of the empirical score-matching objective
-    under an l2 penalty (the penalty scale absorbed into eta).
+    under an l2 penalty (the penalty scale absorbed into eta).  Both depend
+    on the sample only through differences x^j - x^k, so X is centred on
+    its mean before G and n are formed.
     """
     xs = as_samples(samples)
     eta = _check_eta(eta)
@@ -258,10 +261,17 @@ _SIGMA_CLOSED_FORM_MIN_D = 3
 
 
 def _score_sigma_by_coordinate(xs, km):
-    sigma = np.zeros_like(km)
+    # D_i[j, k] = (x_ij - x_ik) K_jk, rebuilt in one buffer per coordinate;
+    # the first coordinate's product is Sigma itself
+    d_i = np.empty_like(km)
+    sigma = None
     for xi in xs.T:
-        d_i = xi[:, None] * km - km * xi[None, :]
-        sigma += d_i.T @ d_i
+        np.subtract(xi[:, None], xi[None, :], out=d_i)
+        d_i *= km
+        if sigma is None:
+            sigma = d_i.T @ d_i
+        else:
+            sigma += d_i.T @ d_i
     return sigma
 
 
@@ -281,6 +291,9 @@ def _score_sigma_closed_form(xs, km, sqn):
 
 def _score_matching_fit(xs, spec, eta):
     n, d = xs.shape
+    # both systems are translation invariant in exact arithmetic; centring
+    # keeps the Gram matrix and the norms at the scale of the differences
+    xs = xs - xs.mean(axis=0)
     if spec.family == RBF:
         km = build_matrices(xs, spec).k_matrix
         ksum = km.sum(axis=1)
@@ -348,6 +361,8 @@ def _parametric_system(xs, spec, statistic):
     """Quadratic form (lam, b) of the parametric Stein objective."""
     if spec.family != RBF:
         raise ValueError("parametric Stein fits support the rbf family only")
+    # translation invariant in exact arithmetic; see _score_matching_fit
+    xs = xs - xs.mean(axis=0)
     km = build_matrices(xs, spec).k_matrix
     gram = xs @ xs.T
     ksum = km.sum(axis=1)
@@ -364,21 +379,26 @@ def _parametric_system(xs, spec, statistic):
     )
     # lam = G o (P K) + K Q K - t - t^T with t = (P o G) K, P = K K and
     # Q = K o G; U zeroes the diagonal of Q and of P's second factor.  The
-    # last term is t^T because K and G are symmetric.  Built in place to
-    # hold few (K, K) arrays at once.
+    # last term is t^T because K and G are symmetric.  Built in place,
+    # freeing each product once used, so that at most five (K, K) arrays
+    # are alive at once: K, G, P and two more.
     if statistic == "u":
         np.fill_diagonal(kx, 0.0)
+        del kk
         km0 = km.copy()
         np.fill_diagonal(km0, 0.0)
         kk = km @ km0
         del km0
-    kxk = km @ kx @ km
+    kxk = km @ kx
     del kx
-    t = (kk * gram) @ km
+    kxk = kxk @ km
     lam = kk @ km
-    del kk
     lam *= gram
     lam += kxk
+    del kxk
+    kk *= gram
+    t = kk @ km
+    del kk
     lam -= t
     lam -= t.T
     return lam, b
@@ -443,7 +463,11 @@ class FittedEstimator:
 
         Solved from train, kernel and eta on first access, with an identity
         right-hand side, and kept on this object; fits that never predict
-        never pay the second solve.
+        never pay the second solve.  It is one Cholesky factorisation plus
+        triangular solves, on the fit's jitter ladder; the ladder's residual
+        check depends on the right-hand side, so a near-singular system can
+        accept it on a higher rung than the fit.  The factor is not kept on
+        the fit: it would hold another (K, K) array.
         """
         if self.kind != KIND_STEIN_V:
             return None

@@ -83,12 +83,13 @@ class KernelSpec:
 class KernelMatrices:
     """Matrices built from one sample set: kernel and summed gradient.
 
-    ``trace`` is the cross_hess_trace matrix, filled only when requested.
+    ``trace`` is the sum of cross_hess_trace over all ordered pairs (i, j),
+    the diagonal included, filled only when requested.
     """
 
     k_matrix: np.ndarray  # (K, K), symmetric, unit diagonal
     grad_sum: np.ndarray  # (K, d), <nabla, K>
-    trace: np.ndarray | None = None  # (K, K), cross_hess_trace per pair
+    trace: float | None = None  # sum_ij cross_hess_trace(x^i, x^j)
 
 
 def kernel_eval(x, y, spec: KernelSpec) -> float:
@@ -141,65 +142,56 @@ def cross_hess_trace(x, y, spec: KernelSpec) -> float:
     return 2.0
 
 
-def _sq_dists(xs: np.ndarray) -> np.ndarray:
-    # pdist computes each unordered pair once and squareform mirrors it, so
-    # the matrix is exactly symmetric with an exact zero diagonal; O(K^2)
-    # memory, with no (K, K, d) difference tensor
-    return squareform(pdist(xs, "sqeuclidean"))
-
-
-def _rbf_kernel(sq: np.ndarray, sigma2: float) -> np.ndarray:
-    # exp(-0.5 * sq / sigma2) in one (K, K) buffer, same operation order
-    out = np.multiply(sq, -0.5)
-    np.divide(out, sigma2, out=out)
-    return np.exp(out, out=out)
-
-
-def _rbf_trace(sq: np.ndarray, k_matrix: np.ndarray, d: int, sigma2: float) -> np.ndarray:
-    # k * (d / s2 - sq / s2**2), overwriting sq
-    np.divide(sq, sigma2**2, out=sq)
-    np.subtract(d / sigma2, sq, out=sq)
-    return np.multiply(k_matrix, sq, out=sq)
-
-
 def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> KernelMatrices:
     """Build k_matrix and grad_sum for one sample set.
 
     The grad_sum column j holds sum_k d/d x^k_j k(x^i, x^k): the kernel
     gradient taken in its second argument and summed over the sample, the
     quantity every estimator in this package consumes.  With ``with_trace``
-    the cross_hess_trace matrix is filled from the same squared distances,
-    so a discrepancy makes one distance pass instead of two.
+    the sum of cross_hess_trace over all pairs is taken from the same
+    squared distances, so a discrepancy makes one distance pass instead of
+    two and never holds the pairwise trace as a matrix.
     """
     xs = as_samples(samples)
     n, d = xs.shape
-    sq = _sq_dists(xs)
+    # pdist computes each unordered pair once; the kernel is evaluated on
+    # that condensed vector and squareform mirrors it, so the matrix is
+    # exactly symmetric, with no (K, K, d) difference tensor and no (K, K)
+    # distance matrix
+    sq = pdist(xs, "sqeuclidean")
     trace = None
     if spec.family == RBF:
-        k_matrix = _rbf_kernel(sq, spec.sigma2)
-        # sum_k K_ik (x^i - x^k) / sigma2, written with row sums to avoid
-        # materialising the (K, K, d) difference tensor
-        grad_sum = (k_matrix.sum(axis=1)[:, None] * xs - k_matrix @ xs) / spec.sigma2
+        s2 = spec.sigma2
+        kern = np.multiply(sq, -0.5)
+        np.divide(kern, s2, out=kern)
+        np.exp(kern, out=kern)
         if with_trace:
-            trace = _rbf_trace(sq, k_matrix, d, spec.sigma2)
+            # k (d / s2 - sq / s2^2) per pair, twice for i != j, plus d / s2
+            # on the diagonal, where k = 1 and sq = 0
+            np.divide(sq, s2**2, out=sq)
+            np.subtract(d / s2, sq, out=sq)
+            trace = 2.0 * float(kern @ sq) + n * (d / s2)
     else:
         # 1 - sq / d, in sq's buffer
         np.divide(sq, d, out=sq)
-        k_matrix = np.subtract(1.0, sq, out=sq)
-        grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
+        kern = np.subtract(1.0, sq, out=sq)
         if with_trace:
-            trace = np.full((n, n), 2.0)
-    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, trace=trace)
-
-
-def cross_hess_trace_matrix(samples, spec: KernelSpec) -> np.ndarray:
-    """Pairwise matrix of cross_hess_trace over one sample set."""
-    xs = as_samples(samples)
-    n, d = xs.shape
+            trace = 2.0 * n * n  # 2 at every pair
+    del sq
+    k_matrix = squareform(kern, checks=False)
+    del kern
+    # k(x, x) = 1 for both families
+    np.fill_diagonal(k_matrix, 1.0)
+    # grad_sum depends only on differences x^i - x^k; centring keeps its
+    # cancellation at their scale, not at the scale of the coordinates
+    xs = xs - xs.mean(axis=0)
     if spec.family == RBF:
-        sq = _sq_dists(xs)
-        return _rbf_trace(sq, _rbf_kernel(sq, spec.sigma2), d, spec.sigma2)
-    return np.full((n, n), 2.0)
+        # sum_k K_ik (x^i - x^k) / sigma2, written with row sums to avoid
+        # materialising the (K, K, d) difference tensor
+        grad_sum = (k_matrix.sum(axis=1)[:, None] * xs - k_matrix @ xs) / spec.sigma2
+    else:
+        grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
+    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, trace=trace)
 
 
 def median_heuristic(samples) -> float:

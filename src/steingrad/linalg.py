@@ -1,12 +1,15 @@
 """Dense symmetric solves with a deterministic jitter-escalation ladder.
 
 Every regularised system in this library is symmetric: positive definite in
-the common case, possibly indefinite for the U-statistic variants.  All of
-them are routed through :func:`solve_symmetric`, which factorises with
-scipy's symmetric-indefinite solver and, if the factorisation fails or the
-residual is unacceptable, retries with escalating diagonal jitter before
-giving up.  The ladder is deterministic, so a given system always resolves
-the same way, and the jitter actually used is reported back to the caller.
+the common case (a PSD matrix plus eta I), possibly indefinite for the
+U-statistic variants.  All of them are routed through
+:func:`solve_symmetric`.  At each rung of a diagonal-jitter ladder it tries
+a Cholesky factorisation first and, only if that fails (the matrix is not
+numerically positive definite), scipy's symmetric-indefinite LDL^T solver
+at the same rung; it moves to the next rung when neither yields a finite
+solution with an acceptable residual.  The ladder is deterministic, so a
+given system always resolves the same way, and the jitter actually used is
+reported back to the caller.
 """
 
 import warnings
@@ -24,8 +27,29 @@ RESIDUAL_RTOL = 1e-8
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
+def _factor_and_solve(system, rhs):
+    # Cholesky reads the lower triangle only; a pivot that is not positive
+    # raises LinAlgError, and the indefinite solver takes over.  numpy's
+    # factorisation runs on the same BLAS thread pool as the library's
+    # matrix products; scipy's cho_factor, on scipy's own pool, stalled for
+    # up to 0.1 s on a 2-core host while numpy's threads still spun after a
+    # product (the factor itself is the same: same LAPACK routine)
+    try:
+        lower = np.linalg.cholesky(system)
+    except np.linalg.LinAlgError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.solve(system, rhs, assume_a="sym")
+    return scipy.linalg.cho_solve((lower, True), rhs, check_finite=False)
+
+
 def solve_symmetric(mat, rhs, name: str = "linear system"):
     """Solve ``mat @ z = rhs`` for symmetric ``mat``.
+
+    Each ladder rung factorises ``mat + jitter I`` by Cholesky, falling back
+    to the symmetric-indefinite LDL^T solver at the same rung when the
+    Cholesky factorisation fails.  A rung is accepted when its solution is
+    finite and its residual against the full (jittered) matrix is small.
 
     Parameters
     ----------
@@ -67,9 +91,7 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
         jitter = mult * scale
         system = mat + jitter * np.eye(k) if jitter else mat
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                z = scipy.linalg.solve(system, rhs, assume_a="sym")
+            z = _factor_and_solve(system, rhs)
         except (np.linalg.LinAlgError, ValueError):
             continue
         if not np.all(np.isfinite(z)):

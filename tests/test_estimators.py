@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steingrad as sg
@@ -34,8 +35,11 @@ from steingrad.estimators import (
     KINDS,
     MIN_U_ETA,
     _expansion_predict,
+    _parametric_system,
+    _stein_system,
 )
 from steingrad.kernels import cross_hess_trace, kernel_grad_first_arg
+from steingrad.linalg import RESIDUAL_RTOL
 
 RBF = KernelSpec("rbf", 1.3)
 EPAN = KernelSpec("epanechnikov")
@@ -95,6 +99,18 @@ class TestSteinNonparametric:
         want = np.linalg.solve(system, -mats.grad_sum)
         got = stein_nonparametric_fit(xs, RBF, eta=eta, statistic="u")
         np.testing.assert_allclose(got, want, atol=1e-11)
+
+    def test_u_statistic_fit_is_the_indefinite_solve(self):
+        # the U system is indefinite, so Cholesky fails at once and the
+        # ladder takes the LDL^T solve every U fit took before
+        xs = gaussian_sample(9, n=20)
+        grad_sum, system = _stein_system(xs, RBF, 0.05, "u")
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(system, lower=True)
+        want = scipy.linalg.solve(system, -grad_sum, assume_a="sym")
+        fit = fit_estimator(KIND_STEIN_U, xs, RBF, eta=0.05)
+        assert fit.diagnostics["jitter_level"] == 0
+        np.testing.assert_allclose(fit.grads, want, rtol=1e-12, atol=1e-12)
 
     def test_u_statistic_requires_positive_eta(self):
         xs = gaussian_sample(4)
@@ -521,6 +537,46 @@ class TestFittedEstimator:
         np.testing.assert_array_equal(fit.kinv, want)
         np.testing.assert_array_equal(fit.predict(pts), first)
 
+    @staticmethod
+    def _ladder_rungs(monkeypatch, xs, eta):
+        from steingrad import estimators
+
+        rungs = {}
+        real = estimators.solve_symmetric
+
+        def counting(mat, rhs, name="linear system"):
+            z, jitter, level = real(mat, rhs, name)
+            rungs[name] = (mat, rhs, z, jitter, level)
+            return z, jitter, level
+
+        monkeypatch.setattr(estimators, "solve_symmetric", counting)
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta)
+        fit.kinv
+        return fit, rungs
+
+    def test_fit_and_kinv_share_the_ladder_rung(self, monkeypatch):
+        xs = gaussian_sample(37, n=15)
+        fit, rungs = self._ladder_rungs(monkeypatch, xs, 0.1)
+        level = fit.diagnostics["jitter_level"]
+        assert level == rungs["stein predictive inverse"][4] == 0
+        # a positive-definite system: the inverse is the Cholesky solve
+        _, system = _stein_system(xs, RBF, 0.1, "v")
+        factor = (np.linalg.cholesky(system), True)
+        want = scipy.linalg.cho_solve(factor, np.eye(15), check_finite=False)
+        np.testing.assert_array_equal(fit.kinv, want)
+
+    def test_near_duplicate_sample_resolves_through_jitter(self, monkeypatch):
+        # two points 1e-9 apart make K + 0 I singular to working precision;
+        # each solve meets the residual contract against its own jittered
+        # system, and the identity right-hand side needs a jitter rung
+        xs = gaussian_sample(38, n=9)
+        xs[1] = xs[0] + 1e-9
+        _, rungs = self._ladder_rungs(monkeypatch, xs, 0.0)
+        assert rungs["stein predictive inverse"][4] > 0
+        for mat, rhs, z, jitter, _ in rungs.values():
+            residual = (mat + jitter * np.eye(9)) @ z - rhs
+            assert np.linalg.norm(residual) <= RESIDUAL_RTOL * (1 + np.linalg.norm(rhs))
+
     def test_grads_at_train_for_expansion_kinds(self):
         xs = gaussian_sample(29, n=7)
         fit = fit_estimator(KIND_SCORE_RBF, xs, RBF, eta=0.1)
@@ -567,6 +623,85 @@ def test_json_round_trip_is_exact(kind, seed, n, d, sigma2, eta):
         want = fit.predict(pts)
         got = back.predict(pts)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _fit_params(kind, xs, spec, eta):
+    fit = fit_estimator(kind, xs, spec, eta=eta)
+    return fit.grads if fit.grads is not None else fit.coeffs
+
+
+_RIGID_MOTION = dict(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    d=st.integers(1, 5),
+    log2_scale=st.integers(-3, 3),
+    eta=st.floats(0.05, 1.0),
+)
+
+
+def _rigid_motion_case(kind, seed, n, d, log2_scale):
+    # a sample of scale 2**log2_scale and an offset up to 1e4 times that
+    # scale in every coordinate, both on a grid of scale * 2**-30, so that
+    # the moved sample is an exact translate: otherwise rounding the input
+    # itself, amplified by an ill-conditioned system (at eta = 1 the U
+    # system is K itself), would move the fit by more than any fit could
+    # help.  The bandwidth is fixed across the pair, so only the fit's own
+    # arithmetic can break the symmetry.
+    rng = np.random.default_rng(seed)
+    scale = 2.0**log2_scale
+    grid = scale * 2.0**-30
+    xs = np.round(scale * rng.standard_normal((n, d)) / grid) * grid
+    offset = np.round(1e4 * scale * rng.uniform(-1.0, 1.0, d) / grid) * grid
+    if kind == KIND_SCORE_EPANECHNIKOV:
+        spec = EPAN
+    else:
+        spec = KernelSpec("rbf", sg.median_heuristic(xs))
+    return rng, xs, offset, spec
+
+
+def _u_system_condition(kind, xs, spec, eta):
+    # the U systems can be near singular (at eta = 1 the nonparametric one
+    # is K itself), and a fit then moves by the condition number times the
+    # rounding of its inputs, which no tolerance fixed beforehand absorbs;
+    # the V and score-matching systems are PSD plus eta I
+    if kind == KIND_STEIN_U:
+        system = _stein_system(xs, spec, eta, "u")[1]
+    elif kind == KIND_STEIN_PARAM_U:
+        system = _parametric_system(xs, spec, "u")[0] + eta * np.eye(len(xs))
+    else:
+        return 1.0
+    return np.linalg.cond(system)
+
+
+def _assert_close(got, want, rtol=1e-8):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_RIGID_MOTION)
+def test_fits_are_translation_equivariant(kind, seed, n, d, log2_scale, eta):
+    # the score of a translated sample is the score of the sample; the
+    # expansion coefficients are translation invariant
+    _, xs, offset, spec = _rigid_motion_case(kind, seed, n, d, log2_scale)
+    assume(_u_system_condition(kind, xs, spec, eta) < 1e6)
+    want = _fit_params(kind, xs, spec, eta)
+    _assert_close(_fit_params(kind, xs + offset, spec, eta), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_RIGID_MOTION)
+def test_fits_are_reflection_equivariant(kind, seed, n, d, log2_scale, eta):
+    # reflecting coordinates (then translating) reflects the score field
+    # and leaves the expansion coefficients unchanged
+    rng, xs, offset, spec = _rigid_motion_case(kind, seed, n, d, log2_scale)
+    assume(_u_system_condition(kind, xs, spec, eta) < 1e6)
+    signs = rng.choice([-1.0, 1.0], d)
+    signs[rng.integers(d)] = -1.0
+    want = _fit_params(kind, xs, spec, eta)
+    if kind in (KIND_KDE, KIND_STEIN_V, KIND_STEIN_U):
+        want = want * signs
+    _assert_close(_fit_params(kind, signs * xs + offset, spec, eta), want)
 
 
 class TestAccuracyOnGaussian:

@@ -11,7 +11,6 @@ from steingrad import (
 )
 from steingrad.kernels import (
     cross_hess_trace,
-    cross_hess_trace_matrix,
     kernel_eval,
     kernel_grad_first_arg,
 )
@@ -173,16 +172,14 @@ class TestBatchedMatrices:
             np.testing.assert_allclose(moved.k_matrix, base.k_matrix, atol=1e-12)
             np.testing.assert_allclose(moved.grad_sum, base.grad_sum, atol=1e-11)
 
-    def test_cross_hess_trace_matrix_matches_scalar(self):
+    def test_trace_sum_matches_scalar(self):
         rng = np.random.default_rng(24)
         xs = rng.standard_normal((6, 2))
         for spec in (rbf_spec(0.9), EPAN):
-            mat = cross_hess_trace_matrix(xs, spec)
-            for i in range(6):
-                for j in range(6):
-                    assert mat[i, j] == pytest.approx(
-                        cross_hess_trace(xs[i], xs[j], spec), rel=1e-13, abs=1e-13
-                    )
+            mats = build_matrices(xs, spec, with_trace=True)
+            want = sum(cross_hess_trace(xi, xj, spec) for xi in xs for xj in xs)
+            assert mats.trace == pytest.approx(want, rel=1e-13)
+            assert build_matrices(xs, spec).trace is None
 
     def test_input_validation(self):
         spec = rbf_spec(1.0)

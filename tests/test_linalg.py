@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from steingrad import SingularSolveError
 from steingrad.linalg import JITTER_LADDER, RESIDUAL_RTOL, solve_symmetric
@@ -74,11 +75,47 @@ class TestSolveSymmetric:
         mat = (mat + mat.T) / 2
         rhs = mat @ rng.standard_normal(6)
         z, jitter, _ = solve_symmetric(mat, rhs)
-        import warnings
-
-        import scipy.linalg
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            again = scipy.linalg.solve(mat + jitter * np.eye(6), rhs, assume_a="sym")
+        # the jittered system is positive definite, so the ladder accepted
+        # its Cholesky solve
+        factor = scipy.linalg.cho_factor(mat + jitter * np.eye(6), lower=True)
+        again = scipy.linalg.cho_solve(factor, rhs)
         np.testing.assert_allclose(z, again, atol=1e-12)
+
+    def test_positive_definite_solve_is_one_cholesky(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((30, 30))
+        mat = m @ m.T + 0.1 * np.eye(30)
+        rhs = rng.standard_normal((30, 4))
+        z, jitter, level = solve_symmetric(mat, rhs)
+        assert (jitter, level) == (0.0, 0)
+        factor = (np.linalg.cholesky(mat), True)
+        want = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        np.testing.assert_array_equal(z, want)
+        # the same factorisation as scipy's cho_factor, up to rounding
+        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
+        np.testing.assert_allclose(z, scipy.linalg.cho_solve(factor, rhs), rtol=1e-12)
+
+    def test_indefinite_system_takes_the_ldlt_path(self):
+        # Cholesky fails on the first negative pivot; the indefinite solver
+        # at the same rung gives the answer
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        mat = q @ np.diag([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0, 4.0]) @ q.T
+        mat = (mat + mat.T) / 2
+        rhs = rng.standard_normal(7)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(mat, lower=True)
+        z, jitter, level = solve_symmetric(mat, rhs)
+        assert (jitter, level) == (0.0, 0)
+        np.testing.assert_array_equal(z, scipy.linalg.solve(mat, rhs, assume_a="sym"))
+
+    @pytest.mark.parametrize("triangle", ["upper", "lower"])
+    def test_nan_in_one_triangle_is_singular(self, triangle):
+        # Cholesky reads one triangle and LDL^T may read the other; the
+        # residual against the whole matrix catches a NaN either misses
+        m = np.random.default_rng(4).standard_normal((5, 5))
+        mat = m @ m.T + np.eye(5)
+        i, j = (1, 3) if triangle == "upper" else (3, 1)
+        mat[i, j] = np.nan
+        with pytest.raises(SingularSolveError):
+            solve_symmetric(mat, np.ones(5), name="test system")

@@ -47,7 +47,6 @@ from .kernels import (
 )
 from .oracles import FiniteDiffConfig, brute_ksd, fd_gradient, quadratic_minimiser
 from .sampler import (
-    BananaTarget,
     ChainStats,
     HmcConfig,
     banana_log_density,
@@ -61,7 +60,6 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BananaTarget",
     "ChainStats",
     "DEFAULT_ETA",
     "DegenerateBandwidthError",

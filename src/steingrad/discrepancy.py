@@ -81,8 +81,9 @@ def ksd_u(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> 
 def ksd_to_target(samples, score_fn, spec: KernelSpec, statistic: str = "v") -> KsdEstimate:
     """Discrepancy of a sample against a target given by its score function.
 
-    ``score_fn`` is evaluated row by row and must return a d-vector each
-    time; the constant term is always included, making the value a genuine
+    ``score_fn`` follows the batched contract (K, d) -> (K, d): it is called
+    once, on the whole sample, and any other return shape raises ValueError.
+    The constant term is always included, making the value a genuine
     sample-quality measure (near zero only when the sample matches the
     target).
     """
@@ -90,15 +91,11 @@ def ksd_to_target(samples, score_fn, spec: KernelSpec, statistic: str = "v") -> 
     stat = str(statistic).lower()
     if stat not in ("v", "u"):
         raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
-    rows = []
-    for i, x in enumerate(xs):
-        g = np.asarray(score_fn(x), dtype=float)
-        if g.shape != x.shape:
-            raise ValueError(
-                f"score_fn returned shape {g.shape} at row {i}, expected {x.shape}"
-            )
-        rows.append(g)
-    gs = np.asarray(rows)
+    gs = np.asarray(score_fn(xs), dtype=float)
+    if gs.shape != xs.shape:
+        raise ValueError(
+            f"score_fn returned shape {gs.shape} for samples of shape {xs.shape}"
+        )
     if stat == "v":
         return ksd_v(xs, gs, spec, includes_constant=True)
     return ksd_u(xs, gs, spec, includes_constant=True)

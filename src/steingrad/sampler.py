@@ -17,10 +17,13 @@ with defaults b = 0.03, v = 100, so E[x2] = 0 and Var(x2) = 1 + 2 b^2 v^2.
 All chains advance in lockstep: positions and momenta are (n_chains, d)
 arrays, and each leapfrog step makes one score call on every chain's row at
 once, so score functions follow the batched contract (n, d) -> (n, d).  The
-chains stay independent: each one owns a private RNG stream derived from
-(master seed, chain index), and a chain whose trajectory diverges is masked
-out of its iteration without touching the others, so a chain's path depends
-only on its own seed and start and results are bitwise reproducible.
+target log density follows the matching contract (n, d) -> (n,): each
+iteration makes one call on every chain's proposal, and the accept test runs
+as array operations over the chain axis.  The chains stay independent: each
+one owns a private RNG stream derived from (master seed, chain index), and a
+chain whose trajectory diverges is masked out of its iteration without
+touching the others, so a chain's path depends only on its own seed and
+start and results are bitwise reproducible.
 """
 
 import math
@@ -30,7 +33,7 @@ import numpy as np
 
 from .discrepancy import ksd_v
 from .errors import DivergenceError
-from .kernels import KernelSpec, as_samples
+from .kernels import KernelSpec, _as_point, as_samples
 
 BANANA_B = 0.03
 BANANA_V = 100.0
@@ -94,26 +97,6 @@ def banana_sample(n: int, rng: np.random.Generator, b: float = BANANA_B, v: floa
     x1 = rng.normal(0.0, math.sqrt(v), size=n)
     x2 = rng.standard_normal(n) + b * (x1**2 - v)
     return np.column_stack([x1, x2])
-
-
-@dataclass(frozen=True)
-class BananaTarget:
-    """Banana parameters bundled with the closed-form target functions."""
-
-    b: float = BANANA_B
-    v: float = BANANA_V
-
-    def __post_init__(self):
-        _check_banana_params(self.b, self.v)
-
-    def log_density(self, x) -> float:
-        return banana_log_density(x, self.b, self.v)
-
-    def score(self, x) -> np.ndarray:
-        return banana_score(x, self.b, self.v)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return banana_sample(n, rng, self.b, self.v)
 
 
 @dataclass(frozen=True)
@@ -246,6 +229,20 @@ def _integrate(q, p, eps, n_steps, score_fn):
     return q, p, diverged_at
 
 
+def _log_density(target_logp, q):
+    """``target_logp`` on the rows of ``q``, held to the (n, d) -> (n,) contract."""
+    logp = np.array(target_logp(q), dtype=float)
+    if logp.shape != q.shape[:1]:
+        raise ValueError(
+            f"target_logp returned shape {logp.shape} for positions of shape {q.shape}"
+        )
+    return logp
+
+
+def _kinetic(p):
+    return 0.5 * np.einsum("nd,nd->n", p, p)
+
+
 def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
     """Advance the chains of ``init`` (n_chains, d) in lockstep.
 
@@ -257,7 +254,7 @@ def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
     traj = np.empty((n_chains, cfg.n_iters, d))
     accepts = np.zeros((n_chains, cfg.n_iters), dtype=bool)
     n_div = np.zeros(n_chains, dtype=int)
-    logp = [float(target_logp(x)) for x in q]
+    logp = _log_density(target_logp, q)
     p = np.empty_like(q)
     u = np.empty(n_chains)
     for t in range(cfg.n_iters):
@@ -265,17 +262,17 @@ def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
             p[c] = rng.standard_normal(d)
             u[c] = rng.uniform()
         q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
-        for c in range(n_chains):
-            if diverged_at[c] >= 0:
-                n_div[c] += 1
-                continue
-            logp_new = float(target_logp(q_new[c]))
-            log_alpha = (logp_new - 0.5 * float(p_new[c] @ p_new[c])) - (
-                logp[c] - 0.5 * float(p[c] @ p[c])
-            )
-            if log_alpha >= 0.0 or math.log(u[c]) < log_alpha:
-                q[c], logp[c] = q_new[c], logp_new
-                accepts[c, t] = True
+        diverged = diverged_at >= 0
+        # a diverged chain's row of q_new is its current, finite position
+        logp_new = _log_density(target_logp, q_new)
+        # u = 0 gives log u = -inf, an accept; a NaN log_alpha rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_alpha = (logp_new - _kinetic(p_new)) - (logp - _kinetic(p))
+            accept = ~diverged & ((log_alpha >= 0.0) | (np.log(u) < log_alpha))
+        q[accept] = q_new[accept]
+        logp[accept] = logp_new[accept]
+        accepts[:, t] = accept
+        n_div += diverged
         traj[:, t] = q
     return traj, accepts, n_div
 
@@ -283,16 +280,15 @@ def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
 def run_chain(target_logp, score_fn, cfg: HmcConfig, q0, rng: np.random.Generator):
     """Run one chain; returns (trajectory, accept flags, divergence count).
 
-    The single-chain case of :func:`run_hmc`: ``q0`` is a d-vector and
-    ``score_fn`` maps a d-vector to a d-vector.  Each iteration draws a
-    fresh momentum and then the uniform of the accept test, integrates
-    cfg.n_leapfrog steps, and accepts with the standard Metropolis-Hastings
-    ratio evaluated with the exact target log density.  A divergent
-    trajectory counts as a rejection.
+    The single-chain case of :func:`run_hmc`: ``q0`` is a d-vector,
+    ``score_fn`` maps a d-vector to a d-vector, and ``target_logp`` keeps the
+    batched contract in its one-chain form, (1, d) -> (1,).  Each iteration
+    draws a fresh momentum and then the uniform of the accept test,
+    integrates cfg.n_leapfrog steps, and accepts with the standard
+    Metropolis-Hastings ratio evaluated with the exact target log density.
+    A divergent trajectory counts as a rejection.
     """
-    q0 = np.asarray(q0, dtype=float)
-    if q0.ndim != 1:
-        raise ValueError(f"initial state must be a 1-D vector, got shape {q0.shape}")
+    q0 = _as_point(q0, name="initial state")
     traj, accepts, n_div = _run_chains(target_logp, _one_row(score_fn), cfg, q0[None], [rng])
     return traj[0], accepts[0], int(n_div[0])
 
@@ -327,8 +323,11 @@ def run_hmc(
     Parameters
     ----------
     target_logp
-        Exact log density of one d-vector, used in the accept step; called
-        once per chain and iteration.
+        Exact log density, used in the accept step, on the batched contract
+        (n, d) -> (n,): it is called once on the initial states and then once
+        per iteration, with every chain's proposal, and only ever sees finite
+        rows.  A proposal whose log density is NaN or -inf is rejected, and
+        a return of any shape but (n,) raises ValueError.
     score_fn
         The (possibly estimated) score driving the leapfrog dynamics, on
         the batched contract (n, d) -> (n, d): each leapfrog step calls it

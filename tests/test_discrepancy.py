@@ -171,4 +171,19 @@ class TestToTarget:
         with pytest.raises(ValueError):
             ksd_to_target(xs, lambda x: np.zeros(3), RBF)
         with pytest.raises(ValueError):
-            ksd_to_target(xs, lambda x: float(x[0]), RBF)
+            ksd_to_target(xs, lambda x: float(x[0, 0]), RBF)
+        # one row's score must not broadcast over the sample
+        with pytest.raises(ValueError, match=r"\(2,\).*\(7, 2\)"):
+            ksd_to_target(xs, lambda x: -x[0], RBF)
+
+    def test_scores_whole_sample_in_one_call(self):
+        xs, _ = random_case(11, n=9, d=3)
+        calls = []
+
+        def score(x):
+            calls.append(x.shape)
+            return -x
+
+        got = ksd_to_target(xs, score, RBF, statistic="u")
+        assert calls == [(9, 3)]
+        assert got.value == ksd_u(xs, -xs, RBF, includes_constant=True).value

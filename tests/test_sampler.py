@@ -1,13 +1,16 @@
 """Tests for the banana target, the leapfrog integrator, and the HMC harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from steingrad import (
-    BananaTarget,
     ChainStats,
     HmcConfig,
     KernelSpec,
@@ -23,11 +26,59 @@ from steingrad.oracles import fd_gradient
 
 
 def std_normal_logp(q):
-    return -0.5 * float(q @ q)
+    return -0.5 * np.einsum("...d,...d->...", q, q)
 
 
 def std_normal_score(q):
     return -q
+
+
+def reference_chains(target_logp, score_fn, cfg, init, seeds):
+    """Per-chain Metropolis-Hastings loop with a scalar log density.
+
+    The accept step as it was before it was vectorised over chains, kept as
+    the reference the batched sampler must reproduce bit for bit.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    q = np.array(init, dtype=float)
+    n_chains, d = q.shape
+    traj = np.empty((n_chains, cfg.n_iters, d))
+    accepts = np.zeros((n_chains, cfg.n_iters), dtype=bool)
+    n_div = np.zeros(n_chains, dtype=int)
+    logp = [float(target_logp(x)) for x in q]
+    p = np.empty_like(q)
+    u = np.empty(n_chains)
+    for t in range(cfg.n_iters):
+        for c, rng in enumerate(rngs):
+            p[c] = rng.standard_normal(d)
+            u[c] = rng.uniform()
+        q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
+        for c in range(n_chains):
+            if diverged_at[c] >= 0:
+                n_div[c] += 1
+                continue
+            logp_new = float(target_logp(q_new[c]))
+            log_alpha = (logp_new - 0.5 * float(p_new[c] @ p_new[c])) - (
+                logp[c] - 0.5 * float(p[c] @ p[c])
+            )
+            if log_alpha >= 0.0 or math.log(u[c]) < log_alpha:
+                q[c], logp[c] = q_new[c], logp_new
+                accepts[c, t] = True
+        traj[:, t] = q
+    return traj, accepts, n_div
+
+
+class ZeroUniform:
+    """A generator whose uniform() returns 0.0, the closed end of [0, 1)."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+    def uniform(self):
+        return 0.0
 
 
 class TestBananaTarget:
@@ -73,11 +124,19 @@ class TestBananaTarget:
         resid = xs[:, 1] - 0.03 * (xs[:, 0] ** 2 - 100.0)
         assert stats.kstest(resid, "norm").statistic < 0.01
 
-    def test_target_object_delegates(self):
-        target = BananaTarget(b=0.05, v=50.0)
+    def test_non_default_parameters(self):
+        # b = 0.05, v = 50 at (1, 2): the residual is 2 - 0.05 (1 - 50) = 4.45
         x = np.array([1.0, 2.0])
-        assert target.log_density(x) == banana_log_density(x, 0.05, 50.0)
-        np.testing.assert_array_equal(target.score(x), banana_score(x, 0.05, 50.0))
+        want = (
+            -0.5 * math.log(2 * math.pi * 50.0)
+            - 0.5 / 50.0
+            - 0.5 * math.log(2 * math.pi)
+            - 0.5 * 4.45**2
+        )
+        assert banana_log_density(x, 0.05, 50.0) == pytest.approx(want, abs=1e-13)
+        np.testing.assert_allclose(
+            banana_score(x, 0.05, 50.0), [-1.0 / 50.0 + 2 * 0.05 * 4.45, -4.45], rtol=1e-13
+        )
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -201,6 +260,55 @@ class TestRunChain:
         assert not accepts.any()
         np.testing.assert_array_equal(traj, np.tile(q0, (7, 1)))
 
+    def test_zero_uniform_accepts_every_finite_proposal(self):
+        # log 0 = -inf lies below every log acceptance ratio, so even moves
+        # up this steep slope, with log_alpha near -1000 per unit, are taken
+        def slope_logp(q):
+            return -1e3 * q[:, 0]
+
+        cfg = HmcConfig(n_chains=1, n_iters=20, stepsize=0.5, n_leapfrog=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, accepts, n_div = run_chain(
+                slope_logp, std_normal_score, cfg, np.zeros(2), ZeroUniform(6)
+            )
+        assert accepts.all()
+        assert n_div == 0
+        assert np.diff(traj[:, 0]).max() > 0.1
+
+    def test_zero_uniform_still_rejects_nan_and_zero_density(self):
+        cfg = HmcConfig(n_chains=1, n_iters=5, stepsize=0.5, n_leapfrog=3)
+        q0 = np.array([0.5, -0.5])
+        for bad in (np.nan, -np.inf):
+            calls = []
+
+            def logp(q):
+                calls.append(q.shape)
+                return np.full(1, 0.0 if len(calls) == 1 else bad)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                traj, accepts, _ = run_chain(logp, std_normal_score, cfg, q0, ZeroUniform(7))
+            assert calls == [(1, 2)] * (cfg.n_iters + 1)
+            assert not accepts.any()
+            np.testing.assert_array_equal(traj, np.tile(q0, (5, 1)))
+
+    def test_non_finite_start_is_rejected(self):
+        cfg = HmcConfig(n_chains=1, n_iters=3, stepsize=0.5, n_leapfrog=2)
+        for q0 in ([np.nan, 0.0], [0.0, np.inf], np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="initial state"):
+                run_chain(
+                    std_normal_logp, std_normal_score, cfg, q0, np.random.default_rng(0)
+                )
+
+    @pytest.mark.parametrize(
+        "bad", [lambda q: -0.5 * (q * q).sum(axis=1, keepdims=True), lambda q: 0.0]
+    )
+    def test_target_logp_shape_is_checked(self, bad):
+        cfg = HmcConfig(n_chains=1, n_iters=3, stepsize=0.5, n_leapfrog=3)
+        with pytest.raises(ValueError, match="target_logp returned shape"):
+            run_chain(bad, std_normal_score, cfg, np.zeros(2), np.random.default_rng(8))
+
 
 class TestRunHmc:
     def test_bitwise_reproducible(self):
@@ -267,6 +375,68 @@ class TestRunHmc:
         for c in (4, 5):
             np.testing.assert_array_equal(res.trajectories[c], np.tile(init[c], (30, 1)))
             assert not res.accepts[c].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_chains=st.integers(1, 7),
+        data=st.data(),
+        stepsize=st.sampled_from([0.3, 0.8, 1.5]),
+    )
+    def test_batched_accept_matches_per_chain_loop(self, n_chains, data, stepsize):
+        seeds = data.draw(
+            st.lists(st.integers(0, 2**32 - 1), min_size=n_chains, max_size=n_chains)
+        )
+        init = data.draw(
+            arrays(float, (n_chains, 2), elements=st.floats(-4.0, 4.0, width=64))
+        )
+        threshold = 2.5
+
+        def capped_score(x):
+            return np.where(x[..., :1] > threshold, np.inf, banana_score(x))
+
+        calls = []
+
+        def logp(q):
+            calls.append(q.shape)
+            return banana_log_density(q)
+
+        cfg = HmcConfig(n_chains=n_chains, n_iters=12, stepsize=stepsize, n_leapfrog=4)
+        res = run_hmc(logp, capped_score, cfg, init, chain_seeds=seeds)
+        traj, accepts, n_div = reference_chains(
+            banana_log_density, capped_score, cfg, init, seeds
+        )
+        np.testing.assert_array_equal(res.trajectories, traj)
+        np.testing.assert_array_equal(res.accepts, accepts)
+        assert res.n_divergent == n_div.sum()
+        assert calls == [(n_chains, 2)] * (cfg.n_iters + 1)
+
+    def test_diverged_chain_is_rejected_whatever_its_logp(self):
+        # every call scores every row 1e6 higher than the last, so each
+        # proposal passes the Metropolis test unless its chain diverged
+        threshold = 1.0
+        calls = []
+
+        def rising_logp(q):
+            assert np.all(np.isfinite(q)), "non-finite position reached target_logp"
+            calls.append(q.shape)
+            return np.full(q.shape[0], 1e6 * len(calls))
+
+        def capped_score(x):
+            return np.where(x[..., :1] > threshold, np.inf, -x)
+
+        cfg = HmcConfig(n_chains=3, n_iters=10, stepsize=0.5, n_leapfrog=5)
+        init = np.array([[-1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
+        res = run_hmc(rising_logp, capped_score, cfg, init, seed=9)
+        assert calls == [(3, 2)] * (cfg.n_iters + 1)
+        # chains 1 and 2 start beyond the threshold and diverge every time;
+        # chain 0 takes every proposal that did not diverge
+        div_0 = res.n_divergent - 2 * cfg.n_iters
+        assert 0 <= div_0 < cfg.n_iters
+        assert res.accepts[0].sum() == cfg.n_iters - div_0
+        assert not res.accepts[1:].any()
+        np.testing.assert_array_equal(
+            res.trajectories[1:], np.tile(init[1:, None], (1, cfg.n_iters, 1))
+        )
 
     def test_summaries_recomputable_from_trajectories(self):
         cfg = HmcConfig(

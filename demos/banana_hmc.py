@@ -18,7 +18,6 @@ from steingrad import (
     median_heuristic,
     run_hmc,
 )
-from steingrad.estimators import KIND_STEIN_V
 
 SEED = 0
 N_TRAIN = 200
@@ -52,7 +51,7 @@ def main():
     print()
 
     exact = bench(banana_score)
-    fit = fit_estimator(KIND_STEIN_V, train, metric, eta=0.1)
+    fit = fit_estimator("stein-v", train, metric, eta=0.1)
     estimated = bench(fit.predict)
 
     print(f"{'':<18} {'exact score':>12} {'estimated score':>16}")

@@ -15,10 +15,9 @@ from steingrad import (
     fit_estimator,
     median_heuristic,
 )
-from steingrad.estimators import KIND_KDE, KIND_SCORE_RBF, KIND_STEIN_V
 
 N = 2000
-KINDS = {"kde": KIND_KDE, "stein-v": KIND_STEIN_V, "score": KIND_SCORE_RBF}
+KINDS = ("kde", "stein-v", "score")
 
 
 def main():
@@ -36,7 +35,7 @@ def main():
         exact = entropy_gradient_surrogate(-z / sigma**2, jac)[0]
         print(f"{sigma:>6.2f} {1 / sigma:>9.4f} {exact:>9.4f}", end="")
         spec = KernelSpec("rbf", median_heuristic(z))
-        for kind in KINDS.values():
+        for kind in KINDS:
             fit = fit_estimator(kind, z, spec, eta=0.1)
             value = entropy_gradient_surrogate(fit.grads_at_train(), jac)[0]
             print(f" {value:>9.4f}", end="")

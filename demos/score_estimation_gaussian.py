@@ -12,7 +12,7 @@ from steingrad import (
     fit_estimator,
     median_heuristic,
 )
-from steingrad.estimators import KINDS, KIND_SCORE_EPANECHNIKOV, KIND_STEIN_U
+from steingrad.estimators import KINDS, KIND_SCORE, KIND_STEIN_U
 
 
 def main():
@@ -34,16 +34,17 @@ def main():
     print()
     print(f"{'estimator':<22} {'train mse':>10} {'held-out mse':>13}")
 
-    for kind in KINDS:
-        spec = epan if kind == KIND_SCORE_EPANECHNIKOV else rbf
+    # every kind with the rbf kernel, and score matching with both families
+    for kind, spec in [(kind, rbf) for kind in KINDS] + [(KIND_SCORE, epan)]:
+        label = f"{kind} ({spec.family})"
         fit = fit_estimator(kind, train, spec, eta=0.1)
         mse_train = float(np.mean((fit.grads_at_train() - true_score(train)) ** 2))
         if kind == KIND_STEIN_U:
             # the U-statistic gradient field is defined at the samples only
-            print(f"{kind:<22} {mse_train:>10.4f} {'n/a':>13}")
+            print(f"{label:<22} {mse_train:>10.4f} {'n/a':>13}")
             continue
         mse_out = float(np.mean((fit.predict(held_out) - true_score(held_out)) ** 2))
-        print(f"{kind:<22} {mse_train:>10.4f} {mse_out:>13.4f}")
+        print(f"{label:<22} {mse_train:>10.4f} {mse_out:>13.4f}")
 
     print()
     print("the trivial baseline g(x) = 0 scores", end=" ")

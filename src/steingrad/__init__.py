@@ -9,7 +9,6 @@ from .discrepancy import KsdEstimate, ksd_to_target, ksd_u, ksd_v
 from .errors import (
     DegenerateBandwidthError,
     DegenerateDenominatorError,
-    DivergenceError,
     NumericalError,
     SingularSolveError,
     SteinGradError,
@@ -17,8 +16,7 @@ from .errors import (
 from .estimators import (
     DEFAULT_ETA,
     KIND_KDE,
-    KIND_SCORE_EPANECHNIKOV,
-    KIND_SCORE_RBF,
+    KIND_SCORE,
     KIND_STEIN_PARAM_U,
     KIND_STEIN_PARAM_V,
     KIND_STEIN_U,
@@ -27,12 +25,6 @@ from .estimators import (
     FittedEstimator,
     entropy_gradient_surrogate,
     fit_estimator,
-    kde_fit,
-    score_matching_fit,
-    score_matching_predict,
-    stein_nonparametric_fit,
-    stein_parametric_fit,
-    stein_predict,
 )
 from .kernels import (
     EPANECHNIKOV,
@@ -53,7 +45,6 @@ from .sampler import (
     banana_sample,
     banana_score,
     leapfrog,
-    run_chain,
     run_hmc,
 )
 
@@ -64,14 +55,12 @@ __all__ = [
     "DEFAULT_ETA",
     "DegenerateBandwidthError",
     "DegenerateDenominatorError",
-    "DivergenceError",
     "EPANECHNIKOV",
     "FiniteDiffConfig",
     "FittedEstimator",
     "HmcConfig",
     "KIND_KDE",
-    "KIND_SCORE_EPANECHNIKOV",
-    "KIND_SCORE_RBF",
+    "KIND_SCORE",
     "KIND_STEIN_PARAM_U",
     "KIND_STEIN_PARAM_V",
     "KIND_STEIN_U",
@@ -93,7 +82,6 @@ __all__ = [
     "entropy_gradient_surrogate",
     "fd_gradient",
     "fit_estimator",
-    "kde_fit",
     "kernel_eval",
     "kernel_grad_first_arg",
     "ksd_to_target",
@@ -102,11 +90,5 @@ __all__ = [
     "leapfrog",
     "median_heuristic",
     "quadratic_minimiser",
-    "run_chain",
     "run_hmc",
-    "score_matching_fit",
-    "score_matching_predict",
-    "stein_nonparametric_fit",
-    "stein_parametric_fit",
-    "stein_predict",
 ]

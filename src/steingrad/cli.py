@@ -39,44 +39,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimators
 from .discrepancy import ksd_u, ksd_v
 from .errors import NumericalError
 from .estimators import (
     DEFAULT_ETA,
-    KIND_KDE,
-    KIND_SCORE_EPANECHNIKOV,
-    KIND_SCORE_RBF,
-    KIND_STEIN_PARAM_U,
-    KIND_STEIN_PARAM_V,
     KIND_STEIN_U,
-    KIND_STEIN_V,
-    FittedEstimator,
+    KINDS,
     entropy_gradient_surrogate,
     fit_estimator,
 )
 from .kernels import EPANECHNIKOV, RBF, KernelSpec, median_heuristic
 from .sampler import HmcConfig, banana_sample, banana_score, banana_log_density, run_hmc
-
-_ESTIMATOR_NAMES = {
-    "kde": KIND_KDE,
-    "stein-v": KIND_STEIN_V,
-    "stein-u": KIND_STEIN_U,
-    "stein-param-v": KIND_STEIN_PARAM_V,
-    "stein-param-u": KIND_STEIN_PARAM_U,
-    "score": None,  # resolved per kernel family
-}
-
-
-def _estimator_kind(name: str, family: str) -> str:
-    if name not in _ESTIMATOR_NAMES:
-        raise ValueError(
-            f"unknown estimator {name!r}; expected one of "
-            f"{sorted(_ESTIMATOR_NAMES)} (or 'exact' for the banana command)"
-        )
-    if name == "score":
-        return KIND_SCORE_RBF if family == RBF else KIND_SCORE_EPANECHNIKOV
-    return _ESTIMATOR_NAMES[name]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +232,8 @@ def cmd_estimate(args) -> int:
     name = str(opts.get("estimator", "stein-v"))
     if name == "exact":
         raise ValueError("'exact' is only meaningful for the banana command")
-    kind = _estimator_kind(name, spec.family)
     eta = float(opts.get("eta", DEFAULT_ETA))
-    fitted = fit_estimator(kind, samples, spec, eta)
+    fitted = fit_estimator(name, samples, spec, eta)
     grads = fitted.grads_at_train()
     _write_matrix_csv(output_path, "g", grads)
     sidecar = opts.get("sidecar")
@@ -357,14 +329,13 @@ def cmd_banana(args) -> int:
         eta = None
     else:
         spec = _resolve_spec(opts, train=train)
-        kind = _estimator_kind(name, spec.family)
-        if kind == KIND_STEIN_U:
+        if name == KIND_STEIN_U:
             raise ValueError(
                 "stein-u has no out-of-sample prediction rule and cannot "
                 "drive the sampler; use stein-v or a parametric estimator"
             )
         eta = float(opts.get("eta", DEFAULT_ETA))
-        fitted = fit_estimator(kind, train, spec, eta)
+        fitted = fit_estimator(name, train, spec, eta)
         score_fn = fitted.predict
 
     stats = run_hmc(
@@ -466,8 +437,7 @@ def cmd_entropy_check(args) -> int:
     spec = _resolve_spec(opts, train=z)
     eta = float(opts.get("eta", DEFAULT_ETA))
     for name in names:
-        kind = _estimator_kind(name, spec.family)
-        fitted = fit_estimator(kind, z, spec, eta)
+        fitted = fit_estimator(name, z, spec, eta)
         value = entropy_gradient_surrogate(fitted.grads_at_train(), jac)[0]
         report["estimates"][name] = entry(value)
     _dump_json(report, opts.get("output"))
@@ -506,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", default=None, help="sample CSV (header x0..)")
     est.add_argument("--output", default=None, help="gradient CSV (header g0..)")
     est.add_argument("--sidecar", default=None, help="estimator JSON path")
-    est.add_argument("--estimator", default=None, choices=sorted(_ESTIMATOR_NAMES))
+    est.add_argument("--estimator", default=None, choices=sorted(KINDS))
     _add_kernel_flags(est)
     est.add_argument("--eta", type=float, default=None)
     est.set_defaults(func=cmd_estimate, config_fields=_config_fields(est))
@@ -533,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     ban.add_argument(
         "--estimator",
         default=None,
-        choices=sorted(_ESTIMATOR_NAMES) + ["exact"],
+        choices=sorted(KINDS) + ["exact"],
     )
     _add_kernel_flags(ban)
     ban.add_argument("--eta", type=float, default=None)

@@ -25,15 +25,3 @@ class DegenerateBandwidthError(NumericalError):
 
 class DegenerateDenominatorError(NumericalError):
     """A kernel row sum is zero, so a density-ratio form is undefined."""
-
-
-class DivergenceError(NumericalError):
-    """A leapfrog trajectory produced a non-finite position or momentum.
-
-    The integrator step at which the state first went non-finite is kept on
-    the ``step`` attribute.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step

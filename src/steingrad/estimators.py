@@ -1,27 +1,25 @@
 """Score estimators: gradients of a log density learned from samples alone.
 
 Given K samples x^1..x^K from an unnormalised or implicit density q, every
-estimator here produces grad_x log q, either as a (K, d) gradient field at
-the samples or as a K-vector of kernel-expansion coefficients:
+estimator kind here produces grad_x log q, either as a (K, d) gradient field
+at the samples or as a K-vector of kernel-expansion coefficients:
 
-- ``kde_fit``: plug-in kernel density estimate, -diag(K 1)^-1 <grad, K>.
-- ``stein_nonparametric_fit``: ridge-regularised minimiser of the kernelised
+- ``kde``: plug-in kernel density estimate, -diag(K 1)^-1 <grad, K>.
+- ``stein-v`` / ``stein-u``: ridge-regularised minimiser of the kernelised
   Stein discrepancy over free gradient matrices,
   G = -(K + eta I)^-1 <grad, K> (V-statistic) or with the kernel diagonal
-  removed (U-statistic).
-- ``stein_predict``: out-of-sample extension of the V-statistic fit via the
-  block (Schur-complement) solve of the augmented system; the training-block
-  inverse it needs is built on the first prediction, not by the fit.
-- ``score_matching_fit`` / ``score_matching_predict``: closed-form ridge
-  score matching in the expansion g(x) = sum_k a_k grad_x k(x, x^k), with
-  per-family closed forms for RBF and Epanechnikov kernels.
-- ``stein_parametric_fit``: the same expansion fitted by minimising the
-  kernelised Stein discrepancy (RBF only), V- or U-statistic.
-- ``entropy_gradient_surrogate``: turns estimated scores and reparameterised
-  sample Jacobians into a gradient of the entropy term.
+  removed (U-statistic).  The V-statistic fit extends to new points via the
+  block (Schur-complement) solve of the augmented system.
+- ``score``: closed-form ridge score matching in the expansion
+  g(x) = sum_k a_k grad_x k(x, x^k), with per-family closed forms for RBF
+  and Epanechnikov kernels.
+- ``stein-param-v`` / ``stein-param-u``: the same expansion fitted by
+  minimising the kernelised Stein discrepancy (RBF only).
 
-``fit_estimator`` wraps all of the above behind a single kind switch and
-returns a serialisable :class:`FittedEstimator`.
+``fit_estimator`` fits any kind and returns a serialisable
+:class:`FittedEstimator`, whose ``predict`` takes (n, d) points.
+``entropy_gradient_surrogate`` turns estimated scores and reparameterised
+sample Jacobians into a gradient of the entropy term.
 """
 
 from dataclasses import dataclass, field
@@ -30,9 +28,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import kernels
 from .errors import DegenerateDenominatorError, NumericalError
-from .kernels import RBF, EPANECHNIKOV, KernelSpec, as_samples, build_matrices
+from .kernels import RBF, KernelSpec, as_samples, build_matrices
 from .linalg import solve_symmetric
 
 DEFAULT_ETA = 0.1
@@ -41,38 +38,30 @@ DEFAULT_ETA = 0.1
 MIN_U_ETA = 1e-8
 
 KIND_KDE = "kde"
-KIND_STEIN_V = "stein-nonparam-v"
-KIND_STEIN_U = "stein-nonparam-u"
+KIND_STEIN_V = "stein-v"
+KIND_STEIN_U = "stein-u"
 KIND_STEIN_PARAM_V = "stein-param-v"
 KIND_STEIN_PARAM_U = "stein-param-u"
-KIND_SCORE_RBF = "score-rbf"
-KIND_SCORE_EPANECHNIKOV = "score-epanechnikov"
+KIND_SCORE = "score"
 KINDS = (
     KIND_KDE,
     KIND_STEIN_V,
     KIND_STEIN_U,
     KIND_STEIN_PARAM_V,
     KIND_STEIN_PARAM_U,
-    KIND_SCORE_RBF,
-    KIND_SCORE_EPANECHNIKOV,
+    KIND_SCORE,
 )
 
-# kinds whose parameters are the gradient field itself
+# kinds whose parameters are the gradient field itself; the others are
+# parameterised by expansion coefficients
 _GRAD_KINDS = (KIND_KDE, KIND_STEIN_V, KIND_STEIN_U)
-# kinds parameterised by expansion coefficients
-_COEFF_KINDS = (
-    KIND_STEIN_PARAM_V,
-    KIND_STEIN_PARAM_U,
-    KIND_SCORE_RBF,
-    KIND_SCORE_EPANECHNIKOV,
-)
-
-
-def _check_statistic(statistic: str) -> str:
-    stat = str(statistic).lower()
-    if stat not in ("v", "u"):
-        raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
-    return stat
+# the kinds of serialised records written under the earlier names
+_OLD_KINDS = {
+    "stein-nonparam-v": KIND_STEIN_V,
+    "stein-nonparam-u": KIND_STEIN_U,
+    "score-rbf": KIND_SCORE,
+    "score-epanechnikov": KIND_SCORE,
+}
 
 
 def _check_eta(eta: float, statistic: str = "v") -> float:
@@ -87,13 +76,12 @@ def _check_eta(eta: float, statistic: str = "v") -> float:
     return eta
 
 
-def kde_fit(samples, spec: KernelSpec) -> np.ndarray:
+def _kde_fit(xs, spec):
     """Gradient field of the kernel density estimate at the samples.
 
     Row i is grad log qhat(x^i) for qhat(x) propto sum_k k(x, x^k), which in
     matrix form is -diag(K 1)^-1 <grad, K>.
     """
-    xs = as_samples(samples)
     mats = build_matrices(xs, spec)
     denom = mats.k_matrix.sum(axis=1)
     zero = np.nonzero(denom == 0.0)[0]
@@ -106,7 +94,7 @@ def kde_fit(samples, spec: KernelSpec) -> np.ndarray:
 
 
 def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    # same ratio form as kde_fit, evaluated at new points
+    # same ratio form as _kde_fit, evaluated at new points
     sq = cdist(points, train, "sqeuclidean")
     n, d = train.shape
     if spec.family == RBF:
@@ -135,31 +123,21 @@ def _stein_system(xs, spec, eta, statistic):
     return mats.grad_sum, system
 
 
-def stein_nonparametric_fit(
-    samples, spec: KernelSpec, eta: float = DEFAULT_ETA, statistic: str = "v"
-) -> np.ndarray:
+def _stein_nonparametric_fit(xs, spec, eta, statistic):
     """Nonparametric Stein gradient field at the samples.
 
     Solves (K + eta I) G = -<grad, K> for the V-statistic; the U-statistic
     removes the kernel diagonal from the system matrix and requires a
     strictly positive eta.
     """
-    grads, _ = _stein_nonparametric_fit(samples, spec, eta, statistic)
-    return grads
-
-
-def _stein_nonparametric_fit(samples, spec, eta, statistic):
-    xs = as_samples(samples)
-    stat = _check_statistic(statistic)
-    eta = _check_eta(eta, stat)
-    grad_sum, system = _stein_system(xs, spec, eta, stat)
+    grad_sum, system = _stein_system(xs, spec, eta, statistic)
     grads, jitter, level = solve_symmetric(
-        system, -grad_sum, name=f"stein {stat}-statistic system"
+        system, -grad_sum, name=f"stein {statistic}-statistic system"
     )
     return grads, {"jitter": jitter, "jitter_level": level}
 
 
-def stein_predict(fitted: "FittedEstimator", points) -> np.ndarray:
+def _stein_predict(fitted, pts):
     """Out-of-sample gradients for a V-statistic nonparametric Stein fit.
 
     For each query y, with S the Schur complement of the training block in
@@ -171,20 +149,10 @@ def stein_predict(fitted: "FittedEstimator", points) -> np.ndarray:
     row per training point.  Equivalent to refitting on the augmented sample
     and reading off the new row, without the refit.  (K + eta I)^-1 is
     ``fitted.kinv``, solved from train, kernel and eta on the first call and
-    kept on the fitted object for later ones.
+    kept on the fitted object for later ones.  ``pts`` is the (M, d) batch
+    that :meth:`FittedEstimator.predict` has already validated.
     """
-    if fitted.kind != KIND_STEIN_V:
-        raise ValueError(
-            f"stein_predict needs a {KIND_STEIN_V!r} fit, got {fitted.kind!r}"
-        )
-    if fitted.grads is None:
-        raise ValueError("fitted estimator lacks the gradient field at train")
-    pts = as_samples(points, name="points")
     train, grads, kinv = fitted.train, fitted.grads, fitted.kinv
-    if pts.shape[1] != train.shape[1]:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, training data {train.shape[1]}"
-        )
     spec, eta = fitted.spec, fitted.eta
     d = train.shape[1]
     # one row per query: k_yX, (K + eta I)^-1 k_Xy, and the weights w that
@@ -223,37 +191,6 @@ def _expansion_predict(coeffs, train, spec, points):
     return weights.sum() * points - (weights @ train)[None, :]
 
 
-def score_matching_fit(samples, spec: KernelSpec, eta: float = DEFAULT_ETA) -> np.ndarray:
-    """Closed-form ridge score matching coefficients, one per sample.
-
-    The fitted score is g(x) = sum_k a_k grad_x k(x, x^k).  Per family:
-
-    rbf: a = (Sigma + eta I)^-1 v with
-         Sigma = sum_i D_i^T D_i,    D_i = diag(x_i) K - K diag(x_i)
-               = B + B^T + (K K) o G,    B = (K o (1/2 1 n^T - G)) K,
-         v = d sigma2 K 1 - (K n + n o K 1 - 2 rowsum(X o (K X))),
-         x_i the i-th coordinate column of the sample matrix X, n its
-         squared row norms, G = X X^T and o the elementwise product.
-         The sum over coordinates costs d K x K x K products (symmetric
-         ones, at half the flops of a general product) and the
-         coordinate-free form 2 general ones, so Sigma is the sum for
-         d <= 2 and the coordinate-free form from d = 3 on.
-
-    epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
-         Sigma_kk' = (1/d^2) [ x^k . x^k'
-                               + (1/K) sum_j (||x^j||^2 - (x^k + x^k') . x^j) ].
-
-    Both are the exact minimisers of the empirical score-matching objective
-    under an l2 penalty (the penalty scale absorbed into eta).  Both depend
-    on the sample only through differences x^j - x^k, so X is centred on
-    its mean before G and n are formed.
-    """
-    xs = as_samples(samples)
-    eta = _check_eta(eta)
-    coeffs, _ = _score_matching_fit(xs, spec, eta)
-    return coeffs
-
-
 # from this dimension on, Sigma's 2 coordinate-free K^3 products beat the
 # d symmetric products of the per-coordinate sum; at d = 2 they run about
 # even (K = 1000, 2-core host: 0.041 s for the sum, 0.047 s for the form)
@@ -290,6 +227,30 @@ def _score_sigma_closed_form(xs, km, sqn):
 
 
 def _score_matching_fit(xs, spec, eta):
+    """Closed-form ridge score matching coefficients, one per sample.
+
+    The fitted score is g(x) = sum_k a_k grad_x k(x, x^k).  Per family:
+
+    rbf: a = (Sigma + eta I)^-1 v with
+         Sigma = sum_i D_i^T D_i,    D_i = diag(x_i) K - K diag(x_i)
+               = B + B^T + (K K) o G,    B = (K o (1/2 1 n^T - G)) K,
+         v = d sigma2 K 1 - (K n + n o K 1 - 2 rowsum(X o (K X))),
+         x_i the i-th coordinate column of the sample matrix X, n its
+         squared row norms, G = X X^T and o the elementwise product.
+         The sum over coordinates costs d K x K x K products (symmetric
+         ones, at half the flops of a general product) and the
+         coordinate-free form 2 general ones, so Sigma is the sum for
+         d <= 2 and the coordinate-free form from d = 3 on.
+
+    epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
+         Sigma_kk' = (1/d^2) [ x^k . x^k'
+                               + (1/K) sum_j (||x^j||^2 - (x^k + x^k') . x^j) ].
+
+    Both are the exact minimisers of the empirical score-matching objective
+    under an l2 penalty (the penalty scale absorbed into eta).  Both depend
+    on the sample only through differences x^j - x^k, so X is centred on
+    its mean before G and n are formed.
+    """
     n, d = xs.shape
     # both systems are translation invariant in exact arithmetic; centring
     # keeps the Gram matrix and the norms at the scale of the differences
@@ -315,46 +276,6 @@ def _score_matching_fit(xs, spec, eta):
     sigma[np.diag_indices_from(sigma)] += eta
     coeffs, jitter, level = solve_symmetric(sigma, v, name="score matching system")
     return coeffs, {"jitter": jitter, "jitter_level": level}
-
-
-def score_matching_predict(coeffs, train, spec: KernelSpec, points) -> np.ndarray:
-    """Evaluate the fitted expansion sum_k a_k grad k(., x^k) at new points."""
-    train = as_samples(train, name="train")
-    pts = as_samples(points, name="points")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.shape[0] != train.shape[0]:
-        raise ValueError(
-            f"coeffs must be a vector of length {train.shape[0]}, got {coeffs.shape}"
-        )
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coeffs contain non-finite entries")
-    if pts.shape[1] != train.shape[1]:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, training data {train.shape[1]}"
-        )
-    return _expansion_predict(coeffs, train, spec, pts)
-
-
-def stein_parametric_fit(
-    samples, sigma2: float, eta: float = DEFAULT_ETA, statistic: str = "v"
-) -> np.ndarray:
-    """Expansion coefficients minimising the kernelised Stein discrepancy.
-
-    RBF kernel only.  With X the Gram matrix and K the kernel matrix,
-
-        Lambda = X o (K K K) + K (K o X) K - ((K K) o X) K - K ((K K) o X)
-        b = (K diag(X) K + (K K) o X - K (K o X) - (K o X) K) 1
-
-    and a = (Lambda + eta I)^-1 b.  The U-statistic variant replaces the
-    inner K of each triple product with K - diag(K) (Lambda tilde), keeping
-    the same b; o is the elementwise product.
-    """
-    xs = as_samples(samples)
-    stat = _check_statistic(statistic)
-    eta = _check_eta(eta, stat)
-    spec = KernelSpec(RBF, sigma2)
-    coeffs, _ = _stein_parametric_fit(xs, spec, eta, stat)
-    return coeffs
 
 
 def _parametric_system(xs, spec, statistic):
@@ -405,6 +326,17 @@ def _parametric_system(xs, spec, statistic):
 
 
 def _stein_parametric_fit(xs, spec, eta, statistic):
+    """Expansion coefficients minimising the kernelised Stein discrepancy.
+
+    RBF kernel only.  With X the Gram matrix and K the kernel matrix,
+
+        Lambda = X o (K K K) + K (K o X) K - ((K K) o X) K - K ((K K) o X)
+        b = (K diag(X) K + (K K) o X - K (K o X) - (K o X) K) 1
+
+    and a = (Lambda + eta I)^-1 b.  The U-statistic variant replaces the
+    inner K of each triple product with K - diag(K) (Lambda tilde), keeping
+    the same b; o is the elementwise product.
+    """
     lam, b = _parametric_system(xs, spec, statistic)
     lam[np.diag_indices_from(lam)] += eta
     coeffs, jitter, level = solve_symmetric(
@@ -459,7 +391,7 @@ class FittedEstimator:
 
     @cached_property
     def kinv(self) -> np.ndarray | None:
-        """(K + eta I)^-1 for a stein-nonparam-v fit, None for other kinds.
+        """(K + eta I)^-1 for a stein-v fit, None for other kinds.
 
         Solved from train, kernel and eta on first access, with an identity
         right-hand side, and kept on this object; fits that never predict
@@ -499,8 +431,8 @@ class FittedEstimator:
         if self.kind == KIND_KDE:
             return _kde_predict(self.train, self.spec, pts)
         if self.kind == KIND_STEIN_V:
-            return stein_predict(self, pts)
-        if self.kind in _COEFF_KINDS:
+            return _stein_predict(self, pts)
+        if self.coeffs is not None:
             return _expansion_predict(self.coeffs, self.train, self.spec, pts)
         raise ValueError(
             f"{self.kind!r} has no out-of-sample prediction rule; refit on "
@@ -532,10 +464,12 @@ class FittedEstimator:
         shape of ``train`` and ``coeffs`` one entry per training point, and
         every value must be finite.  A violation raises ``ValueError``
         naming the field.  A ``kinv`` entry, written by older versions, is
-        ignored: the inverse is derived from train, kernel and eta.
+        ignored: the inverse is derived from train, kernel and eta.  A kind
+        under its earlier name (``stein-nonparam-v``, ``score-rbf``, ...)
+        loads as its current one.
         """
         try:
-            kind = obj["kind"]
+            kind = _OLD_KINDS.get(obj["kind"], obj["kind"])
             kernel = obj["kernel"]
             spec = KernelSpec(kernel["family"], kernel.get("sigma2"))
             train = as_samples(obj["train"], name="train")
@@ -579,6 +513,7 @@ def fit_estimator(
 ) -> FittedEstimator:
     """Fit any estimator kind and package the result.
 
+    ``kind`` is one of :data:`KINDS`; ``score`` takes either kernel family.
     Each fit makes one solve.  The V-statistic nonparametric Stein fit can
     predict out of sample; the inverse that needs is solved on its first
     prediction (see :attr:`FittedEstimator.kinv`), not here.
@@ -586,28 +521,23 @@ def fit_estimator(
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
     xs = as_samples(samples)
+    stat = "u" if kind in (KIND_STEIN_U, KIND_STEIN_PARAM_U) else "v"
+    eta = _check_eta(eta, stat)  # kde ignores it, but its record keeps it
     diagnostics: dict = {}
     grads = coeffs = None
     if kind == KIND_KDE:
-        grads = kde_fit(xs, spec)
+        grads = _kde_fit(xs, spec)
     elif kind in (KIND_STEIN_V, KIND_STEIN_U):
-        stat = "v" if kind == KIND_STEIN_V else "u"
         grads, diagnostics = _stein_nonparametric_fit(xs, spec, eta, stat)
-    elif kind in (KIND_SCORE_RBF, KIND_SCORE_EPANECHNIKOV):
-        expected = RBF if kind == KIND_SCORE_RBF else EPANECHNIKOV
-        if spec.family != expected:
-            raise ValueError(f"{kind!r} requires the {expected!r} kernel family")
-        coeffs, diagnostics = _score_matching_fit(xs, spec, _check_eta(eta))
+    elif kind == KIND_SCORE:
+        coeffs, diagnostics = _score_matching_fit(xs, spec, eta)
     else:
-        stat = "v" if kind == KIND_STEIN_PARAM_V else "u"
-        coeffs, diagnostics = _stein_parametric_fit(
-            xs, spec, _check_eta(eta, stat), stat
-        )
+        coeffs, diagnostics = _stein_parametric_fit(xs, spec, eta, stat)
     return FittedEstimator(
         kind=kind,
         train=xs.copy(),
         spec=spec,
-        eta=float(eta),
+        eta=eta,
         grads=grads,
         coeffs=coeffs,
         diagnostics=diagnostics,

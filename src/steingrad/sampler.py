@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrepancy import ksd_v
-from .errors import DivergenceError
-from .kernels import KernelSpec, _as_point, as_samples
+from .kernels import KernelSpec, as_samples
 
 BANANA_B = 0.03
 BANANA_V = 100.0
@@ -144,55 +143,33 @@ class ChainStats:
     accepts: np.ndarray | None  # (n_chains, n_iters) bool
 
 
-def _one_row(score_fn):
-    """A d-vector score function as the batched (1, d) -> (1, d) contract."""
-    return lambda x: np.asarray(score_fn(x[0]), dtype=float)[None]
-
-
 def leapfrog(q, p, stepsize: float, n_steps: int, score_fn):
     """Integrate Hamilton's equations with the leapfrog scheme.
 
     Kinetic energy is ||p||^2 / 2 (identity mass); the force is the score,
-    i.e. d p / d t = grad log pi(q).  n_steps = 0 returns the inputs
-    unchanged.
+    i.e. d p / d t = grad log pi(q).  ``q`` and ``p`` are (n_chains, d), so
+    one chain is the (1, d) case, and ``score_fn`` maps an (n, d) array of
+    positions to the (n, d) array of their scores; each step makes one
+    ``score_fn`` call on all chains.
 
-    Batched form: ``q`` and ``p`` are (n_chains, d) and ``score_fn`` maps an
-    (n, d) array of positions to the (n, d) array of their scores; each step
-    makes one ``score_fn`` call on all chains.  Returns ``(q, p,
-    diverged_at)``, where ``diverged_at[c]`` is the step at which chain c's
-    position, momentum or score first went non-finite, or -1.  A diverged
-    chain's rows of ``q`` and ``p`` are its inputs, and from its divergence
-    on it is evaluated at its input position, so ``score_fn`` only ever sees
-    finite rows.
-
-    Single-chain form: ``q`` and ``p`` are d-vectors and ``score_fn`` maps a
-    d-vector to a d-vector.  Returns ``(q, p)``; a divergence raises
-    DivergenceError carrying the step index.
+    Returns ``(q, p, diverged_at)``, where ``diverged_at[c]`` is the step at
+    which chain c's position, momentum or score first went non-finite, or
+    -1.  A diverged chain's rows of ``q`` and ``p`` are its inputs, and from
+    its divergence on it is evaluated at its input position, so ``score_fn``
+    only ever sees finite rows.  n_steps = 0 returns copies of the inputs.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
-    if q.ndim not in (1, 2) or q.shape != p.shape:
+    if q.ndim != 2 or q.shape != p.shape:
         raise ValueError(
-            f"q and p must be d-vectors or (n_chains, d) arrays of equal shape, "
+            f"q and p must be (n_chains, d) arrays of equal shape, "
             f"got {q.shape}, {p.shape}"
         )
     if not np.isfinite(stepsize) or stepsize <= 0:
         raise ValueError(f"stepsize must be > 0, got {stepsize!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if q.ndim == 2:
-        return _integrate(q, p, float(stepsize), n_steps, score_fn)
-    q, p, diverged_at = _integrate(
-        q[None], p[None], float(stepsize), n_steps, _one_row(score_fn)
-    )
-    if diverged_at[0] >= 0:
-        step = int(diverged_at[0])
-        raise DivergenceError(f"trajectory diverged at leapfrog step {step}", step=step)
-    return q[0], p[0]
-
-
-def _integrate(q, p, eps, n_steps, score_fn):
-    """The leapfrog scheme over a leading chain axis, with a divergence mask."""
+    eps = float(stepsize)
     q0, p0 = q, p
     diverged_at = np.full(q.shape[0], -1)
     if n_steps == 0:
@@ -275,22 +252,6 @@ def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
         n_div += diverged
         traj[:, t] = q
     return traj, accepts, n_div
-
-
-def run_chain(target_logp, score_fn, cfg: HmcConfig, q0, rng: np.random.Generator):
-    """Run one chain; returns (trajectory, accept flags, divergence count).
-
-    The single-chain case of :func:`run_hmc`: ``q0`` is a d-vector,
-    ``score_fn`` maps a d-vector to a d-vector, and ``target_logp`` keeps the
-    batched contract in its one-chain form, (1, d) -> (1,).  Each iteration
-    draws a fresh momentum and then the uniform of the accept test,
-    integrates cfg.n_leapfrog steps, and accepts with the standard
-    Metropolis-Hastings ratio evaluated with the exact target log density.
-    A divergent trajectory counts as a rejection.
-    """
-    q0 = _as_point(q0, name="initial state")
-    traj, accepts, n_div = _run_chains(target_logp, _one_row(score_fn), cfg, q0[None], [rng])
-    return traj[0], accepts[0], int(n_div[0])
 
 
 def _chain_rngs(seed, n_chains, chain_seeds):

@@ -19,9 +19,14 @@ import numpy as np
 import pytest
 
 import steingrad as sg
-from steingrad import KernelSpec, fit_estimator, kde_fit, stein_nonparametric_fit
+from steingrad import KernelSpec, fit_estimator
 from steingrad.cli import main
 from steingrad.estimators import (
+    KIND_KDE,
+    KIND_SCORE,
+    KIND_STEIN_PARAM_U,
+    KIND_STEIN_PARAM_V,
+    KIND_STEIN_U,
     KIND_STEIN_V,
     _parametric_system,
 )
@@ -86,7 +91,7 @@ def test_score_matching_fit_matches_loop_form_across_the_switch(d):
     q, r = _loop_score_matching_form(xs, spec)
     scale = n * sigma2**2
     want = quadratic_minimiser(scale * q, scale * r, ridge=eta)
-    got = sg.score_matching_fit(xs, spec, eta=eta)
+    got = fit_estimator(KIND_SCORE, xs, spec, eta=eta).coeffs
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
@@ -148,11 +153,11 @@ def test_criterion_1_closed_forms_match_quadratic_oracle(capsys):
 
         # regularised nonparametric fits against the generic minimiser
         check(
-            stein_nonparametric_fit(xs, spec, eta=eta),
+            fit_estimator(KIND_STEIN_V, xs, spec, eta=eta).grads,
             quadratic_minimiser(km, gs, ridge=eta),
         )
         check(
-            stein_nonparametric_fit(xs, spec, eta=eta_u, statistic="u"),
+            fit_estimator(KIND_STEIN_U, xs, spec, eta=eta_u).grads,
             quadratic_minimiser(km - np.eye(n), gs, ridge=eta_u),
         )
 
@@ -161,7 +166,7 @@ def test_criterion_1_closed_forms_match_quadratic_oracle(capsys):
             return math.log(sum(kernel_eval(x, xk, spec) for xk in xs))
 
         check(
-            kde_fit(xs, spec),
+            fit_estimator(KIND_KDE, xs, spec).grads,
             np.array([fd_gradient(log_mixture, x) for x in xs]),
         )
 
@@ -169,12 +174,12 @@ def test_criterion_1_closed_forms_match_quadratic_oracle(capsys):
         q, r = _loop_score_matching_form(xs, spec)
         scale = n * sigma2**2
         check(
-            sg.score_matching_fit(xs, spec, eta=eta),
+            fit_estimator(KIND_SCORE, xs, spec, eta=eta).coeffs,
             quadratic_minimiser(scale * q, scale * r, ridge=eta),
         )
         qe, re = _loop_score_matching_form(xs, espec)
         check(
-            sg.score_matching_fit(xs, espec, eta=eta),
+            fit_estimator(KIND_SCORE, xs, espec, eta=eta).coeffs,
             quadratic_minimiser(2.0 * qe, 2.0 * re, ridge=8.0 * eta),
         )
 
@@ -182,13 +187,13 @@ def test_criterion_1_closed_forms_match_quadratic_oracle(capsys):
         xs_p = xs[:8]
         lam, b = _loop_parametric_system(xs_p, spec, "v")
         check(
-            sg.stein_parametric_fit(xs_p, sigma2, eta=eta),
+            fit_estimator(KIND_STEIN_PARAM_V, xs_p, spec, eta=eta).coeffs,
             quadratic_minimiser(lam, -b, ridge=eta),
         )
         lam_u, b_u = _loop_parametric_system(xs_p, spec, "u")
         eta_pu = float(1.1 * abs(np.linalg.eigvalsh(lam_u).min()) + 0.1)
         check(
-            sg.stein_parametric_fit(xs_p, sigma2, eta=eta_pu, statistic="u"),
+            fit_estimator(KIND_STEIN_PARAM_U, xs_p, spec, eta=eta_pu).coeffs,
             quadratic_minimiser(lam_u, -b_u, ridge=eta_pu),
         )
 
@@ -297,8 +302,9 @@ def test_criterion_5_regularised_fit_beats_density_plugin(capsys):
         xs = rng.standard_normal((200, 2))
         spec = KernelSpec(RBF, sg.median_heuristic(xs))
         truth = -xs
-        mse_stein = float(np.mean((stein_nonparametric_fit(xs, spec, eta=0.1) - truth) ** 2))
-        mse_kde = float(np.mean((kde_fit(xs, spec) - truth) ** 2))
+        grads = fit_estimator(KIND_STEIN_V, xs, spec, eta=0.1).grads
+        mse_stein = float(np.mean((grads - truth) ** 2))
+        mse_kde = float(np.mean((fit_estimator(KIND_KDE, xs, spec).grads - truth) ** 2))
         stein_mses.append(mse_stein)
         kde_mses.append(mse_kde)
         wins += mse_stein < mse_kde
@@ -325,7 +331,7 @@ def test_criterion_6_accuracy_improves_with_sample_size(capsys):
         for k in sizes:
             xs = pool[:k]
             spec = KernelSpec(RBF, sg.median_heuristic(xs))
-            grads = stein_nonparametric_fit(xs, spec, eta=0.1)
+            grads = fit_estimator(KIND_STEIN_V, xs, spec, eta=0.1).grads
             mses[k].append(float(np.mean((grads + xs) ** 2)))
     means = [float(np.mean(mses[k])) for k in sizes]
     elapsed = time.perf_counter() - t0
@@ -409,11 +415,11 @@ def test_criterion_9_structural_invariants_hold(capsys):
 
     # drift-free geometry: shifting or reflecting the sample moves the fit
     xs = rng.standard_normal((30, 2))
-    base = stein_nonparametric_fit(xs, spec, eta=0.1)
-    shifted = stein_nonparametric_fit(xs + np.array([5.0, -3.0]), spec, eta=0.1)
+    base = fit_estimator(KIND_STEIN_V, xs, spec, eta=0.1).grads
+    shifted = fit_estimator(KIND_STEIN_V, xs + np.array([5.0, -3.0]), spec, eta=0.1).grads
     if np.abs(shifted - base).max() > 1e-10:
         failures.append("translation equivariance")
-    reflected = stein_nonparametric_fit(-xs, spec, eta=0.1)
+    reflected = fit_estimator(KIND_STEIN_V, -xs, spec, eta=0.1).grads
     if np.abs(reflected + base).max() > 1e-10:
         failures.append("reflection equivariance")
 
@@ -441,7 +447,7 @@ def test_criterion_9_structural_invariants_hold(capsys):
     # the regularised fit minimises discrepancy + ridge: 100 random
     # perturbations of the fitted gradients may never lower the objective
     eta = 0.1
-    fitted = stein_nonparametric_fit(xs, spec, eta=eta)
+    fitted = fit_estimator(KIND_STEIN_V, xs, spec, eta=eta).grads
 
     def objective(grads):
         penalty = eta / xs.shape[0] ** 2 * float(np.sum(grads * grads))
@@ -457,21 +463,22 @@ def test_criterion_9_structural_invariants_hold(capsys):
             failures.append("fit local optimality")
             break
 
-    # integrator: time reversal, volume, energy drift
-    q0, p0 = np.array([1.0, -0.5]), np.array([0.3, 0.7])
-    q1, p1 = sg.leapfrog(q0, p0, 0.1, 50, sg.banana_score)
-    q2, p2 = sg.leapfrog(q1, -p1, 0.1, 50, sg.banana_score)
+    # integrator: time reversal, volume, energy drift, each on one chain,
+    # the (1, d) case of the batched integrator
+    q0, p0 = np.array([[1.0, -0.5]]), np.array([[0.3, 0.7]])
+    q1, p1, _ = sg.leapfrog(q0, p0, 0.1, 50, sg.banana_score)
+    q2, p2, _ = sg.leapfrog(q1, -p1, 0.1, 50, sg.banana_score)
     if max(np.abs(q2 - q0).max(), np.abs(p2 + p0).max()) > 1e-10:
         failures.append("leapfrog reversibility")
     cols = []
     for e in np.eye(2):
-        q, p = sg.leapfrog(e[:1], e[1:], 0.3, 1, lambda z: -z)
-        cols.append([q[0], p[0]])
+        q, p, _ = sg.leapfrog(e[None, :1], e[None, 1:], 0.3, 1, lambda z: -z)
+        cols.append([q[0, 0], p[0, 0]])
     if abs(np.linalg.det(np.array(cols).T) - 1.0) > 1e-12:
         failures.append("leapfrog volume preservation")
-    h0 = 0.5 * float(q0 @ q0 + p0 @ p0)
-    qe, pe = sg.leapfrog(q0, p0, 0.1, 1000, lambda z: -z)
-    if abs(0.5 * float(qe @ qe + pe @ pe) - h0) > 0.01:
+    h0 = 0.5 * float(q0[0] @ q0[0] + p0[0] @ p0[0])
+    qe, pe, _ = sg.leapfrog(q0, p0, 0.1, 1000, lambda z: -z)
+    if abs(0.5 * float(qe[0] @ qe[0] + pe[0] @ pe[0]) - h0) > 0.01:
         failures.append("leapfrog energy drift")
 
     # reproducibility of the sampling harness

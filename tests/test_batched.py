@@ -26,8 +26,7 @@ from steingrad import (
 )
 from steingrad.estimators import (
     KIND_KDE,
-    KIND_SCORE_EPANECHNIKOV,
-    KIND_SCORE_RBF,
+    KIND_SCORE,
     KIND_STEIN_PARAM_U,
     KIND_STEIN_PARAM_V,
     KIND_STEIN_V,
@@ -41,8 +40,8 @@ FITS = {
     "kde-epanechnikov": (KIND_KDE, EPAN),
     "stein-v-rbf": (KIND_STEIN_V, RBF),
     "stein-v-epanechnikov": (KIND_STEIN_V, EPAN),
-    "score-rbf": (KIND_SCORE_RBF, RBF),
-    "score-epanechnikov": (KIND_SCORE_EPANECHNIKOV, EPAN),
+    "score-rbf": (KIND_SCORE, RBF),
+    "score-epanechnikov": (KIND_SCORE, EPAN),
     "stein-param-v": (KIND_STEIN_PARAM_V, RBF),
     "stein-param-u": (KIND_STEIN_PARAM_U, RBF),
 }

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from steingrad import FittedEstimator, KernelSpec, fit_estimator, ksd_u, ksd_v
 from steingrad.cli import _write_matrix_csv, main
-from steingrad.estimators import KIND_SCORE_RBF, KIND_STEIN_V
+from steingrad.estimators import KIND_SCORE, KIND_STEIN_V
 
 
 def write_csv(path, prefix, arr):
@@ -94,8 +94,8 @@ class TestEstimate:
         with open(sidecar, encoding="utf-8") as fh:
             record = json.load(fh)
         fitted = FittedEstimator.from_json_dict(record)
-        assert fitted.kind == KIND_SCORE_RBF
-        direct = fit_estimator(KIND_SCORE_RBF, xs, KernelSpec("rbf", 2.0), 0.1)
+        assert fitted.kind == KIND_SCORE
+        direct = fit_estimator(KIND_SCORE, xs, KernelSpec("rbf", 2.0), 0.1)
         np.testing.assert_array_equal(fitted.coeffs, direct.coeffs)
         np.testing.assert_array_equal(fitted.train, direct.train)
         # recomputed fields agree to solver reproducibility, not bit for bit
@@ -494,9 +494,23 @@ class TestEntropyCheck:
         assert main(["entropy-check", "--config", str(config)]) == 2
         assert "'n'" in capsys.readouterr().err
 
-    def test_unknown_estimator_name(self, tmp_path):
-        rc = main(["entropy-check", "--seed", "1", "--estimators", "mystery"])
-        assert rc == 2
+    def test_unknown_estimator_name(self, tmp_path, capsys):
+        # a bad name exits 2 with a message that names it, whether it comes
+        # from a flag or a config file; score-rbf is an earlier library kind
+        # name that the command line never accepted
+        path, _ = sample_file(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": "bogus"}))
+        cases = [
+            ("mystery", ["entropy-check", "--seed", "1", "--estimators", "mystery"]),
+            ("score-rbf", ["entropy-check", "--seed", "1", "--estimators", "score-rbf"]),
+            ("bogus", ["estimate", "--config", str(config), "--input", str(path),
+                       "--output", str(tmp_path / "grads.csv")]),
+            ("bogus", ["banana", "--config", str(config), "--seed", "1", "--n-chains", "2"]),
+        ]
+        for bad, argv in cases:
+            assert main(argv) == 2, argv
+            assert repr(bad) in capsys.readouterr().err, argv
 
 
 class TestConsoleScript:

@@ -16,18 +16,11 @@ from steingrad import (
     build_matrices,
     entropy_gradient_surrogate,
     fit_estimator,
-    kde_fit,
     ksd_v,
-    score_matching_fit,
-    score_matching_predict,
-    stein_nonparametric_fit,
-    stein_parametric_fit,
-    stein_predict,
 )
 from steingrad.estimators import (
     KIND_KDE,
-    KIND_SCORE_EPANECHNIKOV,
-    KIND_SCORE_RBF,
+    KIND_SCORE,
     KIND_STEIN_PARAM_U,
     KIND_STEIN_PARAM_V,
     KIND_STEIN_U,
@@ -43,6 +36,9 @@ from steingrad.linalg import RESIDUAL_RTOL
 
 RBF = KernelSpec("rbf", 1.3)
 EPAN = KernelSpec("epanechnikov")
+# every kind under the rbf kernel, and score matching under both families,
+# so that properties drawing from it cover the Epanechnikov closed form too
+KIND_FAMILIES = [(kind, "rbf") for kind in KINDS] + [(KIND_SCORE, "epanechnikov")]
 
 
 def gaussian_sample(seed, n=12, d=2):
@@ -54,14 +50,14 @@ class TestKde:
         xs = gaussian_sample(0)
         mats = build_matrices(xs, RBF)
         want = -mats.grad_sum / mats.k_matrix.sum(axis=1)[:, None]
-        np.testing.assert_allclose(kde_fit(xs, RBF), want, atol=1e-14)
+        np.testing.assert_allclose(fit_estimator(KIND_KDE, xs, RBF).grads, want, atol=1e-14)
 
     def test_gaussian_mixture_score_one_dim(self):
         # In one dimension the KDE score has the explicit form
         # sum_k k(x, x_k)(x_k - x) / (s2 * sum_k k(x, x_k)).
         xs = np.array([[-1.0], [0.5], [2.0]])
         spec = KernelSpec("rbf", 0.7)
-        grads = kde_fit(xs, spec)
+        grads = fit_estimator(KIND_KDE, xs, spec).grads
         for i, x in enumerate(xs[:, 0]):
             kv = np.exp(-0.5 * (x - xs[:, 0]) ** 2 / 0.7)
             want = float(kv @ (xs[:, 0] - x)) / (0.7 * kv.sum())
@@ -72,7 +68,7 @@ class TestKde:
         # Epanechnikov row sums collapse exactly: 1 + (1 - 4/2) = 0.
         xs = np.array([[0.0, 0.0], [2.0, 0.0]])
         with pytest.raises(DegenerateDenominatorError):
-            kde_fit(xs, EPAN)
+            fit_estimator(KIND_KDE, xs, EPAN)
 
     def test_predict_matches_fit_at_train(self):
         xs = gaussian_sample(1)
@@ -87,7 +83,7 @@ class TestSteinNonparametric:
         mats = build_matrices(xs, RBF)
         system = mats.k_matrix + eta * np.eye(len(xs))
         want = np.linalg.solve(system, -mats.grad_sum)
-        got = stein_nonparametric_fit(xs, RBF, eta=eta)
+        got = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta).grads
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_u_statistic_closed_form(self):
@@ -97,7 +93,7 @@ class TestSteinNonparametric:
         system = mats.k_matrix.copy()
         np.fill_diagonal(system, eta)
         want = np.linalg.solve(system, -mats.grad_sum)
-        got = stein_nonparametric_fit(xs, RBF, eta=eta, statistic="u")
+        got = fit_estimator(KIND_STEIN_U, xs, RBF, eta=eta).grads
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_u_statistic_fit_is_the_indefinite_solve(self):
@@ -115,19 +111,17 @@ class TestSteinNonparametric:
     def test_u_statistic_requires_positive_eta(self):
         xs = gaussian_sample(4)
         with pytest.raises(ValueError):
-            stein_nonparametric_fit(xs, RBF, eta=0.0, statistic="u")
+            fit_estimator(KIND_STEIN_U, xs, RBF, eta=0.0)
         with pytest.raises(ValueError):
-            stein_nonparametric_fit(xs, RBF, eta=MIN_U_ETA / 10, statistic="u")
-        stein_nonparametric_fit(xs, RBF, eta=MIN_U_ETA, statistic="u")
+            fit_estimator(KIND_STEIN_U, xs, RBF, eta=MIN_U_ETA / 10)
+        fit_estimator(KIND_STEIN_U, xs, RBF, eta=MIN_U_ETA)
 
     def test_eta_validation(self):
         xs = gaussian_sample(5)
         with pytest.raises(ValueError):
-            stein_nonparametric_fit(xs, RBF, eta=-0.1)
+            fit_estimator(KIND_STEIN_V, xs, RBF, eta=-0.1)
         with pytest.raises(ValueError):
-            stein_nonparametric_fit(xs, RBF, eta=np.nan)
-        with pytest.raises(ValueError):
-            stein_nonparametric_fit(xs, RBF, eta=0.1, statistic="w")
+            fit_estimator(KIND_STEIN_V, xs, RBF, eta=np.nan)
 
     def test_regularised_objective_local_minimum(self):
         # The V-statistic fit minimises the discrepancy plus the matching
@@ -135,7 +129,7 @@ class TestSteinNonparametric:
         xs = gaussian_sample(6)
         eta = 0.1
         n = len(xs)
-        grads = stein_nonparametric_fit(xs, RBF, eta=eta)
+        grads = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta).grads
 
         def objective(g):
             return ksd_v(xs, g, RBF).value + eta / n**2 * float(np.sum(g * g))
@@ -154,8 +148,8 @@ class TestSteinNonparametric:
         xs = gaussian_sample(7)
         eta = 0.2
         mats = build_matrices(xs, RBF)
-        g_stein = stein_nonparametric_fit(xs, RBF, eta=eta)
-        g_kde = kde_fit(xs, RBF)
+        g_stein = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta).grads
+        g_kde = fit_estimator(KIND_KDE, xs, RBF).grads
         lhs = (mats.k_matrix + eta * np.eye(len(xs))) @ g_stein
         rhs = mats.k_matrix.sum(axis=1)[:, None] * g_kde
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -163,8 +157,8 @@ class TestSteinNonparametric:
     def test_translation_equivariance(self):
         xs = gaussian_sample(8)
         shift = np.array([3.0, -2.0])
-        base = stein_nonparametric_fit(xs, RBF, eta=0.1)
-        moved = stein_nonparametric_fit(xs + shift, RBF, eta=0.1)
+        base = fit_estimator(KIND_STEIN_V, xs, RBF, eta=0.1).grads
+        moved = fit_estimator(KIND_STEIN_V, xs + shift, RBF, eta=0.1).grads
         np.testing.assert_allclose(moved, base, atol=1e-10)
 
 
@@ -178,8 +172,8 @@ class TestSteinPredict:
         rng = np.random.default_rng(90)
         for _ in range(5):
             y = rng.standard_normal(2)
-            got = stein_predict(fit, y[None, :])[0]
-            refit = stein_nonparametric_fit(np.vstack([xs, y]), RBF, eta=eta)
+            got = fit.predict(y[None, :])[0]
+            refit = fit_estimator(KIND_STEIN_V, np.vstack([xs, y]), RBF, eta=eta).grads
             np.testing.assert_allclose(got, refit[-1], atol=1e-9)
 
     def test_symmetric_sample_gives_zero_at_centre(self):
@@ -192,12 +186,6 @@ class TestSteinPredict:
         got = fit.predict(np.zeros((1, 2)))
         np.testing.assert_allclose(got, 0.0, atol=1e-12)
 
-    def test_rejects_wrong_kind(self):
-        xs = gaussian_sample(10)
-        fit = fit_estimator(KIND_KDE, xs, RBF)
-        with pytest.raises(ValueError):
-            stein_predict(fit, xs[:1])
-
     def test_u_fit_has_no_prediction(self):
         xs = gaussian_sample(11)
         fit = fit_estimator(KIND_STEIN_U, xs, RBF, eta=0.1)
@@ -209,6 +197,24 @@ class TestSteinPredict:
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=0.1)
         with pytest.raises(ValueError):
             fit.predict(np.zeros((1, 3)))
+
+    def test_predict_validates_each_batch_once(self, monkeypatch):
+        # predict checks the batch and hands it on; the Stein rule does not
+        # scan it for non-finite entries a second time
+        from steingrad import estimators
+
+        fit = fit_estimator(KIND_STEIN_V, gaussian_sample(13), RBF, eta=0.1)
+        fit.kinv
+        calls = []
+        real = estimators.as_samples
+
+        def counting(x, name="samples"):
+            calls.append(name)
+            return real(x, name)
+
+        monkeypatch.setattr(estimators, "as_samples", counting)
+        fit.predict(gaussian_sample(14, n=5))
+        assert calls == ["points"]
 
 
 def empirical_score_objective(coeffs, xs, spec):
@@ -225,34 +231,50 @@ def empirical_score_objective(coeffs, xs, spec):
     return total / n
 
 
+def rbf_score_matching_solution(xs, eta):
+    """The rbf ridge system rebuilt from per-coordinate commutator blocks."""
+    km = build_matrices(xs, RBF).k_matrix
+    ksum = km.sum(axis=1)
+    n = len(xs)
+    sigma = np.zeros((n, n))
+    vec = np.zeros(n)
+    for xi in xs.T:
+        d_i = np.diag(xi) @ km - km @ np.diag(xi)
+        sigma += d_i.T @ d_i
+        vec += RBF.sigma2 * ksum - (
+            km @ (xi * xi) + np.diag(xi * xi) @ km @ np.ones(n) - 2 * np.diag(xi) @ km @ xi
+        )
+    return np.linalg.solve(sigma + eta * np.eye(n), vec)
+
+
+def epanechnikov_score_matching_solution(xs, eta):
+    """The Epanechnikov ridge system, entry by entry."""
+    n, d = xs.shape
+    sqn = np.einsum("kd,kd->k", xs, xs)
+    sigma = np.empty((n, n))
+    for k in range(n):
+        for kp in range(n):
+            sigma[k, kp] = (
+                xs[k] @ xs[kp]
+                + np.mean([sqn[j] - (xs[k] + xs[kp]) @ xs[j] for j in range(n)])
+            ) / d**2
+    return 0.5 * np.linalg.solve(sigma + eta * np.eye(n), np.ones(n))
+
+
 class TestScoreMatching:
     def test_rbf_normal_equations(self):
         # Independent reconstruction of the ridge system from per-coordinate
         # commutator blocks.
         xs = gaussian_sample(13, n=9, d=3)
-        eta = 0.1
-        mats = build_matrices(xs, RBF)
-        km = mats.k_matrix
-        ksum = km.sum(axis=1)
-        n = len(xs)
-        sigma = np.zeros((n, n))
-        vec = np.zeros(n)
-        for i in range(3):
-            xi = xs[:, i]
-            d_i = np.diag(xi) @ km - km @ np.diag(xi)
-            sigma += d_i.T @ d_i
-            vec += RBF.sigma2 * ksum - (
-                km @ (xi * xi) + np.diag(xi * xi) @ km @ np.ones(n) - 2 * np.diag(xi) @ km @ xi
-            )
-        want = np.linalg.solve(sigma + eta * np.eye(n), vec)
-        got = score_matching_fit(xs, RBF, eta=eta)
+        want = rbf_score_matching_solution(xs, 0.1)
+        got = fit_estimator(KIND_SCORE, xs, RBF, eta=0.1).coeffs
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_rbf_objective_local_minimum(self):
         xs = gaussian_sample(14)
         eta = 0.1
         n = len(xs)
-        coeffs = score_matching_fit(xs, RBF, eta=eta)
+        coeffs = fit_estimator(KIND_SCORE, xs, RBF, eta=eta).coeffs
 
         def objective(c):
             return (
@@ -269,24 +291,14 @@ class TestScoreMatching:
 
     def test_epanechnikov_normal_equations(self):
         xs = gaussian_sample(15, n=8, d=2)
-        eta = 0.1
-        n, d = xs.shape
-        sqn = np.einsum("kd,kd->k", xs, xs)
-        sigma = np.empty((n, n))
-        for k in range(n):
-            for kp in range(n):
-                sigma[k, kp] = (
-                    xs[k] @ xs[kp]
-                    + np.mean([sqn[j] - (xs[k] + xs[kp]) @ xs[j] for j in range(n)])
-                ) / d**2
-        want = 0.5 * np.linalg.solve(sigma + eta * np.eye(n), np.ones(n))
-        got = score_matching_fit(xs, EPAN, eta=eta)
+        want = epanechnikov_score_matching_solution(xs, 0.1)
+        got = fit_estimator(KIND_SCORE, xs, EPAN, eta=0.1).coeffs
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_epanechnikov_objective_local_minimum(self):
         xs = gaussian_sample(16)
         eta = 0.1
-        coeffs = score_matching_fit(xs, EPAN, eta=eta)
+        coeffs = fit_estimator(KIND_SCORE, xs, EPAN, eta=eta).coeffs
 
         def objective(c):
             return empirical_score_objective(c, xs, EPAN) + 4 * eta * float(c @ c)
@@ -300,9 +312,10 @@ class TestScoreMatching:
 
     def test_predict_is_kernel_expansion(self):
         xs = gaussian_sample(17, n=6)
-        coeffs = score_matching_fit(xs, RBF, eta=0.1)
+        fit = fit_estimator(KIND_SCORE, xs, RBF, eta=0.1)
+        coeffs = fit.coeffs
         pts = gaussian_sample(18, n=4)
-        got = score_matching_predict(coeffs, xs, RBF, pts)
+        got = fit.predict(pts)
         for i, y in enumerate(pts):
             want = sum(
                 coeffs[k] * kernel_grad_first_arg(y, xs[k], RBF) for k in range(6)
@@ -310,19 +323,25 @@ class TestScoreMatching:
             np.testing.assert_allclose(got[i], want, atol=1e-13)
 
     def test_predict_validation(self):
+        # a coefficient vector that does not match train can only arrive
+        # through a record, which from_json_dict checks (coeffs-length)
         xs = gaussian_sample(19, n=5)
-        coeffs = score_matching_fit(xs, RBF, eta=0.1)
-        with pytest.raises(ValueError):
-            score_matching_predict(coeffs[:-1], xs, RBF, xs)
-        with pytest.raises(ValueError):
-            score_matching_predict(coeffs, xs, RBF, np.zeros((2, 3)))
+        fit = fit_estimator(KIND_SCORE, xs, RBF, eta=0.1)
+        for bad in (np.zeros((2, 3)), np.zeros(2), np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="points"):
+                fit.predict(bad)
 
     def test_family_dispatch_in_fit_estimator(self):
-        xs = gaussian_sample(20)
-        with pytest.raises(ValueError):
-            fit_estimator(KIND_SCORE_RBF, xs, EPAN)
-        with pytest.raises(ValueError):
-            fit_estimator(KIND_SCORE_EPANECHNIKOV, xs, RBF)
+        # one kind, two closed forms: the kernel family picks the system
+        xs = gaussian_sample(20, n=8)
+        rbf = fit_estimator(KIND_SCORE, xs, RBF, eta=0.1)
+        epan = fit_estimator(KIND_SCORE, xs, EPAN, eta=0.1)
+        assert (rbf.kind, rbf.spec) == (KIND_SCORE, RBF)
+        assert (epan.kind, epan.spec) == (KIND_SCORE, EPAN)
+        np.testing.assert_allclose(rbf.coeffs, rbf_score_matching_solution(xs, 0.1), atol=1e-10)
+        np.testing.assert_allclose(
+            epan.coeffs, epanechnikov_score_matching_solution(xs, 0.1), atol=1e-11
+        )
 
 
 class TestSteinParametric:
@@ -360,17 +379,17 @@ class TestSteinParametric:
         want_v = np.linalg.solve(lam_v + eta * np.eye(n), b)
         want_u = np.linalg.solve(lam_u + eta * np.eye(n), b)
         np.testing.assert_allclose(
-            stein_parametric_fit(xs, sigma2, eta=eta), want_v, atol=1e-10
+            fit_estimator(KIND_STEIN_PARAM_V, xs, spec, eta=eta).coeffs, want_v, atol=1e-10
         )
         np.testing.assert_allclose(
-            stein_parametric_fit(xs, sigma2, eta=eta, statistic="u"), want_u, atol=1e-10
+            fit_estimator(KIND_STEIN_PARAM_U, xs, spec, eta=eta).coeffs, want_u, atol=1e-10
         )
 
     def test_discrepancy_local_minimum(self):
         # With no ridge the V-statistic coefficients are a stationary point
         # of the discrepancy itself.
         xs = gaussian_sample(22)
-        coeffs = stein_parametric_fit(xs, RBF.sigma2, eta=0.0)
+        coeffs = fit_estimator(KIND_STEIN_PARAM_V, xs, RBF, eta=0.0).coeffs
 
         def objective(c):
             return ksd_v(xs, _expansion_predict(c, xs, RBF, xs), RBF).value
@@ -390,7 +409,7 @@ class TestSteinParametric:
     def test_u_statistic_eta_floor(self):
         xs = gaussian_sample(24)
         with pytest.raises(ValueError):
-            stein_parametric_fit(xs, 1.0, eta=0.0, statistic="u")
+            fit_estimator(KIND_STEIN_PARAM_U, xs, KernelSpec("rbf", 1.0), eta=0.0)
 
 
 class TestEntropySurrogate:
@@ -428,8 +447,8 @@ class TestFittedEstimator:
     def test_round_trip_through_json(self):
         xs = gaussian_sample(26, n=10)
         pts = gaussian_sample(27, n=4)
-        for kind in KINDS:
-            spec = EPAN if kind == KIND_SCORE_EPANECHNIKOV else RBF
+        for kind, family in KIND_FAMILIES:
+            spec = EPAN if family == "epanechnikov" else RBF
             fit = fit_estimator(kind, xs, spec, eta=0.1)
             blob = json.dumps(fit.to_json_dict())
             back = FittedEstimator.from_json_dict(json.loads(blob))
@@ -496,7 +515,7 @@ class TestFittedEstimator:
         ids=["both-params", "no-coeffs", "coeffs-length", "coeffs-2d", "coeffs-inf"],
     )
     def test_from_json_rejects_inconsistent_coeff_record(self, edit, field):
-        fit = fit_estimator(KIND_SCORE_RBF, gaussian_sample(33, n=6), RBF)
+        fit = fit_estimator(KIND_SCORE, gaussian_sample(33, n=6), RBF)
         record = json.loads(json.dumps(fit.to_json_dict()))
         edit(record)
         with pytest.raises(ValueError, match=field):
@@ -579,13 +598,82 @@ class TestFittedEstimator:
 
     def test_grads_at_train_for_expansion_kinds(self):
         xs = gaussian_sample(29, n=7)
-        fit = fit_estimator(KIND_SCORE_RBF, xs, RBF, eta=0.1)
-        want = score_matching_predict(fit.coeffs, xs, RBF, xs)
+        fit = fit_estimator(KIND_SCORE, xs, RBF, eta=0.1)
+        want = [
+            sum(c * kernel_grad_first_arg(x, xk, RBF) for c, xk in zip(fit.coeffs, xs))
+            for x in xs
+        ]
         np.testing.assert_allclose(fit.grads_at_train(), want, atol=1e-14)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             fit_estimator("unknown", gaussian_sample(30), RBF)
+        # the earlier names still load from records, but fit nothing
+        with pytest.raises(ValueError, match="score-rbf"):
+            fit_estimator("score-rbf", gaussian_sample(30), RBF)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_checks_eta(self, kind):
+        # kde does not use eta, but its record carries it, and a record
+        # with a non-finite eta does not load
+        for eta in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="eta"):
+                fit_estimator(kind, gaussian_sample(30), RBF, eta=eta)
+
+    # records as written before the kinds took their command-line names
+    OLD_TRAIN = [[-1.125, -1.125], [-0.75, 0.75], [-1.0, -1.0], [-0.375, 1.375], [-0.875, -0.75]]
+    OLD_RECORDS = [
+        ("stein-nonparam-v", KIND_STEIN_V, "rbf", "grads", [
+            [0.8529459698047662, 0.7679679929251377],
+            [0.5607985709853659, -0.575662633575324],
+            [-0.03343532494779379, 0.4073824462966628],
+            [-0.6157317299783422, -0.489464085858209],
+            [-0.8256183002568573, -0.3047340204642616],
+        ]),
+        ("stein-nonparam-u", KIND_STEIN_U, "rbf", "grads", [
+            [-0.14212493816698157, 0.48185207586845474],
+            [-0.5584878604243584, -1.0759765830805974],
+            [0.17395589739815517, 0.5791422354109137],
+            [-0.05014590794207723, -1.5554237110221167],
+            [0.42521905415148864, 0.6876808596218229],
+        ]),
+        ("score-rbf", KIND_SCORE, "rbf", "coeffs", [
+            13.250472229572722, -2.9985360977639384, 9.452144819306964,
+            17.399672713792352, 1.0077814518219008,
+        ]),
+        ("score-epanechnikov", KIND_SCORE, "epanechnikov", "coeffs", [
+            0.3076923076923077, 0.307692307692308, 0.3076923076923077,
+            0.30769230769230765, 0.30769230769230765,
+        ]),
+    ]
+
+    @pytest.mark.parametrize(
+        "old, new, family, field, params", OLD_RECORDS, ids=[r[0] for r in OLD_RECORDS]
+    )
+    def test_old_kind_names_still_load(self, old, new, family, field, params):
+        spec = KernelSpec(family, 1.5 if family == "rbf" else None)
+        record = {
+            "kind": old,
+            "kernel": {"family": family, "sigma2": spec.sigma2},
+            "eta": 0.25,
+            "train": self.OLD_TRAIN,
+            "grads": params if field == "grads" else None,
+            "coeffs": params if field == "coeffs" else None,
+            "diagnostics": {"jitter": 0.0, "jitter_level": 0},
+        }
+        back = FittedEstimator.from_json_dict(json.loads(json.dumps(record)))
+        fresh = fit_estimator(new, np.array(self.OLD_TRAIN), spec, eta=0.25)
+        assert (back.kind, back.spec, back.eta) == (new, spec, 0.25)
+        np.testing.assert_array_equal(getattr(back, field), getattr(fresh, field))
+        if new != KIND_STEIN_U:
+            pts = gaussian_sample(39, n=6)
+            np.testing.assert_array_equal(back.predict(pts), fresh.predict(pts))
+
+    def test_unknown_record_kind_is_named(self):
+        record = fit_estimator(KIND_KDE, gaussian_sample(30), RBF).to_json_dict()
+        record["kind"] = "stein-nonparam-w"
+        with pytest.raises(ValueError, match="stein-nonparam-w"):
+            FittedEstimator.from_json_dict(record)
 
     def test_diagnostics_record_jitter(self):
         xs = gaussian_sample(31)
@@ -596,17 +684,18 @@ class TestFittedEstimator:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(KINDS),
+    kind_family=st.sampled_from(KIND_FAMILIES),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 12),
     d=st.integers(1, 3),
     sigma2=st.floats(0.5, 4.0),
     eta=st.floats(0.05, 1.0),
 )
-def test_json_round_trip_is_exact(kind, seed, n, d, sigma2, eta):
+def test_json_round_trip_is_exact(kind_family, seed, n, d, sigma2, eta):
+    kind, family = kind_family
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((n, d))
-    spec = EPAN if kind == KIND_SCORE_EPANECHNIKOV else KernelSpec("rbf", sigma2)
+    spec = EPAN if family == "epanechnikov" else KernelSpec("rbf", sigma2)
     fit = fit_estimator(kind, xs, spec, eta=eta)
     back = FittedEstimator.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
     assert (back.kind, back.eta, back.spec) == (fit.kind, fit.eta, fit.spec)
@@ -631,7 +720,7 @@ def _fit_params(kind, xs, spec, eta):
 
 
 _RIGID_MOTION = dict(
-    kind=st.sampled_from(KINDS),
+    kind_family=st.sampled_from(KIND_FAMILIES),
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 12),
     d=st.integers(1, 5),
@@ -640,7 +729,7 @@ _RIGID_MOTION = dict(
 )
 
 
-def _rigid_motion_case(kind, seed, n, d, log2_scale):
+def _rigid_motion_case(family, seed, n, d, log2_scale):
     # a sample of scale 2**log2_scale and an offset up to 1e4 times that
     # scale in every coordinate, both on a grid of scale * 2**-30, so that
     # the moved sample is an exact translate: otherwise rounding the input
@@ -653,7 +742,7 @@ def _rigid_motion_case(kind, seed, n, d, log2_scale):
     grid = scale * 2.0**-30
     xs = np.round(scale * rng.standard_normal((n, d)) / grid) * grid
     offset = np.round(1e4 * scale * rng.uniform(-1.0, 1.0, d) / grid) * grid
-    if kind == KIND_SCORE_EPANECHNIKOV:
+    if family == "epanechnikov":
         spec = EPAN
     else:
         spec = KernelSpec("rbf", sg.median_heuristic(xs))
@@ -680,10 +769,11 @@ def _assert_close(got, want, rtol=1e-8):
 
 @settings(max_examples=60, deadline=None)
 @given(**_RIGID_MOTION)
-def test_fits_are_translation_equivariant(kind, seed, n, d, log2_scale, eta):
+def test_fits_are_translation_equivariant(kind_family, seed, n, d, log2_scale, eta):
     # the score of a translated sample is the score of the sample; the
     # expansion coefficients are translation invariant
-    _, xs, offset, spec = _rigid_motion_case(kind, seed, n, d, log2_scale)
+    kind, family = kind_family
+    _, xs, offset, spec = _rigid_motion_case(family, seed, n, d, log2_scale)
     assume(_u_system_condition(kind, xs, spec, eta) < 1e6)
     want = _fit_params(kind, xs, spec, eta)
     _assert_close(_fit_params(kind, xs + offset, spec, eta), want)
@@ -691,10 +781,11 @@ def test_fits_are_translation_equivariant(kind, seed, n, d, log2_scale, eta):
 
 @settings(max_examples=60, deadline=None)
 @given(**_RIGID_MOTION)
-def test_fits_are_reflection_equivariant(kind, seed, n, d, log2_scale, eta):
+def test_fits_are_reflection_equivariant(kind_family, seed, n, d, log2_scale, eta):
     # reflecting coordinates (then translating) reflects the score field
     # and leaves the expansion coefficients unchanged
-    rng, xs, offset, spec = _rigid_motion_case(kind, seed, n, d, log2_scale)
+    kind, family = kind_family
+    rng, xs, offset, spec = _rigid_motion_case(family, seed, n, d, log2_scale)
     assume(_u_system_condition(kind, xs, spec, eta) < 1e6)
     signs = rng.choice([-1.0, 1.0], d)
     signs[rng.integers(d)] = -1.0
@@ -715,9 +806,9 @@ class TestAccuracyOnGaussian:
             spec = KernelSpec("rbf", sg.median_heuristic(xs))
             truth = -xs
             mse_stein = np.mean(
-                (stein_nonparametric_fit(xs, spec, eta=0.1) - truth) ** 2
+                (fit_estimator(KIND_STEIN_V, xs, spec, eta=0.1).grads - truth) ** 2
             )
-            mse_kde = np.mean((kde_fit(xs, spec) - truth) ** 2)
+            mse_kde = np.mean((fit_estimator(KIND_KDE, xs, spec).grads - truth) ** 2)
             if mse_stein < mse_kde:
                 seeds_won += 1
         assert seeds_won == 5

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from steingrad import KernelSpec, build_matrices, fit_estimator, ksd_v, median_heuristic
-from steingrad.estimators import KIND_SCORE_RBF, KIND_STEIN_PARAM_V, KIND_STEIN_V
+from steingrad.estimators import KIND_SCORE, KIND_STEIN_PARAM_V, KIND_STEIN_V
 
 K, D = 400, 50
 MAX_KK_DOUBLES = 6.0
@@ -27,8 +27,8 @@ CALLS = {
     "build_matrices with_trace": lambda: build_matrices(XS, SPEC, with_trace=True),
     "ksd_v": lambda: ksd_v(XS, -XS, SPEC, includes_constant=True),
     "stein-v fit": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC),
-    "score-rbf fit": lambda: fit_estimator(KIND_SCORE_RBF, XS, SPEC),
-    "score-rbf fit d=1": lambda: fit_estimator(KIND_SCORE_RBF, XS1, SPEC1),
+    "score-rbf fit": lambda: fit_estimator(KIND_SCORE, XS, SPEC),
+    "score-rbf fit d=1": lambda: fit_estimator(KIND_SCORE, XS1, SPEC1),
     "stein-param-v fit": lambda: fit_estimator(KIND_STEIN_PARAM_V, XS, SPEC),
 }
 

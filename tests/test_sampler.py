@@ -19,9 +19,9 @@ from steingrad import (
     banana_score,
     ksd_to_target,
     leapfrog,
-    run_chain,
     run_hmc,
 )
+from steingrad import sampler
 from steingrad.oracles import fd_gradient
 
 
@@ -150,21 +150,23 @@ class TestBananaTarget:
 
 
 class TestLeapfrog:
+    # one chain is the (1, d) case of the batched integrator
+
     def test_reversibility(self):
         # Integrate, flip the momentum, integrate again: back to the start.
-        q0 = np.array([1.0, -0.5])
-        p0 = np.array([0.3, 0.7])
-        q1, p1 = leapfrog(q0, p0, 0.1, 50, banana_score)
-        q2, p2 = leapfrog(q1, -p1, 0.1, 50, banana_score)
+        q0 = np.array([[1.0, -0.5]])
+        p0 = np.array([[0.3, 0.7]])
+        q1, p1, _ = leapfrog(q0, p0, 0.1, 50, banana_score)
+        q2, p2, _ = leapfrog(q1, -p1, 0.1, 50, banana_score)
         np.testing.assert_allclose(q2, q0, atol=1e-10)
         np.testing.assert_allclose(p2, -p0, atol=1e-10)
 
     def test_energy_conservation_on_gaussian(self):
-        q0 = np.array([1.0, -0.5])
-        p0 = np.array([0.3, 0.7])
-        h0 = -std_normal_logp(q0) + 0.5 * p0 @ p0
-        q1, p1 = leapfrog(q0, p0, 0.1, 1000, std_normal_score)
-        h1 = -std_normal_logp(q1) + 0.5 * p1 @ p1
+        q0 = np.array([[1.0, -0.5]])
+        p0 = np.array([[0.3, 0.7]])
+        h0 = -std_normal_logp(q0[0]) + 0.5 * p0[0] @ p0[0]
+        q1, p1, _ = leapfrog(q0, p0, 0.1, 1000, std_normal_score)
+        h1 = -std_normal_logp(q1[0]) + 0.5 * p1[0] @ p1[0]
         assert abs(h1 - h0) < 0.01
 
     def test_volume_preservation_on_gaussian(self):
@@ -173,48 +175,53 @@ class TestLeapfrog:
         eps = 0.3
         cols = []
         for e in np.eye(2):
-            q, p = leapfrog(e[:1], e[1:], eps, 1, std_normal_score)
-            cols.append([q[0], p[0]])
+            q, p, _ = leapfrog(e[None, :1], e[None, 1:], eps, 1, std_normal_score)
+            cols.append([q[0, 0], p[0, 0]])
         det = np.linalg.det(np.array(cols).T)
         assert det == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_steps_returns_inputs(self):
-        q0 = np.array([1.0, 2.0])
-        p0 = np.array([-1.0, 0.5])
-        q, p = leapfrog(q0, p0, 0.1, 0, std_normal_score)
+        q0 = np.array([[1.0, 2.0]])
+        p0 = np.array([[-1.0, 0.5]])
+        q, p, diverged_at = leapfrog(q0, p0, 0.1, 0, std_normal_score)
         np.testing.assert_array_equal(q, q0)
         np.testing.assert_array_equal(p, p0)
+        np.testing.assert_array_equal(diverged_at, [-1])
         assert q is not q0 and p is not p0
 
     def test_exact_harmonic_rotation(self):
         # For a 1-D standard normal, leapfrog at small stepsize tracks the
         # exact flow (a rotation of phase space) to O(eps^2) per unit time.
-        q0, p0 = np.array([1.0]), np.array([0.0])
+        q0, p0 = np.array([[1.0]]), np.array([[0.0]])
         t = 1.0
         n = 1000
-        q, p = leapfrog(q0, p0, t / n, n, std_normal_score)
-        assert q[0] == pytest.approx(math.cos(t), abs=1e-5)
-        assert p[0] == pytest.approx(-math.sin(t), abs=1e-5)
+        q, p, _ = leapfrog(q0, p0, t / n, n, std_normal_score)
+        assert q[0, 0] == pytest.approx(math.cos(t), abs=1e-5)
+        assert p[0, 0] == pytest.approx(-math.sin(t), abs=1e-5)
 
-    def test_divergence_raises_with_step_index(self):
-        from steingrad import DivergenceError
-
+    def test_divergence_reports_step_index(self):
+        # a non-finite score at the first half kick diverges the chain at
+        # step 0, and the chain keeps its input state
         def bad_score(q):
-            return np.array([np.nan])
+            return np.full_like(q, np.nan)
 
-        with pytest.raises(DivergenceError) as err:
-            leapfrog(np.zeros(1), np.ones(1), 0.1, 5, bad_score)
-        assert err.value.step == 0
+        q0, p0 = np.zeros((1, 1)), np.ones((1, 1))
+        q, p, diverged_at = leapfrog(q0, p0, 0.1, 5, bad_score)
+        np.testing.assert_array_equal(diverged_at, [0])
+        np.testing.assert_array_equal(q, q0)
+        np.testing.assert_array_equal(p, p0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             leapfrog(np.zeros((2, 2)), np.zeros(4), 0.1, 1, std_normal_score)
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(2), np.zeros(3), 0.1, 1, std_normal_score)
+            leapfrog(np.zeros((1, 2)), np.zeros((1, 3)), 0.1, 1, std_normal_score)
+        with pytest.raises(ValueError, match="n_chains"):
+            leapfrog(np.zeros(2), np.zeros(2), 0.1, 1, std_normal_score)
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(2), np.zeros(2), -0.1, 1, std_normal_score)
+            leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), -0.1, 1, std_normal_score)
         with pytest.raises(ValueError):
-            leapfrog(np.zeros(2), np.zeros(2), 0.1, -1, std_normal_score)
+            leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), 0.1, -1, std_normal_score)
 
 
 class TestHmcConfig:
@@ -236,49 +243,46 @@ class TestHmcConfig:
 
 
 class TestRunChain:
+    """Single-chain runs: run_hmc with one chain and one chain seed."""
+
     def test_tiny_stepsize_accepts_everything(self):
         # At stepsize 1e-6 the Hamiltonian error is negligible, so every
         # proposal is accepted.
         cfg = HmcConfig(n_chains=1, n_iters=10, stepsize=1e-6, n_leapfrog=3)
-        traj, accepts, n_div = run_chain(
-            std_normal_logp, std_normal_score, cfg, np.zeros(2), np.random.default_rng(3)
-        )
-        assert accepts.all()
-        assert n_div == 0
-        assert traj.shape == (10, 2)
+        res = run_hmc(std_normal_logp, std_normal_score, cfg, np.zeros((1, 2)), chain_seeds=[3])
+        assert res.accepts.all()
+        assert res.n_divergent == 0
+        assert res.trajectories.shape == (1, 10, 2)
 
     def test_divergent_proposals_are_rejected_in_place(self):
         def bad_score(q):
             return np.full_like(q, np.inf)
 
         cfg = HmcConfig(n_chains=1, n_iters=7, stepsize=0.1, n_leapfrog=3)
-        q0 = np.array([1.5, -2.0])
-        traj, accepts, n_div = run_chain(
-            banana_log_density, bad_score, cfg, q0, np.random.default_rng(4)
-        )
-        assert n_div == 7
-        assert not accepts.any()
-        np.testing.assert_array_equal(traj, np.tile(q0, (7, 1)))
+        q0 = np.array([[1.5, -2.0]])
+        res = run_hmc(banana_log_density, bad_score, cfg, q0, chain_seeds=[4])
+        assert res.n_divergent == 7
+        assert not res.accepts.any()
+        np.testing.assert_array_equal(res.trajectories[0], np.tile(q0, (7, 1)))
 
-    def test_zero_uniform_accepts_every_finite_proposal(self):
+    def test_zero_uniform_accepts_every_finite_proposal(self, monkeypatch):
         # log 0 = -inf lies below every log acceptance ratio, so even moves
         # up this steep slope, with log_alpha near -1000 per unit, are taken
         def slope_logp(q):
             return -1e3 * q[:, 0]
 
+        monkeypatch.setattr(sampler, "_chain_rngs", lambda *args: [ZeroUniform(6)])
         cfg = HmcConfig(n_chains=1, n_iters=20, stepsize=0.5, n_leapfrog=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj, accepts, n_div = run_chain(
-                slope_logp, std_normal_score, cfg, np.zeros(2), ZeroUniform(6)
-            )
-        assert accepts.all()
-        assert n_div == 0
-        assert np.diff(traj[:, 0]).max() > 0.1
+            res = run_hmc(slope_logp, std_normal_score, cfg, np.zeros((1, 2)), seed=0)
+        assert res.accepts.all()
+        assert res.n_divergent == 0
+        assert np.diff(res.trajectories[0, :, 0]).max() > 0.1
 
-    def test_zero_uniform_still_rejects_nan_and_zero_density(self):
+    def test_zero_uniform_still_rejects_nan_and_zero_density(self, monkeypatch):
         cfg = HmcConfig(n_chains=1, n_iters=5, stepsize=0.5, n_leapfrog=3)
-        q0 = np.array([0.5, -0.5])
+        q0 = np.array([[0.5, -0.5]])
         for bad in (np.nan, -np.inf):
             calls = []
 
@@ -286,20 +290,19 @@ class TestRunChain:
                 calls.append(q.shape)
                 return np.full(1, 0.0 if len(calls) == 1 else bad)
 
+            monkeypatch.setattr(sampler, "_chain_rngs", lambda *args: [ZeroUniform(7)])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                traj, accepts, _ = run_chain(logp, std_normal_score, cfg, q0, ZeroUniform(7))
+                res = run_hmc(logp, std_normal_score, cfg, q0, seed=0)
             assert calls == [(1, 2)] * (cfg.n_iters + 1)
-            assert not accepts.any()
-            np.testing.assert_array_equal(traj, np.tile(q0, (5, 1)))
+            assert not res.accepts.any()
+            np.testing.assert_array_equal(res.trajectories[0], np.tile(q0, (5, 1)))
 
     def test_non_finite_start_is_rejected(self):
         cfg = HmcConfig(n_chains=1, n_iters=3, stepsize=0.5, n_leapfrog=2)
-        for q0 in ([np.nan, 0.0], [0.0, np.inf], np.zeros((1, 2))):
-            with pytest.raises(ValueError, match="initial state"):
-                run_chain(
-                    std_normal_logp, std_normal_score, cfg, q0, np.random.default_rng(0)
-                )
+        for init in ([[np.nan, 0.0]], [[0.0, np.inf]], np.zeros(2)):
+            with pytest.raises(ValueError, match="init"):
+                run_hmc(std_normal_logp, std_normal_score, cfg, init, chain_seeds=[0])
 
     @pytest.mark.parametrize(
         "bad", [lambda q: -0.5 * (q * q).sum(axis=1, keepdims=True), lambda q: 0.0]
@@ -307,7 +310,7 @@ class TestRunChain:
     def test_target_logp_shape_is_checked(self, bad):
         cfg = HmcConfig(n_chains=1, n_iters=3, stepsize=0.5, n_leapfrog=3)
         with pytest.raises(ValueError, match="target_logp returned shape"):
-            run_chain(bad, std_normal_score, cfg, np.zeros(2), np.random.default_rng(8))
+            run_hmc(bad, std_normal_score, cfg, np.zeros((1, 2)), chain_seeds=[8])
 
 
 class TestRunHmc:
@@ -359,16 +362,15 @@ class TestRunHmc:
         res = run_hmc(std_normal_logp, capped_score, cfg, init, chain_seeds=seeds)
         assert calls == [(6, 2)] * (cfg.n_iters * (cfg.n_leapfrog + 1))
 
+        one = HmcConfig(n_chains=1, n_iters=30, stepsize=0.5, n_leapfrog=5)
         alone = [
-            run_chain(
-                std_normal_logp, capped_score, cfg, init[c], np.random.default_rng(seeds[c])
-            )
+            run_hmc(std_normal_logp, capped_score, one, init[c:c + 1], chain_seeds=[seeds[c]])
             for c in range(6)
         ]
-        for c, (traj, accepts, _) in enumerate(alone):
-            np.testing.assert_array_equal(res.trajectories[c], traj)
-            np.testing.assert_array_equal(res.accepts[c], accepts)
-        n_div = [n for _, _, n in alone]
+        for c, run in enumerate(alone):
+            np.testing.assert_array_equal(res.trajectories[c], run.trajectories[0])
+            np.testing.assert_array_equal(res.accepts[c], run.accepts[0])
+        n_div = [run.n_divergent for run in alone]
         assert res.n_divergent == sum(n_div)
         assert n_div[4] == n_div[5] == cfg.n_iters
         assert 0 < sum(n_div[:4]) < 4 * cfg.n_iters

@@ -13,8 +13,8 @@ Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
 keys mirror the long flag names (underscored); explicit flags win over the
 config file, which wins over built-in defaults.  Commands that consume
 randomness require a seed.  Outputs are pure functions of (config, input
-files): JSON is written with sorted keys and shortest round-trip floats, so
-re-running a command reproduces its output byte for byte.
+files): JSON is written with sorted keys, a 2-space indent and shortest
+round-trip floats, so re-running a command reproduces its output byte for byte.
 
 Exit codes: 0 success, 2 input error (bad flags, malformed files), 3
 numerical failure.
@@ -115,15 +115,20 @@ class _Options:
         return default
 
 
+def _bandwidth_scale(opts):
+    scale = float(opts.get("bandwidth_scale", 1.0))
+    if not math.isfinite(scale) or scale <= 0:
+        raise ValueError(f"bandwidth_scale must be > 0, got {scale!r}")
+    return scale
+
+
 def _resolve_spec(opts, train=None):
     """Build the KernelSpec from kernel/sigma2/bandwidth_scale options."""
     family = str(opts.get("kernel", RBF)).lower()
     if family not in (RBF, EPANECHNIKOV):
         raise ValueError(f"unknown kernel family {family!r}")
     raw = opts.get("sigma2", "median")
-    scale = float(opts.get("bandwidth_scale", 1.0))
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(f"bandwidth_scale must be > 0, got {scale!r}")
+    scale = _bandwidth_scale(opts)
     if family == EPANECHNIKOV:
         if str(raw).lower() != "median" and raw is not None:
             raise ValueError("the epanechnikov kernel carries no bandwidth")
@@ -140,6 +145,13 @@ def _resolve_spec(opts, train=None):
                 f"sigma2 must be a positive number or 'median', got {raw!r}"
             ) from exc
     return KernelSpec(RBF, base * scale)
+
+
+def _check_estimator(name, field="estimator"):
+    if name not in KINDS:
+        raise ValueError(
+            f"{field}: unknown estimator {name!r}; expected one of {', '.join(KINDS)}"
+        )
 
 
 def _require_seed(opts):
@@ -200,8 +212,51 @@ def _write_matrix_csv(path, prefix, arr):
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
+def _json_key(key):
+    """A dict key as the string json writes for it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(obj, indent=""):
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested at ``indent``.
+
+    Asked for an indent, json uses its pure-Python encoder, which visits
+    every float in a generator.  Here containers are walked in Python, a list of
+    finite floats is written in one join of ``float.__repr__`` (what that
+    encoder writes per float), and every other leaf goes through the C
+    encoder.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(
+            json.dumps(_json_key(k)) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # an item is not a float
+            body = None
+        # 'nan' and 'inf' are the only float reprs with an n; json spells
+        # them NaN and Infinity
+        if body is None or "n" in body:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj)
+
+
 def _dump_json(obj, path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = _json_text(obj) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -227,11 +282,12 @@ def cmd_estimate(args) -> int:
     output_path = opts.get("output")
     if not input_path or not output_path:
         raise ValueError("estimate needs --input and --output")
-    samples = _read_matrix_csv(input_path, "x")
-    spec = _resolve_spec(opts, train=samples)
     name = str(opts.get("estimator", "stein-v"))
     if name == "exact":
-        raise ValueError("'exact' is only meaningful for the banana command")
+        raise ValueError("estimator 'exact' is only meaningful for the banana command")
+    _check_estimator(name)
+    samples = _read_matrix_csv(input_path, "x")
+    spec = _resolve_spec(opts, train=samples)
     eta = float(opts.get("eta", DEFAULT_ETA))
     fitted = fit_estimator(name, samples, spec, eta)
     grads = fitted.grads_at_train()
@@ -253,17 +309,14 @@ def cmd_ksd(args) -> int:
     grads_path = opts.get("grads")
     if not samples_path or not grads_path:
         raise ValueError("ksd needs --samples and --grads")
+    statistic = str(opts.get("statistic", "v")).lower()
+    if statistic not in ("v", "u"):
+        raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
     xs = _read_matrix_csv(samples_path, "x")
     gs = _read_matrix_csv(grads_path, "g")
     spec = _resolve_spec(opts, train=xs)
-    statistic = str(opts.get("statistic", "v")).lower()
-    include_constant = opts.get("include_constant", True)
-    if statistic == "v":
-        est = ksd_v(xs, gs, spec, includes_constant=include_constant)
-    elif statistic == "u":
-        est = ksd_u(xs, gs, spec, includes_constant=include_constant)
-    else:
-        raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
+    ksd_fn = ksd_v if statistic == "v" else ksd_u
+    est = ksd_fn(xs, gs, spec, includes_constant=opts.get("include_constant", True))
     report = {
         "statistic": est.statistic,
         "includes_constant": est.includes_constant,
@@ -308,6 +361,14 @@ def cmd_banana(args) -> int:
     if init_noise < 0:
         raise ValueError(f"init_noise must be >= 0, got {init_noise!r}")
     name = str(opts.get("estimator", "stein-v"))
+    if name != "exact":
+        _check_estimator(name)
+    if name == KIND_STEIN_U:
+        raise ValueError(
+            "stein-u has no out-of-sample prediction rule and cannot "
+            "drive the sampler; use stein-v or a parametric estimator"
+        )
+    scale = _bandwidth_scale(opts)
 
     ss_train, ss_init, ss_chains = np.random.SeedSequence(seed).spawn(3)
     train = banana_sample(n_train, np.random.default_rng(ss_train), b, v)
@@ -318,9 +379,7 @@ def cmd_banana(args) -> int:
 
     # the sample-quality metric uses one fixed kernel per seed, derived from
     # the training draw, so runs with different estimators stay comparable
-    metric_spec = KernelSpec(
-        RBF, median_heuristic(train) * float(opts.get("bandwidth_scale", 1.0))
-    )
+    metric_spec = KernelSpec(RBF, median_heuristic(train) * scale)
 
     fitted = None
     if name == "exact":
@@ -329,11 +388,6 @@ def cmd_banana(args) -> int:
         eta = None
     else:
         spec = _resolve_spec(opts, train=train)
-        if name == KIND_STEIN_U:
-            raise ValueError(
-                "stein-u has no out-of-sample prediction rule and cannot "
-                "drive the sampler; use stein-v or a parametric estimator"
-            )
         eta = float(opts.get("eta", DEFAULT_ETA))
         fitted = fit_estimator(name, train, spec, eta)
         score_fn = fitted.predict
@@ -411,6 +465,14 @@ def cmd_entropy_check(args) -> int:
     names = opts.get("estimators", "kde,stein-v,score")
     if isinstance(names, str):
         names = [s.strip() for s in names.split(",") if s.strip()]
+    if not isinstance(names, list):
+        raise ValueError(
+            f"estimators must be a comma-separated string or a list, got {names!r}"
+        )
+    for i, name in enumerate(names):
+        _check_estimator(name, "estimators")
+        if name in names[:i]:
+            raise ValueError(f"estimators: {name!r} is listed twice")
 
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(n)

@@ -3,17 +3,18 @@
 import csv
 import io
 import json
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from steingrad import FittedEstimator, KernelSpec, fit_estimator, ksd_u, ksd_v
-from steingrad.cli import _write_matrix_csv, main
+from steingrad.cli import _dump_json, _write_matrix_csv, main
 from steingrad.estimators import KIND_SCORE, KIND_STEIN_V
 
 
@@ -247,6 +248,17 @@ class TestEstimate:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("name", ["bogus", "exact"])
+    def test_bad_estimator_rejected_before_input_is_read(self, tmp_path, capsys, name):
+        # the input does not exist: the name must be the error, not the file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": name}))
+        argv = ["estimate", "--config", str(config), "--input", str(tmp_path / "nope.csv"),
+                "--output", str(tmp_path / "grads.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"estimator {name!r}" in err and "nope.csv" not in err
+
     def test_epanechnikov_rejects_bandwidth(self, tmp_path):
         path, _ = sample_file(tmp_path, seed=7)
         rc = main(
@@ -290,6 +302,51 @@ def test_matrix_csv_bytes_match_csv_writer(csv_dir, arr):
     assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
+# dicts draw their keys from one family, so json can sort them; ints,
+# floats and bools compare with each other
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.floats().map(np.float64),
+    st.text(),
+)
+_JSON_KEY_FAMILIES = (
+    st.text(), st.one_of(st.integers(), st.floats(), st.booleans()), st.none()
+)
+
+
+def _json_values(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.floats(), max_size=5),
+        st.lists(st.one_of(st.floats(), st.integers(), st.booleans()), max_size=5),
+        *(st.dictionaries(keys, children, max_size=4) for keys in _JSON_KEY_FAMILIES),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.recursive(_JSON_LEAVES, _json_values, max_leaves=30))
+@example(value=[0.5, math.nan, -math.inf, np.float64(2.0)])
+@example(value={2: [1.0, 2], 2.5: (), False: "\u00e9", 1e-300: {None: True}})
+def test_dump_json_bytes_match_json_dumps(csv_dir, value):
+    path = csv_dir / "v.json"
+    _dump_json(value, path)
+    want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0.5}, {"a": {1.0, 2.0}}, [1.0, object()]])
+def test_dump_json_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dump_json(value)
+
+
 class TestKsd:
     def test_zero_gradients_without_constant(self, tmp_path, capsys):
         path, xs = sample_file(tmp_path, seed=8, n=6)
@@ -331,6 +388,15 @@ class TestKsd:
             report = json.loads(capsys.readouterr().out)
             want = fn(xs, gs, spec, includes_constant=True).value
             assert report["value"] == want
+
+    def test_bad_statistic_rejected_before_input_is_read(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"statistic": "w"}))
+        argv = ["ksd", "--config", str(config), "--samples", str(tmp_path / "nope.csv"),
+                "--grads", str(tmp_path / "nope.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "statistic" in err and "nope.csv" not in err
 
     def test_shape_mismatch_is_input_error(self, tmp_path):
         path, xs = sample_file(tmp_path, seed=11, n=5)
@@ -452,6 +518,16 @@ class TestBanana:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("estimator", ["exact", "kde"])
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan"])
+    def test_bad_bandwidth_scale_named(self, tmp_path, capsys, estimator, scale):
+        rc, out = self.run_banana(
+            tmp_path, "--estimator", estimator, f"--bandwidth-scale={scale}"
+        )
+        assert rc == 2
+        assert "bandwidth_scale" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stein_u_cannot_drive_sampler(self, tmp_path):
         rc, _ = self.run_banana(tmp_path, "--estimator", "stein-u")
         assert rc == 2
@@ -494,6 +570,26 @@ class TestEntropyCheck:
         assert main(["entropy-check", "--config", str(config)]) == 2
         assert "'n'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "names, bad", [("kde,stein-v,score,mystery", "'mystery'"), ("kde,kde", "'kde'")]
+    )
+    def test_bad_list_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch, names, bad):
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[0])
+            return fit_estimator(*args, **kwargs)
+
+        monkeypatch.setattr("steingrad.cli.fit_estimator", counting_fit)
+        out = tmp_path / "entropy.json"
+        argv = ["entropy-check", "--seed", "1", "--n", "50", "--estimators", names,
+                "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "estimators" in err and bad in err
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_estimator_name(self, tmp_path, capsys):
         # a bad name exits 2 with a message that names it, whether it comes
         # from a flag or a config file; score-rbf is an earlier library kind
@@ -501,7 +597,10 @@ class TestEntropyCheck:
         path, _ = sample_file(tmp_path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"estimator": "bogus"}))
+        not_a_list = tmp_path / "not_a_list.json"
+        not_a_list.write_text(json.dumps({"estimators": 5}))
         cases = [
+            (5, ["entropy-check", "--seed", "1", "--config", str(not_a_list)]),
             ("mystery", ["entropy-check", "--seed", "1", "--estimators", "mystery"]),
             ("score-rbf", ["entropy-check", "--seed", "1", "--estimators", "score-rbf"]),
             ("bogus", ["estimate", "--config", str(config), "--input", str(path),
@@ -511,6 +610,53 @@ class TestEntropyCheck:
         for bad, argv in cases:
             assert main(argv) == 2, argv
             assert repr(bad) in capsys.readouterr().err, argv
+
+
+class TestJsonFormat:
+    """Every report and sidecar is sorted-key, indent-2 JSON plus a newline."""
+
+    @staticmethod
+    def assert_canonical(path):
+        text = path.read_text(encoding="utf-8")
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return obj
+
+    @pytest.mark.parametrize("estimator", ["kde", "score"])
+    def test_estimate_sidecar(self, tmp_path, estimator):
+        path, _ = sample_file(tmp_path, seed=14)
+        out = tmp_path / "grads.csv"
+        argv = ["estimate", "--input", str(path), "--output", str(out),
+                "--estimator", estimator]
+        assert main(argv) == 0
+        record = self.assert_canonical(tmp_path / "grads.json")
+        assert record["grads" if estimator == "kde" else "coeffs"]
+
+    def test_ksd_report(self, tmp_path):
+        path, xs = sample_file(tmp_path, seed=15)
+        gpath = tmp_path / "grads.csv"
+        write_csv(gpath, "g", -xs)
+        out = tmp_path / "report.json"
+        argv = ["ksd", "--samples", str(path), "--grads", str(gpath), "--output", str(out)]
+        assert main(argv) == 0
+        self.assert_canonical(out)
+
+    def test_banana_report_with_null(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["banana", "--seed", "3", "--estimator", "stein-v", "--n-chains", "1",
+                "--n-iters", "5", "--n-leapfrog", "3", "--n-train", "30",
+                "--output", str(out)]
+        assert main(argv) == 0
+        report = self.assert_canonical(out)
+        assert report["se_mean_x1"] is None
+        assert report["fit_diagnostics"]
+
+    def test_entropy_check_report(self, tmp_path):
+        out = tmp_path / "entropy.json"
+        argv = ["entropy-check", "--seed", "4", "--n", "100", "--estimators", "kde,score",
+                "--output", str(out)]
+        assert main(argv) == 0
+        self.assert_canonical(out)
 
 
 class TestConsoleScript:

@@ -16,6 +16,13 @@ randomness require a seed.  Outputs are pure functions of (config, input
 files): JSON is written with sorted keys, a 2-space indent and shortest
 round-trip floats, so re-running a command reproduces its output byte for byte.
 
+Every float is written as ``float.__repr__`` writes it, in the CSVs as in the
+JSON (where NaN and infinities are spelled ``NaN`` and ``Infinity``, as
+``json.dumps`` spells them).  Arrays of floats get that text from orjson, one C
+call per block of rows: orjson writes the same shortest round-trip digits, and
+a value it would spell differently (a non-zero magnitude below 1e-4 or from
+1e16 up, NaN or an infinity) is rewritten by ``float.__repr__`` in its field.
+
 Exit codes: 0 success, 2 input error (bad flags, malformed files), 3
 numerical failure.
 
@@ -35,9 +42,11 @@ import json
 import math
 import sys
 from functools import partial
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .discrepancy import ksd_u, ksd_v
 from .errors import NumericalError
@@ -204,12 +213,49 @@ def _read_matrix_csv(path, prefix):
     return arr
 
 
+# floats per orjson call, which bounds the text held at once
+_BLOCK_FLOATS = 1 << 16
+
+
+def _float_lines(arr, sep):
+    """``sep.join(map(float.__repr__, row))`` for each row of a 2-D float array.
+
+    orjson writes a block of rows in one call with the digits of
+    ``float.__repr__``; it places the exponent differently outside
+    1e-4 <= |x| < 1e16 and writes null for NaN and infinities, so each
+    non-zero value outside that window, and each non-finite one, is
+    rewritten with ``float.__repr__`` in its field of the row.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    step = max(1, _BLOCK_FLOATS // max(1, arr.shape[1]))
+    lines = []
+    for start in range(0, arr.shape[0], step):
+        block = arr[start : start + step]
+        mag = np.abs(block)
+        plain = ((mag >= 1e-4) & (mag < 1e16)) | (mag == 0)
+        # b"[[row0],[row1],...]", decoded without a copy of the bytes
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        text = str(memoryview(text)[2:-2], "ascii")
+        if sep != ",":
+            text = text.replace(",", sep)
+        rows = text.split("]" + sep + "[")
+        del text
+        # a value outside the window is one field of its row; fix just that
+        for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+            fields = rows[i].split(sep)
+            for j in np.flatnonzero(~plain[i]).tolist():
+                fields[j] = float.__repr__(block[i, j])
+            rows[i] = sep.join(fields)
+        lines += rows
+    return lines
+
+
 def _write_matrix_csv(path, prefix, arr):
     # the bytes csv.writer would write: float reprs never need quoting
-    rows = np.asarray(arr, dtype=float).tolist()
+    arr = np.asarray(arr, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(f"{prefix}{i}" for i in range(arr.shape[1])) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(line + "\r\n" for line in _float_lines(arr, ","))
 
 
 def _json_key(key):
@@ -221,14 +267,31 @@ def _json_key(key):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _finite_floats(obj):
+    """``obj`` as an array if it is a list of finite floats, or of equal-length
+    non-empty lists of them; None otherwise (ints, float subclasses, ...)."""
+    kinds = set(map(type, obj))
+    matrix = (
+        kinds <= {list, tuple}
+        and len(set(map(len, obj))) == 1
+        and len(obj[0]) > 0
+        and set(map(type, chain.from_iterable(obj))) == {float}
+    )
+    if kinds != {float} and not matrix:
+        return None
+    arr = np.array(obj)
+    return arr if np.isfinite(arr).all() else None
+
+
 def _json_text(obj, indent=""):
     """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested at ``indent``.
 
     Asked for an indent, json uses its pure-Python encoder, which visits
-    every float in a generator.  Here containers are walked in Python, a list of
-    finite floats is written in one join of ``float.__repr__`` (what that
-    encoder writes per float), and every other leaf goes through the C
-    encoder.
+    every float in a generator.  Here containers are walked in Python, a list
+    of finite floats or a matrix of them is written by ``_float_lines`` (the
+    ``float.__repr__`` text that encoder writes per float), and every other
+    leaf goes through the C encoder.  Brackets are added in one f-string or
+    join, so a sidecar-sized body is copied once, not once per ``+``.
     """
     inner = indent + "  "
     sep = ",\n" + inner
@@ -239,29 +302,36 @@ def _json_text(obj, indent=""):
             json.dumps(_json_key(k)) + ": " + _json_text(v, inner)
             for k, v in sorted(obj.items())
         )
-        return "{\n" + inner + body + "\n" + indent + "}"
+        return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        try:
-            body = sep.join(map(float.__repr__, obj))
-        except TypeError:  # an item is not a float
-            body = None
-        # 'nan' and 'inf' are the only float reprs with an n; json spells
-        # them NaN and Infinity
-        if body is None or "n" in body:
+        arr = _finite_floats(obj)
+        if arr is None:
             body = sep.join([_json_text(v, inner) for v in obj])
-        return "[\n" + inner + body + "\n" + indent + "]"
+        elif arr.ndim == 1:
+            body = _float_lines(arr[None], sep)[0]
+        else:
+            # the whole matrix in one join: the row brackets go in the separator
+            row_inner = inner + "  "
+            lines = _float_lines(arr, ",\n" + row_inner)
+            lines[0] = f"[\n{inner}[\n{row_inner}{lines[0]}"
+            lines[-1] += f"\n{inner}]\n{indent}]"
+            return f"\n{inner}]{sep}[\n{row_inner}".join(lines)
+        return f"[\n{inner}{body}\n{indent}]"
     return json.dumps(obj)
 
 
 def _dump_json(obj, path=None):
-    text = _json_text(obj) + "\n"
+    # the newline written apart, not appended to a copy of the text
+    text = _json_text(obj)
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
 
 
 def _jsonable(value):
@@ -282,6 +352,13 @@ def cmd_estimate(args) -> int:
     output_path = opts.get("output")
     if not input_path or not output_path:
         raise ValueError("estimate needs --input and --output")
+    sidecar = opts.get("sidecar")
+    if sidecar is None:
+        sidecar = str(Path(output_path).with_suffix(".json"))
+    if Path(sidecar).resolve() == Path(output_path).resolve():
+        raise ValueError(
+            f"sidecar: {sidecar!r} is the gradient CSV --output; pass another --sidecar"
+        )
     name = str(opts.get("estimator", "stein-v"))
     if name == "exact":
         raise ValueError("estimator 'exact' is only meaningful for the banana command")
@@ -292,9 +369,6 @@ def cmd_estimate(args) -> int:
     fitted = fit_estimator(name, samples, spec, eta)
     grads = fitted.grads_at_train()
     _write_matrix_csv(output_path, "g", grads)
-    sidecar = opts.get("sidecar")
-    if sidecar is None:
-        sidecar = str(Path(output_path).with_suffix(".json"))
     _dump_json(fitted.to_json_dict(), sidecar)
     return 0
 
@@ -432,20 +506,16 @@ def cmd_banana(args) -> int:
 
     traj_path = opts.get("trajectories")
     if traj_path is not None:
+        # row c * n_iters + t of the flattened arrays is chain c, iteration t
+        lines = _float_lines(stats.trajectories.reshape(-1, 2), ",")
+        accepted = stats.accepts.reshape(-1).tolist()
+        steps = product(range(cfg.n_chains), range(cfg.n_iters))
         with open(traj_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chain", "iter", "accepted", "x0", "x1"])
-            for c in range(cfg.n_chains):
-                for t in range(cfg.n_iters):
-                    writer.writerow(
-                        [
-                            c,
-                            t,
-                            int(stats.accepts[c, t]),
-                            repr(float(stats.trajectories[c, t, 0])),
-                            repr(float(stats.trajectories[c, t, 1])),
-                        ]
-                    )
+            fh.write("chain,iter,accepted,x0,x1\r\n")
+            fh.writelines(
+                f"{c},{t},{int(a)},{line}\r\n"
+                for (c, t), a, line in zip(steps, accepted, lines)
+            )
     return 0
 
 

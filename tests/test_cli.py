@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steingrad import FittedEstimator, KernelSpec, fit_estimator, ksd_u, ksd_v
-from steingrad.cli import _dump_json, _write_matrix_csv, main
+from steingrad import FittedEstimator, KernelSpec, cli, fit_estimator, ksd_u, ksd_v
+from steingrad.cli import _dump_json, _float_lines, _write_matrix_csv, main
 from steingrad.estimators import KIND_SCORE, KIND_STEIN_V
 
 
@@ -259,6 +259,23 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert f"estimator {name!r}" in err and "nope.csv" not in err
 
+    @pytest.mark.parametrize(
+        "output, sidecar",
+        [("g.json", None), ("g.csv", "g.csv"), ("./g.json", "g.json"), ("g.json", "./g.json")],
+    )
+    def test_sidecar_on_output_rejected_before_input_is_read(
+        self, tmp_path, monkeypatch, capsys, output, sidecar
+    ):
+        # the sidecar would overwrite the gradient CSV; the input does not exist
+        monkeypatch.chdir(tmp_path)
+        argv = ["estimate", "--input", "nope.csv", "--output", output]
+        if sidecar is not None:
+            argv += ["--sidecar", sidecar]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "sidecar" in err and "nope.csv" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_epanechnikov_rejects_bandwidth(self, tmp_path):
         path, _ = sample_file(tmp_path, seed=7)
         rc = main(
@@ -345,6 +362,73 @@ def test_dump_json_rejects_what_json_rejects(value):
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _dump_json(value)
+
+
+# where float.__repr__ and orjson part ways: the exponent window
+# 1e-4 <= |x| < 1e16 and its neighbours, the extremes and signed zero
+WINDOW_EDGES = [
+    math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e16, 0), 1e16,
+    5e-324, 0.0, -0.0, 1.7976931348623157e308, -1e-4, -1e16,
+]
+# the separators the writers use: CSV fields and indented JSON list items
+FLOAT_SEPS = [",", ",\n      "]
+
+
+def _repr_lines(arr, sep):
+    return [sep.join(map(float.__repr__, row)) for row in arr.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arr=arrays(
+        np.float64,
+        st.tuples(st.integers(0, 12), st.integers(1, 5)),
+        elements=st.one_of(st.floats(), st.sampled_from(WINDOW_EDGES)),
+    ),
+    sep=st.sampled_from(FLOAT_SEPS),
+    block=st.sampled_from([1, 3, 7, cli._BLOCK_FLOATS]),
+)
+@example(arr=np.array(WINDOW_EDGES)[:, None], sep=",", block=cli._BLOCK_FLOATS)
+@example(
+    arr=np.column_stack([WINDOW_EDGES, np.ones(len(WINDOW_EDGES))]),
+    sep=FLOAT_SEPS[1],
+    block=4,
+)
+@example(arr=np.array([[math.nan, 1.0], [math.inf, -math.inf]]), sep=",", block=2)
+def test_float_lines_match_float_repr(arr, sep, block):
+    # block sizes below the default split even small arrays into many blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_FLOATS", block)
+        assert _float_lines(arr, sep) == _repr_lines(arr, sep)
+
+
+def test_float_lines_across_default_blocks():
+    rng = np.random.default_rng(3)
+    arr = rng.standard_normal((cli._BLOCK_FLOATS // 4 + 3, 4))
+    arr[::97, 1] *= 1e-9  # values below the orjson window
+    arr[5::131, 2] = math.nan
+    for sep in FLOAT_SEPS:
+        assert _float_lines(arr, sep) == _repr_lines(arr, sep)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [[1.0, 2], [np.float64(0.5), 3.0]],
+        [[1.0, True], [0.5, 3.0]],
+        [[1.0, 2.0], [0.5]],
+        [[], []],
+        [(1.0, 2.5e-7), (0.25, 1e20)],
+        [[0.5, math.nan], [math.inf, 1.0]],
+        [1.0, 2.0, [3.0]],
+        {"train": [[1e-5, 2.0]], "grads": [[0.5, -3.25], [1e300, 0.0]], "w": [0.5, 2]},
+    ],
+)
+def test_dump_json_matrix_shapes_match_json_dumps(tmp_path, value):
+    path = tmp_path / "v.json"
+    _dump_json(value, path)
+    want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 class TestKsd:
@@ -492,6 +576,32 @@ class TestBanana:
         for row in rows[1:]:
             assert row[2] in ("0", "1")
             float(row[3]), float(row[4])
+
+    def test_trajectory_csv_bytes(self, tmp_path, monkeypatch):
+        # the file is csv.writer's rendering of run_hmc's arrays, repr floats
+        runs = []
+        run_hmc = cli.run_hmc
+
+        def recording_run_hmc(*args, **kwargs):
+            runs.append(run_hmc(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_hmc", recording_run_hmc)
+        traj = tmp_path / "traj.csv"
+        rc, _ = self.run_banana(tmp_path, "--n-chains", "3", "--n-iters", "7",
+                                "--trajectories", str(traj))
+        assert rc == 0
+        (stats,) = runs
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["chain", "iter", "accepted", "x0", "x1"])
+        for c in range(3):
+            for t in range(7):
+                x0, x1 = stats.trajectories[c, t]
+                writer.writerow(
+                    [c, t, int(stats.accepts[c, t]), repr(float(x0)), repr(float(x1))]
+                )
+        assert traj.read_bytes() == ref.getvalue().encode("utf-8")
 
     def test_fitted_estimator_reported(self, tmp_path):
         # argparse keeps the last occurrence, overriding the helper's "exact"

@@ -66,22 +66,28 @@ from .sampler import HmcConfig, banana_sample, banana_score, banana_log_density,
 
 
 # JSON types a config value may have, per argparse type of its flag; bool
-# is excluded from the numbers because json gives true/false as bool
+# is excluded from the others because json gives true/false as bool
 _CONFIG_TYPES = {
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+}
+# string flags whose config value may also take another JSON type
+_CONFIG_FIELD_TYPES = {
+    "sigma2": ((int, float, str), "a number or a string"),
+    "estimators": ((str, list), "a string or a list"),
 }
 
 
 def _config_fields(sub):
-    """Config key -> argparse type (bool for on/off flags) of a subparser."""
+    """Config key -> argparse type (bool for on/off, str if untyped) of a subparser."""
     fields = {}
     for action in sub._actions:
         if action.dest in ("help", "config"):
             continue
         is_switch = isinstance(action, argparse.BooleanOptionalAction)
-        fields[action.dest] = bool if is_switch else action.type
+        fields[action.dest] = bool if is_switch else action.type or str
     return fields
 
 
@@ -99,9 +105,9 @@ def _load_config(path, fields):
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
     for key, value in obj.items():
-        if value is None or fields[key] not in _CONFIG_TYPES:
+        if value is None:
             continue
-        types, what = _CONFIG_TYPES[fields[key]]
+        types, what = _CONFIG_FIELD_TYPES.get(key) or _CONFIG_TYPES[fields[key]]
         ok = isinstance(value, types) and isinstance(value, bool) == (fields[key] is bool)
         if not ok:
             raise ValueError(f"{path}: config field {key!r} must be {what}, got {value!r}")
@@ -432,8 +438,8 @@ def cmd_banana(args) -> int:
     v = float(opts.get("banana_v", 100.0))
     n_train = opts.get("n_train", 200)
     init_noise = float(opts.get("init_noise", 2.0))
-    if init_noise < 0:
-        raise ValueError(f"init_noise must be >= 0, got {init_noise!r}")
+    if not math.isfinite(init_noise) or init_noise < 0:
+        raise ValueError(f"init_noise must be finite and >= 0, got {init_noise!r}")
     name = str(opts.get("estimator", "stein-v"))
     if name != "exact":
         _check_estimator(name)

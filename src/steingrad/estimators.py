@@ -16,6 +16,12 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 - ``stein-param-v`` / ``stein-param-u``: the same expansion fitted by
   minimising the kernelised Stein discrepancy (RBF only).
 
+Every kind but kde is fitted the same way: a builder returns its (matrix,
+rhs) system before the ridge, and ``_ridge_solve`` adds eta and makes the one
+solve, as it does for the predictive inverse.  Kernel values come from
+:mod:`steingrad.kernels` (``build_matrices``, ``cross_kernel``), which holds
+the only copy of the kernel formulas.
+
 ``fit_estimator`` fits any kind and returns a serialisable
 :class:`FittedEstimator`, whose ``predict`` takes (n, d) points.
 ``entropy_gradient_surrogate`` turns estimated scores and reparameterised
@@ -26,10 +32,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateDenominatorError, NumericalError
-from .kernels import RBF, KernelSpec, as_samples, build_matrices
+from .kernels import RBF, KernelSpec, as_samples, build_matrices, cross_kernel
 from .linalg import solve_symmetric
 
 DEFAULT_ETA = 0.1
@@ -95,14 +100,12 @@ def _kde_fit(xs, spec):
 
 def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     # same ratio form as _kde_fit, evaluated at new points
-    sq = cdist(points, train, "sqeuclidean")
     n, d = train.shape
+    kmat = cross_kernel(points, train, spec)
     if spec.family == RBF:
-        kmat = np.exp(-0.5 * sq / spec.sigma2)
         # sum_k k(y, x^k) (y - x^k) in row-sum/matmul form, O(M K) memory
         num = -(kmat.sum(axis=1)[:, None] * points - kmat @ train) / spec.sigma2
     else:
-        kmat = 1.0 - sq / d
         num = -(2.0 / d) * (n * points - train.sum(axis=0)[None, :])
     denom = kmat.sum(axis=1)
     zero = np.nonzero(denom == 0.0)[0]
@@ -113,28 +116,30 @@ def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.
     return num / denom[:, None]
 
 
-def _stein_system(xs, spec, eta, statistic):
-    # grad_sum and the system matrix, built in the kernel matrix's buffer
+def _stein_system(xs, spec, statistic):
+    """System (K, -<grad, K>) of the nonparametric Stein gradient field.
+
+    The ridge solve (K + eta I) G = -<grad, K> gives the V-statistic field;
+    the U-statistic removes the kernel diagonal from the system matrix and
+    requires a strictly positive eta.  The matrix is the kernel matrix's
+    buffer.
+    """
     mats = build_matrices(xs, spec)
     system = mats.k_matrix
     if statistic == "u":
         np.fill_diagonal(system, 0.0)
-    system[np.diag_indices_from(system)] += eta
-    return mats.grad_sum, system
+    return system, -mats.grad_sum
 
 
-def _stein_nonparametric_fit(xs, spec, eta, statistic):
-    """Nonparametric Stein gradient field at the samples.
+def _ridge_solve(system, rhs, eta, name):
+    """Solve (system + eta I) z = rhs, adding eta in ``system``'s buffer.
 
-    Solves (K + eta I) G = -<grad, K> for the V-statistic; the U-statistic
-    removes the kernel diagonal from the system matrix and requires a
-    strictly positive eta.
+    The one solve site of the fits and of the predictive inverse; returns z
+    and the jitter diagnostics a fitted estimator records.
     """
-    grad_sum, system = _stein_system(xs, spec, eta, statistic)
-    grads, jitter, level = solve_symmetric(
-        system, -grad_sum, name=f"stein {statistic}-statistic system"
-    )
-    return grads, {"jitter": jitter, "jitter_level": level}
+    system[np.diag_indices_from(system)] += eta
+    z, jitter, level = solve_symmetric(system, rhs, name=name)
+    return z, {"jitter": jitter, "jitter_level": level}
 
 
 def _stein_predict(fitted, pts):
@@ -157,11 +162,7 @@ def _stein_predict(fitted, pts):
     d = train.shape[1]
     # one row per query: k_yX, (K + eta I)^-1 k_Xy, and the weights w that
     # turn the kernel gradients into w @ X - sum(w) y, all O(M K) memory
-    sq = cdist(pts, train, "sqeuclidean")
-    if spec.family == RBF:
-        kmat = np.exp(-0.5 * sq / spec.sigma2)
-    else:
-        kmat = 1.0 - sq / d
+    kmat = cross_kernel(pts, train, spec)
     smoothed = kmat @ kinv.T
     # k(y, y) = 1 for both families
     schur = 1.0 + eta - np.einsum("mk,mk->m", kmat, smoothed)
@@ -184,8 +185,7 @@ def _expansion_predict(coeffs, train, spec, points):
     # rows: sum_k a_k * grad_first k(y^i, x^k) = sum_k w_ik (y^i - x^k)
     d = train.shape[1]
     if spec.family == RBF:
-        sq = cdist(points, train, "sqeuclidean")
-        weights = -np.exp(-0.5 * sq / spec.sigma2) * coeffs[None, :] / spec.sigma2
+        weights = -cross_kernel(points, train, spec) * coeffs[None, :] / spec.sigma2
         return weights.sum(axis=1)[:, None] * points - weights @ train
     weights = (-2.0 / d) * coeffs
     return weights.sum() * points - (weights @ train)[None, :]
@@ -226,8 +226,8 @@ def _score_sigma_closed_form(xs, km, sqn):
     return buf
 
 
-def _score_matching_fit(xs, spec, eta):
-    """Closed-form ridge score matching coefficients, one per sample.
+def _score_system(xs, spec):
+    """System (Sigma, v) of closed-form ridge score matching.
 
     The fitted score is g(x) = sum_k a_k grad_x k(x, x^k).  Per family:
 
@@ -246,10 +246,10 @@ def _score_matching_fit(xs, spec, eta):
          Sigma_kk' = (1/d^2) [ x^k . x^k'
                                + (1/K) sum_j (||x^j||^2 - (x^k + x^k') . x^j) ].
 
-    Both are the exact minimisers of the empirical score-matching objective
-    under an l2 penalty (the penalty scale absorbed into eta).  Both depend
-    on the sample only through differences x^j - x^k, so X is centred on
-    its mean before G and n are formed.
+    Both ridge solutions are the exact minimisers of the empirical
+    score-matching objective under an l2 penalty (the penalty scale absorbed
+    into eta).  Both systems depend on the sample only through differences
+    x^j - x^k, so X is centred on its mean before G and n are formed.
     """
     n, d = xs.shape
     # both systems are translation invariant in exact arithmetic; centring
@@ -266,23 +266,32 @@ def _score_matching_fit(xs, spec, eta):
             sigma = _score_sigma_by_coordinate(xs, km)
         else:
             sigma = _score_sigma_closed_form(xs, km, sqn)
-        del km  # freed before the solve copies the system
     else:
         gram = xs @ xs.T
         sqn = np.einsum("kd,kd->k", xs, xs)
         row = gram.sum(axis=1)
         sigma = (gram + (sqn.sum() - row[:, None] - row[None, :]) / n) / d**2
         v = np.full(n, 0.5)
-    sigma[np.diag_indices_from(sigma)] += eta
-    coeffs, jitter, level = solve_symmetric(sigma, v, name="score matching system")
-    return coeffs, {"jitter": jitter, "jitter_level": level}
+    return sigma, v
 
 
 def _parametric_system(xs, spec, statistic):
-    """Quadratic form (lam, b) of the parametric Stein objective."""
+    """Quadratic form (Lambda, b) of the parametric Stein objective.
+
+    RBF kernel only.  The expansion coefficients minimising the kernelised
+    Stein discrepancy are a = (Lambda + eta I)^-1 b, where, with X the Gram
+    matrix and K the kernel matrix,
+
+        Lambda = X o (K K K) + K (K o X) K - ((K K) o X) K - K ((K K) o X)
+        b = (K diag(X) K + (K K) o X - K (K o X) - (K o X) K) 1
+
+    The U-statistic variant replaces the inner K of each triple product
+    with K - diag(K) (Lambda tilde), keeping the same b; o is the
+    elementwise product.
+    """
     if spec.family != RBF:
         raise ValueError("parametric Stein fits support the rbf family only")
-    # translation invariant in exact arithmetic; see _score_matching_fit
+    # translation invariant in exact arithmetic; see _score_system
     xs = xs - xs.mean(axis=0)
     km = build_matrices(xs, spec).k_matrix
     gram = xs @ xs.T
@@ -323,26 +332,6 @@ def _parametric_system(xs, spec, statistic):
     lam -= t
     lam -= t.T
     return lam, b
-
-
-def _stein_parametric_fit(xs, spec, eta, statistic):
-    """Expansion coefficients minimising the kernelised Stein discrepancy.
-
-    RBF kernel only.  With X the Gram matrix and K the kernel matrix,
-
-        Lambda = X o (K K K) + K (K o X) K - ((K K) o X) K - K ((K K) o X)
-        b = (K diag(X) K + (K K) o X - K (K o X) - (K o X) K) 1
-
-    and a = (Lambda + eta I)^-1 b.  The U-statistic variant replaces the
-    inner K of each triple product with K - diag(K) (Lambda tilde), keeping
-    the same b; o is the elementwise product.
-    """
-    lam, b = _parametric_system(xs, spec, statistic)
-    lam[np.diag_indices_from(lam)] += eta
-    coeffs, jitter, level = solve_symmetric(
-        lam, b, name=f"parametric stein {statistic}-statistic system"
-    )
-    return coeffs, {"jitter": jitter, "jitter_level": level}
 
 
 def entropy_gradient_surrogate(grads, jacobians) -> np.ndarray:
@@ -403,9 +392,9 @@ class FittedEstimator:
         """
         if self.kind != KIND_STEIN_V:
             return None
-        _, system = _stein_system(self.train, self.spec, self.eta, "v")
-        kinv, _, _ = solve_symmetric(
-            system, np.eye(self.train.shape[0]), name="stein predictive inverse"
+        system, _ = _stein_system(self.train, self.spec, "v")
+        kinv, _ = _ridge_solve(
+            system, np.eye(self.train.shape[0]), self.eta, "stein predictive inverse"
         )
         return kinv
 
@@ -514,9 +503,10 @@ def fit_estimator(
     """Fit any estimator kind and package the result.
 
     ``kind`` is one of :data:`KINDS`; ``score`` takes either kernel family.
-    Each fit makes one solve.  The V-statistic nonparametric Stein fit can
-    predict out of sample; the inverse that needs is solved on its first
-    prediction (see :attr:`FittedEstimator.kinv`), not here.
+    Every kind but ``kde`` builds its (matrix, rhs) system and makes one
+    ridge solve.  The V-statistic nonparametric Stein fit can predict out of
+    sample; the inverse that needs is solved on its first prediction (see
+    :attr:`FittedEstimator.kinv`), not here.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
@@ -524,15 +514,20 @@ def fit_estimator(
     stat = "u" if kind in (KIND_STEIN_U, KIND_STEIN_PARAM_U) else "v"
     eta = _check_eta(eta, stat)  # kde ignores it, but its record keeps it
     diagnostics: dict = {}
-    grads = coeffs = None
     if kind == KIND_KDE:
-        grads = _kde_fit(xs, spec)
-    elif kind in (KIND_STEIN_V, KIND_STEIN_U):
-        grads, diagnostics = _stein_nonparametric_fit(xs, spec, eta, stat)
-    elif kind == KIND_SCORE:
-        coeffs, diagnostics = _score_matching_fit(xs, spec, eta)
+        params = _kde_fit(xs, spec)
     else:
-        coeffs, diagnostics = _stein_parametric_fit(xs, spec, eta, stat)
+        if kind in (KIND_STEIN_V, KIND_STEIN_U):
+            system, rhs = _stein_system(xs, spec, stat)
+            name = f"stein {stat}-statistic system"
+        elif kind == KIND_SCORE:
+            system, rhs = _score_system(xs, spec)
+            name = "score matching system"
+        else:
+            system, rhs = _parametric_system(xs, spec, stat)
+            name = f"parametric stein {stat}-statistic system"
+        params, diagnostics = _ridge_solve(system, rhs, eta, name)
+    grads, coeffs = (params, None) if kind in _GRAD_KINDS else (None, params)
     return FittedEstimator(
         kind=kind,
         train=xs.copy(),

@@ -19,12 +19,15 @@ Conventions used throughout the package:
 ``grad_sum`` is the K x d matrix written <nabla, K> in the score-estimation
 literature; for translation-invariant kernels it equals minus the sum of
 first-argument gradients.
+
+The kernel-value formulas live here only: ``build_matrices`` (sample pairs)
+and ``cross_kernel`` (new points against the sample) share one evaluation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DegenerateBandwidthError
 
@@ -142,6 +145,22 @@ def cross_hess_trace(x, y, spec: KernelSpec) -> float:
     return 2.0
 
 
+def _kernel_of_sq(sq, spec: KernelSpec, d: int) -> np.ndarray:
+    """exp(-0.5 * sq / sigma2) or 1 - sq / d, bit for bit, in ``sq``'s buffer."""
+    if spec.family == RBF:
+        np.multiply(sq, -0.5, out=sq)
+        np.divide(sq, spec.sigma2, out=sq)
+        return np.exp(sq, out=sq)
+    np.divide(sq, d, out=sq)
+    return np.subtract(1.0, sq, out=sq)
+
+
+def cross_kernel(points, train, spec: KernelSpec) -> np.ndarray:
+    """The (M, K) matrix k(y^m, x^k) of validated (M, d) and (K, d) arrays."""
+    sq = cdist(points, train, "sqeuclidean")
+    return _kernel_of_sq(sq, spec, train.shape[1])
+
+
 def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> KernelMatrices:
     """Build k_matrix and grad_sum for one sample set.
 
@@ -160,24 +179,21 @@ def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> Kerne
     # distance matrix
     sq = pdist(xs, "sqeuclidean")
     trace = None
-    if spec.family == RBF:
+    if with_trace and spec.family == RBF:
+        # k (d / s2 - sq / s2^2) per pair, twice for i != j, plus d / s2 on
+        # the diagonal, where k = 1 and sq = 0; the factor is taken before
+        # the kernel overwrites sq
         s2 = spec.sigma2
-        kern = np.multiply(sq, -0.5)
-        np.divide(kern, s2, out=kern)
-        np.exp(kern, out=kern)
-        if with_trace:
-            # k (d / s2 - sq / s2^2) per pair, twice for i != j, plus d / s2
-            # on the diagonal, where k = 1 and sq = 0
-            np.divide(sq, s2**2, out=sq)
-            np.subtract(d / s2, sq, out=sq)
-            trace = 2.0 * float(kern @ sq) + n * (d / s2)
-    else:
-        # 1 - sq / d, in sq's buffer
-        np.divide(sq, d, out=sq)
-        kern = np.subtract(1.0, sq, out=sq)
-        if with_trace:
-            trace = 2.0 * n * n  # 2 at every pair
+        factor = np.divide(sq, s2**2)
+        np.subtract(d / s2, factor, out=factor)
+    kern = _kernel_of_sq(sq, spec, d)
     del sq
+    if with_trace:
+        if spec.family == RBF:
+            trace = 2.0 * float(kern @ factor) + n * (d / s2)
+            del factor
+        else:
+            trace = 2.0 * n * n  # 2 at every pair
     k_matrix = squareform(kern, checks=False)
     del kern
     # k(x, x) = 1 for both families

@@ -139,8 +139,8 @@ class ChainStats:
     ksd_pooled: float
     ksd_mean_per_chain: float
     n_divergent: int
-    trajectories: np.ndarray | None
-    accepts: np.ndarray | None  # (n_chains, n_iters) bool
+    trajectories: np.ndarray
+    accepts: np.ndarray  # (n_chains, n_iters) bool
 
 
 def leapfrog(q, p, stepsize: float, n_steps: int, score_fn):
@@ -220,40 +220,6 @@ def _kinetic(p):
     return 0.5 * np.einsum("nd,nd->n", p, p)
 
 
-def _run_chains(target_logp, score_fn, cfg: HmcConfig, init, rngs):
-    """Advance the chains of ``init`` (n_chains, d) in lockstep.
-
-    Returns the trajectories (n_chains, n_iters, d), the accept flags
-    (n_chains, n_iters) and the number of divergent iterations per chain.
-    """
-    q = np.array(init, dtype=float)
-    n_chains, d = q.shape
-    traj = np.empty((n_chains, cfg.n_iters, d))
-    accepts = np.zeros((n_chains, cfg.n_iters), dtype=bool)
-    n_div = np.zeros(n_chains, dtype=int)
-    logp = _log_density(target_logp, q)
-    p = np.empty_like(q)
-    u = np.empty(n_chains)
-    for t in range(cfg.n_iters):
-        for c, rng in enumerate(rngs):
-            p[c] = rng.standard_normal(d)
-            u[c] = rng.uniform()
-        q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
-        diverged = diverged_at >= 0
-        # a diverged chain's row of q_new is its current, finite position
-        logp_new = _log_density(target_logp, q_new)
-        # u = 0 gives log u = -inf, an accept; a NaN log_alpha rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_alpha = (logp_new - _kinetic(p_new)) - (logp - _kinetic(p))
-            accept = ~diverged & ((log_alpha >= 0.0) | (np.log(u) < log_alpha))
-        q[accept] = q_new[accept]
-        logp[accept] = logp_new[accept]
-        accepts[:, t] = accept
-        n_div += diverged
-        traj[:, t] = q
-    return traj, accepts, n_div
-
-
 def _chain_rngs(seed, n_chains, chain_seeds):
     if chain_seeds is not None:
         if len(chain_seeds) != n_chains:
@@ -277,7 +243,6 @@ def run_hmc(
     ksd_score_fn=None,
     ksd_spec: KernelSpec | None = None,
     ksd_pool_cap: int = 2000,
-    keep_trajectories: bool = True,
 ) -> ChainStats:
     """Run cfg.n_chains independent HMC chains in lockstep and summarise them.
 
@@ -319,7 +284,33 @@ def run_hmc(
         raise ValueError(f"ksd_pool_cap must be >= 2, got {ksd_pool_cap}")
     rngs = _chain_rngs(seed, cfg.n_chains, chain_seeds)
 
-    traj, accepts, n_div = _run_chains(target_logp, score_fn, cfg, init, rngs)
+    # the chains advance in lockstep, each drawing from its own stream
+    q = init.copy()
+    n_chains, d = q.shape
+    traj = np.empty((n_chains, cfg.n_iters, d))
+    accepts = np.zeros((n_chains, cfg.n_iters), dtype=bool)
+    n_div = np.zeros(n_chains, dtype=int)
+    logp = _log_density(target_logp, q)
+    p = np.empty_like(q)
+    u = np.empty(n_chains)
+    for t in range(cfg.n_iters):
+        for c, rng in enumerate(rngs):
+            p[c] = rng.standard_normal(d)
+            u[c] = rng.uniform()
+        q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
+        diverged = diverged_at >= 0
+        # a diverged chain's row of q_new is its current, finite position
+        logp_new = _log_density(target_logp, q_new)
+        # u = 0 gives log u = -inf, an accept; a NaN log_alpha rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_alpha = (logp_new - _kinetic(p_new)) - (logp - _kinetic(p))
+            accept = ~diverged & ((log_alpha >= 0.0) | (np.log(u) < log_alpha))
+        q[accept] = q_new[accept]
+        logp[accept] = logp_new[accept]
+        accepts[:, t] = accept
+        n_div += diverged
+        traj[:, t] = q
+
     n_burn = int(cfg.n_iters * cfg.burn_in_fraction)
     post = traj[:, n_burn:, :]
     chain_means = post[:, :, 0].mean(axis=1)
@@ -331,7 +322,7 @@ def run_hmc(
 
     ksd_pooled = ksd_mean = float("nan")
     if ksd_score_fn is not None:
-        pooled = post.reshape(-1, traj.shape[2])
+        pooled = post.reshape(-1, d)
         grads = np.asarray(ksd_score_fn(pooled), dtype=float)
         if grads.shape != pooled.shape:
             raise ValueError(
@@ -356,6 +347,6 @@ def run_hmc(
         ksd_pooled=ksd_pooled,
         ksd_mean_per_chain=ksd_mean,
         n_divergent=int(n_div.sum()),
-        trajectories=traj if keep_trajectories else None,
-        accepts=accepts if keep_trajectories else None,
+        trajectories=traj,
+        accepts=accepts,
     )

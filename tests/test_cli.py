@@ -638,6 +638,13 @@ class TestBanana:
         assert "bandwidth_scale" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_init_noise_named(self, tmp_path, capsys, noise):
+        rc, out = self.run_banana(tmp_path, f"--init-noise={noise}")
+        assert rc == 2
+        assert "init_noise" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stein_u_cannot_drive_sampler(self, tmp_path):
         rc, _ = self.run_banana(tmp_path, "--estimator", "stein-u")
         assert rc == 2
@@ -720,6 +727,41 @@ class TestEntropyCheck:
         for bad, argv in cases:
             assert main(argv) == 2, argv
             assert repr(bad) in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("estimate", "sigma2", True),
+        ("estimate", "input", 0),
+        ("estimate", "sidecar", ["side.json"]),
+        ("estimate", "estimator", 1),
+        ("ksd", "output", 1),
+        ("ksd", "statistic", False),
+        ("banana", "trajectories", 2),
+        ("banana", "kernel", 1.5),
+        ("entropy-check", "sigma2", False),
+        ("entropy-check", "estimators", {"kde": 1}),
+    ],
+)
+def test_config_value_of_wrong_json_type_rejected(tmp_path, capsys, command, field, value):
+    # paths and names must be strings (an integer output would be opened as
+    # a file descriptor) and sigma2 a number or a string, never a bool
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    assert main([command, "--config", str(config)]) == 2
+    assert f"config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma2", [2, 2.0, "2.0"])
+def test_config_sigma2_takes_numbers_and_strings(tmp_path, sigma2):
+    path, _ = sample_file(tmp_path, seed=41)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(path), "sigma2": sigma2}))
+    out = tmp_path / "grads.csv"
+    assert main(["estimate", "--config", str(config), "--output", str(out)]) == 0
+    with open(tmp_path / "grads.json", encoding="utf-8") as fh:
+        assert json.load(fh)["kernel"]["sigma2"] == 2.0
 
 
 class TestJsonFormat:

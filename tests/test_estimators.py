@@ -36,6 +36,14 @@ from steingrad.linalg import RESIDUAL_RTOL
 
 RBF = KernelSpec("rbf", 1.3)
 EPAN = KernelSpec("epanechnikov")
+# the solve name of each kind fitted by a ridge solve
+RIDGE_SOLVES = {
+    KIND_STEIN_V: "stein v-statistic system",
+    KIND_STEIN_U: "stein u-statistic system",
+    KIND_SCORE: "score matching system",
+    KIND_STEIN_PARAM_V: "parametric stein v-statistic system",
+    KIND_STEIN_PARAM_U: "parametric stein u-statistic system",
+}
 # every kind under the rbf kernel, and score matching under both families,
 # so that properties drawing from it cover the Epanechnikov closed form too
 KIND_FAMILIES = [(kind, "rbf") for kind in KINDS] + [(KIND_SCORE, "epanechnikov")]
@@ -100,10 +108,11 @@ class TestSteinNonparametric:
         # the U system is indefinite, so Cholesky fails at once and the
         # ladder takes the LDL^T solve every U fit took before
         xs = gaussian_sample(9, n=20)
-        grad_sum, system = _stein_system(xs, RBF, 0.05, "u")
+        system, rhs = _stein_system(xs, RBF, "u")
+        system += 0.05 * np.eye(20)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(system, lower=True)
-        want = scipy.linalg.solve(system, -grad_sum, assume_a="sym")
+        want = scipy.linalg.solve(system, rhs, assume_a="sym")
         fit = fit_estimator(KIND_STEIN_U, xs, RBF, eta=0.05)
         assert fit.diagnostics["jitter_level"] == 0
         np.testing.assert_allclose(fit.grads, want, rtol=1e-12, atol=1e-12)
@@ -532,9 +541,13 @@ class TestFittedEstimator:
         back = FittedEstimator.from_json_dict(record)
         np.testing.assert_array_equal(back.kinv, fit.kinv)
 
-    def test_fit_makes_one_solve_and_predict_adds_one(self, monkeypatch):
+    @pytest.mark.parametrize("kind", list(RIDGE_SOLVES))
+    def test_fit_makes_one_solve_and_predict_adds_one(self, monkeypatch, kind):
+        # every ridge kind makes one named solve; only the stein-v predict
+        # adds one more, the inverse it solves on first use
         from steingrad import estimators
 
+        solve = RIDGE_SOLVES[kind]
         calls = []
         real = estimators.solve_symmetric
 
@@ -544,14 +557,20 @@ class TestFittedEstimator:
 
         monkeypatch.setattr(estimators, "solve_symmetric", counting)
         xs = gaussian_sample(35, n=9)
-        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
-        assert calls == ["stein v-statistic system"]
+        fit = fit_estimator(kind, xs, RBF)
+        assert calls == [solve]
+        assert set(fit.diagnostics) == {"jitter", "jitter_level"}
+        if kind == KIND_STEIN_U:
+            return  # no out-of-sample rule
         pts = gaussian_sample(36, n=3)
         first = fit.predict(pts)
         fit.predict(pts)
+        if kind != KIND_STEIN_V:
+            assert calls == [solve]
+            return
         assert calls == ["stein v-statistic system", "stein predictive inverse"]
         # the lazily solved inverse is the one the eager fit used to store
-        _, system = estimators._stein_system(xs, RBF, 0.1, "v")
+        system = estimators._stein_system(xs, RBF, "v")[0] + 0.1 * np.eye(9)
         want, _, _ = real(system, np.eye(9), "stein predictive inverse")
         np.testing.assert_array_equal(fit.kinv, want)
         np.testing.assert_array_equal(fit.predict(pts), first)
@@ -579,7 +598,7 @@ class TestFittedEstimator:
         level = fit.diagnostics["jitter_level"]
         assert level == rungs["stein predictive inverse"][4] == 0
         # a positive-definite system: the inverse is the Cholesky solve
-        _, system = _stein_system(xs, RBF, 0.1, "v")
+        system = _stein_system(xs, RBF, "v")[0] + 0.1 * np.eye(15)
         factor = (np.linalg.cholesky(system), True)
         want = scipy.linalg.cho_solve(factor, np.eye(15), check_finite=False)
         np.testing.assert_array_equal(fit.kinv, want)
@@ -755,7 +774,7 @@ def _u_system_condition(kind, xs, spec, eta):
     # rounding of its inputs, which no tolerance fixed beforehand absorbs;
     # the V and score-matching systems are PSD plus eta I
     if kind == KIND_STEIN_U:
-        system = _stein_system(xs, spec, eta, "u")[1]
+        system = _stein_system(xs, spec, "u")[0] + eta * np.eye(len(xs))
     elif kind == KIND_STEIN_PARAM_U:
         system = _parametric_system(xs, spec, "u")[0] + eta * np.eye(len(xs))
     else:

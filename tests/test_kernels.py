@@ -11,6 +11,7 @@ from steingrad import (
 )
 from steingrad.kernels import (
     cross_hess_trace,
+    cross_kernel,
     kernel_eval,
     kernel_grad_first_arg,
 )
@@ -189,6 +190,36 @@ class TestBatchedMatrices:
             build_matrices(np.zeros(3), spec)
         with pytest.raises(ValueError):
             build_matrices(np.array([[1.0, np.nan]]), spec)
+
+
+def family_spec(family, d):
+    # an RBF bandwidth on the scale of d keeps the values away from underflow
+    return rbf_spec(1.3 * d) if family == "rbf" else EPAN
+
+
+class TestCrossKernel:
+    @pytest.mark.parametrize("d", [1, 2, 7, 50])
+    @pytest.mark.parametrize("family", ["rbf", "epanechnikov"])
+    def test_matches_scalar_kernel(self, family, d):
+        rng = np.random.default_rng(25 + d)
+        pts = rng.standard_normal((5, d))
+        train = rng.standard_normal((8, d))
+        spec = family_spec(family, d)
+        want = np.array([[kernel_eval(y, x, spec) for x in train] for y in pts])
+        got = cross_kernel(pts, train, spec)
+        assert got.shape == (5, 8)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 50])
+    @pytest.mark.parametrize("family", ["rbf", "epanechnikov"])
+    def test_sample_kernel_matrix_is_bitwise_the_cross_kernel(self, family, d):
+        # build_matrices and the predict rules share one evaluation, so the
+        # kernel at the sample's own pairs carries the same bits either way
+        xs = np.random.default_rng(35 + d).standard_normal((30, d))
+        spec = family_spec(family, d)
+        np.testing.assert_array_equal(
+            build_matrices(xs, spec).k_matrix, cross_kernel(xs, xs, spec)
+        )
 
 
 class TestMedianHeuristic:

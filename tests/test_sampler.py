@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from steingrad import (
-    ChainStats,
     HmcConfig,
     KernelSpec,
     banana_log_density,
@@ -488,20 +487,6 @@ class TestRunHmc:
         cfg = HmcConfig(n_chains=1, n_iters=10, stepsize=0.5, n_leapfrog=3)
         res = run_hmc(banana_log_density, banana_score, cfg, np.zeros((1, 2)), seed=17)
         assert math.isnan(res.se_mean_x1)
-
-    def test_keep_trajectories_flag(self):
-        cfg = HmcConfig(n_chains=2, n_iters=10, stepsize=0.5, n_leapfrog=3)
-        res = run_hmc(
-            banana_log_density,
-            banana_score,
-            cfg,
-            np.zeros((2, 2)),
-            seed=18,
-            keep_trajectories=False,
-        )
-        assert res.trajectories is None
-        assert res.accepts is None
-        assert isinstance(res, ChainStats)
 
     def test_argument_validation(self):
         cfg = HmcConfig(n_chains=2, n_iters=10, stepsize=0.5, n_leapfrog=3)

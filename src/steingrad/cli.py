@@ -29,7 +29,12 @@ numerical failure.
 File formats
 ------------
 Sample CSV: header ``x0,...,x{d-1}``, one sample per row.  Gradient CSV:
-same layout with header ``g0,...,g{d-1}``.  The estimate sidecar holds the
+same layout with header ``g0,...,g{d-1}``.  A CSV whose header is exactly
+that and whose body is plain JSON numbers (the fields ``float.__repr__`` and
+``str(int)`` write), with LF or CRLF line ends, is parsed by orjson in one
+call; any other file (quoted fields, blank lines, ``+1``, ``.5``, ``nan``,
+a BOM, the integer ``-0``, ...) is read by ``csv.reader`` and ``float``, and
+both give the same values and the same errors.  The estimate sidecar holds the
 full serialised estimator: kind, kernel family and effective bandwidth, eta,
 training data, gradient field or coefficients, and fit diagnostics (jitter
 ladder use), O(K d) numbers in all.  The predictive Stein fit's training-block
@@ -38,11 +43,12 @@ inverse is not stored; a reloaded estimator solves it on its first prediction.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from functools import partial
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -181,36 +187,108 @@ def _require_seed(opts):
 
 
 def _read_matrix_csv(path, prefix):
-    """Read a CSV with header {prefix}0..{prefix}{d-1} into a (K, d) array."""
+    """Read a CSV with header {prefix}0..{prefix}{d-1} into a (K, d) array.
+
+    A body of plain JSON numbers is parsed by orjson (``_parse_plain``);
+    every other file goes through ``csv.reader`` (``_parse_csv``), which
+    accepts and rejects what it always has.  Both give the same array for a
+    file the first accepts.
+    """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     with fh:
+        data = fh.read()
+    arr = _parse_plain(data, prefix)
+    if arr is None:
+        arr = _parse_csv(data, path, prefix)
+    return arr
+
+
+# the bytes of a body _parse_plain may take: JSON numbers, commas, newlines
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
+
+
+def _parse_plain(data, prefix):
+    """The (K, d) array of a header and body of plain JSON numbers, or None.
+
+    The rows become one JSON array of arrays, parsed in one orjson call.
+    None, and so the csv path, for everything else: a header that is not
+    exactly ``{prefix}0,...`` (quoted, with a BOM, ...), a blank line, a lone
+    CR, a byte outside ``_PLAIN_BYTES`` (``nan``, ``true``, spaces, quotes),
+    a line longer than ``csv.field_size_limit()``, text that is not JSON
+    (``+1``, ``.5``, ``1.``, ``00``, an empty field), a value beyond the
+    double range, and ragged rows.  The integer ``-0``, which orjson reads
+    as 0 where ``float`` keeps the sign, also goes to the csv path; so does
+    any text that merely contains it, such as ``1e-0,``.
+    """
+    head, _, body = data.partition(b"\n")
+    if head.endswith(b"\r"):
+        head = head[:-1]
+    d = head.count(b",") + 1
+    if head != ",".join(f"{prefix}{i}" for i in range(d)).encode():
+        return None
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
+    if body.endswith(b"\n"):
+        body = body[:-1]
+    limit = csv.field_size_limit()
+    if (
+        not body
+        or body.translate(None, _PLAIN_BYTES)
+        or body.startswith(b"\n")
+        or body.endswith(b"\n")
+        or b"\n\n" in body
+        or b"-0," in body
+        or b"-0\n" in body
+        or body.endswith(b"-0")
+        or (len(body) > limit and max(map(len, body.split(b"\n"))) > limit)
+    ):
+        return None
+    text = b"[[" + body.replace(b"\n", b"],[") + b"]]"
+    try:
+        arr = np.array(orjson.loads(text), dtype=float)
+    except ValueError:  # not JSON, or ragged rows
+        return None
+    return arr if arr.shape[1] == d else None
+
+
+def _parse_csv(data, path, prefix):
+    """Parse a CSV file's bytes with ``csv.reader``, reading them as the file."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        d = len(header)
-        expected = [f"{prefix}{i}" for i in range(d)]
-        if header != expected or d == 0:
+            return _csv_rows(reader, path, prefix)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+
+
+def _csv_rows(reader, path, prefix):
+    """The (K, d) array of a ``csv.reader`` over a sample or gradient CSV."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    d = len(header)
+    expected = [f"{prefix}{i}" for i in range(d)]
+    if header != expected or d == 0:
+        raise ValueError(
+            f"{path} line 1: header must be {prefix}0..{prefix}{{d-1}}, "
+            f"got {header!r}"
+        )
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != d:
             raise ValueError(
-                f"{path} line 1: header must be {prefix}0..{prefix}{{d-1}}, "
-                f"got {header!r}"
+                f"{path} line {lineno}: expected {d} fields, got {len(row)}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d:
-                raise ValueError(
-                    f"{path} line {lineno}: expected {d} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from exc
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -273,29 +351,14 @@ def _json_key(key):
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _finite_floats(obj):
-    """``obj`` as an array if it is a list of finite floats, or of equal-length
-    non-empty lists of them; None otherwise (ints, float subclasses, ...)."""
-    kinds = set(map(type, obj))
-    matrix = (
-        kinds <= {list, tuple}
-        and len(set(map(len, obj))) == 1
-        and len(obj[0]) > 0
-        and set(map(type, chain.from_iterable(obj))) == {float}
-    )
-    if kinds != {float} and not matrix:
-        return None
-    arr = np.array(obj)
-    return arr if np.isfinite(arr).all() else None
-
-
 def _json_text(obj, indent=""):
     """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested at ``indent``.
 
     Asked for an indent, json uses its pure-Python encoder, which visits
-    every float in a generator.  Here containers are walked in Python, a list
-    of finite floats or a matrix of them is written by ``_float_lines`` (the
-    ``float.__repr__`` text that encoder writes per float), and every other
+    every float in a generator.  Here containers are walked in Python, a
+    float64 vector or matrix of finite values (the sidecar's arrays) is
+    written by ``_float_lines`` (the ``float.__repr__`` text that encoder
+    writes per float), any other ndarray as its ``tolist()``, and every other
     leaf goes through the C encoder.  Brackets are added in one f-string or
     join, so a sidecar-sized body is copied once, not once per ``+``.
     """
@@ -309,21 +372,22 @@ def _json_text(obj, indent=""):
             for k, v in sorted(obj.items())
         )
         return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(obj, np.ndarray):
+        finite = obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size > 0
+        if not (finite and np.isfinite(obj).all()):
+            return _json_text(obj.tolist(), indent)
+        if obj.ndim == 1:
+            return f"[\n{inner}{_float_lines(obj[None], sep)[0]}\n{indent}]"
+        # the whole matrix in one join: the row brackets go in the separator
+        row_inner = inner + "  "
+        lines = _float_lines(obj, ",\n" + row_inner)
+        lines[0] = f"[\n{inner}[\n{row_inner}{lines[0]}"
+        lines[-1] += f"\n{inner}]\n{indent}]"
+        return f"\n{inner}]{sep}[\n{row_inner}".join(lines)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        arr = _finite_floats(obj)
-        if arr is None:
-            body = sep.join([_json_text(v, inner) for v in obj])
-        elif arr.ndim == 1:
-            body = _float_lines(arr[None], sep)[0]
-        else:
-            # the whole matrix in one join: the row brackets go in the separator
-            row_inner = inner + "  "
-            lines = _float_lines(arr, ",\n" + row_inner)
-            lines[0] = f"[\n{inner}[\n{row_inner}{lines[0]}"
-            lines[-1] += f"\n{inner}]\n{indent}]"
-            return f"\n{inner}]{sep}[\n{row_inner}".join(lines)
+        body = sep.join([_json_text(v, inner) for v in obj])
         return f"[\n{inner}{body}\n{indent}]"
     return json.dumps(obj)
 
@@ -375,7 +439,7 @@ def cmd_estimate(args) -> int:
     fitted = fit_estimator(name, samples, spec, eta)
     grads = fitted.grads_at_train()
     _write_matrix_csv(output_path, "g", grads)
-    _dump_json(fitted.to_json_dict(), sidecar)
+    _dump_json(fitted._json_record(), sidecar)
     return 0
 
 
@@ -422,6 +486,17 @@ _PRESETS = {
 def cmd_banana(args) -> int:
     opts = _Options(args)
     seed = _require_seed(opts)
+    output_path = opts.get("output")
+    traj_path = opts.get("trajectories")
+    if (
+        traj_path is not None
+        and output_path is not None
+        and Path(traj_path).resolve() == Path(output_path).resolve()
+    ):
+        raise ValueError(
+            f"trajectories: {traj_path!r} is the report --output; pass another "
+            f"--trajectories"
+        )
     preset = opts.get("preset", "desk")
     if preset not in _PRESETS:
         raise ValueError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
@@ -508,9 +583,8 @@ def cmd_banana(args) -> int:
         "n_divergent": int(stats.n_divergent),
         "fit_diagnostics": None if fitted is None else dict(fitted.diagnostics),
     }
-    _dump_json(report, opts.get("output"))
+    _dump_json(report, output_path)
 
-    traj_path = opts.get("trajectories")
     if traj_path is not None:
         # row c * n_iters + t of the flattened arrays is chain c, iteration t
         lines = _float_lines(stats.trajectories.reshape(-1, 2), ",")

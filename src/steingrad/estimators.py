@@ -428,8 +428,8 @@ class FittedEstimator:
             f"the augmented sample instead"
         )
 
-    def to_json_dict(self) -> dict:
-        """Plain-python dict for JSON serialisation (exact float round trip)."""
+    def _json_record(self) -> dict:
+        """The record of :meth:`to_json_dict` with its arrays left as arrays."""
         return {
             "kind": self.kind,
             "kernel": {
@@ -437,11 +437,19 @@ class FittedEstimator:
                 "sigma2": self.spec.sigma2,
             },
             "eta": self.eta,
-            "train": self.train.tolist(),
-            "grads": None if self.grads is None else self.grads.tolist(),
-            "coeffs": None if self.coeffs is None else self.coeffs.tolist(),
+            "train": self.train,
+            "grads": self.grads,
+            "coeffs": self.coeffs,
             "diagnostics": dict(self.diagnostics),
         }
+
+    def to_json_dict(self) -> dict:
+        """Plain-python dict for JSON serialisation (exact float round trip)."""
+        record = self._json_record()
+        for key in ("train", "grads", "coeffs"):
+            if record[key] is not None:
+                record[key] = record[key].tolist()
+        return record
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FittedEstimator":

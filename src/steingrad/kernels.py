@@ -215,11 +215,22 @@ def median_heuristic(samples) -> float:
 
     All K(K-1)/2 distinct unordered pairs enter; for an even pair count the
     median is the mean of the two central order statistics.  Needs K >= 2.
+    The distances are partitioned in their own buffer, so the call holds one
+    condensed vector of them, not ``np.median``'s copy as well; it takes the
+    same order statistics and halves their sum as ``np.median`` does, so the
+    bandwidth is bit for bit the square of ``np.median(pdist(samples))``.
     """
     xs = as_samples(samples)
     if xs.shape[0] < 2:
         raise ValueError("median heuristic needs at least two samples")
-    med = float(np.median(pdist(xs)))
+    dist = pdist(xs)
+    k = dist.size // 2
+    dist.partition(k)
+    if dist.size % 2:
+        med = float(dist[k])
+    else:
+        # np.median's mean of the pair: their sum halved
+        med = float((dist[:k].max() + dist[k]) / 2)
     if med == 0.0:
         raise DegenerateBandwidthError(
             "median pairwise distance is zero (too many identical samples); "

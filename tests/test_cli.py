@@ -6,6 +6,7 @@ import json
 import math
 import shutil
 import subprocess
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,9 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steingrad import FittedEstimator, KernelSpec, cli, fit_estimator, ksd_u, ksd_v
+from steingrad import (
+    FittedEstimator,
+    KernelSpec,
+    cli,
+    fit_estimator,
+    ksd_u,
+    ksd_v,
+    median_heuristic,
+)
 from steingrad.cli import _dump_json, _float_lines, _write_matrix_csv, main
-from steingrad.estimators import KIND_SCORE, KIND_STEIN_V
+from steingrad.estimators import KIND_SCORE, KIND_STEIN_V, KINDS
 
 
 def write_csv(path, prefix, arr):
@@ -153,8 +162,6 @@ class TestEstimate:
         assert first == second
 
     def test_median_bandwidth_recorded_in_sidecar(self, tmp_path):
-        from steingrad import median_heuristic
-
         path, xs = sample_file(tmp_path, seed=4)
         out = tmp_path / "grads.csv"
         rc = main(
@@ -431,6 +438,134 @@ def test_dump_json_matrix_shapes_match_json_dumps(tmp_path, value):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def _read_outcome(fn, *args):
+    try:
+        arr = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return arr.shape, arr.tobytes()
+
+
+def _digits(least, most):
+    """Strings of ``least`` to ``most`` decimal digits, leading zeros kept."""
+    return st.integers(least, most).flatmap(
+        lambda n: st.integers(0, 10**n - 1).map(lambda v: f"{v:0{n}d}")
+    )
+
+
+_SIGNS = st.sampled_from(["", "-"])
+# CSV fields orjson parses: float reprs, decimals longer than a double holds,
+# exponents at the subnormal and overflow edges (1e309 overflows, and both
+# paths then reject it), integers near 2**53 and 2**64, and the integer -0,
+# which orjson reads without its sign
+_PLAIN_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}{}.{}".format, _SIGNS, st.integers(0, 10**20), _digits(17, 60)),
+    st.builds(
+        "{}{}.{}{}{}".format,
+        _SIGNS,
+        st.integers(0, 9),
+        _digits(1, 25),
+        st.sampled_from("eE"),
+        st.one_of(st.integers(-349, -300), st.integers(300, 309)).map(
+            lambda e: f"{e:+d}" if e % 2 else str(e)
+        ),
+    ),
+    st.integers(-(2**66), 2**66).map(str),
+    st.sampled_from([2**53, 2**64, -(2**63), -(2**64)]).flatmap(
+        lambda edge: st.integers(-4096, 4096).map(lambda k: str(edge + k))
+    ),
+    st.just("-0"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.lists(_PLAIN_FIELDS, min_size=d, max_size=d), min_size=1,
+                           max_size=6)
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+)
+@example(rows=[["-0", "1"], ["2", "-0"]], newline="\n", trailing=False)
+@example(rows=[["-0.0", "18446744073709551615"], ["2.4703282292062328e-324", "1e308"]],
+         newline="\r\n", trailing=True)
+def test_plain_csv_reads_as_the_csv_path(csv_dir, rows, newline, trailing):
+    d = len(rows[0])
+    lines = [",".join(f"x{i}" for i in range(d))] + [",".join(row) for row in rows]
+    data = (newline.join(lines) + (newline if trailing else "")).encode()
+    path = csv_dir / "plain.csv"
+    path.write_bytes(data)
+    want = _read_outcome(cli._parse_csv, data, path, "x")
+    assert _read_outcome(cli._read_matrix_csv, path, "x") == want
+    if not isinstance(want, str) and "-0" not in chain.from_iterable(rows):
+        # what both paths accept, the fast path takes
+        assert cli._parse_plain(data, "x") is not None
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("x0,x1\n1,true\n", "line 2: could not convert string to float: 'true'"),
+        ("x0,x1\n+1,2\n", [[1.0, 2.0]]),
+        ("x0,x1\n.5,2\n", [[0.5, 2.0]]),
+        ("x0,x1\n1.,2\n", [[1.0, 2.0]]),
+        ("x0,x1\n1_0,2\n", [[10.0, 2.0]]),
+        ("x0,x1\n00,2\n", [[0.0, 2.0]]),
+        ("x0,x1\n1, 2\n", [[1.0, 2.0]]),
+        ("x0,x1\nnan,2\n", "non-finite values"),
+        ("x0,x1\n1e400,2\n", "non-finite values"),
+        ('x0,x1\n"1.5",2\n', [[1.5, 2.0]]),
+        ('x0,"x1"\n1.5,2\n', [[1.5, 2.0]]),
+        ("x0,x1\n1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("x0,x1\n1,2\n3\n", "line 3: expected 2 fields, got 1"),
+        ("x0,x1\n1,2\r3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("\ufeffx0,x1\n1,2\n", "line 1: header must be x0..x{d-1}"),
+        ("x0,x1\n-0,2\n", [[-0.0, 2.0]]),
+        ("x0,x1\n1e-0,-0\r\n", [[1.0, -0.0]]),
+        ("x0,x1\n", "no data rows"),
+        ("", "empty file"),
+    ],
+)
+def test_csv_fallback_cases(csv_dir, text, want):
+    data = text.encode("utf-8")
+    path = csv_dir / "fallback.csv"
+    path.write_bytes(data)
+    assert cli._parse_plain(data, "x") is None
+    got = _read_outcome(cli._read_matrix_csv, path, "x")
+    if isinstance(want, str):
+        assert isinstance(got, str) and want in got
+    else:
+        want = np.array(want)
+        assert got == (want.shape, want.tobytes())
+
+
+def test_csv_field_over_the_size_limit_takes_the_csv_path(csv_dir, capsys):
+    field = "0." + "0" * csv.field_size_limit() + "1"
+    data = f"x0\n{field}\n".encode()
+    path = csv_dir / "long.csv"
+    path.write_bytes(data)
+    assert cli._parse_plain(data, "x") is None
+    with pytest.raises(ValueError, match=r"line 2: field larger than field limit"):
+        cli._read_matrix_csv(path, "x")
+    # csv's own error is a usage error, not a traceback
+    rc = main(["estimate", "--input", str(path), "--output", str(csv_dir / "g.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} line 2: field larger")
+
+
+def test_written_matrix_csv_takes_the_fast_path(csv_dir):
+    # the gradient CSVs the CLI writes (CRLF, float reprs) parse without csv
+    arr = np.random.default_rng(5).standard_normal((40, 3))
+    arr[0] = [-0.0, 5e-324, 1e300]
+    arr[1] = [1e-7, -3e17, 0.0]
+    path = csv_dir / "g.csv"
+    _write_matrix_csv(path, "g", arr)
+    fast = cli._parse_plain(path.read_bytes(), "g")
+    assert fast is not None and fast.tobytes() == arr.tobytes()
+
+
 class TestKsd:
     def test_zero_gradients_without_constant(self, tmp_path, capsys):
         path, xs = sample_file(tmp_path, seed=8, n=6)
@@ -645,6 +780,17 @@ class TestBanana:
         assert "init_noise" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("traj", ["report.json", "./report.json"])
+    def test_trajectories_on_output_rejected(self, tmp_path, monkeypatch, capsys, traj):
+        # the CSV would overwrite the report; neither may be written
+        monkeypatch.chdir(tmp_path)
+        argv = ["banana", "--seed", "1", "--estimator", "stein-v", "--n-chains", "2",
+                "--n-iters", "3", "--n-leapfrog", "2", "--output", "report.json",
+                "--trajectories", traj]
+        assert main(argv) == 2
+        assert "trajectories" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_stein_u_cannot_drive_sampler(self, tmp_path):
         rc, _ = self.run_banana(tmp_path, "--estimator", "stein-u")
         assert rc == 2
@@ -783,6 +929,30 @@ class TestJsonFormat:
         assert main(argv) == 0
         record = self.assert_canonical(tmp_path / "grads.json")
         assert record["grads" if estimator == "kde" else "coeffs"]
+
+    @pytest.mark.parametrize(
+        "family, kind",
+        [("rbf", kind) for kind in KINDS]
+        + [("epanechnikov", kind) for kind in ("kde", "stein-v", "stein-u", "score")],
+    )
+    def test_estimate_sidecar_is_json_dumps_of_to_json_dict(self, tmp_path, family, kind):
+        # the CLI writes the record's arrays directly; the bytes are those of
+        # the plain-list record library callers get
+        path, xs = sample_file(tmp_path, seed=16, n=25, d=3)
+        # signed zero, and values orjson spells unlike repr
+        xs[:2] = [[-0.0, 1e-7, 0.5], [0.0, 3.0, -2e-5]]
+        write_csv(path, "x", xs)
+        out = tmp_path / "grads.csv"
+        argv = ["estimate", "--input", str(path), "--output", str(out),
+                "--estimator", kind, "--kernel", family]
+        assert main(argv) == 0
+        spec = KernelSpec("rbf", median_heuristic(xs)) if family == "rbf" else KernelSpec(family)
+        record = fit_estimator(kind, xs, spec).to_json_dict()
+        for key in ("train", "grads", "coeffs"):
+            assert record[key] is None or type(record[key]) is list
+        assert type(record["train"][0][0]) is float
+        want = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "grads.json").read_bytes() == want.encode()
 
     def test_ksd_report(self, tmp_path):
         path, xs = sample_file(tmp_path, seed=15)

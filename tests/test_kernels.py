@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 from steingrad import (
     DegenerateBandwidthError,
@@ -257,3 +261,59 @@ class TestMedianHeuristic:
         xs = np.vstack([np.zeros((8, 2)), np.ones((2, 2))])
         with pytest.raises(DegenerateBandwidthError):
             median_heuristic(xs)
+
+
+def _np_median_heuristic(xs):
+    """The np.median form median_heuristic replaced, as the reference.
+
+    It squares with ``med * med``, as median_heuristic always has: ``** 2``
+    on a Python float raises OverflowError where the square overflows.
+    """
+    if xs.shape[0] < 2:
+        raise ValueError("median heuristic needs at least two samples")
+    med = float(np.median(pdist(xs)))
+    if med == 0.0:
+        raise DegenerateBandwidthError("median pairwise distance is zero")
+    return med * med
+
+
+def _bits_or_error(fn, xs):
+    try:
+        return np.float64(fn(xs)).tobytes()
+    except (ValueError, DegenerateBandwidthError) as exc:
+        return type(exc)
+
+
+# small integers give ties; the large magnitudes overflow the squared
+# distance (1e154) or the distance itself (1.7e308)
+_MEDIAN_ELEMENTS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-2, 2).map(float),
+    st.sampled_from([5e-324, 1e154, -1e154, 1.3e154, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def _samples_with_repeats(draw):
+    d = draw(st.integers(1, 3))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 12)), d), elements=_MEDIAN_ELEMENTS))
+    # up to 40 rows: numpy sorts short arrays outright when it partitions
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return pool[rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=_samples_with_repeats())
+@example(xs=np.array([[0.0], [1.0]]))  # K = 2: one pair
+@example(xs=np.array([[0.0], [1.0], [3.0]]))  # K = 3: three pairs
+@example(xs=np.array([[0.0], [1.0], [3.0], [7.0]]))  # K = 4: six pairs
+@example(xs=np.array([[0.0], [0.0], [0.0], [1.0]]))  # ties at the median
+@example(xs=np.array([[-1.7e308], [1.7e308], [0.0], [1.0]]))  # infinite distances
+# K = 25: numpy's partition leaves another value than the lower central
+# distance at k - 1 of these 300 pairs
+@example(xs=np.random.default_rng(5).standard_normal((25, 2)))
+def test_median_heuristic_is_np_median_bitwise(xs):
+    with np.errstate(over="ignore"):
+        want = _bits_or_error(_np_median_heuristic, xs)
+        got = _bits_or_error(median_heuristic, xs)
+    assert got == want

@@ -10,11 +10,17 @@ Four subcommands:
     steingrad entropy-check  Gaussian entropy-gradient calibration benchmark
 
 Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
-keys mirror the long flag names (underscored); explicit flags win over the
-config file, which wins over built-in defaults.  Commands that consume
-randomness require a seed.  Outputs are pure functions of (config, input
-files): JSON is written with sorted keys, a 2-space indent and shortest
-round-trip floats, so re-running a command reproduces its output byte for byte.
+keys mirror the long flag names (underscored).  Each option's default is
+declared once, on its flag; the config entries become the subcommand's
+defaults, so explicit flags win over the config file, which wins over the
+declared defaults, and a null entry keeps the declared default.  A config
+value is checked as its flag's value is: its JSON type against the flag's
+type (a float flag takes a JSON integer too), its value against the flag's
+choices, case and all.  Commands that consume randomness require a seed.
+
+Outputs are pure functions of (config, input files): JSON is written with
+sorted keys, a 2-space indent and shortest round-trip floats, so re-running a
+command reproduces its output byte for byte.
 
 Every float is written as ``float.__repr__`` writes it, in the CSVs as in the
 JSON (where NaN and infinities are spelled ``NaN`` and ``Infinity``, as
@@ -59,6 +65,7 @@ from .errors import NumericalError
 from .estimators import (
     DEFAULT_ETA,
     KIND_STEIN_U,
+    KIND_STEIN_V,
     KINDS,
     entropy_gradient_surrogate,
     fit_estimator,
@@ -86,20 +93,15 @@ _CONFIG_FIELD_TYPES = {
 }
 
 
-def _config_fields(sub):
-    """Config key -> argparse type (bool for on/off, str if untyped) of a subparser."""
-    fields = {}
-    for action in sub._actions:
-        if action.dest in ("help", "config"):
-            continue
-        is_switch = isinstance(action, argparse.BooleanOptionalAction)
-        fields[action.dest] = bool if is_switch else action.type or str
-    return fields
+def _load_config(path, sub):
+    """The checked entries of a config file for subparser ``sub``, by flag dest.
 
-
-def _load_config(path, fields):
-    if path is None:
-        return {}
+    Each value is checked as its flag's own value is: the JSON type against
+    the flag's type (``_CONFIG_TYPES``), the value against the flag's
+    choices, exactly.  A float flag's value becomes a float; a null entry is
+    left out, so the flag keeps its declared default.
+    """
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -107,79 +109,66 @@ def _load_config(path, fields):
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(obj) - set(fields))
+    unknown = sorted(set(obj) - set(actions))
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
+    config = {}
     for key, value in obj.items():
         if value is None:
             continue
-        types, what = _CONFIG_FIELD_TYPES.get(key) or _CONFIG_TYPES[fields[key]]
-        ok = isinstance(value, types) and isinstance(value, bool) == (fields[key] is bool)
-        if not ok:
+        action = actions[key]
+        is_switch = isinstance(action, argparse.BooleanOptionalAction)
+        flag_type = bool if is_switch else action.type or str
+        types, what = _CONFIG_FIELD_TYPES.get(key) or _CONFIG_TYPES[flag_type]
+        if not (isinstance(value, types) and isinstance(value, bool) == is_switch):
             raise ValueError(f"{path}: config field {key!r} must be {what}, got {value!r}")
-    return obj
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"{path}: config field {key!r}: unknown {key} {value!r}; "
+                f"expected one of {', '.join(action.choices)}"
+            )
+        if flag_type is float:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(
+                    f"{path}: config field {key!r} is beyond the float range"
+                ) from None
+        config[key] = value
+    return config
 
 
-class _Options:
-    """Flag > config file > default resolution for one subcommand."""
-
-    def __init__(self, args):
-        self.args = args
-        self.config = _load_config(args.config, args.config_fields)
-
-    def get(self, name, default=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.config and self.config[name] is not None:
-            return self.config[name]
-        return default
-
-
-def _bandwidth_scale(opts):
-    scale = float(opts.get("bandwidth_scale", 1.0))
+def _bandwidth_scale(args):
+    scale = args.bandwidth_scale
     if not math.isfinite(scale) or scale <= 0:
         raise ValueError(f"bandwidth_scale must be > 0, got {scale!r}")
     return scale
 
 
-def _resolve_spec(opts, train=None):
-    """Build the KernelSpec from kernel/sigma2/bandwidth_scale options."""
-    family = str(opts.get("kernel", RBF)).lower()
-    if family not in (RBF, EPANECHNIKOV):
-        raise ValueError(f"unknown kernel family {family!r}")
-    raw = opts.get("sigma2", "median")
-    scale = _bandwidth_scale(opts)
-    if family == EPANECHNIKOV:
-        if str(raw).lower() != "median" and raw is not None:
+def _resolve_spec(args, train):
+    """Build the KernelSpec from the kernel, sigma2 and bandwidth_scale options."""
+    raw = args.sigma2
+    scale = _bandwidth_scale(args)
+    if args.kernel == EPANECHNIKOV:
+        if str(raw).lower() != "median":
             raise ValueError("the epanechnikov kernel carries no bandwidth")
         return KernelSpec(EPANECHNIKOV)
     if str(raw).lower() == "median":
-        if train is None:
-            raise ValueError("median bandwidth needs training samples")
         base = median_heuristic(train)
     else:
         try:
             base = float(raw)
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(
                 f"sigma2 must be a positive number or 'median', got {raw!r}"
             ) from exc
     return KernelSpec(RBF, base * scale)
 
 
-def _check_estimator(name, field="estimator"):
-    if name not in KINDS:
-        raise ValueError(
-            f"{field}: unknown estimator {name!r}; expected one of {', '.join(KINDS)}"
-        )
-
-
-def _require_seed(opts):
-    seed = opts.get("seed")
-    if seed is None:
+def _require_seed(args):
+    if args.seed is None:
         raise ValueError("this command needs --seed (or a 'seed' config entry)")
-    return seed
+    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -417,26 +406,20 @@ def _jsonable(value):
 
 
 def cmd_estimate(args) -> int:
-    opts = _Options(args)
-    input_path = opts.get("input")
-    output_path = opts.get("output")
+    input_path = args.input
+    output_path = args.output
     if not input_path or not output_path:
         raise ValueError("estimate needs --input and --output")
-    sidecar = opts.get("sidecar")
+    sidecar = args.sidecar
     if sidecar is None:
         sidecar = str(Path(output_path).with_suffix(".json"))
     if Path(sidecar).resolve() == Path(output_path).resolve():
         raise ValueError(
             f"sidecar: {sidecar!r} is the gradient CSV --output; pass another --sidecar"
         )
-    name = str(opts.get("estimator", "stein-v"))
-    if name == "exact":
-        raise ValueError("estimator 'exact' is only meaningful for the banana command")
-    _check_estimator(name)
     samples = _read_matrix_csv(input_path, "x")
-    spec = _resolve_spec(opts, train=samples)
-    eta = float(opts.get("eta", DEFAULT_ETA))
-    fitted = fit_estimator(name, samples, spec, eta)
+    spec = _resolve_spec(args, samples)
+    fitted = fit_estimator(args.estimator, samples, spec, args.eta)
     grads = fitted.grads_at_train()
     _write_matrix_csv(output_path, "g", grads)
     _dump_json(fitted._json_record(), sidecar)
@@ -448,19 +431,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ksd(args) -> int:
-    opts = _Options(args)
-    samples_path = opts.get("samples")
-    grads_path = opts.get("grads")
-    if not samples_path or not grads_path:
+    if not args.samples or not args.grads:
         raise ValueError("ksd needs --samples and --grads")
-    statistic = str(opts.get("statistic", "v")).lower()
-    if statistic not in ("v", "u"):
-        raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
-    xs = _read_matrix_csv(samples_path, "x")
-    gs = _read_matrix_csv(grads_path, "g")
-    spec = _resolve_spec(opts, train=xs)
-    ksd_fn = ksd_v if statistic == "v" else ksd_u
-    est = ksd_fn(xs, gs, spec, includes_constant=opts.get("include_constant", True))
+    xs = _read_matrix_csv(args.samples, "x")
+    gs = _read_matrix_csv(args.grads, "g")
+    spec = _resolve_spec(args, xs)
+    ksd_fn = ksd_v if args.statistic == "v" else ksd_u
+    est = ksd_fn(xs, gs, spec, includes_constant=args.include_constant)
     report = {
         "statistic": est.statistic,
         "includes_constant": est.includes_constant,
@@ -470,7 +447,7 @@ def cmd_ksd(args) -> int:
         "kernel": spec.family,
         "sigma2": spec.sigma2,
     }
-    _dump_json(report, opts.get("output"))
+    _dump_json(report, args.output)
     return 0
 
 
@@ -484,10 +461,9 @@ _PRESETS = {
 
 
 def cmd_banana(args) -> int:
-    opts = _Options(args)
-    seed = _require_seed(opts)
-    output_path = opts.get("output")
-    traj_path = opts.get("trajectories")
+    seed = _require_seed(args)
+    output_path = args.output
+    traj_path = args.trajectories
     if (
         traj_path is not None
         and output_path is not None
@@ -497,36 +473,31 @@ def cmd_banana(args) -> int:
             f"trajectories: {traj_path!r} is the report --output; pass another "
             f"--trajectories"
         )
-    preset = opts.get("preset", "desk")
-    if preset not in _PRESETS:
-        raise ValueError(f"preset must be one of {sorted(_PRESETS)}, got {preset!r}")
-    n_chains = opts.get("n_chains", _PRESETS[preset]["n_chains"])
-    n_iters = opts.get("n_iters", _PRESETS[preset]["n_iters"])
+    # a count left unset comes from the preset; an explicit 0 still fails
+    preset = _PRESETS[args.preset]
+    n_chains = preset["n_chains"] if args.n_chains is None else args.n_chains
+    n_iters = preset["n_iters"] if args.n_iters is None else args.n_iters
     cfg = HmcConfig(
         n_chains=n_chains,
         n_iters=n_iters,
-        stepsize=float(opts.get("stepsize", 0.5)),
-        n_leapfrog=opts.get("n_leapfrog", 10),
-        burn_in_fraction=float(opts.get("burn_in", 0.2)),
+        stepsize=args.stepsize,
+        n_leapfrog=args.n_leapfrog,
+        burn_in_fraction=args.burn_in,
     )
-    b = float(opts.get("banana_b", 0.03))
-    v = float(opts.get("banana_v", 100.0))
-    n_train = opts.get("n_train", 200)
-    init_noise = float(opts.get("init_noise", 2.0))
+    b, v = args.banana_b, args.banana_v
+    init_noise = args.init_noise
     if not math.isfinite(init_noise) or init_noise < 0:
         raise ValueError(f"init_noise must be finite and >= 0, got {init_noise!r}")
-    name = str(opts.get("estimator", "stein-v"))
-    if name != "exact":
-        _check_estimator(name)
+    name = args.estimator
     if name == KIND_STEIN_U:
         raise ValueError(
             "stein-u has no out-of-sample prediction rule and cannot "
             "drive the sampler; use stein-v or a parametric estimator"
         )
-    scale = _bandwidth_scale(opts)
+    scale = _bandwidth_scale(args)
 
     ss_train, ss_init, ss_chains = np.random.SeedSequence(seed).spawn(3)
-    train = banana_sample(n_train, np.random.default_rng(ss_train), b, v)
+    train = banana_sample(args.n_train, np.random.default_rng(ss_train), b, v)
     rng_init = np.random.default_rng(ss_init)
     init = banana_sample(n_chains, rng_init, b, v) + init_noise * rng_init.standard_normal(
         (n_chains, 2)
@@ -542,8 +513,8 @@ def cmd_banana(args) -> int:
         spec = None
         eta = None
     else:
-        spec = _resolve_spec(opts, train=train)
-        eta = float(opts.get("eta", DEFAULT_ETA))
+        spec = _resolve_spec(args, train)
+        eta = args.eta
         fitted = fit_estimator(name, train, spec, eta)
         score_fn = fitted.predict
 
@@ -555,17 +526,17 @@ def cmd_banana(args) -> int:
         chain_seeds=ss_chains.spawn(n_chains),
         ksd_score_fn=partial(banana_score, b=b, v=v),
         ksd_spec=metric_spec,
-        ksd_pool_cap=opts.get("ksd_pool_cap", 2000),
+        ksd_pool_cap=args.ksd_pool_cap,
     )
 
     report = {
-        "preset": preset,
+        "preset": args.preset,
         "seed": seed,
         "estimator": name,
         "kernel": None if spec is None else spec.family,
         "sigma2": None if spec is None else spec.sigma2,
         "eta": eta,
-        "n_train": n_train,
+        "n_train": args.n_train,
         "banana_b": b,
         "banana_v": v,
         "n_chains": cfg.n_chains,
@@ -604,23 +575,21 @@ def cmd_banana(args) -> int:
 
 
 def cmd_entropy_check(args) -> int:
-    opts = _Options(args)
-    seed = _require_seed(opts)
-    sigma = float(opts.get("sigma", 1.5))
+    seed = _require_seed(args)
+    sigma = args.sigma
     if not math.isfinite(sigma) or sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    n = opts.get("n", 2000)
+    n = args.n
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    names = opts.get("estimators", "kde,stein-v,score")
+    names = args.estimators  # a comma-separated flag, or a config list
     if isinstance(names, str):
         names = [s.strip() for s in names.split(",") if s.strip()]
-    if not isinstance(names, list):
-        raise ValueError(
-            f"estimators must be a comma-separated string or a list, got {names!r}"
-        )
     for i, name in enumerate(names):
-        _check_estimator(name, "estimators")
+        if name not in KINDS:
+            raise ValueError(
+                f"estimators: unknown estimator {name!r}; expected one of {', '.join(KINDS)}"
+            )
         if name in names[:i]:
             raise ValueError(f"estimators: {name!r} is listed twice")
 
@@ -646,13 +615,12 @@ def cmd_entropy_check(args) -> int:
         "exact": entry(entropy_gradient_surrogate(exact_grads, jac)[0]),
         "estimates": {},
     }
-    spec = _resolve_spec(opts, train=z)
-    eta = float(opts.get("eta", DEFAULT_ETA))
+    spec = _resolve_spec(args, z)
     for name in names:
-        fitted = fit_estimator(name, z, spec, eta)
+        fitted = fit_estimator(name, z, spec, args.eta)
         value = entropy_gradient_surrogate(fitted.grads_at_train(), jac)[0]
         report["estimates"][name] = entry(value)
-    _dump_json(report, opts.get("output"))
+    _dump_json(report, args.output)
     return 0
 
 
@@ -661,18 +629,18 @@ def cmd_entropy_check(args) -> int:
 
 
 def _add_kernel_flags(sub):
-    sub.add_argument("--kernel", choices=[RBF, EPANECHNIKOV], default=None)
+    sub.add_argument("--kernel", choices=[RBF, EPANECHNIKOV], default=RBF)
     sub.add_argument(
         "--sigma2",
-        default=None,
+        default="median",
         help="RBF squared bandwidth: a positive number or 'median' (default)",
     )
     sub.add_argument(
         "--bandwidth-scale",
         dest="bandwidth_scale",
         type=float,
-        default=None,
-        help="multiplier applied to sigma2, typically 1-5 (default 1.0)",
+        default=1.0,
+        help="multiplier applied to sigma2, typically 1-5 (default %(default)s)",
     )
 
 
@@ -684,75 +652,83 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     est = subs.add_parser("estimate", help="fit a score estimator to samples")
-    est.add_argument("--config", default=None)
-    est.add_argument("--input", default=None, help="sample CSV (header x0..)")
-    est.add_argument("--output", default=None, help="gradient CSV (header g0..)")
-    est.add_argument("--sidecar", default=None, help="estimator JSON path")
-    est.add_argument("--estimator", default=None, choices=sorted(KINDS))
+    est.add_argument("--config")
+    est.add_argument("--input", help="sample CSV (header x0..)")
+    est.add_argument("--output", help="gradient CSV (header g0..)")
+    est.add_argument("--sidecar", help="estimator JSON path")
+    est.add_argument("--estimator", default=KIND_STEIN_V, choices=sorted(KINDS))
     _add_kernel_flags(est)
-    est.add_argument("--eta", type=float, default=None)
-    est.set_defaults(func=cmd_estimate, config_fields=_config_fields(est))
+    est.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    est.set_defaults(func=cmd_estimate)
 
     ksd = subs.add_parser("ksd", help="kernelised Stein discrepancy of a sample")
-    ksd.add_argument("--config", default=None)
-    ksd.add_argument("--samples", default=None, help="sample CSV (header x0..)")
-    ksd.add_argument("--grads", default=None, help="gradient CSV (header g0..)")
+    ksd.add_argument("--config")
+    ksd.add_argument("--samples", help="sample CSV (header x0..)")
+    ksd.add_argument("--grads", help="gradient CSV (header g0..)")
     _add_kernel_flags(ksd)
-    ksd.add_argument("--statistic", choices=["v", "u"], default=None)
+    ksd.add_argument("--statistic", choices=["v", "u"], default="v")
     ksd.add_argument(
         "--include-constant",
         dest="include_constant",
         action=argparse.BooleanOptionalAction,
-        default=None,
+        default=True,
     )
-    ksd.add_argument("--output", default=None, help="report path (default stdout)")
-    ksd.set_defaults(func=cmd_ksd, config_fields=_config_fields(ksd))
+    ksd.add_argument("--output", help="report path (default stdout)")
+    ksd.set_defaults(func=cmd_ksd)
 
     ban = subs.add_parser("banana", help="gradient-free HMC banana benchmark")
-    ban.add_argument("--config", default=None)
-    ban.add_argument("--preset", choices=sorted(_PRESETS), default=None)
-    ban.add_argument("--seed", type=int, default=None)
+    ban.add_argument("--config")
+    ban.add_argument("--preset", choices=sorted(_PRESETS), default="desk")
+    ban.add_argument("--seed", type=int)
     ban.add_argument(
         "--estimator",
-        default=None,
+        default=KIND_STEIN_V,
         choices=sorted(KINDS) + ["exact"],
     )
     _add_kernel_flags(ban)
-    ban.add_argument("--eta", type=float, default=None)
-    ban.add_argument("--n-train", dest="n_train", type=int, default=None)
-    ban.add_argument("--n-chains", dest="n_chains", type=int, default=None)
-    ban.add_argument("--n-iters", dest="n_iters", type=int, default=None)
-    ban.add_argument("--stepsize", type=float, default=None)
-    ban.add_argument("--n-leapfrog", dest="n_leapfrog", type=int, default=None)
-    ban.add_argument("--burn-in", dest="burn_in", type=float, default=None)
-    ban.add_argument("--init-noise", dest="init_noise", type=float, default=None)
-    ban.add_argument("--banana-b", dest="banana_b", type=float, default=None)
-    ban.add_argument("--banana-v", dest="banana_v", type=float, default=None)
-    ban.add_argument("--ksd-pool-cap", dest="ksd_pool_cap", type=int, default=None)
-    ban.add_argument("--output", default=None, help="report path (default stdout)")
-    ban.add_argument("--trajectories", default=None, help="per-iteration CSV path")
-    ban.set_defaults(func=cmd_banana, config_fields=_config_fields(ban))
+    ban.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    ban.add_argument("--n-train", dest="n_train", type=int, default=200)
+    # None: the preset's count
+    ban.add_argument("--n-chains", dest="n_chains", type=int)
+    ban.add_argument("--n-iters", dest="n_iters", type=int)
+    ban.add_argument("--stepsize", type=float, default=0.5)
+    ban.add_argument("--n-leapfrog", dest="n_leapfrog", type=int, default=10)
+    ban.add_argument("--burn-in", dest="burn_in", type=float, default=0.2)
+    ban.add_argument("--init-noise", dest="init_noise", type=float, default=2.0)
+    ban.add_argument("--banana-b", dest="banana_b", type=float, default=0.03)
+    ban.add_argument("--banana-v", dest="banana_v", type=float, default=100.0)
+    ban.add_argument("--ksd-pool-cap", dest="ksd_pool_cap", type=int, default=2000)
+    ban.add_argument("--output", help="report path (default stdout)")
+    ban.add_argument("--trajectories", help="per-iteration CSV path")
+    ban.set_defaults(func=cmd_banana)
 
     ent = subs.add_parser("entropy-check", help="entropy-gradient benchmark")
-    ent.add_argument("--config", default=None)
-    ent.add_argument("--sigma", type=float, default=None)
-    ent.add_argument("--n", type=int, default=None)
-    ent.add_argument("--seed", type=int, default=None)
+    ent.add_argument("--config")
+    ent.add_argument("--sigma", type=float, default=1.5)
+    ent.add_argument("--n", type=int, default=2000)
+    ent.add_argument("--seed", type=int)
     ent.add_argument(
         "--estimators",
-        default=None,
-        help="comma-separated estimator names (default kde,stein-v,score)",
+        default="kde,stein-v,score",
+        help="comma-separated estimator names (default %(default)s)",
     )
     _add_kernel_flags(ent)
-    ent.add_argument("--eta", type=float, default=None)
-    ent.add_argument("--output", default=None, help="report path (default stdout)")
-    ent.set_defaults(func=cmd_entropy_check, config_fields=_config_fields(ent))
+    ent.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    ent.add_argument("--output", help="report path (default stdout)")
+    ent.set_defaults(func=cmd_entropy_check)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            # config entries become the subcommand's defaults: flag > config > default
+            subs = next(a for a in parser._actions if a.dest == "command")
+            sub = subs.choices[args.command]
+            sub.set_defaults(**_load_config(args.config, sub))
+            args = parser.parse_args(argv)
         return args.func(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -767,4 +743,4 @@ def entry_point():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -910,6 +914,126 @@ def test_config_sigma2_takes_numbers_and_strings(tmp_path, sigma2):
         assert json.load(fh)["kernel"]["sigma2"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [("estimate", "eta"), ("estimate", "sigma2"), ("banana", "stepsize"),
+     ("entropy-check", "sigma")],
+)
+def test_config_float_overflow_named(tmp_path, capsys, command, field):
+    # float() of an integer beyond the float range raises OverflowError, not ValueError
+    path, _ = sample_file(tmp_path, seed=42)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: 10**400}))
+    extra = {
+        "estimate": ["--input", str(path), "--output", str(tmp_path / "grads.csv")],
+        "banana": ["--seed", "1", "--estimator", "exact", "--n-chains", "2", "--n-iters", "3"],
+        "entropy-check": ["--seed", "1", "--n", "20"],
+    }[command]
+    assert main([command, "--config", str(config), *extra]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("estimate", "kernel", "RBF"),
+        ("ksd", "statistic", "V"),
+        ("banana", "preset", "Desk"),
+        ("estimate", "estimator", "exact"),
+    ],
+)
+def test_config_value_must_match_choices_exactly(tmp_path, capsys, command, field, value):
+    # as --kernel RBF is refused, so is the config entry; no input is read
+    missing = str(tmp_path / "nope.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    extra = {
+        "estimate": ["--input", missing, "--output", str(tmp_path / "grads.csv")],
+        "ksd": ["--samples", missing, "--grads", missing],
+        "banana": ["--seed", "1", "--estimator", "exact", "--output", str(tmp_path / "r.json")],
+    }[command]
+    assert main([command, "--config", str(config), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"config field {field!r}" in err and repr(value) in err and "nope.csv" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def _subparsers():
+    """Subcommand name -> its parser, from a fresh ``build_parser()``."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _cli_options():
+    """(subcommand, dest) of every option of every subcommand but --help and --config."""
+    return [
+        pytest.param(name, action.dest, id=f"{name}-{action.dest}")
+        for name, sub in _subparsers().items()
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+def _option_values(action):
+    """Two (config entry, flag argv) pairs for an option, each pair one value.
+
+    The first value differs from the declared default, the second from the
+    first; a float option takes JSON integers, as a config file may give.
+    """
+    if isinstance(action, argparse.BooleanOptionalAction):
+        on, off = action.option_strings
+        first = not action.default
+        return [(first, [on if first else off]), (not first, [off if first else on])]
+    if action.choices is not None:
+        values = [next(c for c in action.choices if c != action.default), action.default]
+    elif action.type in (int, float):
+        values = [7, 8]
+    else:
+        values = ["alpha", "beta"]
+    return [(value, [action.option_strings[0], str(value)]) for value in values]
+
+
+@pytest.mark.parametrize("command, dest", _cli_options())
+def test_config_entry_resolves_as_its_flag(tmp_path, monkeypatch, command, dest):
+    # each option: a config entry gives the flag's value and type, the flag
+    # beats a conflicting entry, and null gives the declared default
+    sub = _subparsers()[command]
+    action = next(a for a in sub._actions if a.dest == dest)
+    seen = []
+    monkeypatch.setattr(cli, sub.get_default("func").__name__, lambda args: seen.append(args) or 0)
+    config = tmp_path / "config.json"
+
+    def resolve(entry, argv):
+        config.write_text(json.dumps({dest: entry}))
+        assert main([command, "--config", str(config), *argv]) == 0
+        args = vars(seen.pop())
+        del args["config"]
+        return args
+
+    (first, first_argv), (second, _) = _option_values(action)
+    from_flag = resolve(None, first_argv)
+    from_config = resolve(first, [])
+    assert from_flag[dest] != action.default
+    assert from_config == from_flag
+    assert type(from_config[dest]) is type(from_flag[dest])
+    assert resolve(second, first_argv) == from_flag
+    default = resolve(None, [])[dest]
+    assert default == action.default and type(default) is type(action.default)
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_zero_chains_rejected(tmp_path, capsys, via):
+    # 0 is not "unset": the preset's count must not replace it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_chains": 0}))
+    out = tmp_path / "report.json"
+    argv = ["banana", "--seed", "1", "--estimator", "exact", "--output", str(out)]
+    argv += ["--n-chains", "0"] if via == "flag" else ["--config", str(config)]
+    assert main(argv) == 2
+    assert "n_chains" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestJsonFormat:
     """Every report and sidecar is sorted-key, indent-2 JSON plus a newline."""
 
@@ -998,3 +1122,27 @@ class TestConsoleScript:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["K"] == 5
+
+    def test_module_runs_without_install(self, tmp_path, capsys):
+        # python -m steingrad.cli with the source tree on the path, no console script
+        path, xs = sample_file(tmp_path, seed=13, n=5)
+        gpath = tmp_path / "grads.csv"
+        write_csv(gpath, "g", -xs)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["ksd", "--samples", str(path), "--grads", str(gpath), "--sigma2", "1.0"]
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "steingrad.cli", *args],
+                capture_output=True, env=env, timeout=60,
+            )
+
+        proc = run(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+        bad = run("ksd", "--statistic", "w")
+        assert bad.returncode == 2
+        assert b"--statistic" in bad.stderr

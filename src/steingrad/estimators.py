@@ -122,10 +122,12 @@ def _stein_system(xs, spec, statistic):
     The ridge solve (K + eta I) G = -<grad, K> gives the V-statistic field;
     the U-statistic removes the kernel diagonal from the system matrix and
     requires a strictly positive eta.  The matrix is the kernel matrix's
-    buffer.
+    buffer, returned as its column-major transpose view: squareform mirrors
+    it, so it is exactly symmetric and the view is the same matrix, which
+    the solver's Cholesky copies without transposing.
     """
     mats = build_matrices(xs, spec)
-    system = mats.k_matrix
+    system = mats.k_matrix.T
     if statistic == "u":
         np.fill_diagonal(system, 0.0)
     return system, -mats.grad_sum
@@ -240,7 +242,10 @@ def _score_system(xs, spec):
          The sum over coordinates costs d K x K x K products (symmetric
          ones, at half the flops of a general product) and the
          coordinate-free form 2 general ones, so Sigma is the sum for
-         d <= 2 and the coordinate-free form from d = 3 on.
+         d <= 2 and the coordinate-free form from d = 3 on.  The sum is
+         exactly symmetric and is returned column-major; the closed form
+         is symmetric only up to rounding and stays C-ordered, so the
+         solver's Cholesky reads its C lower triangle as before.
 
     epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
          Sigma_kk' = (1/d^2) [ x^k . x^k'
@@ -263,7 +268,9 @@ def _score_system(xs, spec):
             km @ sqn + sqn * ksum - 2.0 * (xs * (km @ xs)).sum(axis=1)
         )
         if d < _SIGMA_CLOSED_FORM_MIN_D:
-            sigma = _score_sigma_by_coordinate(xs, km)
+            # a sum of syrk products, exactly symmetric: its transpose view
+            # is the same matrix, column-major
+            sigma = _score_sigma_by_coordinate(xs, km).T
         else:
             sigma = _score_sigma_closed_form(xs, km, sqn)
     else:
@@ -388,7 +395,9 @@ class FittedEstimator:
         triangular solves, on the fit's jitter ladder; the ladder's residual
         check depends on the right-hand side, so a near-singular system can
         accept it on a higher rung than the fit.  The factor is not kept on
-        the fit: it would hold another (K, K) array.
+        the fit: it would hold another (K, K) array.  The system arrives
+        column-major from ``_stein_system``, and the factor goes to the
+        triangular solves in place, so neither is copied by transposing.
         """
         if self.kind != KIND_STEIN_V:
             return None

@@ -10,6 +10,13 @@ at the same rung; it moves to the next rung when neither yields a finite
 solution with an acceptable residual.  The ladder is deterministic, so a
 given system always resolves the same way, and the jitter actually used is
 reported back to the caller.
+
+Layout: Cholesky reads the lower triangle, and its factor goes to LAPACK
+``potrs`` transposed, as the column-major upper factor, so it is read in
+place rather than copied.  A system that is exactly symmetric may arrive
+column-major (the transpose view of a C-ordered matrix): numpy's Cholesky
+then copies it contiguously instead of transposing it, and the solution
+keeps its bits.  The LDL^T fallback reads the upper triangle.
 """
 
 import warnings
@@ -29,18 +36,23 @@ JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 def _factor_and_solve(system, rhs):
     # Cholesky reads the lower triangle only; a pivot that is not positive
-    # raises LinAlgError, and the indefinite solver takes over.  numpy's
-    # factorisation runs on the same BLAS thread pool as the library's
-    # matrix products; scipy's cho_factor, on scipy's own pool, stalled for
-    # up to 0.1 s on a 2-core host while numpy's threads still spun after a
-    # product (the factor itself is the same: same LAPACK routine)
+    # raises LinAlgError, and the indefinite solver takes over, reading the
+    # upper triangle.  numpy's factorisation runs on the same BLAS thread
+    # pool as the library's matrix products; scipy's cho_factor, on scipy's
+    # own pool, stalled for up to 0.1 s on a 2-core host while numpy's
+    # threads still spun after a product (the factor itself is the same:
+    # same LAPACK routine).  numpy returns the factor C-ordered, so its
+    # transpose is the column-major upper factor, which potrs reads in
+    # place; (lower, True) cost a transposing copy, 21 of 24 ms at
+    # K = 2000, for the same bits.  An exactly symmetric system may arrive
+    # column-major, which spares numpy's Cholesky the same kind of copy.
     try:
         lower = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             return scipy.linalg.solve(system, rhs, assume_a="sym")
-    return scipy.linalg.cho_solve((lower, True), rhs, check_finite=False)
+    return scipy.linalg.cho_solve((lower.T, False), rhs, check_finite=False)
 
 
 def solve_symmetric(mat, rhs, name: str = "linear system"):
@@ -54,7 +66,8 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
     Parameters
     ----------
     mat : (K, K) array
-        Symmetric system matrix.
+        Symmetric system matrix, in either memory order (see the module
+        docstring).
     rhs : (K,) or (K, m) array
         Right-hand side.
     name : str
@@ -89,7 +102,12 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
     bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(rhs)))
     for level, mult in enumerate(JITTER_LADDER):
         jitter = mult * scale
-        system = mat + jitter * np.eye(k) if jitter else mat
+        system = mat
+        if jitter:
+            # mat + jitter I in mat's own layout: + 0.0 turns -0.0 into +0.0
+            # off the diagonal as adding jitter * eye(k) would, same bits
+            system = mat + 0.0
+            system[np.diag_indices(k)] += jitter
         try:
             z = _factor_and_solve(system, rhs)
         except (np.linalg.LinAlgError, ValueError):

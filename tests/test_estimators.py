@@ -29,6 +29,7 @@ from steingrad.estimators import (
     MIN_U_ETA,
     _expansion_predict,
     _parametric_system,
+    _score_system,
     _stein_system,
 )
 from steingrad.kernels import cross_hess_trace, kernel_grad_first_arg
@@ -450,6 +451,38 @@ class TestEntropySurrogate:
             entropy_gradient_surrogate(grads, np.zeros((2, 2, 1)))
         with pytest.raises(ValueError):
             entropy_gradient_surrogate(grads, np.full((3, 2, 1), np.nan))
+
+
+class TestSystemLayout:
+    # the solver may take an exactly symmetric system column-major, which
+    # spares its Cholesky a transposing copy; a system that is symmetric
+    # only up to rounding stays C-ordered, so its C lower triangle is read
+    @pytest.mark.parametrize("statistic", ["v", "u"])
+    @pytest.mark.parametrize("spec", [RBF, EPAN], ids=["rbf", "epanechnikov"])
+    def test_stein_system_is_column_major_and_exactly_symmetric(self, spec, statistic):
+        system, _ = _stein_system(gaussian_sample(40, n=30), spec, statistic)
+        assert system.flags.f_contiguous and not system.flags.c_contiguous
+        assert np.array_equal(system, system.T)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_coordinate_sum_sigma_is_column_major_and_exactly_symmetric(self, d):
+        sigma, _ = _score_system(gaussian_sample(41, n=30, d=d), RBF)
+        assert sigma.flags.f_contiguous and not sigma.flags.c_contiguous
+        assert np.array_equal(sigma, sigma.T)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda xs: _score_system(xs, RBF),
+            lambda xs: _score_system(xs, EPAN),
+            lambda xs: _parametric_system(xs, RBF, "v"),
+            lambda xs: _parametric_system(xs, RBF, "u"),
+        ],
+        ids=["score-rbf", "score-epanechnikov", "param-v", "param-u"],
+    )
+    def test_systems_symmetric_up_to_rounding_stay_c_ordered(self, build):
+        system, _ = build(gaussian_sample(42, n=30, d=3))
+        assert system.flags.c_contiguous and not system.flags.f_contiguous
 
 
 class TestFittedEstimator:

@@ -119,3 +119,83 @@ class TestSolveSymmetric:
         mat[i, j] = np.nan
         with pytest.raises(SingularSolveError):
             solve_symmetric(mat, np.ones(5), name="test system")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _solve_in_both_orders(mat, rhs):
+    # an exactly symmetric system solves to the same bits whether it is
+    # passed C-ordered or column-major
+    assert np.array_equal(mat, mat.T)
+    assert mat.flags.c_contiguous
+    col = np.asfortranarray(mat)
+    assert col.flags.f_contiguous
+    z, jitter, level = solve_symmetric(mat, rhs)
+    z_col, jitter_col, level_col = solve_symmetric(col, rhs)
+    assert _same_bits(z, z_col)
+    assert (jitter, level) == (jitter_col, level_col)
+    return z, jitter, level
+
+
+class TestMemoryOrder:
+    @pytest.mark.parametrize("k", [1, 2, 7, 200])
+    @pytest.mark.parametrize("rhs_shape", ["vector", "column", "block", "identity"])
+    def test_positive_definite_system(self, k, rhs_shape):
+        rng = np.random.default_rng(k)
+        m = rng.standard_normal((k, k))
+        mat = m @ m.T + 0.1 * np.eye(k)  # syrk: exactly symmetric
+        rhs = {
+            "vector": rng.standard_normal(k),
+            "column": rng.standard_normal((k, 1)),
+            "block": rng.standard_normal((k, 3)),
+            "identity": np.eye(k),
+        }[rhs_shape]
+        z, jitter, level = _solve_in_both_orders(mat, rhs)
+        assert (jitter, level) == (0.0, 0)
+        want = scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), rhs)
+        assert _same_bits(z, want)
+
+    def test_near_singular_system_takes_a_jitter_rung(self):
+        b = np.random.default_rng(5).standard_normal((6, 2))
+        mat = b @ b.T  # rank 2
+        rhs = np.ones(6)
+        _, jitter, level = _solve_in_both_orders(mat, rhs)
+        assert level > 0 and jitter > 0
+
+    def test_jitter_rung_keeps_signed_zeros(self):
+        # the rung adds jitter on the diagonal only, as mat + jitter * I
+        # would: -0.0 off the diagonal becomes +0.0
+        mat = np.array([[1.0, -0.0], [-0.0, 0.0]])
+        rhs = np.array([1.0, -0.0])  # z[1] is -0.0 only with +0.0 off the diagonal
+        z, jitter, level = _solve_in_both_orders(mat, rhs)
+        assert level > 0
+        system = mat + jitter * np.eye(2)
+        want = scipy.linalg.cho_solve((np.linalg.cholesky(system), True), rhs)
+        assert _same_bits(z, want)
+
+    def test_indefinite_system_on_the_ldlt_path(self):
+        rng = np.random.default_rng(6)
+        q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        mat = q @ np.diag([-3.0, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]) @ q.T
+        mat = (mat + mat.T) / 2
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mat)
+        rhs = rng.standard_normal((9, 2))
+        z, jitter, level = _solve_in_both_orders(mat, rhs)
+        assert (jitter, level) == (0.0, 0)
+        assert _same_bits(z, scipy.linalg.solve(mat, rhs, assume_a="sym"))
+
+    def test_asymmetric_by_rounding_reads_the_lower_triangle(self):
+        # a C-ordered matrix that is symmetric only up to rounding is still
+        # factored from its lower triangle, as numpy's Cholesky reads it
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        mat = q @ np.diag(np.linspace(0.5, 3.0, 40)) @ q.T
+        assert not np.array_equal(mat, mat.T)
+        rhs = rng.standard_normal((40, 3))
+        z, jitter, level = solve_symmetric(mat, rhs)
+        assert (jitter, level) == (0.0, 0)
+        want = scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), rhs)
+        assert _same_bits(z, want)

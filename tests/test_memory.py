@@ -27,6 +27,7 @@ CALLS = {
     "build_matrices with_trace": lambda: build_matrices(XS, SPEC, with_trace=True),
     "ksd_v": lambda: ksd_v(XS, -XS, SPEC, includes_constant=True),
     "stein-v fit": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC),
+    "stein-v kinv": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC).kinv,
     "score-rbf fit": lambda: fit_estimator(KIND_SCORE, XS, SPEC),
     "score-rbf fit d=1": lambda: fit_estimator(KIND_SCORE, XS1, SPEC1),
     "stein-param-v fit": lambda: fit_estimator(KIND_STEIN_PARAM_V, XS, SPEC),
@@ -35,8 +36,15 @@ CALLS = {
 # tighter bounds, in K^2 doubles, a little above the peaks measured when
 # they were set (ksd_v 1.62: condensed distances and kernel, then the
 # mirrored matrix; score-rbf at d = 1 3.01: K, one D_i buffer, Sigma and
-# one product)
-TIGHT = {"ksd_v": 1.75, "score-rbf fit d=1": 3.25}
+# one product; stein-v fit 2.25 and stein-v kinv, fit included, 4.38,
+# each 1.00 below the peak when cho_solve took a transposing copy of the
+# Cholesky factor)
+TIGHT = {
+    "ksd_v": 1.75,
+    "score-rbf fit d=1": 3.25,
+    "stein-v fit": 2.5,
+    "stein-v kinv": 4.6,
+}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))

@@ -24,4 +24,4 @@ class DegenerateBandwidthError(NumericalError):
 
 
 class DegenerateDenominatorError(NumericalError):
-    """A kernel row sum is zero, so a density-ratio form is undefined."""
+    """A kernel row sum is <= 0, so a density-ratio form is undefined."""

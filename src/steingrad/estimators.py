@@ -88,13 +88,7 @@ def _kde_fit(xs, spec):
     matrix form is -diag(K 1)^-1 <grad, K>.
     """
     mats = build_matrices(xs, spec)
-    denom = mats.k_matrix.sum(axis=1)
-    zero = np.nonzero(denom == 0.0)[0]
-    if zero.size:
-        raise DegenerateDenominatorError(
-            f"kernel row {int(zero[0])} sums to zero; the KDE gradient is "
-            f"undefined there"
-        )
+    denom = _kde_row_sums(mats.k_matrix, "sample")
     return -mats.grad_sum / denom[:, None]
 
 
@@ -102,18 +96,33 @@ def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.
     # same ratio form as _kde_fit, evaluated at new points
     n, d = train.shape
     kmat = cross_kernel(points, train, spec)
+    denom = _kde_row_sums(kmat, "prediction point")
     if spec.family == RBF:
         # sum_k k(y, x^k) (y - x^k) in row-sum/matmul form, O(M K) memory
-        num = -(kmat.sum(axis=1)[:, None] * points - kmat @ train) / spec.sigma2
+        num = -(denom[:, None] * points - kmat @ train) / spec.sigma2
     else:
         num = -(2.0 / d) * (n * points - train.sum(axis=0)[None, :])
-    denom = kmat.sum(axis=1)
-    zero = np.nonzero(denom == 0.0)[0]
-    if zero.size:
-        raise DegenerateDenominatorError(
-            f"kernel row sum vanishes at prediction point {int(zero[0])}"
-        )
     return num / denom[:, None]
+
+
+def _kde_row_sums(kmat, where):
+    """Row sums of a KDE kernel block, each required to be > 0.
+
+    A row sum is the unnormalised density estimate at that point.  The
+    Epanechnikov kernel goes negative beyond ||x - y||^2 = d, so a spread
+    sample can give a sum <= 0, where the ratio form would return a score
+    of the wrong sign or none at all.
+    """
+    denom = kmat.sum(axis=1)
+    bad = np.nonzero(denom <= 0.0)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise DegenerateDenominatorError(
+            f"kernel row sum at {where} {i} is {float(denom[i])!r}, not > 0; "
+            f"the kernel density estimate is not positive there, so its "
+            f"score is undefined"
+        )
+    return denom
 
 
 def _stein_system(xs, spec, statistic):

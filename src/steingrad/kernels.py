@@ -6,8 +6,10 @@ Two translation-invariant families are supported:
     epanechnikov   k(x, y) = (1/d) * sum_j (1 - (x_j - y_j)^2)
 
 Both satisfy k(x, x) = 1.  The RBF matrix is positive semi-definite; the
-Epanechnikov kernel can go negative at large separations, which downstream
-code has to tolerate (and occasionally guard against, e.g. zero row sums).
+Epanechnikov kernel goes negative beyond ||x - y||^2 = d, which downstream
+code has to tolerate or guard against: the KDE score divides by kernel row
+sums and refuses any that is <= 0, which a sample spread beyond about one
+unit per coordinate gives.
 
 Conventions used throughout the package:
 

@@ -16,14 +16,18 @@ with defaults b = 0.03, v = 100, so E[x2] = 0 and Var(x2) = 1 + 2 b^2 v^2.
 
 All chains advance in lockstep: positions and momenta are (n_chains, d)
 arrays, and each leapfrog step makes one score call on every chain's row at
-once, so score functions follow the batched contract (n, d) -> (n, d).  The
-target log density follows the matching contract (n, d) -> (n,): each
-iteration makes one call on every chain's proposal, and the accept test runs
-as array operations over the chain axis.  The chains stay independent: each
-one owns a private RNG stream derived from (master seed, chain index), and a
-chain whose trajectory diverges is masked out of its iteration without
-touching the others, so a chain's path depends only on its own seed and
-start and results are bitwise reproducible.
+once, so score functions follow the batched contract (n, d) -> (n, d).  A
+score row may depend only on its own position: chain independence requires
+it, and each chain carries its score from one iteration to the next (the
+score at an accepted proposal is the one its trajectory's last kick used), so
+a run makes one score call on the initial states and then n_leapfrog per
+iteration.  The target log density follows the matching contract
+(n, d) -> (n,): each iteration makes one call on every chain's proposal, and
+the accept test runs as array operations over the chain axis.  The chains
+stay independent: each one owns a private RNG stream derived from (master
+seed, chain index), and a chain whose trajectory diverges is masked out of
+its iteration without touching the others, so a chain's path depends only on
+its own seed and start and results are bitwise reproducible.
 """
 
 import math
@@ -143,20 +147,25 @@ class ChainStats:
     accepts: np.ndarray  # (n_chains, n_iters) bool
 
 
-def leapfrog(q, p, stepsize: float, n_steps: int, score_fn):
+def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
     """Integrate Hamilton's equations with the leapfrog scheme.
 
     Kinetic energy is ||p||^2 / 2 (identity mass); the force is the score,
     i.e. d p / d t = grad log pi(q).  ``q`` and ``p`` are (n_chains, d), so
     one chain is the (1, d) case, and ``score_fn`` maps an (n, d) array of
     positions to the (n, d) array of their scores; each step makes one
-    ``score_fn`` call on all chains.
+    ``score_fn`` call on all chains.  ``score``, when given, holds the scores
+    at ``q`` and stands in for the first half kick's call, so a trajectory
+    makes n_steps calls instead of n_steps + 1.
 
-    Returns ``(q, p, diverged_at)``, where ``diverged_at[c]`` is the step at
-    which chain c's position, momentum or score first went non-finite, or
-    -1.  A diverged chain's rows of ``q`` and ``p`` are its inputs, and from
-    its divergence on it is evaluated at its input position, so ``score_fn``
-    only ever sees finite rows.  n_steps = 0 returns copies of the inputs.
+    Returns ``(q, p, diverged_at, score)``, where ``diverged_at[c]`` is the
+    step at which chain c's position, momentum or score first went
+    non-finite, or -1, and ``score`` holds the scores at the returned
+    positions.  A diverged chain's rows of ``q``, ``p`` and ``score`` are its
+    inputs, and from its divergence on it is evaluated at its input
+    position, so ``score_fn`` only ever sees finite rows.  n_steps = 0
+    returns copies of the inputs (and of ``score``, or the one call's result
+    when it was not given).
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
@@ -169,41 +178,57 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn):
         raise ValueError(f"stepsize must be > 0, got {stepsize!r}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if score is None:
+        score = _scores(score_fn, q)
+    # a private copy: the returned rows of diverged chains come from it
+    score0 = np.array(score, dtype=float)
+    if score0.shape != q.shape:
+        raise ValueError(
+            f"score has shape {score0.shape} for positions of shape {q.shape}"
+        )
     eps = float(stepsize)
     q0, p0 = q, p
     diverged_at = np.full(q.shape[0], -1)
     if n_steps == 0:
-        return q, p, diverged_at
-
-    def force(x):
-        g = np.asarray(score_fn(x), dtype=float)
-        if g.shape != x.shape:
-            raise ValueError(
-                f"score_fn returned shape {g.shape} for positions of shape {x.shape}"
-            )
-        return g
+        return q, p, diverged_at, score0
+    dead = None  # (n_chains, 1) mask of diverged chains; None until one diverges
 
     def settle(q, p, checked, step):
         # chains with a non-finite row in `checked` diverge at this step; every
-        # diverged chain is put back at its input state
+        # diverged chain is put back at its input state.  Until some chain
+        # diverges, one all-finite test is the whole check.
+        nonlocal dead
+        if dead is None and np.isfinite(checked).all():
+            return q, p
         new = ~np.isfinite(checked).all(axis=1) & (diverged_at < 0)
         diverged_at[new] = step
-        if diverged_at.max() < 0:
-            return q, p
         dead = (diverged_at >= 0)[:, None]
         return np.where(dead, q0, q), np.where(dead, p0, p)
 
     # a non-finite score leaves a non-finite momentum, so checking p after
     # each kick also covers the score
-    p = p + 0.5 * eps * force(q)
+    p = p + 0.5 * eps * score0
     q, p = settle(q, p, p, 0)
     for step in range(n_steps):
         q = q + eps * p
         q, p = settle(q, p, q, step)
         scale = eps if step < n_steps - 1 else 0.5 * eps
-        p = p + scale * force(q)
+        score = _scores(score_fn, q)
+        p = p + scale * score
         q, p = settle(q, p, p, step)
-    return q, p, diverged_at
+    if dead is not None:
+        score = np.where(dead, score0, score)
+    return q, p, diverged_at, score
+
+
+def _scores(score_fn, q):
+    """``score_fn`` on the rows of ``q``, held to the (n, d) -> (n, d) contract."""
+    g = np.asarray(score_fn(q), dtype=float)
+    if g.shape != q.shape:
+        raise ValueError(
+            f"score_fn returned shape {g.shape} for positions of shape {q.shape}"
+        )
+    return g
 
 
 def _log_density(target_logp, q):
@@ -256,8 +281,12 @@ def run_hmc(
         a return of any shape but (n,) raises ValueError.
     score_fn
         The (possibly estimated) score driving the leapfrog dynamics, on
-        the batched contract (n, d) -> (n, d): each leapfrog step calls it
-        once with the positions of all chains.
+        the batched contract (n, d) -> (n, d): it is called once on the
+        initial states and then once per leapfrog step, with the positions
+        of all chains, n_leapfrog calls per iteration.  Each chain carries
+        its score across iterations (an accepted proposal's from the last
+        kick of its trajectory), so a row may depend only on its own
+        position, and a return of any shape but (n, d) raises ValueError.
     init : (n_chains, d) array
         One starting state per chain.
     seed : int
@@ -291,13 +320,17 @@ def run_hmc(
     accepts = np.zeros((n_chains, cfg.n_iters), dtype=bool)
     n_div = np.zeros(n_chains, dtype=int)
     logp = _log_density(target_logp, q)
+    # a copy: score_fn may hand back the same buffer on every call
+    score = _scores(score_fn, q).copy()
     p = np.empty_like(q)
     u = np.empty(n_chains)
     for t in range(cfg.n_iters):
         for c, rng in enumerate(rngs):
             p[c] = rng.standard_normal(d)
             u[c] = rng.uniform()
-        q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
+        q_new, p_new, diverged_at, score_new = leapfrog(
+            q, p, cfg.stepsize, cfg.n_leapfrog, score_fn, score=score
+        )
         diverged = diverged_at >= 0
         # a diverged chain's row of q_new is its current, finite position
         logp_new = _log_density(target_logp, q_new)
@@ -307,6 +340,7 @@ def run_hmc(
             accept = ~diverged & ((log_alpha >= 0.0) | (np.log(u) < log_alpha))
         q[accept] = q_new[accept]
         logp[accept] = logp_new[accept]
+        score[accept] = score_new[accept]
         accepts[:, t] = accept
         n_div += diverged
         traj[:, t] = q

@@ -466,18 +466,18 @@ def test_criterion_9_structural_invariants_hold(capsys):
     # integrator: time reversal, volume, energy drift, each on one chain,
     # the (1, d) case of the batched integrator
     q0, p0 = np.array([[1.0, -0.5]]), np.array([[0.3, 0.7]])
-    q1, p1, _ = sg.leapfrog(q0, p0, 0.1, 50, sg.banana_score)
-    q2, p2, _ = sg.leapfrog(q1, -p1, 0.1, 50, sg.banana_score)
+    q1, p1, _, _ = sg.leapfrog(q0, p0, 0.1, 50, sg.banana_score)
+    q2, p2, _, _ = sg.leapfrog(q1, -p1, 0.1, 50, sg.banana_score)
     if max(np.abs(q2 - q0).max(), np.abs(p2 + p0).max()) > 1e-10:
         failures.append("leapfrog reversibility")
     cols = []
     for e in np.eye(2):
-        q, p, _ = sg.leapfrog(e[None, :1], e[None, 1:], 0.3, 1, lambda z: -z)
+        q, p, _, _ = sg.leapfrog(e[None, :1], e[None, 1:], 0.3, 1, lambda z: -z)
         cols.append([q[0, 0], p[0, 0]])
     if abs(np.linalg.det(np.array(cols).T) - 1.0) > 1e-12:
         failures.append("leapfrog volume preservation")
     h0 = 0.5 * float(q0[0] @ q0[0] + p0[0] @ p0[0])
-    qe, pe, _ = sg.leapfrog(q0, p0, 0.1, 1000, lambda z: -z)
+    qe, pe, _, _ = sg.leapfrog(q0, p0, 0.1, 1000, lambda z: -z)
     if abs(0.5 * float(qe[0] @ qe[0] + pe[0] @ pe[0]) - h0) > 0.01:
         failures.append("leapfrog energy drift")
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -258,6 +259,27 @@ class TestEstimate:
             ]
         )
         assert rc == 3
+
+    def test_epanechnikov_kde_refuses_non_positive_row_sum(self, tmp_path, capsys):
+        # a standard normal sample spreads to negative kernel row sums
+        path, _ = sample_file(tmp_path, seed=16, n=25, d=3)
+        out = tmp_path / "out.csv"
+        argv = ["estimate", "--input", str(path), "--output", str(out),
+                "--estimator", "kde", "--kernel", "epanechnikov"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"kernel row sum at sample \d+ is -[0-9.]+, not > 0", err)
+        assert not out.exists()
+
+    def test_entropy_check_epanechnikov_kde_is_numerical_failure(self, tmp_path, capsys):
+        # N(0, 1.5^2) draws: every row sum is negative, where the ratio form
+        # gives a KDE entropy gradient of -0.58 against the analytic 0.667
+        out = tmp_path / "entropy.json"
+        argv = ["entropy-check", "--seed", "3", "--n", "500",
+                "--kernel", "epanechnikov", "--output", str(out)]
+        assert main(argv) == 3
+        assert "kernel row sum at sample 0 is -" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["bogus", "exact"])
     def test_bad_estimator_rejected_before_input_is_read(self, tmp_path, capsys, name):
@@ -1063,8 +1085,11 @@ class TestJsonFormat:
         # the CLI writes the record's arrays directly; the bytes are those of
         # the plain-list record library callers get
         path, xs = sample_file(tmp_path, seed=16, n=25, d=3)
-        # signed zero, and values orjson spells unlike repr
-        xs[:2] = [[-0.0, 1e-7, 0.5], [0.0, 3.0, -2e-5]]
+        # compact, so that every Epanechnikov kernel value is positive and the
+        # KDE takes the sample; signed zero, and values orjson spells unlike
+        # repr
+        xs = 0.15 * xs
+        xs[:2] = [[-0.0, 1e-7, 0.5], [0.0, 0.3, -2e-5]]
         write_csv(path, "x", xs)
         out = tmp_path / "grads.csv"
         argv = ["estimate", "--input", str(path), "--output", str(out),

@@ -79,6 +79,30 @@ class TestKde:
         with pytest.raises(DegenerateDenominatorError):
             fit_estimator(KIND_KDE, xs, EPAN)
 
+    def test_negative_row_sum_is_refused_in_fit(self):
+        # A standard normal sample in two dimensions spreads beyond
+        # ||x - y||^2 = d, where the Epanechnikov kernel is negative; 21 of
+        # these 30 row sums are, and the ratio form would flip their sign.
+        xs = np.random.default_rng(0).standard_normal((30, 2))
+        with pytest.raises(
+            DegenerateDenominatorError, match=r"kernel row sum at sample 1 is -[0-9.]+, not > 0"
+        ):
+            fit_estimator(KIND_KDE, xs, EPAN)
+        fit_estimator(KIND_KDE, 0.1 * xs, EPAN)  # shrunk, every sum is positive
+
+    @pytest.mark.parametrize(
+        "far, value", [([1.0, 1.0], "0.0"), ([2.0, 0.0], "-1.0")], ids=["zero", "negative"]
+    )
+    def test_non_positive_row_sum_is_refused_in_predict(self, far, value):
+        # one training point at the origin: k(y, 0) = 1 - ||y||^2 / 2
+        fit = fit_estimator(KIND_KDE, np.zeros((1, 2)), EPAN)
+        fit.predict([[0.5, 0.0]])
+        with pytest.raises(
+            DegenerateDenominatorError,
+            match=rf"kernel row sum at prediction point 1 is {value}, not > 0",
+        ):
+            fit.predict([[0.5, 0.0], far, [0.0, 0.5]])
+
     def test_predict_matches_fit_at_train(self):
         xs = gaussian_sample(1)
         fit = fit_estimator(KIND_KDE, xs, RBF)

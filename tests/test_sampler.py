@@ -16,8 +16,10 @@ from steingrad import (
     banana_log_density,
     banana_sample,
     banana_score,
+    fit_estimator,
     ksd_to_target,
     leapfrog,
+    median_heuristic,
     run_hmc,
 )
 from steingrad import sampler
@@ -35,8 +37,10 @@ def std_normal_score(q):
 def reference_chains(target_logp, score_fn, cfg, init, seeds):
     """Per-chain Metropolis-Hastings loop with a scalar log density.
 
-    The accept step as it was before it was vectorised over chains, kept as
-    the reference the batched sampler must reproduce bit for bit.
+    The accept step as it was before it was vectorised over chains, and the
+    score as it was before chains carried it: every trajectory scores its
+    start afresh.  Kept as the reference the batched sampler must reproduce
+    bit for bit.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     q = np.array(init, dtype=float)
@@ -51,7 +55,7 @@ def reference_chains(target_logp, score_fn, cfg, init, seeds):
         for c, rng in enumerate(rngs):
             p[c] = rng.standard_normal(d)
             u[c] = rng.uniform()
-        q_new, p_new, diverged_at = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
+        q_new, p_new, diverged_at, _ = leapfrog(q, p, cfg.stepsize, cfg.n_leapfrog, score_fn)
         for c in range(n_chains):
             if diverged_at[c] >= 0:
                 n_div[c] += 1
@@ -65,6 +69,11 @@ def reference_chains(target_logp, score_fn, cfg, init, seeds):
                 accepts[c, t] = True
         traj[:, t] = q
     return traj, accepts, n_div
+
+
+def capped_gaussian_score(x, threshold=1.0):
+    # the standard normal score, infinite beyond x0 = threshold
+    return np.where(x[..., :1] > threshold, np.inf, -x)
 
 
 class ZeroUniform:
@@ -155,8 +164,8 @@ class TestLeapfrog:
         # Integrate, flip the momentum, integrate again: back to the start.
         q0 = np.array([[1.0, -0.5]])
         p0 = np.array([[0.3, 0.7]])
-        q1, p1, _ = leapfrog(q0, p0, 0.1, 50, banana_score)
-        q2, p2, _ = leapfrog(q1, -p1, 0.1, 50, banana_score)
+        q1, p1, _, _ = leapfrog(q0, p0, 0.1, 50, banana_score)
+        q2, p2, _, _ = leapfrog(q1, -p1, 0.1, 50, banana_score)
         np.testing.assert_allclose(q2, q0, atol=1e-10)
         np.testing.assert_allclose(p2, -p0, atol=1e-10)
 
@@ -164,7 +173,7 @@ class TestLeapfrog:
         q0 = np.array([[1.0, -0.5]])
         p0 = np.array([[0.3, 0.7]])
         h0 = -std_normal_logp(q0[0]) + 0.5 * p0[0] @ p0[0]
-        q1, p1, _ = leapfrog(q0, p0, 0.1, 1000, std_normal_score)
+        q1, p1, _, _ = leapfrog(q0, p0, 0.1, 1000, std_normal_score)
         h1 = -std_normal_logp(q1[0]) + 0.5 * p1[0] @ p1[0]
         assert abs(h1 - h0) < 0.01
 
@@ -174,7 +183,7 @@ class TestLeapfrog:
         eps = 0.3
         cols = []
         for e in np.eye(2):
-            q, p, _ = leapfrog(e[None, :1], e[None, 1:], eps, 1, std_normal_score)
+            q, p, _, _ = leapfrog(e[None, :1], e[None, 1:], eps, 1, std_normal_score)
             cols.append([q[0, 0], p[0, 0]])
         det = np.linalg.det(np.array(cols).T)
         assert det == pytest.approx(1.0, abs=1e-12)
@@ -182,11 +191,69 @@ class TestLeapfrog:
     def test_zero_steps_returns_inputs(self):
         q0 = np.array([[1.0, 2.0]])
         p0 = np.array([[-1.0, 0.5]])
-        q, p, diverged_at = leapfrog(q0, p0, 0.1, 0, std_normal_score)
+        g0 = np.array([[3.0, -4.0]])
+        calls = []
+
+        def score_fn(x):
+            calls.append(x.copy())
+            return -x
+
+        q, p, diverged_at, g = leapfrog(q0, p0, 0.1, 0, score_fn, score=g0)
         np.testing.assert_array_equal(q, q0)
         np.testing.assert_array_equal(p, p0)
         np.testing.assert_array_equal(diverged_at, [-1])
-        assert q is not q0 and p is not p0
+        np.testing.assert_array_equal(g, g0)
+        assert q is not q0 and p is not p0 and g is not g0
+        assert calls == []
+        # without a given score, the one call scores the inputs
+        q, p, diverged_at, g = leapfrog(q0, p0, 0.1, 0, score_fn)
+        np.testing.assert_array_equal(g, -q0)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], q0)
+
+    @pytest.mark.parametrize("given", [False, True], ids=["scored", "given"])
+    def test_returned_score_is_the_score_at_returned_positions(self, given):
+        # Chains diverge at step 0 (they start beyond the cap), in mid
+        # trajectory and at the final kick; every row of the fourth value is
+        # what score_fn gives at the returned position, bit for bit.
+        rng = np.random.default_rng(21)
+        q0 = rng.uniform(-1.5, 1.3, size=(200, 2))
+        p0 = 2.0 * rng.standard_normal((200, 2))
+        n_steps = 5
+        calls = []
+
+        def score_fn(x):
+            calls.append(x.shape)
+            return capped_gaussian_score(x)
+
+        score = capped_gaussian_score(q0) if given else None
+        q, p, diverged_at, g = leapfrog(q0, p0, 0.3, n_steps, score_fn, score=score)
+        assert len(calls) == n_steps + (not given)
+        assert {-1, 0, n_steps - 1} <= set(diverged_at.tolist())
+        assert ((diverged_at > 0) & (diverged_at < n_steps - 1)).any()
+        np.testing.assert_array_equal(g, capped_gaussian_score(q))
+        dead = diverged_at >= 0
+        np.testing.assert_array_equal(q[dead], q0[dead])
+        np.testing.assert_array_equal(g[dead], capped_gaussian_score(q0)[dead])
+        # the given score replaces the first call and changes nothing else
+        want = leapfrog(q0, p0, 0.3, n_steps, capped_gaussian_score)
+        for got, ref in zip((q, p, diverged_at, g), want):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_non_finite_given_score_row_diverges_at_step_zero(self):
+        q0 = np.array([[0.5, 0.0], [-0.5, 0.2], [0.1, -0.3]])
+        p0 = np.array([[0.3, -0.1], [0.2, 0.4], [-0.6, 0.1]])
+        score = -q0
+        score[1, 0] = np.nan
+        q, p, diverged_at, g = leapfrog(q0, p0, 0.2, 4, std_normal_score, score=score)
+        np.testing.assert_array_equal(diverged_at, [-1, 0, -1])
+        np.testing.assert_array_equal(q[1], q0[1])
+        np.testing.assert_array_equal(p[1], p0[1])
+        np.testing.assert_array_equal(g[1], score[1])
+        keep = [0, 2]
+        want = leapfrog(q0[keep], p0[keep], 0.2, 4, std_normal_score)
+        for got, ref in zip((q, p, g), (want[0], want[1], want[3])):
+            np.testing.assert_array_equal(got[keep], ref)
 
     def test_exact_harmonic_rotation(self):
         # For a 1-D standard normal, leapfrog at small stepsize tracks the
@@ -194,7 +261,7 @@ class TestLeapfrog:
         q0, p0 = np.array([[1.0]]), np.array([[0.0]])
         t = 1.0
         n = 1000
-        q, p, _ = leapfrog(q0, p0, t / n, n, std_normal_score)
+        q, p, _, _ = leapfrog(q0, p0, t / n, n, std_normal_score)
         assert q[0, 0] == pytest.approx(math.cos(t), abs=1e-5)
         assert p[0, 0] == pytest.approx(-math.sin(t), abs=1e-5)
 
@@ -205,7 +272,7 @@ class TestLeapfrog:
             return np.full_like(q, np.nan)
 
         q0, p0 = np.zeros((1, 1)), np.ones((1, 1))
-        q, p, diverged_at = leapfrog(q0, p0, 0.1, 5, bad_score)
+        q, p, diverged_at, _ = leapfrog(q0, p0, 0.1, 5, bad_score)
         np.testing.assert_array_equal(diverged_at, [0])
         np.testing.assert_array_equal(q, q0)
         np.testing.assert_array_equal(p, p0)
@@ -221,6 +288,13 @@ class TestLeapfrog:
             leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), -0.1, 1, std_normal_score)
         with pytest.raises(ValueError):
             leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), 0.1, -1, std_normal_score)
+        with pytest.raises(ValueError, match="score has shape"):
+            leapfrog(
+                np.zeros((2, 2)), np.zeros((2, 2)), 0.1, 1, std_normal_score,
+                score=np.zeros((1, 2)),
+            )
+        with pytest.raises(ValueError, match="score_fn returned shape"):
+            leapfrog(np.zeros((2, 2)), np.zeros((2, 2)), 0.1, 1, lambda x: x[:1])
 
 
 class TestHmcConfig:
@@ -359,7 +433,7 @@ class TestRunHmc:
         )
         seeds = [11, 22, 33, 44, 55, 66]
         res = run_hmc(std_normal_logp, capped_score, cfg, init, chain_seeds=seeds)
-        assert calls == [(6, 2)] * (cfg.n_iters * (cfg.n_leapfrog + 1))
+        assert calls == [(6, 2)] * (1 + cfg.n_iters * cfg.n_leapfrog)
 
         one = HmcConfig(n_chains=1, n_iters=30, stepsize=0.5, n_leapfrog=5)
         alone = [
@@ -410,6 +484,79 @@ class TestRunHmc:
         np.testing.assert_array_equal(res.accepts, accepts)
         assert res.n_divergent == n_div.sum()
         assert calls == [(n_chains, 2)] * (cfg.n_iters + 1)
+
+    @pytest.mark.parametrize("kind", ["kde", "stein-v", "score", "stein-param-v"])
+    def test_estimated_score_matches_fresh_scoring(self, kind):
+        # The carried score is the row an earlier batch gave at the same
+        # position; the reference scores every trajectory's start afresh, in
+        # another batch.  Equal bits pin that a prediction row depends only on
+        # its own point, matrix products included.
+        xs = banana_sample(30, np.random.default_rng(31))
+        spec = KernelSpec("rbf", median_heuristic(xs))
+        fit = fit_estimator(kind, xs, spec)
+        cfg = HmcConfig(n_chains=5, n_iters=15, stepsize=0.5, n_leapfrog=5)
+        init = banana_sample(5, np.random.default_rng(32))
+        seeds = [5, 6, 7, 8, 9]
+        res = run_hmc(banana_log_density, fit.predict, cfg, init, chain_seeds=seeds)
+        traj, accepts, n_div = reference_chains(
+            banana_log_density, fit.predict, cfg, init, seeds
+        )
+        np.testing.assert_array_equal(res.trajectories, traj)
+        np.testing.assert_array_equal(res.accepts, accepts)
+        assert res.accepts.any() and not res.accepts.all()
+
+    def test_score_fn_reusing_its_buffer(self):
+        # a score function that writes every result into one array: the run
+        # keeps its own copy of the carried scores
+        cfg = HmcConfig(n_chains=4, n_iters=30, stepsize=0.6, n_leapfrog=5)
+        init = np.random.default_rng(33).standard_normal((4, 2))
+        seeds = [1, 2, 3, 4]
+        buf = np.empty((4, 2))
+
+        def reused(x):
+            buf[...] = banana_score(x)
+            return buf
+
+        res = run_hmc(banana_log_density, reused, cfg, init, chain_seeds=seeds)
+        traj, accepts, _ = reference_chains(
+            banana_log_density, banana_score, cfg, init, seeds
+        )
+        np.testing.assert_array_equal(res.trajectories, traj)
+        np.testing.assert_array_equal(res.accepts, accepts)
+        assert res.accepts.any() and not res.accepts.all()
+
+    def test_non_finite_initial_score_diverges_every_iteration_at_step_zero(
+        self, monkeypatch
+    ):
+        steps = []
+
+        def recording_leapfrog(*args, **kwargs):
+            out = leapfrog(*args, **kwargs)
+            steps.append(out[2].copy())
+            return out
+
+        monkeypatch.setattr(sampler, "leapfrog", recording_leapfrog)
+        cfg = HmcConfig(n_chains=3, n_iters=10, stepsize=0.3, n_leapfrog=4)
+        init = np.array([[0.0, 0.5], [1.5, 0.0], [-0.5, -0.5]])
+        res = run_hmc(std_normal_logp, capped_gaussian_score, cfg, init, seed=3)
+        assert len(steps) == cfg.n_iters
+        assert all(s[1] == 0 for s in steps)
+        assert res.n_divergent >= cfg.n_iters
+        np.testing.assert_array_equal(res.trajectories[1], np.tile(init[1], (10, 1)))
+
+    @pytest.mark.parametrize("bad_call", [1, 2, 7])
+    def test_score_shape_is_checked_on_every_call(self, bad_call):
+        # the initial call, the first leapfrog call and a later one
+        calls = []
+
+        def score_fn(x):
+            calls.append(x.shape)
+            return -x if len(calls) != bad_call else -x[:, :1]
+
+        cfg = HmcConfig(n_chains=2, n_iters=3, stepsize=0.5, n_leapfrog=3)
+        with pytest.raises(ValueError, match=r"score_fn returned shape \(2, 1\)"):
+            run_hmc(std_normal_logp, score_fn, cfg, np.zeros((2, 2)), seed=4)
+        assert len(calls) == bad_call
 
     def test_diverged_chain_is_rejected_whatever_its_logp(self):
         # every call scores every row 1e6 higher than the last, so each

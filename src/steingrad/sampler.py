@@ -27,7 +27,8 @@ the accept test runs as array operations over the chain axis.  The chains
 stay independent: each one owns a private RNG stream derived from (master
 seed, chain index), and a chain whose trajectory diverges is masked out of
 its iteration without touching the others, so a chain's path depends only on
-its own seed and start and results are bitwise reproducible.
+its own seed and start and results are bitwise reproducible.  The sampler only
+samples: the caller grades a run, on ``trajectories[:, cfg.n_burn:]``.
 """
 
 import math
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import ksd_v
-from .kernels import KernelSpec, as_samples
+from .kernels import as_samples
 
 BANANA_B = 0.03
 BANANA_V = 100.0
@@ -126,22 +126,22 @@ class HmcConfig:
                 f"burn_in_fraction must be in [0, 1), got {self.burn_in_fraction!r}"
             )
 
+    @property
+    def n_burn(self) -> int:
+        """Leading iterations of each chain discarded as burn-in."""
+        return int(self.n_iters * self.burn_in_fraction)
+
 
 @dataclass(frozen=True)
 class ChainStats:
     """Diagnostics of one multi-chain run, post burn-in where applicable.
 
-    ``ksd_pooled`` and ``ksd_mean_per_chain`` are NaN unless the run was
-    given a target score function to measure against.  ``trajectories`` has
-    shape (n_chains, n_iters, d) and holds the post-decision state of every
-    iteration (burn-in included).
+    ``trajectories[c, t]`` is chain c's state after iteration t's decision.
     """
 
     acceptance_rate: float
     mean_x1: float
     se_mean_x1: float
-    ksd_pooled: float
-    ksd_mean_per_chain: float
     n_divergent: int
     trajectories: np.ndarray
     accepts: np.ndarray  # (n_chains, n_iters) bool
@@ -265,9 +265,6 @@ def run_hmc(
     seed=None,
     *,
     chain_seeds=None,
-    ksd_score_fn=None,
-    ksd_spec: KernelSpec | None = None,
-    ksd_pool_cap: int = 2000,
 ) -> ChainStats:
     """Run cfg.n_chains independent HMC chains in lockstep and summarise them.
 
@@ -294,23 +291,15 @@ def run_hmc(
         run is reproducible bit for bit and chains never share randomness.
     chain_seeds : sequence, optional
         Explicit per-chain seeds overriding the derivation from ``seed``.
-    ksd_score_fn, ksd_spec : optional
-        When both are given, the kernelised Stein discrepancy (constant term
-        included) of the post-burn-in samples against that score is
-        reported, per chain (averaged) and pooled.  ``ksd_score_fn`` follows
-        the (n, d) -> (n, d) contract and is called once, on every
-        post-burn-in sample.  The pooled sample is thinned evenly to at most
-        ``ksd_pool_cap`` points to keep the quadratic cost bounded.
+
+    The run is not graded here: ``ksd_to_target`` on the returned
+    ``trajectories[:, cfg.n_burn:]`` measures it against a target score.
     """
     init = as_samples(init, name="init")
     if init.shape[0] != cfg.n_chains:
         raise ValueError(
             f"init has {init.shape[0]} rows for {cfg.n_chains} chains"
         )
-    if (ksd_score_fn is None) != (ksd_spec is None):
-        raise ValueError("ksd_score_fn and ksd_spec must be supplied together")
-    if ksd_pool_cap < 2:
-        raise ValueError(f"ksd_pool_cap must be >= 2, got {ksd_pool_cap}")
     rngs = _chain_rngs(seed, cfg.n_chains, chain_seeds)
 
     # the chains advance in lockstep, each drawing from its own stream
@@ -345,41 +334,17 @@ def run_hmc(
         n_div += diverged
         traj[:, t] = q
 
-    n_burn = int(cfg.n_iters * cfg.burn_in_fraction)
-    post = traj[:, n_burn:, :]
-    chain_means = post[:, :, 0].mean(axis=1)
+    chain_means = traj[:, cfg.n_burn:, 0].mean(axis=1)
     mean_x1 = float(chain_means.mean())
     if cfg.n_chains > 1:
         se_mean_x1 = float(chain_means.std(ddof=1) / math.sqrt(cfg.n_chains))
     else:
         se_mean_x1 = float("nan")
 
-    ksd_pooled = ksd_mean = float("nan")
-    if ksd_score_fn is not None:
-        pooled = post.reshape(-1, d)
-        grads = np.asarray(ksd_score_fn(pooled), dtype=float)
-        if grads.shape != pooled.shape:
-            raise ValueError(
-                f"ksd_score_fn returned shape {grads.shape} for samples of "
-                f"shape {pooled.shape}"
-            )
-        chain_grads = grads.reshape(post.shape)
-        per_chain = [
-            ksd_v(post[c], chain_grads[c], ksd_spec, includes_constant=True).value
-            for c in range(cfg.n_chains)
-        ]
-        ksd_mean = float(np.mean(per_chain))
-        step = max(1, math.ceil(pooled.shape[0] / ksd_pool_cap))
-        ksd_pooled = ksd_v(
-            pooled[::step], grads[::step], ksd_spec, includes_constant=True
-        ).value
-
     return ChainStats(
         acceptance_rate=float(accepts.mean()),
         mean_x1=mean_x1,
         se_mean_x1=se_mean_x1,
-        ksd_pooled=ksd_pooled,
-        ksd_mean_per_chain=ksd_mean,
         n_divergent=int(n_div.sum()),
         trajectories=traj,
         accepts=accepts,

@@ -21,9 +21,12 @@ from hypothesis.extra.numpy import arrays
 
 from steingrad import (
     FittedEstimator,
+    HmcConfig,
     KernelSpec,
+    banana_score,
     cli,
     fit_estimator,
+    ksd_to_target,
     ksd_u,
     ksd_v,
     median_heuristic,
@@ -764,6 +767,48 @@ class TestBanana:
                 )
         assert traj.read_bytes() == ref.getvalue().encode("utf-8")
 
+    def test_ksd_fields_are_ksd_to_target_of_trajectories(self, tmp_path):
+        # the report grades the CSV's post-burn-in rows against the exact
+        # score: each chain alone, and the pool thinned to at most 7 points
+        traj = tmp_path / "traj.csv"
+        rc, out = self.run_banana(tmp_path, "--n-chains", "3", "--n-iters", "10",
+                                  "--ksd-pool-cap", "7", "--trajectories", str(traj))
+        assert rc == 0
+        report = json.loads(out.read_text())
+        rows = np.loadtxt(traj, delimiter=",", skiprows=1)
+        post = rows[:, 3:].reshape(3, 10, 2)[:, HmcConfig(3, 10, 0.5, 3).n_burn:]
+        spec = KernelSpec("rbf", report["metric_sigma2"])
+        per_chain = [ksd_to_target(chain, banana_score, spec).value for chain in post]
+        assert report["ksd_mean_per_chain"] == float(np.mean(per_chain))
+        pooled = post.reshape(-1, 2)
+        assert len(pooled) == 24
+        assert report["ksd_pooled"] == ksd_to_target(pooled[::4], banana_score, spec).value
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("estimator", ["exact", "stein-v"])
+    @pytest.mark.parametrize(
+        "field, value", [("ksd_pool_cap", 1), ("ksd_pool_cap", -3), ("n_train", 0), ("n_train", 1)]
+    )
+    def test_small_count_refused_before_fit(
+        self, tmp_path, monkeypatch, capsys, via, estimator, field, value
+    ):
+        # the metric kernel needs two training points whatever the estimator,
+        # and a pool cap below 2 is refused before any sampling or fitting
+        monkeypatch.setattr(cli, "banana_sample", None)
+        monkeypatch.setattr(cli, "fit_estimator", None)
+        argv = ["banana", "--seed", "5", "--estimator", estimator, "--n-chains", "2",
+                "--n-iters", "5", "--n-leapfrog", "3", "--output", str(tmp_path / "r.json"),
+                "--trajectories", str(tmp_path / "t.csv")]
+        if via == "flag":
+            argv += [f"--{field.replace('_', '-')}", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({field: value}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {field} must be >= 2, got {value}\n"
+        assert {p.name for p in tmp_path.iterdir()} <= {"config.json"}
+
     def test_fitted_estimator_reported(self, tmp_path):
         # argparse keeps the last occurrence, overriding the helper's "exact"
         rc, out = self.run_banana(tmp_path, "--estimator", "stein-v", seed=6)
@@ -1171,3 +1216,66 @@ class TestConsoleScript:
         bad = run("ksd", "--statistic", "w")
         assert bad.returncode == 2
         assert b"--statistic" in bad.stderr
+
+
+class TestBlasThreadCount:
+    # Seeded outputs are bitwise reproducible at a fixed BLAS thread count
+    # only: threaded BLAS products and factorisations round differently at 1
+    # and 2 threads.  Measured with these commands on seeds 0-9, 1 thread
+    # against 2: report fields moved by up to 1.2e-11 relative (stein-v
+    # ksd_pooled); the estimated gradients and the stein-v trajectories by
+    # up to 2.0e-13 and 1.8e-12 of their largest magnitude (5.4e-10 relative
+    # for a coordinate near zero); the exact-score trajectories not at all.
+    # RTOL, elementwise with an absolute floor of RTOL times the largest
+    # magnitude, leaves about a hundredfold margin.
+    RTOL = 1e-9
+
+    def run_at(self, threads, tmp_path, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": str(threads),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "steingrad.cli", *argv],
+            capture_output=True, cwd=tmp_path, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def floats(self, obj):
+        """Every float in a JSON value, in document order."""
+        if isinstance(obj, dict):
+            return [v for key in sorted(obj) for v in self.floats(obj[key])]
+        if isinstance(obj, list):
+            return [v for item in obj for v in self.floats(item)]
+        return [obj] if isinstance(obj, float) else []
+
+    def assert_close(self, got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        np.testing.assert_allclose(got, want, rtol=self.RTOL, atol=self.RTOL * np.abs(want).max())
+
+    def test_outputs_across_thread_counts(self, tmp_path):
+        path, _ = sample_file(tmp_path, seed=2, n=200)
+        argvs = [
+            ["banana", "--seed", "1", "--estimator", estimator, "--n-chains", "10",
+             "--n-iters", "40", "--output", f"{estimator}.json",
+             "--trajectories", f"{estimator}.csv"]
+            for estimator in ("exact", "stein-v")
+        ] + [["estimate", "--input", str(path), "--output", "g.csv", "--estimator", "stein-v"]]
+        for threads in (1, 2):
+            run_dir = tmp_path / f"threads{threads}"
+            run_dir.mkdir()
+            for argv in argvs:
+                self.run_at(threads, run_dir, argv)
+        one, two = tmp_path / "threads1", tmp_path / "threads2"
+        assert (one / "exact.csv").read_bytes() == (two / "exact.csv").read_bytes()
+        for name in ("exact.json", "stein-v.json", "g.json"):
+            got = json.loads((two / name).read_text())
+            want = json.loads((one / name).read_text())
+            self.assert_close(self.floats(got), self.floats(want))
+        self.assert_close(read_csv(two / "g.csv", "g"), read_csv(one / "g.csv", "g"))
+        self.assert_close(
+            np.loadtxt(two / "stein-v.csv", delimiter=",", skiprows=1),
+            np.loadtxt(one / "stein-v.csv", delimiter=",", skiprows=1),
+        )

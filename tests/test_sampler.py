@@ -17,7 +17,6 @@ from steingrad import (
     banana_sample,
     banana_score,
     fit_estimator,
-    ksd_to_target,
     leapfrog,
     median_heuristic,
     run_hmc,
@@ -592,43 +591,14 @@ class TestRunHmc:
         )
         init = np.zeros((3, 2))
         res = run_hmc(banana_log_density, banana_score, cfg, init, seed=14)
-        n_burn = int(25 * 0.2)
-        post = res.trajectories[:, n_burn:, 0]
+        assert cfg.n_burn == int(25 * 0.2)
+        post = res.trajectories[:, cfg.n_burn:, 0]
         chain_means = post.mean(axis=1)
         assert res.mean_x1 == pytest.approx(chain_means.mean(), abs=1e-15)
         assert res.se_mean_x1 == pytest.approx(
             chain_means.std(ddof=1) / math.sqrt(3), abs=1e-15
         )
         assert res.acceptance_rate == res.accepts.mean()
-
-    def test_ksd_fields_nan_without_target_score(self):
-        cfg = HmcConfig(n_chains=2, n_iters=10, stepsize=0.5, n_leapfrog=3)
-        res = run_hmc(banana_log_density, banana_score, cfg, np.zeros((2, 2)), seed=15)
-        assert math.isnan(res.ksd_pooled)
-        assert math.isnan(res.ksd_mean_per_chain)
-
-    def test_ksd_fields_match_manual_computation(self):
-        spec = KernelSpec("rbf", 4.0)
-        cfg = HmcConfig(
-            n_chains=2, n_iters=20, stepsize=0.5, n_leapfrog=3, burn_in_fraction=0.2
-        )
-        res = run_hmc(
-            banana_log_density,
-            banana_score,
-            cfg,
-            np.zeros((2, 2)),
-            seed=16,
-            ksd_score_fn=banana_score,
-            ksd_spec=spec,
-            ksd_pool_cap=10,
-        )
-        post = res.trajectories[:, 4:, :]
-        per_chain = [ksd_to_target(post[c], banana_score, spec).value for c in range(2)]
-        assert res.ksd_mean_per_chain == pytest.approx(np.mean(per_chain), rel=1e-12)
-        pooled = post.reshape(-1, 2)
-        step = math.ceil(pooled.shape[0] / 10)
-        want = ksd_to_target(pooled[::step], banana_score, spec).value
-        assert res.ksd_pooled == pytest.approx(want, rel=1e-12)
 
     def test_single_chain_has_nan_standard_error(self):
         cfg = HmcConfig(n_chains=1, n_iters=10, stepsize=0.5, n_leapfrog=3)
@@ -641,15 +611,6 @@ class TestRunHmc:
             run_hmc(banana_log_density, banana_score, cfg, np.zeros((3, 2)), seed=19)
         with pytest.raises(ValueError):
             run_hmc(banana_log_density, banana_score, cfg, np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            run_hmc(
-                banana_log_density,
-                banana_score,
-                cfg,
-                np.zeros((2, 2)),
-                seed=19,
-                ksd_score_fn=banana_score,
-            )
         with pytest.raises(ValueError):
             run_hmc(
                 banana_log_density,

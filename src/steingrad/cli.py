@@ -150,10 +150,10 @@ def _resolve_spec(args, train):
     raw = args.sigma2
     scale = _bandwidth_scale(args)
     if args.kernel == EPANECHNIKOV:
-        if str(raw).lower() != "median":
+        if raw != "median":
             raise ValueError("the epanechnikov kernel carries no bandwidth")
         return KernelSpec(EPANECHNIKOV)
-    if str(raw).lower() == "median":
+    if raw == "median":
         base = median_heuristic(train)
     else:
         try:

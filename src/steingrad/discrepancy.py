@@ -88,14 +88,13 @@ def ksd_to_target(samples, score_fn, spec: KernelSpec, statistic: str = "v") -> 
     target).
     """
     xs = as_samples(samples)
-    stat = str(statistic).lower()
-    if stat not in ("v", "u"):
+    if statistic not in ("v", "u"):
         raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
     gs = np.asarray(score_fn(xs), dtype=float)
     if gs.shape != xs.shape:
         raise ValueError(
             f"score_fn returned shape {gs.shape} for samples of shape {xs.shape}"
         )
-    if stat == "v":
+    if statistic == "v":
         return ksd_v(xs, gs, spec, includes_constant=True)
     return ksd_u(xs, gs, spec, includes_constant=True)

@@ -22,14 +22,14 @@ solve, as it does for the predictive inverse.  Kernel values come from
 :mod:`steingrad.kernels` (``build_matrices``, ``cross_kernel``), which holds
 the only copy of the kernel formulas.
 
-``fit_estimator`` fits any kind and returns a serialisable
-:class:`FittedEstimator`, whose ``predict`` takes (n, d) points.
+``fit_estimator`` fits any kind into a serialisable :class:`FittedEstimator`,
+whose ``predict`` takes (n, d) points and whose constructor holds the checks.
 ``entropy_gradient_surrogate`` turns estimated scores and reparameterised
 sample Jacobians into a gradient of the entropy term.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -60,13 +60,15 @@ KINDS = (
 # kinds whose parameters are the gradient field itself; the others are
 # parameterised by expansion coefficients
 _GRAD_KINDS = (KIND_KDE, KIND_STEIN_V, KIND_STEIN_U)
-# the kinds of serialised records written under the earlier names
-_OLD_KINDS = {
-    "stein-nonparam-v": KIND_STEIN_V,
-    "stein-nonparam-u": KIND_STEIN_U,
-    "score-rbf": KIND_SCORE,
-    "score-epanechnikov": KIND_SCORE,
-}
+# kinds fitted by a U-statistic, whose ridge must be at least MIN_U_ETA
+_U_KINDS = (KIND_STEIN_U, KIND_STEIN_PARAM_U)
+
+
+def _check_kind(kind: str) -> str:
+    """The statistic of ``kind``, "u" or "v"; an unknown kind is refused."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+    return "u" if kind in _U_KINDS else "v"
 
 
 def _check_eta(eta: float, statistic: str = "v") -> float:
@@ -384,6 +386,12 @@ class FittedEstimator:
     parameter set) and ``coeffs`` (expansion kinds) is populated.  ``kinv``
     is derived state, not a field: (K + eta I)^-1 of the predictive
     V-statistic nonparametric fit, solved on first use and then kept.
+
+    Fits, records and direct calls are all checked here, on construction:
+    ``kind`` is one of :data:`KINDS`, ``eta`` passes the fit's check,
+    ``train`` is a finite (K, d) sample, and only the kind's own parameter
+    set is given, finite, of shape (K, d) or (K,).  ValueError names the
+    field.
     """
 
     kind: str
@@ -393,6 +401,25 @@ class FittedEstimator:
     grads: np.ndarray | None = None
     coeffs: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        kind = self.kind
+        object.__setattr__(self, "eta", _check_eta(self.eta, _check_kind(kind)))
+        object.__setattr__(self, "train", as_samples(self.train, name="train"))
+        name, other = ("grads", "coeffs") if kind in _GRAD_KINDS else ("coeffs", "grads")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{kind!r} estimator carries {other!r}; it takes {name!r}")
+        if getattr(self, name) is None:
+            raise ValueError(f"{kind!r} estimator lacks {name!r}")
+        params = np.asarray(getattr(self, name), dtype=float)
+        want = self.train.shape if kind in _GRAD_KINDS else self.train.shape[:1]
+        if params.shape != want:
+            raise ValueError(
+                f"{name} has shape {params.shape}, expected {want} for train {self.train.shape}"
+            )
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(self, name, params)
 
     @cached_property
     def kinv(self) -> np.ndarray | None:
@@ -473,53 +500,28 @@ class FittedEstimator:
     def from_json_dict(cls, obj: dict) -> "FittedEstimator":
         """Rebuild an estimator written by :meth:`to_json_dict`.
 
-        The record is checked before anything is built: the kind must carry
-        exactly its own parameter set (``grads`` for the gradient-field
-        kinds, ``coeffs`` for the expansion kinds), ``grads`` must have the
-        shape of ``train`` and ``coeffs`` one entry per training point, and
-        every value must be finite.  A violation raises ``ValueError``
-        naming the field.  A ``kinv`` entry, written by older versions, is
-        ignored: the inverse is derived from train, kernel and eta.  A kind
-        under its earlier name (``stein-nonparam-v``, ``score-rbf``, ...)
-        loads as its current one.
+        Fields are read, not checked: a record loads only if it passes the
+        checks a fit's arguments pass (see the class).  A missing or
+        unreadable field raises ValueError naming it; ``grads``, ``coeffs``
+        and ``diagnostics`` may be null, and an old ``kinv`` is ignored.
         """
-        try:
-            kind = _OLD_KINDS.get(obj["kind"], obj["kind"])
-            kernel = obj["kernel"]
-            spec = KernelSpec(kernel["family"], kernel.get("sigma2"))
-            train = as_samples(obj["train"], name="train")
-            eta = float(obj["eta"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed estimator record: {exc}") from exc
-        if kind not in KINDS:
-            raise ValueError(f"unknown estimator kind {kind!r}")
-        if not np.isfinite(eta):
-            raise ValueError(f"eta must be finite, got {eta!r}")
-        field_name = "grads" if kind in _GRAD_KINDS else "coeffs"
-        other = "coeffs" if kind in _GRAD_KINDS else "grads"
-        if obj.get(other) is not None:
-            raise ValueError(f"{kind!r} record carries {other!r}; it takes {field_name!r}")
-        if obj.get(field_name) is None:
-            raise ValueError(f"{kind!r} record lacks {field_name!r}")
-        try:
-            params = np.asarray(obj[field_name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{field_name} is not numeric: {exc}") from exc
-        want = train.shape if kind in _GRAD_KINDS else train.shape[:1]
-        if params.shape != want:
-            raise ValueError(
-                f"{field_name} has shape {params.shape}, expected {want} for "
-                f"{train.shape[0]} training points in dimension {train.shape[1]}"
-            )
-        if not np.all(np.isfinite(params)):
-            raise ValueError(f"{field_name} contains non-finite entries")
+        array = partial(np.asarray, dtype=float)
+
+        def read(name, convert, optional=False):
+            try:
+                value = obj.get(name) if optional else obj[name]
+                return None if optional and value is None else convert(value)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"estimator record field {name!r}: {exc}") from exc
+
         return cls(
-            kind=kind,
-            train=train,
-            spec=spec,
-            eta=eta,
-            **{field_name: params},
-            diagnostics=dict(obj.get("diagnostics") or {}),
+            kind=read("kind", lambda kind: kind),
+            train=read("train", array),
+            spec=read("kernel", lambda k: KernelSpec(k["family"], k.get("sigma2"))),
+            eta=read("eta", float),
+            grads=read("grads", array, optional=True),
+            coeffs=read("coeffs", array, optional=True),
+            diagnostics=read("diagnostics", dict, optional=True) or {},
         )
 
 
@@ -534,10 +536,8 @@ def fit_estimator(
     sample; the inverse that needs is solved on its first prediction (see
     :attr:`FittedEstimator.kinv`), not here.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
+    stat = _check_kind(kind)
     xs = as_samples(samples)
-    stat = "u" if kind in (KIND_STEIN_U, KIND_STEIN_PARAM_U) else "v"
     eta = _check_eta(eta, stat)  # kde ignores it, but its record keeps it
     diagnostics: dict = {}
     if kind == KIND_KDE:

@@ -325,6 +325,24 @@ class TestEstimate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("kernel", ["rbf", "epanechnikov"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_median_matches_exactly(self, tmp_path, capsys, kernel, via):
+        # 'median' has one spelling, as the --kernel choices do
+        path, _ = sample_file(tmp_path, seed=8)
+        out = tmp_path / "out.csv"
+        argv = ["estimate", "--input", str(path), "--output", str(out), "--kernel", kernel]
+        if via == "flag":
+            argv += ["--sigma2", "MEDIAN"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"sigma2": "Median"}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("sigma2" if kernel == "rbf" else "bandwidth") in err
+        assert not out.exists()
+
 
 # signed zero, the smallest subnormal, a mid-range subnormal, huge and
 # integer-valued floats

@@ -158,6 +158,13 @@ class TestToTarget:
         want = ksd_u(xs, -xs, RBF, includes_constant=True)
         assert got.value == pytest.approx(want.value, rel=1e-13)
 
+    def test_statistic_matches_exactly(self):
+        # as ksd --statistic V is refused, so is the library argument
+        xs, _ = random_case(12)
+        for stat in ("V", "U", " v", "vu"):
+            with pytest.raises(ValueError, match="statistic"):
+                ksd_to_target(xs, lambda x: -x, RBF, statistic=stat)
+
     def test_well_matched_sample_scores_lower_than_mismatched(self):
         rng = np.random.default_rng(9)
         xs = rng.standard_normal((300, 2))

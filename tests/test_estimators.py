@@ -559,8 +559,14 @@ class TestFittedEstimator:
             (lambda r: r.update(grads=[row + [0.0] for row in r["grads"]]), "grads"),
             (lambda r: r["grads"][2].__setitem__(1, float("nan")), "grads"),
             (lambda r: r.update(eta=float("inf")), "eta"),
+            (lambda r: r.update(eta=-0.1), "eta"),
+            (lambda r: r.update(eta="abc"), "eta"),
+            (lambda r: r.update(diagnostics=5), "diagnostics"),
         ],
-        ids=["both-params", "no-grads", "grads-rows", "grads-cols", "grads-nan", "eta-inf"],
+        ids=[
+            "both-params", "no-grads", "grads-rows", "grads-cols", "grads-nan", "eta-inf",
+            "eta-negative", "eta-string", "diagnostics-int",
+        ],
     )
     def test_from_json_rejects_inconsistent_grad_record(self, edit, field):
         fit = fit_estimator(KIND_STEIN_V, gaussian_sample(32, n=6), RBF)
@@ -684,7 +690,7 @@ class TestFittedEstimator:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             fit_estimator("unknown", gaussian_sample(30), RBF)
-        # the earlier names still load from records, but fit nothing
+        # an earlier name is not a kind: it neither fits nor loads
         with pytest.raises(ValueError, match="score-rbf"):
             fit_estimator("score-rbf", gaussian_sample(30), RBF)
 
@@ -696,54 +702,41 @@ class TestFittedEstimator:
             with pytest.raises(ValueError, match="eta"):
                 fit_estimator(kind, gaussian_sample(30), RBF, eta=eta)
 
-    # records as written before the kinds took their command-line names
-    OLD_TRAIN = [[-1.125, -1.125], [-0.75, 0.75], [-1.0, -1.0], [-0.375, 1.375], [-0.875, -0.75]]
-    OLD_RECORDS = [
-        ("stein-nonparam-v", KIND_STEIN_V, "rbf", "grads", [
-            [0.8529459698047662, 0.7679679929251377],
-            [0.5607985709853659, -0.575662633575324],
-            [-0.03343532494779379, 0.4073824462966628],
-            [-0.6157317299783422, -0.489464085858209],
-            [-0.8256183002568573, -0.3047340204642616],
-        ]),
-        ("stein-nonparam-u", KIND_STEIN_U, "rbf", "grads", [
-            [-0.14212493816698157, 0.48185207586845474],
-            [-0.5584878604243584, -1.0759765830805974],
-            [0.17395589739815517, 0.5791422354109137],
-            [-0.05014590794207723, -1.5554237110221167],
-            [0.42521905415148864, 0.6876808596218229],
-        ]),
-        ("score-rbf", KIND_SCORE, "rbf", "coeffs", [
-            13.250472229572722, -2.9985360977639384, 9.452144819306964,
-            17.399672713792352, 1.0077814518219008,
-        ]),
-        ("score-epanechnikov", KIND_SCORE, "epanechnikov", "coeffs", [
-            0.3076923076923077, 0.307692307692308, 0.3076923076923077,
-            0.30769230769230765, 0.30769230769230765,
-        ]),
-    ]
+    OLD_KINDS = {
+        "stein-nonparam-v": KIND_STEIN_V,
+        "stein-nonparam-u": KIND_STEIN_U,
+        "score-rbf": KIND_SCORE,
+        "score-epanechnikov": KIND_SCORE,
+    }
 
-    @pytest.mark.parametrize(
-        "old, new, family, field, params", OLD_RECORDS, ids=[r[0] for r in OLD_RECORDS]
-    )
-    def test_old_kind_names_still_load(self, old, new, family, field, params):
-        spec = KernelSpec(family, 1.5 if family == "rbf" else None)
-        record = {
-            "kind": old,
-            "kernel": {"family": family, "sigma2": spec.sigma2},
-            "eta": 0.25,
-            "train": self.OLD_TRAIN,
-            "grads": params if field == "grads" else None,
-            "coeffs": params if field == "coeffs" else None,
-            "diagnostics": {"jitter": 0.0, "jitter_level": 0},
-        }
-        back = FittedEstimator.from_json_dict(json.loads(json.dumps(record)))
-        fresh = fit_estimator(new, np.array(self.OLD_TRAIN), spec, eta=0.25)
-        assert (back.kind, back.spec, back.eta) == (new, spec, 0.25)
-        np.testing.assert_array_equal(getattr(back, field), getattr(fresh, field))
-        if new != KIND_STEIN_U:
-            pts = gaussian_sample(39, n=6)
-            np.testing.assert_array_equal(back.predict(pts), fresh.predict(pts))
+    @pytest.mark.parametrize("old, kind", OLD_KINDS.items(), ids=list(OLD_KINDS))
+    def test_old_kind_names_are_refused(self, old, kind):
+        # each kind has one name; a record under an earlier one does not load
+        record = fit_estimator(kind, gaussian_sample(39, n=5), RBF).to_json_dict()
+        record["kind"] = old
+        with pytest.raises(ValueError, match=old):
+            FittedEstimator.from_json_dict(json.loads(json.dumps(record)))
+
+    @pytest.mark.parametrize("kind", [KIND_STEIN_U, KIND_STEIN_PARAM_U])
+    def test_u_statistic_record_needs_positive_eta(self, kind):
+        # a record passes the checks a fit's arguments pass
+        record = fit_estimator(kind, gaussian_sample(40, n=6), RBF).to_json_dict()
+        record["eta"] = 0.0
+        with pytest.raises(ValueError, match="eta"):
+            FittedEstimator.from_json_dict(json.loads(json.dumps(record)))
+
+    @pytest.mark.parametrize("kind", [KIND_STEIN_V, KIND_SCORE])
+    def test_construction_takes_exactly_its_own_parameters(self, kind):
+        fit = fit_estimator(kind, gaussian_sample(41, n=6), RBF)
+        own, other = ("grads", "coeffs") if kind == KIND_STEIN_V else ("coeffs", "grads")
+        fields = dict(kind=kind, train=fit.train, spec=fit.spec, eta=fit.eta)
+        pts = gaussian_sample(42, n=3)
+        same = FittedEstimator(**fields, **{own: getattr(fit, own)})
+        np.testing.assert_array_equal(same.predict(pts), fit.predict(pts))
+        with pytest.raises(ValueError, match=other):
+            FittedEstimator(**fields, grads=fit.grads_at_train(), coeffs=np.zeros(6))
+        with pytest.raises(ValueError, match=own):
+            FittedEstimator(**fields)
 
     def test_unknown_record_kind_is_named(self):
         record = fit_estimator(KIND_KDE, gaussian_sample(30), RBF).to_json_dict()

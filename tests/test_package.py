@@ -1,11 +1,15 @@
-"""The package namespace and the layering of its modules."""
+"""The package namespace, the layering of its modules and the benchmark's hooks."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import steingrad
 
 PACKAGE_DIR = Path(steingrad.__file__).resolve().parent
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 # the package modules each module may import, lowest layer first; the
 # sampler and the discrepancy stand on the kernels alone, so neither grades
@@ -82,3 +86,101 @@ def test_import_scan_sees_every_form(tmp_path):
     assert package_imports(src) == {
         "kernels", "linalg", "errors", "oracles", "discrepancy", "estimators"
     }
+
+
+# The benchmark's tracer rebinds package functions by name, and skips a
+# name it cannot find, so a rename would zero a per-layer metric without a
+# failure.  bench/ is read here, never imported or edited.
+
+
+def _bench_tree(name):
+    return ast.parse((BENCH_DIR / name).read_text(encoding="utf-8"))
+
+
+def _bench_literal(name, assigned):
+    """The literal value assigned to ``assigned`` at the top of bench/``name``."""
+    for node in _bench_tree(name).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [assigned]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/{name} assigns no {assigned}")
+
+
+def _resolve(modname, attr):
+    """The object ``attr`` ("f" or "Cls.meth") of a module, as the tracer finds it."""
+    owner = importlib.import_module(modname)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return vars(owner).get(name)
+
+
+# deleted from the package; the tracer still lists it and reads it as zero
+# work until the benchmark drops it
+STALE_TARGETS = {("steingrad.kernels", "cross_hess_trace_matrix")}
+
+
+def test_every_traced_target_resolves():
+    targets = _bench_literal("tracing.py", "TARGETS")
+    missing = [
+        (modname, attr)
+        for _, modname, attr, _ in targets
+        if _resolve(modname, attr) is None and (modname, attr) not in STALE_TARGETS
+    ]
+    assert missing == []
+
+
+# (module, function, index, parameter): the positional arguments the tracer
+# reads, for work counts, span attributes and the score callbacks it wraps
+TRACED_ARGUMENTS = [
+    ("steingrad.sampler", "leapfrog", 3, "n_steps"),
+    ("steingrad.estimators", "FittedEstimator.predict", 1, "points"),
+    ("steingrad.sampler", "run_hmc", 1, "score_fn"),
+    ("steingrad.discrepancy", "ksd_to_target", 1, "score_fn"),
+    ("steingrad.estimators", "fit_estimator", 0, "kind"),
+    ("steingrad.linalg", "solve_symmetric", 1, "rhs"),
+]
+
+
+def test_traced_arguments_keep_their_places():
+    moved = {}
+    for modname, attr, index, want in TRACED_ARGUMENTS:
+        params = list(inspect.signature(_resolve(modname, attr)).parameters.values())
+        got = params[index] if index < len(params) else None
+        if got is None or got.name != want or got.kind is not got.POSITIONAL_OR_KEYWORD:
+            moved[attr] = (index, want, got)
+    assert moved == {}
+    # the callback indices are the tracer's own table
+    callbacks = _bench_literal("tracing.py", "CALLBACK_ARGS")
+    assert {name: idx for name, (idx, _) in callbacks.items()} == {
+        "sampler.run_hmc": 1,
+        "discrepancy.ksd_to_target": 1,
+    }
+
+
+def test_bench_imports_resolve():
+    # from steingrad[.mod] import name, anywhere in bench/*.py (workloads.py
+    # imports KernelSpec, ksd_v and quadratic_minimiser inside a function)
+    missing = []
+    for path in sorted(BENCH_DIR.glob("*.py")):
+        for node in ast.walk(_bench_tree(path.name)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "steingrad":
+                module = importlib.import_module(node.module)
+                missing += [
+                    (path.name, node.module, alias.name)
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                    and importlib.util.find_spec(f"{node.module}.{alias.name}") is None
+                ]
+    assert missing == []
+
+
+def test_worker_cli_hooks_resolve():
+    # the worker calls cli.main and rebinds cli.run_hmc to time the sampler
+    used = {
+        node.attr
+        for node in ast.walk(_bench_tree("worker.py"))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cli"
+    }
+    assert used >= {"main", "run_hmc"}
+    cli = importlib.import_module("steingrad.cli")
+    assert [name for name in sorted(used) if not hasattr(cli, name)] == []

@@ -37,7 +37,7 @@ from .kernels import (
     kernel_grad_first_arg,
     median_heuristic,
 )
-from .oracles import FiniteDiffConfig, brute_ksd, fd_gradient, quadratic_minimiser
+from .oracles import brute_ksd, fd_gradient, quadratic_minimiser
 from .sampler import (
     ChainStats,
     HmcConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "DegenerateBandwidthError",
     "DegenerateDenominatorError",
     "EPANECHNIKOV",
-    "FiniteDiffConfig",
     "FittedEstimator",
     "HmcConfig",
     "KIND_KDE",

@@ -151,7 +151,10 @@ def _resolve_spec(args, train):
     scale = _bandwidth_scale(args)
     if args.kernel == EPANECHNIKOV:
         if raw != "median":
-            raise ValueError("the epanechnikov kernel carries no bandwidth")
+            raise ValueError(
+                f"sigma2 must be 'median' with the epanechnikov kernel, which "
+                f"carries no bandwidth; got {raw!r}"
+            )
         return KernelSpec(EPANECHNIKOV)
     if raw == "median":
         base = median_heuristic(train)
@@ -534,10 +537,15 @@ def cmd_banana(args) -> int:
         chain_seeds=ss_chains.spawn(n_chains),
     )
 
-    # grade the post-burn-in states against the exact score: each chain
-    # alone, and the pool thinned evenly to at most pool_cap points to keep
-    # the quadratic cost bounded
+    # grade the post-burn-in states: the mean of x1 with its standard error
+    # across chains (none for one chain), and the KSD against the exact
+    # score, each chain alone and the pool thinned evenly to at most
+    # pool_cap points to keep the quadratic cost bounded
     post = stats.trajectories[:, cfg.n_burn:]
+    chain_means = post[:, :, 0].mean(axis=1)
+    se_mean_x1 = None
+    if cfg.n_chains > 1:
+        se_mean_x1 = float(chain_means.std(ddof=1) / math.sqrt(cfg.n_chains))
     ksd_mean = float(
         np.mean([ksd_to_target(chain, target_score, metric_spec).value for chain in post])
     )
@@ -563,8 +571,8 @@ def cmd_banana(args) -> int:
         "init_noise": init_noise,
         "metric_sigma2": metric_spec.sigma2,
         "acceptance_rate": float(stats.acceptance_rate),
-        "mean_x1": float(stats.mean_x1),
-        "se_mean_x1": _jsonable(stats.se_mean_x1),
+        "mean_x1": float(chain_means.mean()),
+        "se_mean_x1": se_mean_x1,
         "ksd_pooled": _jsonable(ksd_pooled),
         "ksd_mean_per_chain": _jsonable(ksd_mean),
         "n_divergent": int(stats.n_divergent),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, as_samples, build_matrices, cross_hess_trace
+from .kernels import KernelSpec, as_samples, build_matrices, call_score, cross_hess_trace
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,7 @@ def ksd_to_target(samples, score_fn, spec: KernelSpec, statistic: str = "v") -> 
     xs = as_samples(samples)
     if statistic not in ("v", "u"):
         raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
-    gs = np.asarray(score_fn(xs), dtype=float)
-    if gs.shape != xs.shape:
-        raise ValueError(
-            f"score_fn returned shape {gs.shape} for samples of shape {xs.shape}"
-        )
+    gs = call_score(score_fn, xs)
     if statistic == "v":
         return ksd_v(xs, gs, spec, includes_constant=True)
     return ksd_u(xs, gs, spec, includes_constant=True)

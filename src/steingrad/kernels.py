@@ -50,6 +50,16 @@ def as_samples(x, name: str = "samples") -> np.ndarray:
     return arr
 
 
+def call_score(score_fn, x: np.ndarray) -> np.ndarray:
+    """``score_fn`` on the (n, d) points ``x``, held to the (n, d) -> (n, d) contract."""
+    g = np.asarray(score_fn(x), dtype=float)
+    if g.shape != x.shape:
+        raise ValueError(
+            f"score_fn returned shape {g.shape} for points of shape {x.shape}"
+        )
+    return g
+
+
 def _as_point(x, name: str = "point") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 1:

@@ -11,8 +11,6 @@ Shipped inside the package, not the test tree, so that demo scripts and
 downstream users can run the same cross-checks.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
@@ -25,33 +23,21 @@ from .kernels import (
 )
 
 
-@dataclass(frozen=True)
-class FiniteDiffConfig:
-    """Step size for central differences."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not np.isfinite(self.step) or self.step <= 0:
-            raise ValueError(f"finite-difference step must be > 0, got {self.step!r}")
-
-
-def fd_gradient(f, x, cfg: FiniteDiffConfig | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x.
+def fd_gradient(f, x, step: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function at x, h = step.
 
     out[i] = (f(x + h e_i) - f(x - h e_i)) / (2 h)
     """
-    if cfg is None:
-        cfg = FiniteDiffConfig()
+    if not np.isfinite(step) or step <= 0:
+        raise ValueError(f"finite-difference step must be > 0, got {step!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"x must be a 1-D vector, got shape {x.shape}")
-    h = cfg.step
     out = np.empty(x.size)
     for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = h
-        out[i] = (float(f(x + step)) - float(f(x - step))) / (2.0 * h)
+        shift = np.zeros(x.size)
+        shift[i] = step
+        out[i] = (float(f(x + shift)) - float(f(x - shift))) / (2.0 * step)
     return out
 
 
@@ -108,16 +94,15 @@ def brute_ksd(
     gs = as_samples(grads, name="grads")
     if gs.shape != xs.shape:
         raise ValueError(f"grads shape {gs.shape} does not match samples {xs.shape}")
-    stat = statistic.lower()
-    if stat not in ("v", "u"):
+    if statistic not in ("v", "u"):
         raise ValueError(f"statistic must be 'v' or 'u', got {statistic!r}")
     n = xs.shape[0]
-    if stat == "u" and n < 2:
+    if statistic == "u" and n < 2:
         raise ValueError("U-statistic needs at least two samples")
     total = 0.0
     for j in range(n):
         for l in range(n):
-            if stat == "u" and j == l:
+            if statistic == "u" and j == l:
                 continue
             k = kernel_eval(xs[j], xs[l], spec)
             grad_j = kernel_grad_first_arg(xs[j], xs[l], spec)
@@ -129,6 +114,6 @@ def brute_ksd(
             if includes_constant:
                 term += cross_hess_trace(xs[j], xs[l], spec)
             total += term
-    if stat == "v":
+    if statistic == "v":
         return total / n**2
     return total / (n * (n - 1))

@@ -24,10 +24,10 @@ a run makes one score call on the initial states and then n_leapfrog per
 iteration.  The target log density follows the matching contract
 (n, d) -> (n,): each iteration makes one call on every chain's proposal, and
 the accept test runs as array operations over the chain axis.  The chains
-stay independent: each one owns a private RNG stream derived from (master
-seed, chain index), and a chain whose trajectory diverges is masked out of
-its iteration without touching the others, so a chain's path depends only on
-its own seed and start and results are bitwise reproducible.  The sampler only
+stay independent: each one owns a private RNG stream built from its own
+chain seed, and a chain whose trajectory diverges is masked out of its
+iteration without touching the others, so a chain's path depends only on its
+own seed and start and results are bitwise reproducible.  The sampler only
 samples: the caller grades a run, on ``trajectories[:, cfg.n_burn:]``.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import as_samples
+from .kernels import as_samples, call_score
 
 BANANA_B = 0.03
 BANANA_V = 100.0
@@ -113,6 +113,10 @@ class HmcConfig:
     burn_in_fraction: float = 0.2
 
     def __post_init__(self):
+        for field in ("n_chains", "n_iters", "n_leapfrog"):
+            count = getattr(self, field)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{field} must be an integer, got {count!r}")
         if self.n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
         if self.n_iters < 1:
@@ -134,14 +138,14 @@ class HmcConfig:
 
 @dataclass(frozen=True)
 class ChainStats:
-    """Diagnostics of one multi-chain run, post burn-in where applicable.
+    """What one multi-chain run did, over all iterations, burn-in included.
 
     ``trajectories[c, t]`` is chain c's state after iteration t's decision.
+    Grading the run (moments, discrepancy) is the caller's, on
+    ``trajectories[:, cfg.n_burn:]``.
     """
 
     acceptance_rate: float
-    mean_x1: float
-    se_mean_x1: float
     n_divergent: int
     trajectories: np.ndarray
     accepts: np.ndarray  # (n_chains, n_iters) bool
@@ -163,12 +167,11 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
     non-finite, or -1, and ``score`` holds the scores at the returned
     positions.  A diverged chain's rows of ``q``, ``p`` and ``score`` are its
     inputs, and from its divergence on it is evaluated at its input
-    position, so ``score_fn`` only ever sees finite rows.  n_steps = 0
-    returns copies of the inputs (and of ``score``, or the one call's result
-    when it was not given).
+    position, so ``score_fn`` only ever sees finite rows.  n_steps counts
+    position updates, as ``HmcConfig.n_leapfrog`` does, and must be >= 1.
     """
-    q = np.array(q, dtype=float)
-    p = np.array(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
     if q.ndim != 2 or q.shape != p.shape:
         raise ValueError(
             f"q and p must be (n_chains, d) arrays of equal shape, "
@@ -176,10 +179,10 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
         )
     if not np.isfinite(stepsize) or stepsize <= 0:
         raise ValueError(f"stepsize must be > 0, got {stepsize!r}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if score is None:
-        score = _scores(score_fn, q)
+        score = call_score(score_fn, q)
     # a private copy: the returned rows of diverged chains come from it
     score0 = np.array(score, dtype=float)
     if score0.shape != q.shape:
@@ -189,8 +192,6 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
     eps = float(stepsize)
     q0, p0 = q, p
     diverged_at = np.full(q.shape[0], -1)
-    if n_steps == 0:
-        return q, p, diverged_at, score0
     dead = None  # (n_chains, 1) mask of diverged chains; None until one diverges
 
     def settle(q, p, checked, step):
@@ -213,22 +214,12 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
         q = q + eps * p
         q, p = settle(q, p, q, step)
         scale = eps if step < n_steps - 1 else 0.5 * eps
-        score = _scores(score_fn, q)
+        score = call_score(score_fn, q)
         p = p + scale * score
         q, p = settle(q, p, p, step)
     if dead is not None:
         score = np.where(dead, score0, score)
     return q, p, diverged_at, score
-
-
-def _scores(score_fn, q):
-    """``score_fn`` on the rows of ``q``, held to the (n, d) -> (n, d) contract."""
-    g = np.asarray(score_fn(q), dtype=float)
-    if g.shape != q.shape:
-        raise ValueError(
-            f"score_fn returned shape {g.shape} for positions of shape {q.shape}"
-        )
-    return g
 
 
 def _log_density(target_logp, q):
@@ -245,28 +236,15 @@ def _kinetic(p):
     return 0.5 * np.einsum("nd,nd->n", p, p)
 
 
-def _chain_rngs(seed, n_chains, chain_seeds):
-    if chain_seeds is not None:
-        if len(chain_seeds) != n_chains:
-            raise ValueError(
-                f"got {len(chain_seeds)} chain seeds for {n_chains} chains"
-            )
-        return [np.random.default_rng(s) for s in chain_seeds]
-    if seed is None:
-        raise ValueError("run_hmc needs a master seed (or explicit chain seeds)")
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
-
-
 def run_hmc(
     target_logp,
     score_fn,
     cfg: HmcConfig,
     init,
-    seed=None,
     *,
-    chain_seeds=None,
+    chain_seeds,
 ) -> ChainStats:
-    """Run cfg.n_chains independent HMC chains in lockstep and summarise them.
+    """Run cfg.n_chains independent HMC chains in lockstep.
 
     Parameters
     ----------
@@ -286,21 +264,25 @@ def run_hmc(
         position, and a return of any shape but (n, d) raises ValueError.
     init : (n_chains, d) array
         One starting state per chain.
-    seed : int
-        Master seed; chain i draws from a stream spawned at index i, so the
-        run is reproducible bit for bit and chains never share randomness.
-    chain_seeds : sequence, optional
-        Explicit per-chain seeds overriding the derivation from ``seed``.
+    chain_seeds : sequence of n_chains seeds
+        Chain i draws only from ``np.random.default_rng(chain_seeds[i])``,
+        so the run is reproducible bit for bit and chains never share
+        randomness; ``np.random.SeedSequence(seed).spawn(n_chains)`` derives
+        them from one master seed.
 
-    The run is not graded here: ``ksd_to_target`` on the returned
-    ``trajectories[:, cfg.n_burn:]`` measures it against a target score.
+    The run is not graded here: ``ksd_to_target`` or any moment of the
+    returned ``trajectories[:, cfg.n_burn:]`` measures it against a target.
     """
     init = as_samples(init, name="init")
     if init.shape[0] != cfg.n_chains:
         raise ValueError(
             f"init has {init.shape[0]} rows for {cfg.n_chains} chains"
         )
-    rngs = _chain_rngs(seed, cfg.n_chains, chain_seeds)
+    if len(chain_seeds) != cfg.n_chains:
+        raise ValueError(
+            f"got {len(chain_seeds)} chain seeds for {cfg.n_chains} chains"
+        )
+    rngs = [np.random.default_rng(s) for s in chain_seeds]
 
     # the chains advance in lockstep, each drawing from its own stream
     q = init.copy()
@@ -310,7 +292,7 @@ def run_hmc(
     n_div = np.zeros(n_chains, dtype=int)
     logp = _log_density(target_logp, q)
     # a copy: score_fn may hand back the same buffer on every call
-    score = _scores(score_fn, q).copy()
+    score = call_score(score_fn, q).copy()
     p = np.empty_like(q)
     u = np.empty(n_chains)
     for t in range(cfg.n_iters):
@@ -334,17 +316,8 @@ def run_hmc(
         n_div += diverged
         traj[:, t] = q
 
-    chain_means = traj[:, cfg.n_burn:, 0].mean(axis=1)
-    mean_x1 = float(chain_means.mean())
-    if cfg.n_chains > 1:
-        se_mean_x1 = float(chain_means.std(ddof=1) / math.sqrt(cfg.n_chains))
-    else:
-        se_mean_x1 = float("nan")
-
     return ChainStats(
         acceptance_rate=float(accepts.mean()),
-        mean_x1=mean_x1,
-        se_mean_x1=se_mean_x1,
         n_divergent=int(n_div.sum()),
         trajectories=traj,
         accepts=accepts,

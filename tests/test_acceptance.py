@@ -484,8 +484,9 @@ def test_criterion_9_structural_invariants_hold(capsys):
     # reproducibility of the sampling harness
     cfg = sg.HmcConfig(n_chains=3, n_iters=40, stepsize=0.5, n_leapfrog=5)
     init = np.zeros((3, 2))
-    a = sg.run_hmc(sg.banana_log_density, sg.banana_score, cfg, init, seed=77)
-    b = sg.run_hmc(sg.banana_log_density, sg.banana_score, cfg, init, seed=77)
+    seeds = np.random.SeedSequence(77).spawn(3)
+    a = sg.run_hmc(sg.banana_log_density, sg.banana_score, cfg, init, chain_seeds=seeds)
+    b = sg.run_hmc(sg.banana_log_density, sg.banana_score, cfg, init, chain_seeds=seeds)
     if not (
         np.array_equal(a.trajectories, b.trajectories)
         and np.array_equal(a.accepts, b.accepts)

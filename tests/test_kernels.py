@@ -19,7 +19,7 @@ from steingrad.kernels import (
     kernel_eval,
     kernel_grad_first_arg,
 )
-from steingrad.oracles import FiniteDiffConfig, fd_gradient
+from steingrad.oracles import fd_gradient
 
 
 def rbf_spec(sigma2=2.0):
@@ -80,22 +80,20 @@ class TestScalarEvaluations:
     def test_rbf_gradient_matches_finite_differences(self):
         spec = rbf_spec(1.3)
         rng = np.random.default_rng(11)
-        cfg = FiniteDiffConfig(step=1e-5)
         for _ in range(25):
             x = rng.standard_normal(4)
             y = rng.standard_normal(4)
             got = kernel_grad_first_arg(x, y, spec)
-            want = fd_gradient(lambda z: kernel_eval(z, y, spec), x, cfg)
+            want = fd_gradient(lambda z: kernel_eval(z, y, spec), x, step=1e-5)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_epanechnikov_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
-        cfg = FiniteDiffConfig(step=1e-5)
         for _ in range(25):
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
             got = kernel_grad_first_arg(x, y, EPAN)
-            want = fd_gradient(lambda z: kernel_eval(z, y, EPAN), x, cfg)
+            want = fd_gradient(lambda z: kernel_eval(z, y, EPAN), x, step=1e-5)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_gradient_vanishes_at_coincident_points(self):

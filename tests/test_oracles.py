@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from steingrad import KernelSpec, NumericalError
-from steingrad.oracles import (
-    FiniteDiffConfig,
-    brute_ksd,
-    fd_gradient,
-    quadratic_minimiser,
-)
+from steingrad.oracles import brute_ksd, fd_gradient, quadratic_minimiser
 
 
 class TestFiniteDifferences:
@@ -32,15 +27,13 @@ class TestFiniteDifferences:
         np.testing.assert_allclose(fd_gradient(f, x0), np.exp(x0), atol=1e-8)
 
     def test_custom_step(self):
-        cfg = FiniteDiffConfig(step=1e-6)
-        got = fd_gradient(lambda x: float(np.sin(x[0])), np.array([0.5]), cfg)
+        got = fd_gradient(lambda x: float(np.sin(x[0])), np.array([0.5]), step=1e-6)
         assert got[0] == pytest.approx(np.cos(0.5), abs=1e-8)
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            FiniteDiffConfig(step=0.0)
-        with pytest.raises(ValueError):
-            FiniteDiffConfig(step=-1e-5)
+        for step in (0.0, -1e-5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite-difference step must be > 0"):
+                fd_gradient(lambda x: float(x[0]), np.array([0.5]), step=step)
 
 
 class TestQuadraticMinimiser:
@@ -120,3 +113,7 @@ class TestBruteKsd:
         spec = KernelSpec("rbf", 1.0)
         with pytest.raises(ValueError):
             brute_ksd(np.zeros((2, 1)), np.zeros((2, 1)), spec, statistic="w")
+        # one spelling, as ksd_to_target and ksd --statistic take
+        for statistic in ("V", "U"):
+            with pytest.raises(ValueError, match="statistic must be 'v' or 'u'"):
+                brute_ksd(np.ones((2, 1)), -np.ones((2, 1)), spec, statistic=statistic)

@@ -1,6 +1,7 @@
 """The package namespace, the layering of its modules and the benchmark's hooks."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -155,6 +156,32 @@ def test_traced_arguments_keep_their_places():
         "sampler.run_hmc": 1,
         "discrepancy.ksd_to_target": 1,
     }
+
+
+def test_run_hmc_result_reads_are_chain_stats_fields():
+    # _result_attrs reads fields off run_hmc's result for the run's span; a
+    # field gone from ChainStats would stop a traced run with AttributeError
+    func = next(
+        node for node in _bench_tree("tracing.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_result_attrs"
+    )
+    branch = next(
+        node for node in ast.walk(func)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and [getattr(c, "value", None) for c in node.test.comparators] == ["sampler.run_hmc"]
+    )
+    read = {
+        node.attr
+        for stmt in branch.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "result"
+    }
+    assert read >= {"n_divergent", "acceptance_rate"}
+    fields = {f.name for f in dataclasses.fields(steingrad.ChainStats)}
+    assert sorted(read - fields) == []
 
 
 def test_bench_imports_resolve():

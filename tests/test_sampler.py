@@ -70,19 +70,25 @@ def reference_chains(target_logp, score_fn, cfg, init, seeds):
     return traj, accepts, n_div
 
 
+def spawn(seed, n_chains):
+    """Per-chain seeds derived from one master seed."""
+    return np.random.SeedSequence(seed).spawn(n_chains)
+
+
 def capped_gaussian_score(x, threshold=1.0):
     # the standard normal score, infinite beyond x0 = threshold
     return np.where(x[..., :1] > threshold, np.inf, -x)
 
 
-class ZeroUniform:
-    """A generator whose uniform() returns 0.0, the closed end of [0, 1)."""
+class ZeroUniform(np.random.Generator):
+    """A generator whose uniform() returns 0.0, the closed end of [0, 1).
+
+    ``np.random.default_rng`` hands a Generator back unchanged, so it can
+    stand as a chain seed.
+    """
 
     def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def standard_normal(self, size):
-        return self._rng.standard_normal(size)
+        super().__init__(np.random.PCG64(seed))
 
     def uniform(self):
         return 0.0
@@ -187,29 +193,6 @@ class TestLeapfrog:
         det = np.linalg.det(np.array(cols).T)
         assert det == pytest.approx(1.0, abs=1e-12)
 
-    def test_zero_steps_returns_inputs(self):
-        q0 = np.array([[1.0, 2.0]])
-        p0 = np.array([[-1.0, 0.5]])
-        g0 = np.array([[3.0, -4.0]])
-        calls = []
-
-        def score_fn(x):
-            calls.append(x.copy())
-            return -x
-
-        q, p, diverged_at, g = leapfrog(q0, p0, 0.1, 0, score_fn, score=g0)
-        np.testing.assert_array_equal(q, q0)
-        np.testing.assert_array_equal(p, p0)
-        np.testing.assert_array_equal(diverged_at, [-1])
-        np.testing.assert_array_equal(g, g0)
-        assert q is not q0 and p is not p0 and g is not g0
-        assert calls == []
-        # without a given score, the one call scores the inputs
-        q, p, diverged_at, g = leapfrog(q0, p0, 0.1, 0, score_fn)
-        np.testing.assert_array_equal(g, -q0)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], q0)
-
     @pytest.mark.parametrize("given", [False, True], ids=["scored", "given"])
     def test_returned_score_is_the_score_at_returned_positions(self, given):
         # Chains diverge at step 0 (they start beyond the cap), in mid
@@ -285,8 +268,9 @@ class TestLeapfrog:
             leapfrog(np.zeros(2), np.zeros(2), 0.1, 1, std_normal_score)
         with pytest.raises(ValueError):
             leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), -0.1, 1, std_normal_score)
-        with pytest.raises(ValueError):
-            leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), 0.1, -1, std_normal_score)
+        for n_steps in (0, -1):
+            with pytest.raises(ValueError, match="n_steps must be >= 1"):
+                leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), 0.1, n_steps, std_normal_score)
         with pytest.raises(ValueError, match="score has shape"):
             leapfrog(
                 np.zeros((2, 2)), np.zeros((2, 2)), 0.1, 1, std_normal_score,
@@ -313,6 +297,15 @@ class TestHmcConfig:
             with pytest.raises(ValueError):
                 HmcConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["n_chains", "n_iters", "n_leapfrog"])
+    def test_counts_must_be_integers(self, field):
+        good = dict(n_chains=2, n_iters=10, stepsize=0.1, n_leapfrog=5)
+        for bad in (3.5, 2.0, True, "3", np.float64(4.0)):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                HmcConfig(**{**good, field: bad})
+        for fine in (3, np.int64(3), np.int32(3)):
+            assert getattr(HmcConfig(**{**good, field: fine}), field) == 3
+
 
 class TestRunChain:
     """Single-chain runs: run_hmc with one chain and one chain seed."""
@@ -337,22 +330,24 @@ class TestRunChain:
         assert not res.accepts.any()
         np.testing.assert_array_equal(res.trajectories[0], np.tile(q0, (7, 1)))
 
-    def test_zero_uniform_accepts_every_finite_proposal(self, monkeypatch):
+    def test_zero_uniform_accepts_every_finite_proposal(self):
         # log 0 = -inf lies below every log acceptance ratio, so even moves
         # up this steep slope, with log_alpha near -1000 per unit, are taken
         def slope_logp(q):
             return -1e3 * q[:, 0]
 
-        monkeypatch.setattr(sampler, "_chain_rngs", lambda *args: [ZeroUniform(6)])
         cfg = HmcConfig(n_chains=1, n_iters=20, stepsize=0.5, n_leapfrog=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = run_hmc(slope_logp, std_normal_score, cfg, np.zeros((1, 2)), seed=0)
+            res = run_hmc(
+                slope_logp, std_normal_score, cfg, np.zeros((1, 2)),
+                chain_seeds=[ZeroUniform(6)],
+            )
         assert res.accepts.all()
         assert res.n_divergent == 0
         assert np.diff(res.trajectories[0, :, 0]).max() > 0.1
 
-    def test_zero_uniform_still_rejects_nan_and_zero_density(self, monkeypatch):
+    def test_zero_uniform_still_rejects_nan_and_zero_density(self):
         cfg = HmcConfig(n_chains=1, n_iters=5, stepsize=0.5, n_leapfrog=3)
         q0 = np.array([[0.5, -0.5]])
         for bad in (np.nan, -np.inf):
@@ -362,10 +357,9 @@ class TestRunChain:
                 calls.append(q.shape)
                 return np.full(1, 0.0 if len(calls) == 1 else bad)
 
-            monkeypatch.setattr(sampler, "_chain_rngs", lambda *args: [ZeroUniform(7)])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = run_hmc(logp, std_normal_score, cfg, q0, seed=0)
+                res = run_hmc(logp, std_normal_score, cfg, q0, chain_seeds=[ZeroUniform(7)])
             assert calls == [(1, 2)] * (cfg.n_iters + 1)
             assert not res.accepts.any()
             np.testing.assert_array_equal(res.trajectories[0], np.tile(q0, (5, 1)))
@@ -389,12 +383,11 @@ class TestRunHmc:
     def test_bitwise_reproducible(self):
         cfg = HmcConfig(n_chains=4, n_iters=50, stepsize=0.5, n_leapfrog=5)
         init = np.zeros((4, 2))
-        a = run_hmc(banana_log_density, banana_score, cfg, init, seed=11)
-        b = run_hmc(banana_log_density, banana_score, cfg, init, seed=11)
+        a = run_hmc(banana_log_density, banana_score, cfg, init, chain_seeds=spawn(11, 4))
+        b = run_hmc(banana_log_density, banana_score, cfg, init, chain_seeds=spawn(11, 4))
         np.testing.assert_array_equal(a.trajectories, b.trajectories)
         np.testing.assert_array_equal(a.accepts, b.accepts)
         assert a.acceptance_rate == b.acceptance_rate
-        assert a.mean_x1 == b.mean_x1
 
     def test_chains_commute_with_seed_permutation(self):
         # A chain's path depends only on its own seed and start, never on
@@ -537,7 +530,7 @@ class TestRunHmc:
         monkeypatch.setattr(sampler, "leapfrog", recording_leapfrog)
         cfg = HmcConfig(n_chains=3, n_iters=10, stepsize=0.3, n_leapfrog=4)
         init = np.array([[0.0, 0.5], [1.5, 0.0], [-0.5, -0.5]])
-        res = run_hmc(std_normal_logp, capped_gaussian_score, cfg, init, seed=3)
+        res = run_hmc(std_normal_logp, capped_gaussian_score, cfg, init, chain_seeds=spawn(3, 3))
         assert len(steps) == cfg.n_iters
         assert all(s[1] == 0 for s in steps)
         assert res.n_divergent >= cfg.n_iters
@@ -554,7 +547,7 @@ class TestRunHmc:
 
         cfg = HmcConfig(n_chains=2, n_iters=3, stepsize=0.5, n_leapfrog=3)
         with pytest.raises(ValueError, match=r"score_fn returned shape \(2, 1\)"):
-            run_hmc(std_normal_logp, score_fn, cfg, np.zeros((2, 2)), seed=4)
+            run_hmc(std_normal_logp, score_fn, cfg, np.zeros((2, 2)), chain_seeds=spawn(4, 2))
         assert len(calls) == bad_call
 
     def test_diverged_chain_is_rejected_whatever_its_logp(self):
@@ -573,7 +566,7 @@ class TestRunHmc:
 
         cfg = HmcConfig(n_chains=3, n_iters=10, stepsize=0.5, n_leapfrog=5)
         init = np.array([[-1.0, 0.0], [2.0, 0.0], [3.0, 1.0]])
-        res = run_hmc(rising_logp, capped_score, cfg, init, seed=9)
+        res = run_hmc(rising_logp, capped_score, cfg, init, chain_seeds=spawn(9, 3))
         assert calls == [(3, 2)] * (cfg.n_iters + 1)
         # chains 1 and 2 start beyond the threshold and diverge every time;
         # chain 0 takes every proposal that did not diverge
@@ -585,31 +578,31 @@ class TestRunHmc:
             res.trajectories[1:], np.tile(init[1:, None], (1, cfg.n_iters, 1))
         )
 
-    def test_summaries_recomputable_from_trajectories(self):
-        cfg = HmcConfig(
-            n_chains=3, n_iters=25, stepsize=0.5, n_leapfrog=5, burn_in_fraction=0.2
-        )
-        init = np.zeros((3, 2))
-        res = run_hmc(banana_log_density, banana_score, cfg, init, seed=14)
-        assert cfg.n_burn == int(25 * 0.2)
-        post = res.trajectories[:, cfg.n_burn:, 0]
-        chain_means = post.mean(axis=1)
-        assert res.mean_x1 == pytest.approx(chain_means.mean(), abs=1e-15)
-        assert res.se_mean_x1 == pytest.approx(
-            chain_means.std(ddof=1) / math.sqrt(3), abs=1e-15
-        )
-        assert res.acceptance_rate == res.accepts.mean()
-
     def test_single_chain_has_nan_standard_error(self):
+        # one chain runs, but the spread of chain means that a standard error
+        # is taken from is undefined: ddof=1 over one mean is NaN, which the
+        # banana report writes as a null se_mean_x1
         cfg = HmcConfig(n_chains=1, n_iters=10, stepsize=0.5, n_leapfrog=3)
-        res = run_hmc(banana_log_density, banana_score, cfg, np.zeros((1, 2)), seed=17)
-        assert math.isnan(res.se_mean_x1)
+        res = run_hmc(
+            banana_log_density, banana_score, cfg, np.zeros((1, 2)), chain_seeds=spawn(17, 1)
+        )
+        assert res.trajectories.shape == (1, cfg.n_iters, 2)
+        assert res.accepts.shape == (1, cfg.n_iters)
+        assert np.isfinite(res.trajectories).all()
+        assert res.acceptance_rate == float(res.accepts.mean())
+        chain_means = res.trajectories[:, cfg.n_burn:, 0].mean(axis=1)
+        with pytest.warns(RuntimeWarning):
+            se = chain_means.std(ddof=1) / math.sqrt(cfg.n_chains)
+        assert math.isnan(se)
 
     def test_argument_validation(self):
         cfg = HmcConfig(n_chains=2, n_iters=10, stepsize=0.5, n_leapfrog=3)
-        with pytest.raises(ValueError):
-            run_hmc(banana_log_density, banana_score, cfg, np.zeros((3, 2)), seed=19)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="init has 3 rows"):
+            run_hmc(
+                banana_log_density, banana_score, cfg, np.zeros((3, 2)),
+                chain_seeds=spawn(19, 2),
+            )
+        with pytest.raises(TypeError, match="chain_seeds"):
             run_hmc(banana_log_density, banana_score, cfg, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             run_hmc(
@@ -627,7 +620,7 @@ class TestRunHmc:
             n_chains=20, n_iters=800, stepsize=0.8, n_leapfrog=5, burn_in_fraction=0.2
         )
         init = np.linspace(-2.0, 2.0, 20)[:, None]
-        res = run_hmc(std_normal_logp, std_normal_score, cfg, init, seed=123)
+        res = run_hmc(std_normal_logp, std_normal_score, cfg, init, chain_seeds=spawn(123, 20))
         post = res.trajectories[:, 160:, :].reshape(-1)
         assert stats.kstest(post, "norm").statistic < 0.02
         assert 0.6 < res.acceptance_rate <= 1.0

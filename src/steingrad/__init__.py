@@ -36,6 +36,7 @@ from .kernels import (
     kernel_eval,
     kernel_grad_first_arg,
     median_heuristic,
+    resolve_bandwidth,
 )
 from .oracles import brute_ksd, fd_gradient, quadratic_minimiser
 from .sampler import (
@@ -89,5 +90,6 @@ __all__ = [
     "leapfrog",
     "median_heuristic",
     "quadratic_minimiser",
+    "resolve_bandwidth",
     "run_hmc",
 ]

@@ -70,7 +70,7 @@ from .estimators import (
     entropy_gradient_surrogate,
     fit_estimator,
 )
-from .kernels import EPANECHNIKOV, RBF, KernelSpec, median_heuristic
+from .kernels import EPANECHNIKOV, RBF, KernelSpec, median_heuristic, resolve_bandwidth
 from .sampler import HmcConfig, banana_sample, banana_score, banana_log_density, run_hmc
 
 
@@ -145,8 +145,13 @@ def _bandwidth_scale(args):
     return scale
 
 
-def _resolve_spec(args, train):
-    """Build the KernelSpec from the kernel, sigma2 and bandwidth_scale options."""
+def _kernel_spec(args):
+    """Build the KernelSpec from the kernel, sigma2 and bandwidth_scale options.
+
+    ``median`` stays the median rule (``median_scale``), so the fit or
+    discrepancy that uses the spec takes the bandwidth from its own distance
+    pass over the sample, and reports it resolved.
+    """
     raw = args.sigma2
     scale = _bandwidth_scale(args)
     if args.kernel == EPANECHNIKOV:
@@ -157,14 +162,13 @@ def _resolve_spec(args, train):
             )
         return KernelSpec(EPANECHNIKOV)
     if raw == "median":
-        base = median_heuristic(train)
-    else:
-        try:
-            base = float(raw)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"sigma2 must be a positive number or 'median', got {raw!r}"
-            ) from exc
+        return KernelSpec(RBF, median_scale=scale)
+    try:
+        base = float(raw)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"sigma2 must be a positive number or 'median', got {raw!r}"
+        ) from exc
     return KernelSpec(RBF, base * scale)
 
 
@@ -421,8 +425,7 @@ def cmd_estimate(args) -> int:
             f"sidecar: {sidecar!r} is the gradient CSV --output; pass another --sidecar"
         )
     samples = _read_matrix_csv(input_path, "x")
-    spec = _resolve_spec(args, samples)
-    fitted = fit_estimator(args.estimator, samples, spec, args.eta)
+    fitted = fit_estimator(args.estimator, samples, _kernel_spec(args), args.eta)
     grads = fitted.grads_at_train()
     _write_matrix_csv(output_path, "g", grads)
     _dump_json(fitted._json_record(), sidecar)
@@ -438,17 +441,16 @@ def cmd_ksd(args) -> int:
         raise ValueError("ksd needs --samples and --grads")
     xs = _read_matrix_csv(args.samples, "x")
     gs = _read_matrix_csv(args.grads, "g")
-    spec = _resolve_spec(args, xs)
     ksd_fn = ksd_v if args.statistic == "v" else ksd_u
-    est = ksd_fn(xs, gs, spec, includes_constant=args.include_constant)
+    est = ksd_fn(xs, gs, _kernel_spec(args), includes_constant=args.include_constant)
     report = {
         "statistic": est.statistic,
         "includes_constant": est.includes_constant,
         "value": float(est.value),
         "K": int(xs.shape[0]),
         "d": int(xs.shape[1]),
-        "kernel": spec.family,
-        "sigma2": spec.sigma2,
+        "kernel": est.spec.family,
+        "sigma2": est.spec.sigma2,
     }
     _dump_json(report, args.output)
     return 0
@@ -524,9 +526,9 @@ def cmd_banana(args) -> int:
         spec = None
         eta = None
     else:
-        spec = _resolve_spec(args, train)
         eta = args.eta
-        fitted = fit_estimator(name, train, spec, eta)
+        fitted = fit_estimator(name, train, _kernel_spec(args), eta)
+        spec = fitted.spec
         score_fn = fitted.predict
 
     stats = run_hmc(
@@ -639,7 +641,9 @@ def cmd_entropy_check(args) -> int:
         "exact": entry(entropy_gradient_surrogate(exact_grads, jac)[0]),
         "estimates": {},
     }
-    spec = _resolve_spec(args, z)
+    # one bandwidth for every fit: score and the parametric kinds build their
+    # kernel on the centred sample, so they could not share its pass
+    spec = resolve_bandwidth(z, _kernel_spec(args))
     for name in names:
         fitted = fit_estimator(name, z, spec, args.eta)
         value = entropy_gradient_surrogate(fitted.grads_at_train(), jac)[0]

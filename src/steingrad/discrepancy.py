@@ -9,7 +9,9 @@ the V-statistic is the full double sum
 
 computed here in matrix form as trace(G^T K G + 2 G^T <grad, K>) plus the
 sum of the pairwise trace term, which the kernel layer returns as one
-scalar.  The last (gradient-free) term is constant in G, so it
+scalar, all from one distance pass over the sample; a median-rule kernel
+takes its bandwidth from that pass too, and the estimate reports the
+resolved kernel.  The last (gradient-free) term is constant in G, so it
 is optional: fits minimise the constant-free part, sample-quality metrics
 want it included.  The U-statistic drops the j = l terms and normalises by
 K (K - 1); for the translation-invariant families here the diagonal of the
@@ -31,42 +33,42 @@ class KsdEstimate:
     value: float
     statistic: str  # "v" or "u"
     includes_constant: bool
+    spec: KernelSpec  # the kernel used, its bandwidth resolved
 
 
-def _check_inputs(samples, grads):
+def _terms(samples, grads, spec, includes_constant):
+    """The kernel matrices of the sample and the quadratic and cross sums.
+
+    The matrices come first, so a sample the median rule refuses is
+    reported before grads that do not match it.
+    """
     xs = as_samples(samples)
+    mats = build_matrices(xs, spec, with_trace=includes_constant)
     gs = as_samples(grads, name="grads")
     if gs.shape != xs.shape:
         raise ValueError(f"grads shape {gs.shape} does not match samples {xs.shape}")
-    return xs, gs
-
-
-def _terms(xs, gs, spec, includes_constant):
-    mats = build_matrices(xs, spec, with_trace=includes_constant)
     # tr(G^T K G) through one BLAS matrix product
     quad = float((gs * (mats.k_matrix @ gs)).sum())
     cross = float((gs * mats.grad_sum).sum())
-    return mats, quad, cross
+    return xs, gs, mats, quad, cross
 
 
 def ksd_v(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> KsdEstimate:
     """V-statistic kernelised Stein discrepancy (squared)."""
-    xs, gs = _check_inputs(samples, grads)
-    mats, quad, cross = _terms(xs, gs, spec, includes_constant)
+    xs, _, mats, quad, cross = _terms(samples, grads, spec, includes_constant)
     total = quad + 2.0 * cross
     if includes_constant:
         total += mats.trace
     n = xs.shape[0]
-    return KsdEstimate(total / n**2, "v", includes_constant)
+    return KsdEstimate(total / n**2, "v", includes_constant, mats.spec)
 
 
 def ksd_u(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> KsdEstimate:
     """U-statistic variant: diagonal terms removed, 1/(K(K-1)) normalised."""
-    xs, gs = _check_inputs(samples, grads)
+    xs, gs, mats, quad, cross = _terms(samples, grads, spec, includes_constant)
     n = xs.shape[0]
     if n < 2:
         raise ValueError("U-statistic needs at least two samples")
-    mats, quad, cross = _terms(xs, gs, spec, includes_constant)
     quad_diag = float(np.diag(mats.k_matrix) @ np.einsum("kd,kd->k", gs, gs))
     # the j = l cross terms contain grad k(x, x') at x' = x, which is zero
     # for translation-invariant kernels, so only the quadratic diagonal and
@@ -74,8 +76,8 @@ def ksd_u(samples, grads, spec: KernelSpec, includes_constant: bool = False) -> 
     # displacement, are subtracted
     total = quad - quad_diag + 2.0 * cross
     if includes_constant:
-        total += mats.trace - n * cross_hess_trace(xs[0], xs[0], spec)
-    return KsdEstimate(total / (n * (n - 1)), "u", includes_constant)
+        total += mats.trace - n * cross_hess_trace(xs[0], xs[0], mats.spec)
+    return KsdEstimate(total / (n * (n - 1)), "u", includes_constant, mats.spec)
 
 
 def ksd_to_target(samples, score_fn, spec: KernelSpec, statistic: str = "v") -> KsdEstimate:

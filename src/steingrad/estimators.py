@@ -19,8 +19,13 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 Every kind but kde is fitted the same way: a builder returns its (matrix,
 rhs) system before the ridge, and ``_ridge_solve`` adds eta and makes the one
 solve, as it does for the predictive inverse.  Kernel values come from
-:mod:`steingrad.kernels` (``build_matrices``, ``cross_kernel``), which holds
-the only copy of the kernel formulas.
+:mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
+each kernel matrix over the sample's own pairs, the fits' and the expansion
+kinds' ``grads_at_train``, is one ``build_matrices`` pass, and
+``cross_kernel`` serves new points only.  A fit resolves a median-rule
+bandwidth on its sample: kde and the nonparametric Stein kinds from their
+kernel's own pass; score and the parametric kinds, whose kernel is built on
+the centred sample, from one pass over the sample as given.
 
 ``fit_estimator`` fits any kind into a serialisable :class:`FittedEstimator`,
 whose ``predict`` takes (n, d) points and whose constructor holds the checks.
@@ -34,7 +39,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DegenerateDenominatorError, NumericalError
-from .kernels import RBF, KernelSpec, as_samples, build_matrices, cross_kernel
+from .kernels import (
+    RBF,
+    KernelSpec,
+    as_samples,
+    build_matrices,
+    cross_kernel,
+    resolve_bandwidth,
+)
 from .linalg import solve_symmetric
 
 DEFAULT_ETA = 0.1
@@ -87,11 +99,12 @@ def _kde_fit(xs, spec):
     """Gradient field of the kernel density estimate at the samples.
 
     Row i is grad log qhat(x^i) for qhat(x) propto sum_k k(x, x^k), which in
-    matrix form is -diag(K 1)^-1 <grad, K>.
+    matrix form is -diag(K 1)^-1 <grad, K>.  Returns the field and the
+    resolved spec.
     """
     mats = build_matrices(xs, spec)
     denom = _kde_row_sums(mats.k_matrix, "sample")
-    return -mats.grad_sum / denom[:, None]
+    return -mats.grad_sum / denom[:, None], mats.spec
 
 
 def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -135,13 +148,14 @@ def _stein_system(xs, spec, statistic):
     requires a strictly positive eta.  The matrix is the kernel matrix's
     buffer, returned as its column-major transpose view: squareform mirrors
     it, so it is exactly symmetric and the view is the same matrix, which
-    the solver's Cholesky copies without transposing.
+    the solver's Cholesky copies without transposing.  The resolved spec
+    comes back third.
     """
     mats = build_matrices(xs, spec)
     system = mats.k_matrix.T
     if statistic == "u":
         np.fill_diagonal(system, 0.0)
-    return system, -mats.grad_sum
+    return system, -mats.grad_sum, mats.spec
 
 
 def _ridge_solve(system, rhs, eta, name):
@@ -194,14 +208,29 @@ def _stein_predict(fitted, pts):
     return -(kmat @ grads - pulled) / schur[:, None]
 
 
-def _expansion_predict(coeffs, train, spec, points):
-    # rows: sum_k a_k * grad_first k(y^i, x^k) = sum_k w_ik (y^i - x^k)
-    d = train.shape[1]
-    if spec.family == RBF:
-        weights = -cross_kernel(points, train, spec) * coeffs[None, :] / spec.sigma2
-        return weights.sum(axis=1)[:, None] * points - weights @ train
-    weights = (-2.0 / d) * coeffs
-    return weights.sum() * points - (weights @ train)[None, :]
+def _expansion_predict(coeffs, train, spec, points=None):
+    """Rows sum_k a_k grad_first k(y^i, x^k) = sum_k w_ik (y^i - x^k).
+
+    ``points`` None means the training points themselves, whose kernel is
+    ``build_matrices``' over the sample's pairs: bit for bit the cross
+    kernel of train with itself, from half the distance work.  The RBF
+    weights are formed in the kernel's buffer, with the products and
+    rounding of ``-k * a / sigma2``.
+    """
+    at_train = points is None
+    if at_train:
+        points = train
+    if spec.family != RBF:
+        weights = (-2.0 / train.shape[1]) * coeffs
+        return weights.sum() * points - (weights @ train)[None, :]
+    if at_train:
+        weights = build_matrices(train, spec, with_grad_sum=False).k_matrix
+    else:
+        weights = cross_kernel(points, train, spec)
+    np.negative(weights, out=weights)
+    weights *= coeffs
+    weights /= spec.sigma2
+    return weights.sum(axis=1)[:, None] * points - weights @ train
 
 
 # from this dimension on, Sigma's 2 coordinate-free K^3 products beat the
@@ -265,14 +294,17 @@ def _score_system(xs, spec):
     Both ridge solutions are the exact minimisers of the empirical
     score-matching objective under an l2 penalty (the penalty scale absorbed
     into eta).  Both systems depend on the sample only through differences
-    x^j - x^k, so X is centred on its mean before G and n are formed.
+    x^j - x^k, so X is centred on its mean before G and n are formed.  A
+    median-rule bandwidth is taken on the sample as given, before centring;
+    the resolved spec comes back third.
     """
     n, d = xs.shape
+    spec = resolve_bandwidth(xs, spec)
     # both systems are translation invariant in exact arithmetic; centring
     # keeps the Gram matrix and the norms at the scale of the differences
     xs = xs - xs.mean(axis=0)
     if spec.family == RBF:
-        km = build_matrices(xs, spec).k_matrix
+        km = build_matrices(xs, spec, with_grad_sum=False).k_matrix
         ksum = km.sum(axis=1)
         sqn = np.einsum("kd,kd->k", xs, xs)
         v = d * spec.sigma2 * ksum - (
@@ -290,7 +322,7 @@ def _score_system(xs, spec):
         row = gram.sum(axis=1)
         sigma = (gram + (sqn.sum() - row[:, None] - row[None, :]) / n) / d**2
         v = np.full(n, 0.5)
-    return sigma, v
+    return sigma, v, spec
 
 
 def _parametric_system(xs, spec, statistic):
@@ -305,13 +337,15 @@ def _parametric_system(xs, spec, statistic):
 
     The U-statistic variant replaces the inner K of each triple product
     with K - diag(K) (Lambda tilde), keeping the same b; o is the
-    elementwise product.
+    elementwise product.  The bandwidth and the returned spec are as in
+    ``_score_system``.
     """
     if spec.family != RBF:
         raise ValueError("parametric Stein fits support the rbf family only")
+    spec = resolve_bandwidth(xs, spec)
     # translation invariant in exact arithmetic; see _score_system
     xs = xs - xs.mean(axis=0)
-    km = build_matrices(xs, spec).k_matrix
+    km = build_matrices(xs, spec, with_grad_sum=False).k_matrix
     gram = xs @ xs.T
     ksum = km.sum(axis=1)
     sqn = np.diag(gram)
@@ -349,7 +383,7 @@ def _parametric_system(xs, spec, statistic):
     del kk
     lam -= t
     lam -= t.T
-    return lam, b
+    return lam, b, spec
 
 
 def entropy_gradient_surrogate(grads, jacobians) -> np.ndarray:
@@ -389,9 +423,10 @@ class FittedEstimator:
 
     Fits, records and direct calls are all checked here, on construction:
     ``kind`` is one of :data:`KINDS`, ``eta`` passes the fit's check,
-    ``train`` is a finite (K, d) sample, and only the kind's own parameter
-    set is given, finite, of shape (K, d) or (K,).  ValueError names the
-    field.
+    ``train`` is a finite (K, d) sample, ``spec`` carries its bandwidth
+    (not the median rule, which a fit resolves), and only the kind's own
+    parameter set is given, finite, of shape (K, d) or (K,).  ValueError
+    names the field.
     """
 
     kind: str
@@ -406,6 +441,11 @@ class FittedEstimator:
         kind = self.kind
         object.__setattr__(self, "eta", _check_eta(self.eta, _check_kind(kind)))
         object.__setattr__(self, "train", as_samples(self.train, name="train"))
+        if self.spec.median_scale is not None:
+            raise ValueError(
+                "spec carries the median rule, not a bandwidth; fit_estimator "
+                "resolves it on the sample"
+            )
         name, other = ("grads", "coeffs") if kind in _GRAD_KINDS else ("coeffs", "grads")
         if getattr(self, other) is not None:
             raise ValueError(f"{kind!r} estimator carries {other!r}; it takes {name!r}")
@@ -437,17 +477,22 @@ class FittedEstimator:
         """
         if self.kind != KIND_STEIN_V:
             return None
-        system, _ = _stein_system(self.train, self.spec, "v")
+        system, _, _ = _stein_system(self.train, self.spec, "v")
         kinv, _ = _ridge_solve(
             system, np.eye(self.train.shape[0]), self.eta, "stein predictive inverse"
         )
         return kinv
 
     def grads_at_train(self) -> np.ndarray:
-        """Gradient field at the training samples (the fit output)."""
+        """Gradient field at the training samples (the fit output).
+
+        An expansion kind evaluates its expansion there from the kernel over
+        the training pairs, one ``build_matrices`` pass that the call drops
+        when it returns.
+        """
         if self.grads is not None:
             return self.grads.copy()
-        return _expansion_predict(self.coeffs, self.train, self.spec, self.train)
+        return _expansion_predict(self.coeffs, self.train, self.spec)
 
     def predict(self, points) -> np.ndarray:
         """Gradient field at new points; not every kind supports this.
@@ -534,23 +579,30 @@ def fit_estimator(
     Every kind but ``kde`` builds its (matrix, rhs) system and makes one
     ridge solve.  The V-statistic nonparametric Stein fit can predict out of
     sample; the inverse that needs is solved on its first prediction (see
-    :attr:`FittedEstimator.kinv`), not here.
+    :attr:`FittedEstimator.kinv`), not here.  A median-rule ``spec`` is
+    resolved on ``samples`` by the fit (see the module docstring), and the
+    result holds the resolved spec.  A sample the median rule refuses is
+    reported before a bad ``eta``.
     """
     stat = _check_kind(kind)
     xs = as_samples(samples)
-    eta = _check_eta(eta, stat)  # kde ignores it, but its record keeps it
+    try:
+        eta = _check_eta(eta, stat)  # kde ignores it, but its record keeps it
+    except ValueError:
+        resolve_bandwidth(xs, spec)
+        raise
     diagnostics: dict = {}
     if kind == KIND_KDE:
-        params = _kde_fit(xs, spec)
+        params, spec = _kde_fit(xs, spec)
     else:
         if kind in (KIND_STEIN_V, KIND_STEIN_U):
-            system, rhs = _stein_system(xs, spec, stat)
+            system, rhs, spec = _stein_system(xs, spec, stat)
             name = f"stein {stat}-statistic system"
         elif kind == KIND_SCORE:
-            system, rhs = _score_system(xs, spec)
+            system, rhs, spec = _score_system(xs, spec)
             name = "score matching system"
         else:
-            system, rhs = _parametric_system(xs, spec, stat)
+            system, rhs, spec = _parametric_system(xs, spec, stat)
             name = f"parametric stein {stat}-statistic system"
         params, diagnostics = _ridge_solve(system, rhs, eta, name)
     grads, coeffs = (params, None) if kind in _GRAD_KINDS else (None, params)

@@ -24,6 +24,14 @@ first-argument gradients.
 
 The kernel-value formulas live here only: ``build_matrices`` (sample pairs)
 and ``cross_kernel`` (new points against the sample) share one evaluation.
+
+One distance pass per sample: every (K, K) kernel matrix over a sample's own
+pairs is assembled by ``build_matrices`` from one condensed squared-distance
+pass, and a median-rule spec (``KernelSpec(RBF, median_scale=s)``) takes its
+bandwidth from that same pass, bit for bit ``median_heuristic(sample) * s``.
+``resolve_bandwidth`` makes a pass of its own, for a caller that needs the
+bandwidth apart from a kernel matrix.  ``cross_kernel`` serves new points
+only.
 """
 
 from dataclasses import dataclass
@@ -74,36 +82,61 @@ class KernelSpec:
     """A kernel family plus its bandwidth.
 
     ``sigma2`` is the squared bandwidth of the RBF family and must be a
-    positive finite float there; the Epanechnikov family carries no
-    bandwidth, so ``sigma2`` must be left as None.
+    positive finite float there.  An RBF spec may instead carry the median
+    rule, ``median_scale`` > 0 with ``sigma2`` left None: its bandwidth is
+    ``median_heuristic(sample) * median_scale`` of the sample it is used
+    on, which ``build_matrices`` and ``resolve_bandwidth`` return set.  The
+    Epanechnikov family carries no bandwidth, so both must be left as None.
     """
 
     family: str
     sigma2: float | None = None
+    median_scale: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family == RBF:
+        if self.family == EPANECHNIKOV:
+            if self.sigma2 is not None or self.median_scale is not None:
+                raise ValueError("epanechnikov kernel carries no bandwidth")
+        elif self.median_scale is not None:
+            scale = self.median_scale
+            if self.sigma2 is not None:
+                raise ValueError("rbf kernel takes sigma2 or median_scale, not both")
+            if not np.isfinite(scale) or scale <= 0:
+                raise ValueError(f"rbf kernel needs median_scale > 0, got {scale!r}")
+            object.__setattr__(self, "median_scale", float(scale))
+        else:
             if self.sigma2 is None or not np.isfinite(self.sigma2) or self.sigma2 <= 0:
                 raise ValueError(f"rbf kernel needs sigma2 > 0, got {self.sigma2!r}")
             object.__setattr__(self, "sigma2", float(self.sigma2))
-        elif self.sigma2 is not None:
-            raise ValueError("epanechnikov kernel carries no bandwidth")
+
+
+def _sigma2(spec: KernelSpec) -> float:
+    """The RBF bandwidth of ``spec``, which must not still be the median rule."""
+    if spec.median_scale is not None:
+        raise ValueError(
+            "kernel spec carries the median rule, not a bandwidth; take it from "
+            "a sample with resolve_bandwidth"
+        )
+    return spec.sigma2
 
 
 @dataclass(frozen=True)
 class KernelMatrices:
     """Matrices built from one sample set: kernel and summed gradient.
 
-    ``trace`` is the sum of cross_hess_trace over all ordered pairs (i, j),
-    the diagonal included, filled only when requested.
+    ``spec`` is the kernel they were built with, its bandwidth resolved.
+    ``grad_sum`` is None when it was not asked for; ``trace`` is the sum of
+    cross_hess_trace over all ordered pairs (i, j), the diagonal included,
+    filled only when requested.
     """
 
     k_matrix: np.ndarray  # (K, K), symmetric, unit diagonal
-    grad_sum: np.ndarray  # (K, d), <nabla, K>
+    grad_sum: np.ndarray | None  # (K, d), <nabla, K>
+    spec: KernelSpec
     trace: float | None = None  # sum_ij cross_hess_trace(x^i, x^j)
 
 
@@ -116,7 +149,7 @@ def kernel_eval(x, y, spec: KernelSpec) -> float:
     diff = x - y
     sq = float(diff @ diff)
     if spec.family == RBF:
-        return float(np.exp(-0.5 * sq / spec.sigma2))
+        return float(np.exp(-0.5 * sq / _sigma2(spec)))
     return 1.0 - sq / x.size
 
 
@@ -135,7 +168,8 @@ def kernel_grad_first_arg(x, y, spec: KernelSpec) -> np.ndarray:
         raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
     diff = x - y
     if spec.family == RBF:
-        return -np.exp(-0.5 * float(diff @ diff) / spec.sigma2) * diff / spec.sigma2
+        s2 = _sigma2(spec)
+        return -np.exp(-0.5 * float(diff @ diff) / s2) * diff / s2
     return -2.0 * diff / x.size
 
 
@@ -152,7 +186,7 @@ def cross_hess_trace(x, y, spec: KernelSpec) -> float:
     if spec.family == RBF:
         diff = x - y
         sq = float(diff @ diff)
-        s2 = spec.sigma2
+        s2 = _sigma2(spec)
         return float(np.exp(-0.5 * sq / s2)) * (x.size / s2 - sq / s2**2)
     return 2.0
 
@@ -161,27 +195,36 @@ def _kernel_of_sq(sq, spec: KernelSpec, d: int) -> np.ndarray:
     """exp(-0.5 * sq / sigma2) or 1 - sq / d, bit for bit, in ``sq``'s buffer."""
     if spec.family == RBF:
         np.multiply(sq, -0.5, out=sq)
-        np.divide(sq, spec.sigma2, out=sq)
+        np.divide(sq, _sigma2(spec), out=sq)
         return np.exp(sq, out=sq)
     np.divide(sq, d, out=sq)
     return np.subtract(1.0, sq, out=sq)
 
 
 def cross_kernel(points, train, spec: KernelSpec) -> np.ndarray:
-    """The (M, K) matrix k(y^m, x^k) of validated (M, d) and (K, d) arrays."""
+    """The (M, K) matrix k(y^m, x^k) of validated (M, d) and (K, d) arrays.
+
+    For new points against a sample; the kernel over a sample's own pairs is
+    ``build_matrices``', from half the distance work and with the same bits.
+    """
     sq = cdist(points, train, "sqeuclidean")
     return _kernel_of_sq(sq, spec, train.shape[1])
 
 
-def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> KernelMatrices:
-    """Build k_matrix and grad_sum for one sample set.
+def build_matrices(
+    samples, spec: KernelSpec, with_trace: bool = False, with_grad_sum: bool = True
+) -> KernelMatrices:
+    """Build k_matrix and grad_sum for one sample set, from one distance pass.
 
     The grad_sum column j holds sum_k d/d x^k_j k(x^i, x^k): the kernel
     gradient taken in its second argument and summed over the sample, the
-    quantity every estimator in this package consumes.  With ``with_trace``
-    the sum of cross_hess_trace over all pairs is taken from the same
-    squared distances, so a discrepancy makes one distance pass instead of
-    two and never holds the pairwise trace as a matrix.
+    quantity every estimator in this package consumes; a caller that needs
+    the kernel alone passes ``with_grad_sum=False`` and skips its product.
+    With ``with_trace`` the sum of cross_hess_trace over all pairs is taken
+    from the same squared distances, so a discrepancy never holds the
+    pairwise trace as a matrix.  A median-rule spec takes its bandwidth from
+    the same distances too (see the module docstring); the returned
+    ``spec`` carries it.  Nothing of the pass outlives the call.
     """
     xs = as_samples(samples)
     n, d = xs.shape
@@ -190,6 +233,9 @@ def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> Kerne
     # exactly symmetric, with no (K, K, d) difference tensor and no (K, K)
     # distance matrix
     sq = pdist(xs, "sqeuclidean")
+    if spec.median_scale is not None:
+        # the order statistics from a copy: sq keeps its pair order
+        spec = KernelSpec(RBF, _median_sigma2(sq.copy()) * spec.median_scale)
     trace = None
     if with_trace and spec.family == RBF:
         # k (d / s2 - sq / s2^2) per pair, twice for i != j, plus d / s2 on
@@ -210,16 +256,44 @@ def build_matrices(samples, spec: KernelSpec, with_trace: bool = False) -> Kerne
     del kern
     # k(x, x) = 1 for both families
     np.fill_diagonal(k_matrix, 1.0)
-    # grad_sum depends only on differences x^i - x^k; centring keeps its
-    # cancellation at their scale, not at the scale of the coordinates
-    xs = xs - xs.mean(axis=0)
-    if spec.family == RBF:
-        # sum_k K_ik (x^i - x^k) / sigma2, written with row sums to avoid
-        # materialising the (K, K, d) difference tensor
-        grad_sum = (k_matrix.sum(axis=1)[:, None] * xs - k_matrix @ xs) / spec.sigma2
+    grad_sum = None
+    if with_grad_sum:
+        # grad_sum depends only on differences x^i - x^k; centring keeps its
+        # cancellation at their scale, not at the scale of the coordinates
+        xs = xs - xs.mean(axis=0)
+        if spec.family == RBF:
+            # sum_k K_ik (x^i - x^k) / sigma2, written with row sums to avoid
+            # materialising the (K, K, d) difference tensor
+            grad_sum = (k_matrix.sum(axis=1)[:, None] * xs - k_matrix @ xs) / spec.sigma2
+        else:
+            grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
+    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, spec=spec, trace=trace)
+
+
+def _median_sigma2(sq: np.ndarray) -> float:
+    """(median pairwise distance)^2 from condensed squared distances ``sq``.
+
+    ``sq`` is partitioned in its own buffer.  For an even pair count the
+    median is the mean of the two central order statistics, their sum
+    halved, as ``np.median`` takes it.  The square root is monotone and
+    ``sqrt(pdist(x, "sqeuclidean"))`` is bit for bit ``pdist(x)``, so the
+    order statistics' roots are the distances' own order statistics: the
+    result is bit for bit ``m * m`` for ``m = float(np.median(pdist(x)))``.
+    """
+    if sq.size == 0:
+        raise ValueError("median heuristic needs at least two samples")
+    k = sq.size // 2
+    sq.partition(k)
+    if sq.size % 2:
+        med = float(np.sqrt(sq[k]))
     else:
-        grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
-    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, trace=trace)
+        med = float((np.sqrt(sq[:k].max()) + np.sqrt(sq[k])) / 2)
+    if med == 0.0:
+        raise DegenerateBandwidthError(
+            "median pairwise distance is zero (too many identical samples); "
+            "supply an explicit bandwidth"
+        )
+    return med * med
 
 
 def median_heuristic(samples) -> float:
@@ -227,25 +301,19 @@ def median_heuristic(samples) -> float:
 
     All K(K-1)/2 distinct unordered pairs enter; for an even pair count the
     median is the mean of the two central order statistics.  Needs K >= 2.
-    The distances are partitioned in their own buffer, so the call holds one
-    condensed vector of them, not ``np.median``'s copy as well; it takes the
-    same order statistics and halves their sum as ``np.median`` does, so the
-    bandwidth is bit for bit the square of ``np.median(pdist(samples))``.
+    One condensed vector of squared distances is held and partitioned in
+    place (see ``_median_sigma2``).
     """
-    xs = as_samples(samples)
-    if xs.shape[0] < 2:
-        raise ValueError("median heuristic needs at least two samples")
-    dist = pdist(xs)
-    k = dist.size // 2
-    dist.partition(k)
-    if dist.size % 2:
-        med = float(dist[k])
-    else:
-        # np.median's mean of the pair: their sum halved
-        med = float((dist[:k].max() + dist[k]) / 2)
-    if med == 0.0:
-        raise DegenerateBandwidthError(
-            "median pairwise distance is zero (too many identical samples); "
-            "supply an explicit bandwidth"
-        )
-    return med * med
+    return _median_sigma2(pdist(as_samples(samples), "sqeuclidean"))
+
+
+def resolve_bandwidth(samples, spec: KernelSpec) -> KernelSpec:
+    """``spec`` with its median rule, if it carries one, taken on ``samples``.
+
+    A spec that carries its bandwidth comes back as it is, with no pass; a
+    caller that also needs the sample's kernel matrix leaves the rule to
+    ``build_matrices``, which takes it from the kernel's own pass.
+    """
+    if spec.median_scale is None:
+        return spec
+    return KernelSpec(RBF, median_heuristic(samples) * spec.median_scale)

@@ -102,6 +102,12 @@ def banana_sample(n: int, rng: np.random.Generator, b: float = BANANA_B, v: floa
     return np.column_stack([x1, x2])
 
 
+def _check_count(name, count):
+    """Refuse a count that is not a Python or numpy integer (a bool, a float, a string)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+
+
 @dataclass(frozen=True)
 class HmcConfig:
     """Static parameters of one HMC run."""
@@ -114,9 +120,7 @@ class HmcConfig:
 
     def __post_init__(self):
         for field in ("n_chains", "n_iters", "n_leapfrog"):
-            count = getattr(self, field)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{field} must be an integer, got {count!r}")
+            _check_count(field, getattr(self, field))
         if self.n_chains < 1:
             raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
         if self.n_iters < 1:
@@ -168,7 +172,8 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
     positions.  A diverged chain's rows of ``q``, ``p`` and ``score`` are its
     inputs, and from its divergence on it is evaluated at its input
     position, so ``score_fn`` only ever sees finite rows.  n_steps counts
-    position updates, as ``HmcConfig.n_leapfrog`` does, and must be >= 1.
+    position updates, as ``HmcConfig.n_leapfrog`` does, and must be an
+    integer >= 1 under the same rule.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -179,6 +184,7 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
         )
     if not np.isfinite(stepsize) or stepsize <= 0:
         raise ValueError(f"stepsize must be > 0, got {stepsize!r}")
+    _check_count("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if score is None:

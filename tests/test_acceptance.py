@@ -247,7 +247,7 @@ def test_criterion_3_parametric_system_matches_explicit_sums(capsys):
         xs = rng.standard_normal((8, 2))
         spec = KernelSpec(RBF, float(rng.uniform(0.5, 2.0)))
         for statistic in ("v", "u"):
-            lam, b = _parametric_system(xs, spec, statistic)
+            lam, b, _ = _parametric_system(xs, spec, statistic)
             lam_loop, b_loop = _loop_parametric_system(xs, spec, statistic)
             scale = np.abs(lam_loop).max()
             worst = max(worst, float(np.abs(lam - lam_loop).max() / scale))

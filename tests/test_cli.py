@@ -1138,6 +1138,118 @@ def test_zero_chains_rejected(tmp_path, capsys, via):
     assert not out.exists()
 
 
+class TestDistancePasses:
+    """One condensed distance pass per sample and fit, counted at scipy's door.
+
+    A median bandwidth comes from the pass of the kernel it parameterises;
+    score and the parametric kinds build their kernel on the centred sample,
+    so their bandwidth takes one pass over the sample as given, and their
+    gradients at the training points one more, over the pairs.  No command
+    computes the distances of a sample against itself through ``cdist``.
+    """
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        from steingrad import kernels
+
+        calls = {"pdist": 0, "cdist": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+        return calls
+
+    @pytest.mark.parametrize(
+        "kind, sigma2, pdist_calls",
+        [
+            ("kde", "median", 1),
+            ("stein-v", "median", 1),
+            ("stein-u", "median", 1),
+            ("score", "median", 3),
+            ("stein-param-v", "median", 3),
+            ("score", "1.5", 2),
+            ("stein-param-v", "1.5", 2),
+        ],
+    )
+    def test_estimate(self, tmp_path, passes, kind, sigma2, pdist_calls):
+        path, _ = sample_file(tmp_path, seed=40, n=30, d=3)
+        argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
+                "--estimator", kind, "--sigma2", sigma2]
+        assert main(argv) == 0
+        assert passes == {"pdist": pdist_calls, "cdist": 0}
+
+    @pytest.mark.parametrize("statistic", ["v", "u"])
+    def test_ksd(self, tmp_path, passes, statistic):
+        path, xs = sample_file(tmp_path, seed=41, n=30, d=3)
+        grads = tmp_path / "grads.csv"
+        write_csv(grads, "g", -xs)
+        argv = ["ksd", "--samples", str(path), "--grads", str(grads),
+                "--statistic", statistic, "--output", str(tmp_path / "ksd.json")]
+        assert main(argv) == 0
+        assert passes == {"pdist": 1, "cdist": 0}
+
+    def test_entropy_check(self, tmp_path, passes):
+        # the bandwidth once for the three fits, one pass per fit, and one
+        # for score's gradients at the sample
+        argv = ["entropy-check", "--seed", "3", "--n", "200",
+                "--output", str(tmp_path / "entropy.json")]
+        assert main(argv) == 0
+        assert passes == {"pdist": 5, "cdist": 0}
+
+
+class TestRefusalPrecedence:
+    """A sample the median rule refuses is reported before any later fault."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_degenerate_sample_before_bad_eta(self, tmp_path, capsys, kind):
+        path = tmp_path / "flat.csv"
+        write_csv(path, "x", np.vstack([np.zeros((8, 2)), np.ones((2, 2))]))
+        argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
+                "--estimator", kind, "--eta", "-1"]
+        assert main(argv) == 3
+        assert "median pairwise distance is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_one_sample_before_bad_eta(self, tmp_path, capsys, kind):
+        path = tmp_path / "one.csv"
+        write_csv(path, "x", np.array([[1.0, 2.0]]))
+        argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
+                "--estimator", kind, "--eta", "nan"]
+        assert main(argv) == 2
+        assert "median heuristic needs at least two samples" in capsys.readouterr().err
+
+    def test_overflowing_bandwidth_before_bad_eta(self, tmp_path, capsys):
+        path, _ = sample_file(tmp_path, seed=42)
+        argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
+                "--bandwidth-scale", "1e308", "--eta", "-1"]
+        assert main(argv) == 2
+        assert "sigma2 > 0, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("statistic", ["v", "u"])
+    def test_ksd_degenerate_sample_before_mismatched_grads(self, tmp_path, capsys, statistic):
+        samples, grads = tmp_path / "flat.csv", tmp_path / "grads.csv"
+        write_csv(samples, "x", np.vstack([np.zeros((8, 2)), np.ones((2, 2))]))
+        write_csv(grads, "g", np.zeros((10, 3)))
+        argv = ["ksd", "--samples", str(samples), "--grads", str(grads),
+                "--statistic", statistic]
+        assert main(argv) == 3
+        assert "median pairwise distance is zero" in capsys.readouterr().err
+
+    def test_ksd_u_one_sample_names_the_median(self, tmp_path, capsys):
+        samples, grads = tmp_path / "one.csv", tmp_path / "grads.csv"
+        write_csv(samples, "x", np.array([[1.0, 2.0]]))
+        write_csv(grads, "g", np.array([[1.0, 2.0]]))
+        argv = ["ksd", "--samples", str(samples), "--grads", str(grads), "--statistic", "u"]
+        assert main(argv) == 2
+        assert "median heuristic needs at least two samples" in capsys.readouterr().err
+
+
 class TestJsonFormat:
     """Every report and sidecar is sorted-key, indent-2 JSON plus a newline."""
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steingrad import KernelSpec, ksd_to_target, ksd_u, ksd_v
+from steingrad import KernelSpec, ksd_to_target, ksd_u, ksd_v, median_heuristic
 from steingrad.kernels import (
     cross_hess_trace,
     kernel_eval,
@@ -81,6 +81,20 @@ def samples_and_grads(max_n=9, max_d=3):
             arrays(np.float64, shape, elements=grads),
         )
     )
+
+
+class TestMedianRule:
+    @pytest.mark.parametrize("ksd", [ksd_v, ksd_u])
+    @pytest.mark.parametrize("includes_constant", [True, False])
+    def test_rule_is_resolved_from_the_sample_bitwise(self, ksd, includes_constant):
+        # the discrepancy takes the bandwidth from its own distance pass and
+        # reports the kernel it used
+        xs = np.random.default_rng(70).standard_normal((30, 3))
+        gs = -xs
+        est = ksd(xs, gs, KernelSpec("rbf", median_scale=2.0), includes_constant)
+        resolved = KernelSpec("rbf", median_heuristic(xs) * 2.0)
+        assert est.spec == resolved
+        assert est == ksd(xs, gs, resolved, includes_constant)
 
 
 class TestStructure:

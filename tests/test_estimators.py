@@ -32,7 +32,7 @@ from steingrad.estimators import (
     _score_system,
     _stein_system,
 )
-from steingrad.kernels import cross_hess_trace, kernel_grad_first_arg
+from steingrad.kernels import cross_hess_trace, cross_kernel, kernel_grad_first_arg
 from steingrad.linalg import RESIDUAL_RTOL
 
 RBF = KernelSpec("rbf", 1.3)
@@ -133,7 +133,7 @@ class TestSteinNonparametric:
         # the U system is indefinite, so Cholesky fails at once and the
         # ladder takes the LDL^T solve every U fit took before
         xs = gaussian_sample(9, n=20)
-        system, rhs = _stein_system(xs, RBF, "u")
+        system, rhs, _ = _stein_system(xs, RBF, "u")
         system += 0.05 * np.eye(20)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(system, lower=True)
@@ -484,13 +484,13 @@ class TestSystemLayout:
     @pytest.mark.parametrize("statistic", ["v", "u"])
     @pytest.mark.parametrize("spec", [RBF, EPAN], ids=["rbf", "epanechnikov"])
     def test_stein_system_is_column_major_and_exactly_symmetric(self, spec, statistic):
-        system, _ = _stein_system(gaussian_sample(40, n=30), spec, statistic)
+        system, _, _ = _stein_system(gaussian_sample(40, n=30), spec, statistic)
         assert system.flags.f_contiguous and not system.flags.c_contiguous
         assert np.array_equal(system, system.T)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_coordinate_sum_sigma_is_column_major_and_exactly_symmetric(self, d):
-        sigma, _ = _score_system(gaussian_sample(41, n=30, d=d), RBF)
+        sigma, _, _ = _score_system(gaussian_sample(41, n=30, d=d), RBF)
         assert sigma.flags.f_contiguous and not sigma.flags.c_contiguous
         assert np.array_equal(sigma, sigma.T)
 
@@ -505,8 +505,51 @@ class TestSystemLayout:
         ids=["score-rbf", "score-epanechnikov", "param-v", "param-u"],
     )
     def test_systems_symmetric_up_to_rounding_stay_c_ordered(self, build):
-        system, _ = build(gaussian_sample(42, n=30, d=3))
+        system, _, _ = build(gaussian_sample(42, n=30, d=3))
         assert system.flags.c_contiguous and not system.flags.f_contiguous
+
+
+def _cross_kernel_expansion(coeffs, train, spec):
+    """The expansion at the training points as it was computed through
+    ``cross_kernel(train, train)``, kept as the bitwise reference."""
+    weights = -cross_kernel(train, train, spec) * coeffs[None, :] / spec.sigma2
+    return weights.sum(axis=1)[:, None] * train - weights @ train
+
+
+class TestOneDistancePass:
+    @pytest.mark.parametrize("d", [1, 2, 50])
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    @pytest.mark.parametrize("kind", [KIND_SCORE, KIND_STEIN_PARAM_V])
+    def test_grads_at_train_is_the_cross_kernel_expansion_bitwise(self, kind, n, d):
+        xs = np.random.default_rng(60 + n + d).standard_normal((n, d))
+        fit = fit_estimator(kind, xs, KernelSpec("rbf", 1.3 * d))
+        want = _cross_kernel_expansion(fit.coeffs, fit.train, fit.spec)
+        np.testing.assert_array_equal(fit.grads_at_train(), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_median_rule_fit_is_the_resolved_fit(self, kind):
+        # the fit resolves the rule on its sample and records the bandwidth:
+        # the same fit, bit for bit, as one given median_heuristic * scale
+        xs = gaussian_sample(61, n=25, d=3)
+        fit = fit_estimator(kind, xs, KernelSpec("rbf", median_scale=2.0))
+        resolved = KernelSpec("rbf", sg.median_heuristic(xs) * 2.0)
+        assert fit.spec == resolved
+        want = fit_estimator(kind, xs, resolved)
+        np.testing.assert_array_equal(fit.grads_at_train(), want.grads_at_train())
+        assert fit.to_json_dict() == want.to_json_dict()
+
+    def test_estimator_refuses_the_unresolved_rule(self):
+        xs = gaussian_sample(62)
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
+        with pytest.raises(ValueError, match="spec carries the median rule"):
+            FittedEstimator(KIND_STEIN_V, xs, KernelSpec("rbf", median_scale=1.0), 0.1, grads=fit.grads)
+
+    @pytest.mark.parametrize("sigma2", [None, "median", 0.0, -1.0])
+    def test_record_bandwidth_must_be_a_positive_number(self, sigma2):
+        record = fit_estimator(KIND_STEIN_V, gaussian_sample(63), RBF).to_json_dict()
+        record["kernel"]["sigma2"] = sigma2
+        with pytest.raises(ValueError, match="'kernel'"):
+            FittedEstimator.from_json_dict(json.loads(json.dumps(record)))
 
 
 class TestFittedEstimator:

@@ -12,6 +12,7 @@ from steingrad import (
     KernelSpec,
     build_matrices,
     median_heuristic,
+    resolve_bandwidth,
 )
 from steingrad.kernels import (
     cross_hess_trace,
@@ -47,6 +48,26 @@ class TestKernelSpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec("matern", 1.0)
+
+    def test_median_rule_takes_a_positive_scale_and_no_sigma2(self):
+        assert KernelSpec("rbf", median_scale=2).median_scale == 2.0
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="median_scale"):
+                KernelSpec("rbf", median_scale=scale)
+        with pytest.raises(ValueError, match="not both"):
+            KernelSpec("rbf", 1.0, median_scale=1.0)
+        with pytest.raises(ValueError, match="no bandwidth"):
+            KernelSpec("epanechnikov", median_scale=1.0)
+
+    def test_median_rule_is_no_bandwidth_to_evaluate_with(self):
+        # the rule needs a sample: without one, the kernel refuses to guess
+        spec = KernelSpec("rbf", median_scale=1.0)
+        x, y = np.zeros(2), np.ones(2)
+        for fn in (kernel_eval, kernel_grad_first_arg, cross_hess_trace):
+            with pytest.raises(ValueError, match="median rule"):
+                fn(x, y, spec)
+        with pytest.raises(ValueError, match="median rule"):
+            cross_kernel(x[None], y[None], spec)
 
 
 class TestScalarEvaluations:
@@ -315,3 +336,50 @@ def test_median_heuristic_is_np_median_bitwise(xs):
         want = _bits_or_error(_np_median_heuristic, xs)
         got = _bits_or_error(median_heuristic, xs)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=_samples_with_repeats(), scale=st.sampled_from([1.0, 2.0, 0.3]))
+@example(xs=np.array([[1.0, 2.0]]), scale=1.0)  # K = 1: no pair
+@example(xs=np.array([[0.0], [0.0], [0.0], [1.0]]), scale=1.0)  # zero median
+@example(xs=np.array([[-1.7e308], [1.7e308], [0.0], [1.0]]), scale=1.0)
+@example(xs=np.random.default_rng(5).standard_normal((25, 2)), scale=2.0)
+def test_median_rule_from_squared_distances_is_np_median_bitwise(xs, scale):
+    # the kernel pass takes the bandwidth from its condensed squared
+    # distances, resolve_bandwidth from a pass of its own; both are the
+    # np.median reference times the scale, bit for bit, errors included (an
+    # overflowing distance is an infinite bandwidth, which the spec refuses)
+    rule = KernelSpec("rbf", median_scale=scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _bits_or_error(lambda xs: KernelSpec("rbf", _np_median_heuristic(xs) * scale).sigma2, xs)
+        built = _bits_or_error(
+            lambda xs: build_matrices(xs, rule, with_grad_sum=False).spec.sigma2, xs
+        )
+        resolved = _bits_or_error(lambda xs: resolve_bandwidth(xs, rule).sigma2, xs)
+    assert built == want
+    assert resolved == want
+
+
+class TestOneDistancePass:
+    def test_median_rule_kernel_is_the_resolved_kernel(self):
+        xs = np.random.default_rng(36).standard_normal((40, 3))
+        mats = build_matrices(xs, KernelSpec("rbf", median_scale=2.0), with_trace=True)
+        assert mats.spec == KernelSpec("rbf", 2.0 * median_heuristic(xs))
+        want = build_matrices(xs, mats.spec, with_trace=True)
+        np.testing.assert_array_equal(mats.k_matrix, want.k_matrix)
+        np.testing.assert_array_equal(mats.grad_sum, want.grad_sum)
+        assert mats.trace == want.trace
+
+    def test_kernel_alone_skips_grad_sum(self):
+        xs = np.random.default_rng(37).standard_normal((20, 2))
+        spec = rbf_spec(1.5)
+        alone = build_matrices(xs, spec, with_grad_sum=False)
+        assert alone.grad_sum is None
+        np.testing.assert_array_equal(alone.k_matrix, build_matrices(xs, spec).k_matrix)
+
+    def test_resolved_spec_makes_no_pass(self, monkeypatch):
+        from steingrad import kernels
+
+        monkeypatch.setattr(kernels, "pdist", None)
+        spec = rbf_spec(1.5)
+        assert resolve_bandwidth(np.zeros((3, 2)), spec) is spec

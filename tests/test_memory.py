@@ -18,6 +18,8 @@ MAX_KK_DOUBLES = 6.0
 
 XS = np.random.default_rng(0).standard_normal((K, D))
 SPEC = KernelSpec("rbf", median_heuristic(XS))
+# the median rule, resolved by the fit from its own distance pass
+MEDIAN = KernelSpec("rbf", median_scale=1.0)
 # d = 1 takes the per-coordinate score-matching Sigma, d = 50 the closed form
 XS1 = np.random.default_rng(1).standard_normal((K, 1))
 SPEC1 = KernelSpec("rbf", median_heuristic(XS1))
@@ -27,23 +29,37 @@ CALLS = {
     "build_matrices with_trace": lambda: build_matrices(XS, SPEC, with_trace=True),
     "ksd_v": lambda: ksd_v(XS, -XS, SPEC, includes_constant=True),
     "stein-v fit": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC),
+    "stein-v fit median": lambda: fit_estimator(KIND_STEIN_V, XS, MEDIAN),
+    "ksd_v median": lambda: ksd_v(XS, -XS, MEDIAN, includes_constant=True),
     "stein-v kinv": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC).kinv,
     "score-rbf fit": lambda: fit_estimator(KIND_SCORE, XS, SPEC),
     "score-rbf fit d=1": lambda: fit_estimator(KIND_SCORE, XS1, SPEC1),
     "stein-param-v fit": lambda: fit_estimator(KIND_STEIN_PARAM_V, XS, SPEC),
 }
+# fitted outside the traced call, which is grads_at_train alone
+FITS = {kind: fit_estimator(kind, XS, SPEC) for kind in (KIND_SCORE, KIND_STEIN_PARAM_V)}
+for _kind, _fit in FITS.items():
+    CALLS[f"{_kind} grads_at_train"] = _fit.grads_at_train
 
 # tighter bounds, in K^2 doubles, a little above the peaks measured when
 # they were set (ksd_v 1.62: condensed distances and kernel, then the
 # mirrored matrix; score-rbf at d = 1 3.01: K, one D_i buffer, Sigma and
 # one product; stein-v fit 2.25 and stein-v kinv, fit included, 4.38,
 # each 1.00 below the peak when cho_solve took a transposing copy of the
-# Cholesky factor)
+# Cholesky factor).  A median-rule fit or discrepancy keeps the same bound:
+# holding the condensed distances through the fit would add 0.5.  The
+# expansion kinds' grads_at_train measured 1.50, the condensed kernel and
+# its mirrored matrix, with the weights formed in place (2.05 when the
+# kernel came from cross_kernel and the weights were new arrays).
 TIGHT = {
     "ksd_v": 1.75,
+    "ksd_v median": 1.75,
     "score-rbf fit d=1": 3.25,
     "stein-v fit": 2.5,
+    "stein-v fit median": 2.5,
     "stein-v kinv": 4.6,
+    f"{KIND_SCORE} grads_at_train": 1.6,
+    f"{KIND_STEIN_PARAM_V} grads_at_train": 1.6,
 }
 
 

@@ -89,6 +89,52 @@ def test_import_scan_sees_every_form(tmp_path):
     }
 
 
+# the one module that may import each scipy subpackage: the distance pass
+# stays behind the kernel layer, the factorisations behind the solver
+SCIPY_OWNER = {"spatial": "kernels", "linalg": "linalg"}
+
+
+def scipy_imports(path):
+    """The scipy subpackages the source at ``path`` imports; "" for bare scipy."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            parts = node.module.split(".")
+            names = [parts + [alias.name] for alias in node.names] if len(parts) == 1 else [parts]
+        else:
+            continue
+        found.update(parts[1] if len(parts) > 1 else "" for parts in names if parts[0] == "scipy")
+    return found
+
+
+def test_scipy_subpackages_stay_in_their_layer():
+    strays = {
+        name: sorted(
+            sub for sub in scipy_imports(PACKAGE_DIR / f"{name}.py")
+            if SCIPY_OWNER.get(sub, name) != name or sub == ""
+        )
+        for name in MAY_IMPORT
+    }
+    assert {name: subs for name, subs in strays.items() if subs} == {}
+
+
+def test_scipy_scan_sees_every_form(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "from scipy.spatial.distance import pdist\n"
+        "import scipy.linalg\n"
+        "from scipy import special\n"
+        "import scipy\n"
+        "def f():\n"
+        "    from scipy.optimize import minimize\n"
+        "import numpy\n",
+        encoding="utf-8",
+    )
+    assert scipy_imports(src) == {"spatial", "linalg", "special", "", "optimize"}
+
+
 # The benchmark's tracer rebinds package functions by name, and skips a
 # name it cannot find, so a rename would zero a per-layer metric without a
 # failure.  bench/ is read here, never imported or edited.

@@ -271,6 +271,15 @@ class TestLeapfrog:
         for n_steps in (0, -1):
             with pytest.raises(ValueError, match="n_steps must be >= 1"):
                 leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), 0.1, n_steps, std_normal_score)
+        # the counts HmcConfig takes: a float, a bool or a string is refused
+        # by name, not run (True as one step) or left to a TypeError
+        for n_steps in (2.0, True, "3"):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                leapfrog(np.zeros((1, 2)), np.zeros((1, 2)), 0.1, n_steps, std_normal_score)
+        q, _, _, _ = leapfrog(
+            np.zeros((1, 2)), np.ones((1, 2)), 0.1, np.int64(2), std_normal_score
+        )
+        assert np.all(np.isfinite(q))
         with pytest.raises(ValueError, match="score has shape"):
             leapfrog(
                 np.zeros((2, 2)), np.zeros((2, 2)), 0.1, 1, std_normal_score,

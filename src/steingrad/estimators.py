@@ -471,13 +471,14 @@ class FittedEstimator:
         triangular solves, on the fit's jitter ladder; the ladder's residual
         check depends on the right-hand side, so a near-singular system can
         accept it on a higher rung than the fit.  The factor is not kept on
-        the fit: it would hold another (K, K) array.  The system arrives
-        column-major from ``_stein_system``, and the factor goes to the
-        triangular solves in place, so neither is copied by transposing.
+        the fit: it would hold another (K, K) array.  The system is the
+        kernel alone, with no grad_sum product, taken column-major as in
+        ``_stein_system``, and the factor goes to the triangular solves in
+        place, so neither is copied by transposing.
         """
         if self.kind != KIND_STEIN_V:
             return None
-        system, _, _ = _stein_system(self.train, self.spec, "v")
+        system = build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix.T
         kinv, _ = _ridge_solve(
             system, np.eye(self.train.shape[0]), self.eta, "stein predictive inverse"
         )

@@ -22,18 +22,24 @@ Conventions used throughout the package:
 literature; for translation-invariant kernels it equals minus the sum of
 first-argument gradients.
 
-The kernel-value formulas live here only: ``build_matrices`` (sample pairs)
-and ``cross_kernel`` (new points against the sample) share one evaluation.
+The kernel-value formulas live here only: ``build_matrices`` and
+``pair_blocks`` (sample pairs) and ``cross_kernel`` (new points against the
+sample) share one evaluation.
 
 One distance pass per sample: every (K, K) kernel matrix over a sample's own
 pairs is assembled by ``build_matrices`` from one condensed squared-distance
 pass, and a median-rule spec (``KernelSpec(RBF, median_scale=s)``) takes its
 bandwidth from that same pass, bit for bit ``median_heuristic(sample) * s``.
-``resolve_bandwidth`` makes a pass of its own, for a caller that needs the
-bandwidth apart from a kernel matrix.  ``cross_kernel`` serves new points
-only.
+``pair_blocks`` hands out the same pairs' kernel values, with the same
+bits, in row blocks of at most ``PAIR_BLOCK`` pairs, for a sum over pairs
+that needs no (K, K) matrix; its one distance pass is made block by block,
+and under the median rule it is kept for the bandwidth, K (K - 1) / 2
+doubles.  ``resolve_bandwidth`` makes a pass of its own, for a caller that
+needs the bandwidth apart from the kernel.  ``cross_kernel`` serves new
+points only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,10 @@ from .errors import DegenerateBandwidthError
 RBF = "rbf"
 EPANECHNIKOV = "epanechnikov"
 FAMILIES = (RBF, EPANECHNIKOV)
+
+# unordered sample pairs per row block of ``pair_blocks`` (1 MiB of
+# doubles): a block's arrays are a few times this, whatever the sample size
+PAIR_BLOCK = 1 << 17
 
 
 def as_samples(x, name: str = "samples") -> np.ndarray:
@@ -129,15 +139,12 @@ class KernelMatrices:
     """Matrices built from one sample set: kernel and summed gradient.
 
     ``spec`` is the kernel they were built with, its bandwidth resolved.
-    ``grad_sum`` is None when it was not asked for; ``trace`` is the sum of
-    cross_hess_trace over all ordered pairs (i, j), the diagonal included,
-    filled only when requested.
+    ``grad_sum`` is None when it was not asked for.
     """
 
     k_matrix: np.ndarray  # (K, K), symmetric, unit diagonal
     grad_sum: np.ndarray | None  # (K, d), <nabla, K>
     spec: KernelSpec
-    trace: float | None = None  # sum_ij cross_hess_trace(x^i, x^j)
 
 
 def kernel_eval(x, y, spec: KernelSpec) -> float:
@@ -211,20 +218,16 @@ def cross_kernel(points, train, spec: KernelSpec) -> np.ndarray:
     return _kernel_of_sq(sq, spec, train.shape[1])
 
 
-def build_matrices(
-    samples, spec: KernelSpec, with_trace: bool = False, with_grad_sum: bool = True
-) -> KernelMatrices:
+def build_matrices(samples, spec: KernelSpec, with_grad_sum: bool = True) -> KernelMatrices:
     """Build k_matrix and grad_sum for one sample set, from one distance pass.
 
     The grad_sum column j holds sum_k d/d x^k_j k(x^i, x^k): the kernel
     gradient taken in its second argument and summed over the sample, the
     quantity every estimator in this package consumes; a caller that needs
     the kernel alone passes ``with_grad_sum=False`` and skips its product.
-    With ``with_trace`` the sum of cross_hess_trace over all pairs is taken
-    from the same squared distances, so a discrepancy never holds the
-    pairwise trace as a matrix.  A median-rule spec takes its bandwidth from
-    the same distances too (see the module docstring); the returned
-    ``spec`` carries it.  Nothing of the pass outlives the call.
+    A median-rule spec takes its bandwidth from the same distances (see the
+    module docstring); the returned ``spec`` carries it.  Nothing of the
+    pass outlives the call.
     """
     xs = as_samples(samples)
     n, d = xs.shape
@@ -236,22 +239,8 @@ def build_matrices(
     if spec.median_scale is not None:
         # the order statistics from a copy: sq keeps its pair order
         spec = KernelSpec(RBF, _median_sigma2(sq.copy()) * spec.median_scale)
-    trace = None
-    if with_trace and spec.family == RBF:
-        # k (d / s2 - sq / s2^2) per pair, twice for i != j, plus d / s2 on
-        # the diagonal, where k = 1 and sq = 0; the factor is taken before
-        # the kernel overwrites sq
-        s2 = spec.sigma2
-        factor = np.divide(sq, s2**2)
-        np.subtract(d / s2, factor, out=factor)
     kern = _kernel_of_sq(sq, spec, d)
     del sq
-    if with_trace:
-        if spec.family == RBF:
-            trace = 2.0 * float(kern @ factor) + n * (d / s2)
-            del factor
-        else:
-            trace = 2.0 * n * n  # 2 at every pair
     k_matrix = squareform(kern, checks=False)
     del kern
     # k(x, x) = 1 for both families
@@ -267,7 +256,111 @@ def build_matrices(
             grad_sum = (k_matrix.sum(axis=1)[:, None] * xs - k_matrix @ xs) / spec.sigma2
         else:
             grad_sum = (2.0 / d) * (n * xs - xs.sum(axis=0)[None, :])
-    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, spec=spec, trace=trace)
+    return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, spec=spec)
+
+
+def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
+    """The kernel over a sample's pairs of distinct points, in row blocks.
+
+    Returns the spec, its bandwidth resolved, and an iterator of blocks
+    ``(start, stop, kern, trace)`` that covers every pair once.  ``kern`` is
+    the (b, K - start) kernel of rows [start, stop) against rows [start, K),
+    laid out for sums over ordered pairs: the block's own pairs stand in
+    both orders, its diagonal is zero, and each pair with a later row stands
+    once at twice its value.  So for f symmetric in (i, j), summing
+    ``kern[i - start, j - start] * f(i, j)`` over all blocks gives the sum
+    of k_ij f(i, j) over all i != j.  ``trace`` is the sum of
+    cross_hess_trace over the block's ordered pairs when ``with_trace`` is
+    set, else None.
+
+    A block holds at most ``PAIR_BLOCK`` pairs unless one row alone has
+    more, so its arrays are bounded whatever K is; one block covers a
+    sample of up to 512 points, where ``kern`` is the mirrored kernel
+    matrix with a zero diagonal.  The distances are one pass, ``pdist`` among a block's rows
+    and ``cdist`` against the later ones: ``build_matrices``' bits, pair by
+    pair.  Under the median rule that pass is made here, before the first
+    block, and kept, K (K - 1) / 2 doubles, for the bandwidth and then for
+    the blocks; a sample the rule refuses is refused by this call, not by
+    the iterator.
+    """
+    xs = as_samples(samples)
+    dists = _distance_blocks(xs)
+    if spec.median_scale is not None:
+        held = list(dists)
+        # every pair once, in block order: the values of one pdist pass,
+        # so the same order statistics; the copy is partitioned
+        parts = [a.ravel() for _, _, tri, rect in held for a in (tri, rect)]
+        flat = np.concatenate(parts) if parts else np.empty(0)
+        del parts
+        spec = KernelSpec(RBF, _median_sigma2(flat) * spec.median_scale)
+        del flat
+        # handed out in order and dropped from the list as they go, so
+        # each block's distances are freed once its kernel is made
+        held.reverse()
+        dists = (held.pop() for _ in range(len(held)))
+    return spec, _kernel_blocks(xs.shape[1], spec, dists, with_trace)
+
+
+def _distance_blocks(xs):
+    """(start, stop, tri, rect): the condensed squared distances among rows
+    [start, stop) and the dense ones from them to every later row."""
+    n = xs.shape[0]
+    start = 0
+    while start < n - 1:  # the last row has no later row to pair with
+        stop = _block_stop(start, n)
+        rows = xs[start:stop]
+        later = cdist(rows, xs[stop:], "sqeuclidean") if stop < n else np.empty((stop - start, 0))
+        yield start, stop, pdist(rows, "sqeuclidean"), later
+        start = stop
+
+
+def _kernel_blocks(d, spec, dists, with_trace):
+    """``pair_blocks``' blocks, from their squared distances."""
+    for start, stop, tri, rect in dists:
+        b = stop - start
+        traces = [_kernel_and_trace(sq, spec, d, with_trace) for sq in (tri, rect)]
+        # each pair stands for its two orders
+        trace = 2.0 * sum(traces) if with_trace else None
+        square = squareform(tri, checks=False)
+        del tri
+        if rect.shape[1]:
+            kern = np.empty((b, b + rect.shape[1]))
+            kern[:, :b] = square
+            np.multiply(rect, 2.0, out=kern[:, b:])
+        else:
+            kern = square
+        del square, rect
+        yield start, stop, kern, trace
+
+
+def _kernel_and_trace(sq, spec, d, with_trace):
+    """The kernel at the squared distances ``sq``, in their buffer, and,
+    with ``with_trace``, the sum of cross_hess_trace over those pairs."""
+    if not with_trace or spec.family != RBF:
+        _kernel_of_sq(sq, spec, d)
+        return 2.0 * sq.size if with_trace else None  # 2 at every pair
+    # k (d / s2 - sq / s2^2), the factor taken before the kernel overwrites
+    # sq and summed by numpy, not a BLAS dot, so no thread pool enters
+    s2 = spec.sigma2
+    factor = np.divide(sq, s2**2)
+    np.subtract(d / s2, factor, out=factor)
+    _kernel_of_sq(sq, spec, d)
+    return float(np.multiply(factor, sq, out=factor).sum())
+
+
+def _block_stop(start, n):
+    """End of the row block from ``start``: the most rows, at least one,
+    whose pairs with each other and with every later row are at most
+    ``PAIR_BLOCK``."""
+    m = n - start
+    if m * (m - 1) // 2 <= PAIR_BLOCK:
+        return n
+    # rows [start, start + b) hold b (2 m - b - 1) / 2 pairs, at most
+    # PAIR_BLOCK for b up to the smaller root of that quadratic; with the
+    # discriminant's square root rounded up, isqrt(D - 1) + 1, in integers,
+    # b never passes the root
+    b = (2 * m - 2 - math.isqrt((2 * m - 1) ** 2 - 8 * PAIR_BLOCK - 1)) // 2
+    return start + max(b, 1)
 
 
 def _median_sigma2(sq: np.ndarray) -> float:

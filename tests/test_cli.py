@@ -1145,7 +1145,9 @@ class TestDistancePasses:
     score and the parametric kinds build their kernel on the centred sample,
     so their bandwidth takes one pass over the sample as given, and their
     gradients at the training points one more, over the pairs.  No command
-    computes the distances of a sample against itself through ``cdist``.
+    computes the distances of a sample against itself through ``cdist``,
+    but for the discrepancy's row blocks past the first, which ``cdist``
+    against the later rows: each pair is still computed once.
     """
 
     @pytest.fixture
@@ -1193,6 +1195,36 @@ class TestDistancePasses:
                 "--statistic", statistic, "--output", str(tmp_path / "ksd.json")]
         assert main(argv) == 0
         assert passes == {"pdist": 1, "cdist": 0}
+
+    def test_ksd_in_row_blocks(self, tmp_path, monkeypatch):
+        # with the block size patched down the pass is split: pdist within
+        # each block, cdist from it to the later rows, every pair once
+        from steingrad import kernels
+
+        entries = {"pdist": 0, "cdist": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                entries[name] += out.size
+                return out
+
+            return wrapper
+
+        for name in entries:
+            monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", 60)
+        n = 30
+        path, xs = sample_file(tmp_path, seed=42, n=n, d=3)
+        grads = tmp_path / "grads.csv"
+        write_csv(grads, "g", -xs)
+        for sigma2 in ("median", "1.5"):
+            entries.update(pdist=0, cdist=0)
+            argv = ["ksd", "--samples", str(path), "--grads", str(grads),
+                    "--sigma2", sigma2, "--output", str(tmp_path / "ksd.json")]
+            assert main(argv) == 0
+            assert entries["cdist"] > 0
+            assert entries["pdist"] + entries["cdist"] == n * (n - 1) // 2
 
     def test_entropy_check(self, tmp_path, passes):
         # the bandwidth once for the three fits, one pass per fit, and one
@@ -1418,8 +1450,12 @@ class TestBlasThreadCount:
             for argv in argvs:
                 self.run_at(threads, run_dir, argv)
         one, two = tmp_path / "threads1", tmp_path / "threads2"
-        assert (one / "exact.csv").read_bytes() == (two / "exact.csv").read_bytes()
-        for name in ("exact.json", "stein-v.json", "g.json"):
+        # the exact-score run keeps its bytes: its trajectories take no BLAS
+        # product, and its KSD sums no trace through a threaded dot and
+        # makes only products small enough to stay on one thread
+        for name in ("exact.csv", "exact.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
+        for name in ("stein-v.json", "g.json"):
             got = json.loads((two / name).read_text())
             want = json.loads((one / name).read_text())
             self.assert_close(self.floats(got), self.floats(want))

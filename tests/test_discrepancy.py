@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from steingrad import KernelSpec, ksd_to_target, ksd_u, ksd_v, median_heuristic
+from steingrad import KernelSpec, kernels, ksd_to_target, ksd_u, ksd_v, median_heuristic
 from steingrad.kernels import (
     cross_hess_trace,
     kernel_eval,
@@ -68,6 +68,70 @@ class TestAgainstBruteForce:
         want = brute_ksd(xs, gs, spec, statistic="u", includes_constant=constant)
         assert got.value == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert got.statistic == "u"
+
+
+MEDIAN = KernelSpec("rbf", median_scale=1.5)
+
+
+class TestBlockEdges:
+    # with the block size patched down, 30 samples span nine row blocks:
+    # two-row blocks, growing ones, and a ragged four-row last block
+    N, PAIR_BLOCK = 30, 60
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", self.PAIR_BLOCK)
+
+    def test_sample_spans_several_blocks_and_a_ragged_last(self, small_blocks):
+        xs, _ = random_case(13, n=self.N)
+        _, blocks = kernels.pair_blocks(xs, RBF)
+        rows = [(start, stop) for start, stop, *_ in blocks]
+        pairs = [(e - a) * (e - a - 1) // 2 + (e - a) * (self.N - e) for a, e in rows]
+        assert len(rows) >= 4
+        assert rows[-1][1] == self.N
+        assert max(pairs) <= self.PAIR_BLOCK
+        assert pairs[-1] < min(pairs[:-1])
+
+    @pytest.mark.parametrize("spec", [RBF, EPAN, MEDIAN], ids=["rbf", "epanechnikov", "median"])
+    @pytest.mark.parametrize("statistic", ["v", "u"])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_blocked_sums_match_brute_force(self, small_blocks, spec, statistic, constant):
+        xs, gs = random_case(14, n=self.N, d=3)
+        ksd = ksd_v if statistic == "v" else ksd_u
+        got = ksd(xs, gs, spec, includes_constant=constant)
+        want = brute_ksd(xs, gs, got.spec, statistic=statistic, includes_constant=constant)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("spec", [RBF, EPAN, MEDIAN], ids=["rbf", "epanechnikov", "median"])
+    def test_block_size_moves_only_rounding(self, monkeypatch, spec):
+        xs, gs = random_case(15, n=self.N, d=3)
+        one = ksd_v(xs, gs, spec, includes_constant=True)
+        monkeypatch.setattr(kernels, "PAIR_BLOCK", self.PAIR_BLOCK)
+        many = ksd_v(xs, gs, spec, includes_constant=True)
+        assert many.spec == one.spec
+        assert many.value == pytest.approx(one.value, rel=1e-13)
+
+
+class TestTraceTerm:
+    # with a zero gradient field only the pairwise trace term is left, so
+    # n^2 V is the sum of cross_hess_trace over all ordered pairs
+    @pytest.mark.parametrize("pair_block", [None, 5])
+    def test_trace_sum_matches_scalar(self, monkeypatch, pair_block):
+        if pair_block is not None:
+            monkeypatch.setattr(kernels, "PAIR_BLOCK", pair_block)
+        rng = np.random.default_rng(24)
+        xs = rng.standard_normal((6, 2))
+        for spec in (KernelSpec("rbf", 0.9), EPAN):
+            got = ksd_v(xs, np.zeros_like(xs), spec, includes_constant=True).value * 36
+            want = sum(cross_hess_trace(xi, xj, spec) for xi in xs for xj in xs)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert ksd_v(xs, np.zeros_like(xs), spec).value == 0.0
+
+    def test_median_rule_trace_is_the_resolved_trace(self):
+        xs = np.random.default_rng(36).standard_normal((40, 3))
+        got = ksd_v(xs, np.zeros_like(xs), KernelSpec("rbf", median_scale=2.0), includes_constant=True)
+        assert got.spec == KernelSpec("rbf", 2.0 * median_heuristic(xs))
+        assert got == ksd_v(xs, np.zeros_like(xs), got.spec, includes_constant=True)
 
 
 def samples_and_grads(max_n=9, max_d=3):

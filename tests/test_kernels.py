@@ -196,15 +196,6 @@ class TestBatchedMatrices:
             np.testing.assert_allclose(moved.k_matrix, base.k_matrix, atol=1e-12)
             np.testing.assert_allclose(moved.grad_sum, base.grad_sum, atol=1e-11)
 
-    def test_trace_sum_matches_scalar(self):
-        rng = np.random.default_rng(24)
-        xs = rng.standard_normal((6, 2))
-        for spec in (rbf_spec(0.9), EPAN):
-            mats = build_matrices(xs, spec, with_trace=True)
-            want = sum(cross_hess_trace(xi, xj, spec) for xi in xs for xj in xs)
-            assert mats.trace == pytest.approx(want, rel=1e-13)
-            assert build_matrices(xs, spec).trace is None
-
     def test_input_validation(self):
         spec = rbf_spec(1.0)
         with pytest.raises(ValueError):
@@ -363,12 +354,11 @@ def test_median_rule_from_squared_distances_is_np_median_bitwise(xs, scale):
 class TestOneDistancePass:
     def test_median_rule_kernel_is_the_resolved_kernel(self):
         xs = np.random.default_rng(36).standard_normal((40, 3))
-        mats = build_matrices(xs, KernelSpec("rbf", median_scale=2.0), with_trace=True)
+        mats = build_matrices(xs, KernelSpec("rbf", median_scale=2.0))
         assert mats.spec == KernelSpec("rbf", 2.0 * median_heuristic(xs))
-        want = build_matrices(xs, mats.spec, with_trace=True)
+        want = build_matrices(xs, mats.spec)
         np.testing.assert_array_equal(mats.k_matrix, want.k_matrix)
         np.testing.assert_array_equal(mats.grad_sum, want.grad_sum)
-        assert mats.trace == want.trace
 
     def test_kernel_alone_skips_grad_sum(self):
         xs = np.random.default_rng(37).standard_normal((20, 2))
@@ -383,3 +373,78 @@ class TestOneDistancePass:
         monkeypatch.setattr(kernels, "pdist", None)
         spec = rbf_spec(1.5)
         assert resolve_bandwidth(np.zeros((3, 2)), spec) is spec
+
+
+def collect_blocks(xs, spec, with_trace=False):
+    from steingrad.kernels import pair_blocks
+
+    resolved, blocks = pair_blocks(xs, spec, with_trace=with_trace)
+    return resolved, list(blocks)
+
+
+class TestPairBlocks:
+    # sample sizes that make one block at the default size, and, with the
+    # block size patched down, several rows per block, single-row blocks
+    # and a ragged last block
+    @pytest.mark.parametrize("pair_block", [None, 40, 3])
+    @pytest.mark.parametrize("spec", [rbf_spec(0.9), EPAN, KernelSpec("rbf", median_scale=1.5)],
+                             ids=["rbf", "epanechnikov", "median"])
+    def test_blocks_are_the_kernel_matrix_bitwise(self, monkeypatch, pair_block, spec):
+        from steingrad import kernels
+
+        if pair_block is not None:
+            monkeypatch.setattr(kernels, "PAIR_BLOCK", pair_block)
+        xs = np.random.default_rng(38).standard_normal((23, 3))
+        full = build_matrices(xs, spec)
+        resolved, blocks = collect_blocks(xs, spec)
+        assert resolved == full.spec
+        km = full.k_matrix.copy()
+        np.fill_diagonal(km, 0.0)
+        starts = [start for start, *_ in blocks]
+        stops = [stop for _, stop, *_ in blocks]
+        assert starts == [0] + stops[:-1] and stops[-1] == len(xs)
+        if pair_block is not None:
+            assert len(blocks) >= 4
+        for start, stop, kern, trace in blocks:
+            b = stop - start
+            assert trace is None
+            assert kern.shape == (b, len(xs) - start)
+            # the block's own pairs in both orders, a zero diagonal, and the
+            # pairs with later rows at twice their value
+            np.testing.assert_array_equal(kern[:, :b], km[start:stop, start:stop])
+            np.testing.assert_array_equal(kern[:, b:], 2.0 * km[start:stop, stop:])
+            if pair_block is not None and b > 1:
+                assert b * (b - 1) // 2 + b * (len(xs) - stop) <= pair_block
+
+    @pytest.mark.parametrize("pair_block", [None, 40])
+    def test_block_trace_is_the_scalar_sum(self, monkeypatch, pair_block):
+        from steingrad import kernels
+
+        if pair_block is not None:
+            monkeypatch.setattr(kernels, "PAIR_BLOCK", pair_block)
+        xs = np.random.default_rng(39).standard_normal((15, 2))
+        for spec in (rbf_spec(0.9), EPAN):
+            _, blocks = collect_blocks(xs, spec, with_trace=True)
+            for start, stop, _, trace in blocks:
+                want = sum(
+                    cross_hess_trace(xs[i], xs[j], spec)
+                    for i in range(start, stop)
+                    for j in range(start, len(xs))
+                    if j != i
+                ) + sum(
+                    cross_hess_trace(xs[i], xs[j], spec)
+                    for i in range(start, stop)
+                    for j in range(stop, len(xs))
+                )
+                assert trace == pytest.approx(want, rel=1e-13)
+
+    def test_one_sample_has_no_pairs(self):
+        assert collect_blocks(np.zeros((1, 2)), rbf_spec())[1] == []
+
+    def test_median_rule_refused_by_the_call(self):
+        from steingrad.kernels import pair_blocks
+
+        with pytest.raises(DegenerateBandwidthError):
+            pair_blocks(np.zeros((5, 2)), KernelSpec("rbf", median_scale=1.0))
+        with pytest.raises(ValueError, match="at least two samples"):
+            pair_blocks(np.zeros((1, 2)), KernelSpec("rbf", median_scale=1.0))

@@ -26,7 +26,6 @@ SPEC1 = KernelSpec("rbf", median_heuristic(XS1))
 
 CALLS = {
     "build_matrices": lambda: build_matrices(XS, SPEC),
-    "build_matrices with_trace": lambda: build_matrices(XS, SPEC, with_trace=True),
     "ksd_v": lambda: ksd_v(XS, -XS, SPEC, includes_constant=True),
     "stein-v fit": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC),
     "stein-v fit median": lambda: fit_estimator(KIND_STEIN_V, XS, MEDIAN),
@@ -42,9 +41,10 @@ for _kind, _fit in FITS.items():
     CALLS[f"{_kind} grads_at_train"] = _fit.grads_at_train
 
 # tighter bounds, in K^2 doubles, a little above the peaks measured when
-# they were set (ksd_v 1.62: condensed distances and kernel, then the
-# mirrored matrix; score-rbf at d = 1 3.01: K, one D_i buffer, Sigma and
-# one product; stein-v fit 2.25 and stein-v kinv, fit included, 4.38,
+# they were set (ksd_v 1.62, and 1.64 summed in row blocks, at K = 400 one
+# block: the condensed kernel, then its mirrored matrix; score-rbf at
+# d = 1 3.01: K, one D_i buffer, Sigma and one product; stein-v fit 2.25
+# and stein-v kinv, fit included, 4.38,
 # each 1.00 below the peak when cho_solve took a transposing copy of the
 # Cholesky factor).  A median-rule fit or discrepancy keeps the same bound:
 # holding the condensed distances through the fit would add 0.5.  The
@@ -73,6 +73,23 @@ def test_peak_memory_is_a_few_kernel_matrices(name):
         tracemalloc.stop()
     del result
     assert peak / (8 * K * K) <= TIGHT.get(name, MAX_KK_DOUBLES)
+
+
+def test_ksd_holds_no_pairwise_matrix():
+    # under a given bandwidth the discrepancy sums row blocks of about
+    # kernels.PAIR_BLOCK pairs, so at n = 2000 its peak is a small part of
+    # one n^2 matrix (measured 0.13; the whole matrix, as the kernel layer
+    # once mirrored it, was 1.5)
+    n = 2000
+    xs = np.random.default_rng(2).standard_normal((n, 2))
+    spec = KernelSpec("rbf", 1.0)
+    tracemalloc.start()
+    try:
+        ksd_v(xs, -xs, spec, includes_constant=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) <= 0.25
 
 
 def test_median_heuristic_holds_one_condensed_vector():

@@ -648,6 +648,8 @@ def cmd_entropy_check(args) -> int:
         fitted = fit_estimator(name, z, spec, args.eta)
         value = entropy_gradient_surrogate(fitted.grads_at_train(), jac)[0]
         report["estimates"][name] = entry(value)
+        # a stein-v fit holds its (n, n) factor: gone before the next fit
+        del fitted
     _dump_json(report, args.output)
     return 0
 

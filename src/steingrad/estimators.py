@@ -18,7 +18,10 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 
 Every kind but kde is fitted the same way: a builder returns its (matrix,
 rhs) system before the ridge, and ``_ridge_solve`` adds eta and makes the one
-solve, as it does for the predictive inverse.  Kernel values come from
+solve.  A stein-v fit keeps that solve's Cholesky factor, and its predictive
+inverse is formed from it, so the fit factors its system once; the ladder
+solves the inverse afresh only for a reloaded record, a fit accepted through
+LDL^T, or an inverse that fails its residual check.  Kernel values come from
 :mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
 each kernel matrix over the sample's own pairs, the fits' and the expansion
 kinds' ``grads_at_train``, is one ``build_matrices`` pass, and
@@ -47,7 +50,7 @@ from .kernels import (
     cross_kernel,
     resolve_bandwidth,
 )
-from .linalg import solve_symmetric
+from .linalg import inverse_from_factor, is_inverse, solve_symmetric
 
 DEFAULT_ETA = 0.1
 # U-statistic systems can be indefinite; a strictly positive ridge keeps the
@@ -161,12 +164,13 @@ def _stein_system(xs, spec, statistic):
 def _ridge_solve(system, rhs, eta, name):
     """Solve (system + eta I) z = rhs, adding eta in ``system``'s buffer.
 
-    The one solve site of the fits and of the predictive inverse; returns z
-    and the jitter diagnostics a fitted estimator records.
+    The one solve site of the fits and of the predictive inverse's ladder;
+    returns z, the jitter diagnostics a fitted estimator records, and the
+    accepted Cholesky factor (None after LDL^T).
     """
     system[np.diag_indices_from(system)] += eta
-    z, jitter, level = solve_symmetric(system, rhs, name=name)
-    return z, {"jitter": jitter, "jitter_level": level}
+    z, jitter, level, factor = solve_symmetric(system, rhs, name=name)
+    return z, {"jitter": jitter, "jitter_level": level}, factor
 
 
 def _stein_predict(fitted, pts):
@@ -180,9 +184,10 @@ def _stein_predict(fitted, pts):
     where grad_y k(., y) stacks the second-argument kernel gradients, one
     row per training point.  Equivalent to refitting on the augmented sample
     and reading off the new row, without the refit.  (K + eta I)^-1 is
-    ``fitted.kinv``, solved from train, kernel and eta on the first call and
-    kept on the fitted object for later ones.  ``pts`` is the (M, d) batch
-    that :meth:`FittedEstimator.predict` has already validated.
+    ``fitted.kinv``, formed on the first call from the Cholesky factor the
+    fit kept (solved on the jitter ladder when there is none) and kept on
+    the fitted object for later ones.  ``pts`` is the (M, d) batch that
+    :meth:`FittedEstimator.predict` has already validated.
     """
     train, grads, kinv = fitted.train, fitted.grads, fitted.kinv
     spec, eta = fitted.spec, fitted.eta
@@ -200,10 +205,15 @@ def _stein_predict(fitted, pts):
             f"Schur complement {schur[i]:.3e} <= 0 at prediction point {i}; "
             f"the augmented system is numerically degenerate"
         )
+    # the weights in smoothed's own buffer, with the products and rounding
+    # of (smoothed + 1) * kmat (rbf) or smoothed + 1 (epanechnikov)
+    weights = smoothed
+    weights += 1.0
     if spec.family == RBF:
-        weights, scale = (smoothed + 1.0) * kmat, 1.0 / spec.sigma2
+        weights *= kmat
+        scale = 1.0 / spec.sigma2
     else:
-        weights, scale = smoothed + 1.0, 2.0 / d
+        scale = 2.0 / d
     pulled = scale * (weights @ train - weights.sum(axis=1)[:, None] * pts)
     return -(kmat @ grads - pulled) / schur[:, None]
 
@@ -419,7 +429,9 @@ class FittedEstimator:
     Exactly one of ``grads`` (nonparametric kinds: the gradient field is the
     parameter set) and ``coeffs`` (expansion kinds) is populated.  ``kinv``
     is derived state, not a field: (K + eta I)^-1 of the predictive
-    V-statistic nonparametric fit, solved on first use and then kept.
+    V-statistic nonparametric fit, formed on first use and then kept.  So
+    is the Cholesky factor a fresh stein-v fit holds until ``kinv`` is
+    formed from it: neither is in the record, ``==`` or ``repr``.
 
     Fits, records and direct calls are all checked here, on construction:
     ``kind`` is one of :data:`KINDS`, ``eta`` passes the fit's check,
@@ -465,24 +477,49 @@ class FittedEstimator:
     def kinv(self) -> np.ndarray | None:
         """(K + eta I)^-1 for a stein-v fit, None for other kinds.
 
-        Solved from train, kernel and eta on first access, with an identity
-        right-hand side, and kept on this object; fits that never predict
-        never pay the second solve.  It is one Cholesky factorisation plus
-        triangular solves, on the fit's jitter ladder; the ladder's residual
-        check depends on the right-hand side, so a near-singular system can
-        accept it on a higher rung than the fit.  The factor is not kept on
-        the fit: it would hold another (K, K) array.  The system is the
-        kernel alone, with no grad_sum product, taken column-major as in
-        ``_stein_system``, and the factor goes to the triangular solves in
-        place, so neither is copied by transposing.
+        Formed on first access and kept on this object; fits that never
+        predict never form it.  A fresh fit holds the Cholesky factor its
+        solve accepted, and the inverse is one ``cho_solve`` of that factor
+        against the identity: no second factorisation.  The factor is then
+        released, before the kernel is built again for the check: the
+        inverse must pass the ladder's identity right-hand-side residual
+        test, with its bound, against the fit's own system, K + eta I plus
+        the jitter of the fit's rung.
+
+        The rung decision: G and ``kinv`` come from one system, on the
+        fit's rung, which the Schur-complement predict assumes.  Only when
+        no factor is held (a record reloaded through ``from_json_dict``, or
+        a fit accepted through LDL^T) or the check fails does the jitter
+        ladder run from rung 0, as for any solve; its residual test depends
+        on the right-hand side, so it can then accept a rung the fit did
+        not.  On a rung both accept, either path gives the same bits.  The
+        system is the kernel alone, with no grad_sum product, taken
+        column-major as in ``_stein_system``.
         """
         if self.kind != KIND_STEIN_V:
             return None
-        system = build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix.T
-        kinv, _ = _ridge_solve(
-            system, np.eye(self.train.shape[0]), self.eta, "stein predictive inverse"
+        held = vars(self).pop("_factor", None)
+        if held is not None:
+            factor, jitter = held
+            kinv = inverse_from_factor(factor)
+            # the factor's last references, gone before the check's kernel
+            del held, factor
+            system = self._kernel_matrix()
+            # (K + eta I) + jitter I, the fit's jittered system, bit for bit
+            diag = np.diag_indices_from(system)
+            system[diag] += self.eta
+            system[diag] += jitter
+            if is_inverse(system, kinv):
+                return kinv
+            del system, kinv
+        kinv, _, _ = _ridge_solve(
+            self._kernel_matrix(), np.eye(self.train.shape[0]), self.eta,
+            "stein predictive inverse",
         )
         return kinv
+
+    def _kernel_matrix(self) -> np.ndarray:
+        return build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix.T
 
     def grads_at_train(self) -> np.ndarray:
         """Gradient field at the training samples (the fit output).
@@ -579,7 +616,8 @@ def fit_estimator(
     ``kind`` is one of :data:`KINDS`; ``score`` takes either kernel family.
     Every kind but ``kde`` builds its (matrix, rhs) system and makes one
     ridge solve.  The V-statistic nonparametric Stein fit can predict out of
-    sample; the inverse that needs is solved on its first prediction (see
+    sample; it keeps its solve's Cholesky factor, and the inverse that needs
+    is formed from it on its first prediction (see
     :attr:`FittedEstimator.kinv`), not here.  A median-rule ``spec`` is
     resolved on ``samples`` by the fit (see the module docstring), and the
     result holds the resolved spec.  A sample the median rule refuses is
@@ -593,6 +631,7 @@ def fit_estimator(
         resolve_bandwidth(xs, spec)
         raise
     diagnostics: dict = {}
+    factor = None
     if kind == KIND_KDE:
         params, spec = _kde_fit(xs, spec)
     else:
@@ -605,9 +644,9 @@ def fit_estimator(
         else:
             system, rhs, spec = _parametric_system(xs, spec, stat)
             name = f"parametric stein {stat}-statistic system"
-        params, diagnostics = _ridge_solve(system, rhs, eta, name)
+        params, diagnostics, factor = _ridge_solve(system, rhs, eta, name)
     grads, coeffs = (params, None) if kind in _GRAD_KINDS else (None, params)
-    return FittedEstimator(
+    fitted = FittedEstimator(
         kind=kind,
         train=xs.copy(),
         spec=spec,
@@ -616,3 +655,7 @@ def fit_estimator(
         coeffs=coeffs,
         diagnostics=diagnostics,
     )
+    if kind == KIND_STEIN_V and factor is not None:
+        # derived state, which kinv takes and releases
+        object.__setattr__(fitted, "_factor", (factor, diagnostics["jitter"]))
+    return fitted

@@ -17,8 +17,15 @@ place rather than copied.  A system that is exactly symmetric may arrive
 column-major (the transpose view of a C-ordered matrix): numpy's Cholesky
 then copies it contiguously instead of transposing it, and the solution
 keeps its bits.  The LDL^T fallback reads the upper triangle.
+
+An accepted Cholesky rung hands its factor back with the solution, so a
+caller that needs the inverse of the same system later,
+:func:`inverse_from_factor`, makes the identity solve without factoring it
+again; :func:`is_inverse` holds that inverse to the ladder's own residual
+test.  This module is the only one that imports ``scipy.linalg``.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -46,13 +53,28 @@ def _factor_and_solve(system, rhs):
     # place; (lower, True) cost a transposing copy, 21 of 24 ms at
     # K = 2000, for the same bits.  An exactly symmetric system may arrive
     # column-major, which spares numpy's Cholesky the same kind of copy.
+    # Returns the solution and the lower factor, None after LDL^T.
     try:
         lower = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.solve(system, rhs, assume_a="sym")
+            return scipy.linalg.solve(system, rhs, assume_a="sym"), None
+    return _cho_solve(lower, rhs), lower
+
+
+def _cho_solve(lower, rhs):
     return scipy.linalg.cho_solve((lower.T, False), rhs, check_finite=False)
+
+
+def _residual_norm(system, z, rhs):
+    # ||system @ z - rhs||_F from one product buffer; rhs None is the identity
+    residual = system @ z
+    if rhs is None:
+        residual[np.diag_indices_from(residual)] -= 1.0
+    else:
+        residual -= rhs
+    return float(np.linalg.norm(residual))
 
 
 def solve_symmetric(mat, rhs, name: str = "linear system"):
@@ -82,6 +104,9 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
         (0.0 when the system solved as given).
     level : int
         Index into the jitter ladder of the accepted attempt.
+    factor : (K, K) ndarray or None
+        Lower Cholesky factor of ``mat + jitter I``, or None when the
+        accepted rung solved through LDL^T.
 
     Raises
     ------
@@ -109,14 +134,36 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
             system = mat + 0.0
             system[np.diag_indices(k)] += jitter
         try:
-            z = _factor_and_solve(system, rhs)
+            z, factor = _factor_and_solve(system, rhs)
         except (np.linalg.LinAlgError, ValueError):
             continue
-        if not np.all(np.isfinite(z)):
-            continue
-        if float(np.linalg.norm(system @ z - rhs)) <= bound:
-            return z, jitter, level
+        if np.all(np.isfinite(z)) and _residual_norm(system, z, rhs) <= bound:
+            return z, jitter, level, factor
+        del z, factor  # a rejected rung's arrays go before the next rung's
     raise SingularSolveError(
         f"{name}: singular or numerically unsolvable even with diagonal "
         f"jitter up to {JITTER_LADDER[-1] * scale:.3e}; increase the ridge eta"
     )
+
+
+def inverse_from_factor(factor):
+    """``mat^-1`` from the lower Cholesky factor of ``mat``.
+
+    ``factor`` is the one :func:`solve_symmetric` returned: the triangular
+    solves run against the (K, K) identity exactly as that function's own
+    identity solve would run them on the same rung, so the inverse has its
+    bits.  Nothing checks it here; :func:`is_inverse` does.
+    """
+    return _cho_solve(factor, np.eye(factor.shape[0]))
+
+
+def is_inverse(system, inv) -> bool:
+    """Whether ``inv`` passes the ladder's test as the inverse of ``system``.
+
+    The test :func:`solve_symmetric` makes of a solve against the identity:
+    ``inv`` is finite and ``||system @ inv - I||_F <= RESIDUAL_RTOL (1 +
+    sqrt(K))``, the same residual and bound, bit for bit, from one product
+    buffer and no identity matrix.
+    """
+    bound = RESIDUAL_RTOL * (1.0 + math.sqrt(system.shape[0]))
+    return bool(np.all(np.isfinite(inv))) and _residual_norm(system, inv, None) <= bound

@@ -27,8 +27,13 @@ the accept test runs as array operations over the chain axis.  The chains
 stay independent: each one owns a private RNG stream built from its own
 chain seed, and a chain whose trajectory diverges is masked out of its
 iteration without touching the others, so a chain's path depends only on its
-own seed and start and results are bitwise reproducible.  The sampler only
-samples: the caller grades a run, on ``trajectories[:, cfg.n_burn:]``.
+own seed and start and results are bitwise reproducible.  Each iteration a
+chain draws its d momenta, written in place into its row of one (n_chains,
+d) buffer, and then its accept uniform, ``random()``; ``uniform()`` would
+return the same bits from the same draw.  The per-chain loop is the only
+Python loop over chains; drawing all chains in one call would change every
+stream.  The sampler only samples: the caller grades a run, on
+``trajectories[:, cfg.n_burn:]``.
 """
 
 import math
@@ -300,11 +305,14 @@ def run_hmc(
     # a copy: score_fn may hand back the same buffer on every call
     score = call_score(score_fn, q).copy()
     p = np.empty_like(q)
+    # one row view per chain, made once, which its momentum is drawn into
+    rows = list(p)
     u = np.empty(n_chains)
     for t in range(cfg.n_iters):
-        for c, rng in enumerate(rngs):
-            p[c] = rng.standard_normal(d)
-            u[c] = rng.uniform()
+        for c, (rng, row) in enumerate(zip(rngs, rows)):
+            rng.standard_normal(out=row)
+            # uniform() returns 0.0 + 1.0 * random() for this same draw
+            u[c] = rng.random()
         q_new, p_new, diverged_at, score_new = leapfrog(
             q, p, cfg.stepsize, cfg.n_leapfrog, score_fn, score=score
         )

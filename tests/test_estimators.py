@@ -1,6 +1,7 @@
 """Tests for the score estimators: closed forms, optimality, prediction, serialisation."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -648,12 +649,84 @@ class TestFittedEstimator:
         np.testing.assert_array_equal(back.kinv, fit.kinv)
 
     @pytest.mark.parametrize("kind", list(RIDGE_SOLVES))
-    def test_fit_makes_one_solve_and_predict_adds_one(self, monkeypatch, kind):
-        # every ridge kind makes one named solve; only the stein-v predict
-        # adds one more, the inverse it solves on first use
+    def test_fit_makes_one_solve_and_predict_adds_none(self, monkeypatch, kind):
+        # every ridge kind makes one named solve and one factorisation;
+        # predict adds neither, stein-v's included: its inverse comes from
+        # the fit's own factor
         from steingrad import estimators
 
         solve = RIDGE_SOLVES[kind]
+        calls, factorisations = [], []
+        real = estimators.solve_symmetric
+        real_cholesky = np.linalg.cholesky
+
+        def counting(mat, rhs, name="linear system"):
+            calls.append(name)
+            return real(mat, rhs, name)
+
+        def cholesky(a, *args, **kwargs):
+            factorisations.append(a.shape)
+            return real_cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "solve_symmetric", counting)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        xs = gaussian_sample(35, n=9)
+        fit = fit_estimator(kind, xs, RBF)
+        assert calls == [solve]
+        assert factorisations == [(9, 9)]
+        assert set(fit.diagnostics) == {"jitter", "jitter_level"}
+        if kind == KIND_STEIN_U:
+            return  # no out-of-sample rule
+        pts = gaussian_sample(36, n=3)
+        first = fit.predict(pts)
+        fit.predict(pts)
+        assert calls == [solve]
+        assert factorisations == [(9, 9)]
+        np.testing.assert_array_equal(fit.predict(pts), first)
+
+    def test_kinv_solves_the_fits_own_factor_then_releases_it(self, monkeypatch):
+        from steingrad import estimators
+
+        factors, want = [], []
+        real = estimators.solve_symmetric
+
+        def keeping(mat, rhs, name="linear system"):
+            z, jitter, level, factor = real(mat, rhs, name)
+            factors.append(weakref.ref(factor))
+            eye = np.eye(len(rhs))
+            want.append(scipy.linalg.cho_solve((factor, True), eye, check_finite=False))
+            return z, jitter, level, factor
+
+        # whether the fit's factor is still alive at each kernel build
+        alive = []
+        real_build = estimators.build_matrices
+
+        def building(*args, **kwargs):
+            alive.append(bool(factors) and factors[0]() is not None)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "solve_symmetric", keeping)
+        monkeypatch.setattr(estimators, "build_matrices", building)
+        xs = gaussian_sample(37, n=15)
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
+        assert fit.diagnostics["jitter_level"] == 0
+        assert factors[0]() is not None  # held by the fit
+        fit.predict(gaussian_sample(36, n=3))
+        assert factors[0]() is None  # released by the first predict
+        assert len(factors) == 1
+        # the fit's kernel, then the check's, built once the factor was gone
+        assert alive == [False, False]
+        np.testing.assert_array_equal(fit.kinv, want[0])
+        # the bits of the ladder's own identity solve of the fit's system
+        system = _stein_system(xs, RBF, "v")[0] + 0.1 * np.eye(15)
+        np.testing.assert_array_equal(fit.kinv, real(system, np.eye(15), "inverse")[0])
+
+    def test_reloaded_record_makes_one_ladder_solve(self, monkeypatch):
+        from steingrad import estimators
+
+        xs = gaussian_sample(37, n=15)
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
+        back = FittedEstimator.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
         calls = []
         real = estimators.solve_symmetric
 
@@ -662,24 +735,11 @@ class TestFittedEstimator:
             return real(mat, rhs, name)
 
         monkeypatch.setattr(estimators, "solve_symmetric", counting)
-        xs = gaussian_sample(35, n=9)
-        fit = fit_estimator(kind, xs, RBF)
-        assert calls == [solve]
-        assert set(fit.diagnostics) == {"jitter", "jitter_level"}
-        if kind == KIND_STEIN_U:
-            return  # no out-of-sample rule
         pts = gaussian_sample(36, n=3)
-        first = fit.predict(pts)
-        fit.predict(pts)
-        if kind != KIND_STEIN_V:
-            assert calls == [solve]
-            return
-        assert calls == ["stein v-statistic system", "stein predictive inverse"]
-        # the lazily solved inverse is the one the eager fit used to store
-        system = estimators._stein_system(xs, RBF, "v")[0] + 0.1 * np.eye(9)
-        want, _, _ = real(system, np.eye(9), "stein predictive inverse")
-        np.testing.assert_array_equal(fit.kinv, want)
-        np.testing.assert_array_equal(fit.predict(pts), first)
+        back.predict(pts)
+        back.predict(pts)
+        assert calls == ["stein predictive inverse"]
+        np.testing.assert_array_equal(back.kinv, fit.kinv)
 
     @staticmethod
     def _ladder_rungs(monkeypatch, xs, eta):
@@ -689,35 +749,34 @@ class TestFittedEstimator:
         real = estimators.solve_symmetric
 
         def counting(mat, rhs, name="linear system"):
-            z, jitter, level = real(mat, rhs, name)
-            rungs[name] = (mat, rhs, z, jitter, level)
-            return z, jitter, level
+            z, jitter, level, factor = real(mat, rhs, name)
+            rungs[name] = (mat, rhs, z, jitter, level, factor is not None)
+            return z, jitter, level, factor
 
         monkeypatch.setattr(estimators, "solve_symmetric", counting)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta)
         fit.kinv
         return fit, rungs
 
-    def test_fit_and_kinv_share_the_ladder_rung(self, monkeypatch):
-        xs = gaussian_sample(37, n=15)
-        fit, rungs = self._ladder_rungs(monkeypatch, xs, 0.1)
-        level = fit.diagnostics["jitter_level"]
-        assert level == rungs["stein predictive inverse"][4] == 0
-        # a positive-definite system: the inverse is the Cholesky solve
-        system = _stein_system(xs, RBF, "v")[0] + 0.1 * np.eye(15)
-        factor = (np.linalg.cholesky(system), True)
-        want = scipy.linalg.cho_solve(factor, np.eye(15), check_finite=False)
-        np.testing.assert_array_equal(fit.kinv, want)
-
-    def test_near_duplicate_sample_resolves_through_jitter(self, monkeypatch):
-        # two points 1e-9 apart make K + 0 I singular to working precision;
-        # each solve meets the residual contract against its own jittered
-        # system, and the identity right-hand side needs a jitter rung
+    @pytest.mark.parametrize(
+        "offset, fit_factored", [(1e-9, False), (1e-5, True)], ids=["ldlt", "check-fails"]
+    )
+    def test_near_duplicate_sample_falls_back_to_the_ladder(self, monkeypatch, offset, fit_factored):
+        # two points close together make K + 0 I near singular.  At 1e-9 the
+        # fit's Cholesky fails and LDL^T solves it, so no factor is held; at
+        # 1e-5 the fit accepts its Cholesky rung, but the inverse from that
+        # factor fails the identity residual test.  Either way kinv runs
+        # the ladder from rung 0, which takes a jitter rung, and each solve
+        # meets the residual contract against its own jittered system.
         xs = gaussian_sample(38, n=9)
-        xs[1] = xs[0] + 1e-9
-        _, rungs = self._ladder_rungs(monkeypatch, xs, 0.0)
-        assert rungs["stein predictive inverse"][4] > 0
-        for mat, rhs, z, jitter, _ in rungs.values():
+        xs[1] = xs[0] + offset
+        fit, rungs = self._ladder_rungs(monkeypatch, xs, 0.0)
+        assert rungs["stein v-statistic system"][4:] == (0, fit_factored)
+        _, _, z, _, level, _ = rungs["stein predictive inverse"]
+        assert level > 0
+        np.testing.assert_array_equal(fit.kinv, z)
+        assert "_factor" not in vars(fit)
+        for mat, rhs, z, jitter, _, _ in rungs.values():
             residual = (mat + jitter * np.eye(9)) @ z - rhs
             assert np.linalg.norm(residual) <= RESIDUAL_RTOL * (1 + np.linalg.norm(rhs))
 

@@ -5,12 +5,14 @@ Each call below holds a handful of (K, K) matrices at once, never a
 doubles.  tracemalloc sees numpy's allocations in this process only.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from steingrad import KernelSpec, build_matrices, fit_estimator, ksd_v, median_heuristic
+from steingrad.cli import main
 from steingrad.estimators import KIND_SCORE, KIND_STEIN_PARAM_V, KIND_STEIN_V
 
 K, D = 400, 50
@@ -34,6 +36,11 @@ CALLS = {
     "score-rbf fit": lambda: fit_estimator(KIND_SCORE, XS, SPEC),
     "score-rbf fit d=1": lambda: fit_estimator(KIND_SCORE, XS1, SPEC1),
     "stein-param-v fit": lambda: fit_estimator(KIND_STEIN_PARAM_V, XS, SPEC),
+    # n = K, d = 1: three fits in turn, each dropped before the next
+    "entropy-check": lambda: main([
+        "entropy-check", "--seed", "0", "--n", str(K),
+        "--estimators", "kde,stein-v,score", "--output", os.devnull,
+    ]),
 }
 # fitted outside the traced call, which is grads_at_train alone
 FITS = {kind: fit_estimator(kind, XS, SPEC) for kind in (KIND_SCORE, KIND_STEIN_PARAM_V)}
@@ -46,7 +53,12 @@ for _kind, _fit in FITS.items():
 # d = 1 3.01: K, one D_i buffer, Sigma and one product; stein-v fit 2.25
 # and stein-v kinv, fit included, 4.38,
 # each 1.00 below the peak when cho_solve took a transposing copy of the
-# Cholesky factor).  A median-rule fit or discrepancy keeps the same bound:
+# Cholesky factor).  The stein-v fit holds its factor through its residual
+# check, which subtracts rhs in place (2.39; 2.50 with a second K x d
+# temporary), and kinv solves from that factor, released before the check's
+# kernel is built (3.26).  entropy-check peaks in its score fit (3.07):
+# a stein-v fit kept alive through the score fit would hold its factor
+# there too (4.06).  A median-rule fit or discrepancy keeps the same bound:
 # holding the condensed distances through the fit would add 0.5.  The
 # expansion kinds' grads_at_train measured 1.50, the condensed kernel and
 # its mirrored matrix, with the weights formed in place (2.05 when the
@@ -58,6 +70,7 @@ TIGHT = {
     "stein-v fit": 2.5,
     "stein-v fit median": 2.5,
     "stein-v kinv": 4.6,
+    "entropy-check": 3.5,
     f"{KIND_SCORE} grads_at_train": 1.6,
     f"{KIND_STEIN_PARAM_V} grads_at_train": 1.6,
 }

@@ -81,8 +81,9 @@ def capped_gaussian_score(x, threshold=1.0):
 
 
 class ZeroUniform(np.random.Generator):
-    """A generator whose uniform() returns 0.0, the closed end of [0, 1).
+    """A generator whose random() returns 0.0, the closed end of [0, 1).
 
+    random() is the call ``run_hmc`` draws its accept uniform with.
     ``np.random.default_rng`` hands a Generator back unchanged, so it can
     stand as a chain seed.
     """
@@ -90,8 +91,26 @@ class ZeroUniform(np.random.Generator):
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
 
-    def uniform(self):
+    def random(self):
         return 0.0
+
+
+class RecordingGenerator(np.random.Generator):
+    """A PCG64 generator that records each normal and uniform draw, in order."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = []
+
+    def standard_normal(self, *args, **kwargs):
+        out = super().standard_normal(*args, **kwargs)
+        self.draws.append(("normal", np.array(out)))
+        return out
+
+    def random(self, *args, **kwargs):
+        x = super().random(*args, **kwargs)
+        self.draws.append(("uniform", x))
+        return x
 
 
 class TestBananaTarget:
@@ -389,6 +408,33 @@ class TestRunChain:
 
 
 class TestRunHmc:
+    def test_draws_replay_the_per_chain_calls(self, monkeypatch):
+        # each chain draws its momentum in place and its uniform with
+        # random(): the stream, the order and the bits of the calls
+        # standard_normal(d) then uniform(), replayed from the chain's seed
+        cfg = HmcConfig(n_chains=3, n_iters=20, stepsize=0.5, n_leapfrog=3)
+        seeds = spawn(12, 3)
+        gens = [RecordingGenerator(s) for s in seeds]
+        momenta = []
+        real = sampler.leapfrog
+
+        def spy(q, p, *args, **kwargs):
+            momenta.append(p.copy())
+            return real(q, p, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "leapfrog", spy)
+        run_hmc(banana_log_density, banana_score, cfg, np.zeros((3, 2)), chain_seeds=gens)
+        assert len(momenta) == cfg.n_iters
+        for c, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            want = [(rng.standard_normal(2), rng.uniform()) for _ in range(cfg.n_iters)]
+            draws = gens[c].draws
+            assert [kind for kind, _ in draws] == ["normal", "uniform"] * cfg.n_iters
+            got_p = np.array([m[c] for m in momenta])
+            assert got_p.tobytes() == np.array([p for p, _ in want]).tobytes()
+            got_u = np.array([x for kind, x in draws if kind == "uniform"])
+            assert got_u.tobytes() == np.array([u for _, u in want]).tobytes()
+
     def test_bitwise_reproducible(self):
         cfg = HmcConfig(n_chains=4, n_iters=50, stepsize=0.5, n_leapfrog=5)
         init = np.zeros((4, 2))

@@ -21,6 +21,12 @@ choices, case and all.  Commands that consume randomness require a seed.
 Outputs are pure functions of (config, input files): JSON is written with
 sorted keys, a 2-space indent and shortest round-trip floats, so re-running a
 command at the same BLAS thread count reproduces its output byte for byte.
+The JSON text is ``json.dumps(doc, sort_keys=True, indent=2)``'s, byte for
+byte: the writer walks the string-keyed dicts the commands build and writes
+the sidecar's finite float arrays itself, and hands every other value to
+``json.dumps``.  No output path may resolve to an input or to another output
+of the same command; such a path is refused (exit 2) before anything is read
+or written.
 
 Every float is written as ``float.__repr__`` writes it, in the CSVs as in the
 JSON (where NaN and infinities are spelled ``NaN`` and ``Infinity``, as
@@ -170,6 +176,16 @@ def _kernel_spec(args):
             f"sigma2 must be a positive number or 'median', got {raw!r}"
         ) from exc
     return KernelSpec(RBF, base * scale)
+
+
+def _refuse_same_path(field, path, *others):
+    """Refuse the output ``path`` of ``--{field}`` where it resolves to another file.
+
+    Each of ``others`` is a (description, path) pair; a None path is no file.
+    """
+    for what, other in others:
+        if None not in (path, other) and Path(path).resolve() == Path(other).resolve():
+            raise ValueError(f"{field}: {path!r} is {what}; pass another --{field}")
 
 
 def _require_seed(args):
@@ -338,40 +354,28 @@ def _write_matrix_csv(path, prefix, arr):
         fh.writelines(line + "\r\n" for line in _float_lines(arr, ","))
 
 
-def _json_key(key):
-    """A dict key as the string json writes for it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_text(obj, indent=""):
     """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` nested at ``indent``.
 
     Asked for an indent, json uses its pure-Python encoder, which visits
-    every float in a generator.  Here containers are walked in Python, a
+    every float in a generator.  Two values are written here instead: a
+    non-empty dict whose keys are all strings is walked, and a non-empty
     float64 vector or matrix of finite values (the sidecar's arrays) is
-    written by ``_float_lines`` (the ``float.__repr__`` text that encoder
-    writes per float), any other ndarray as its ``tolist()``, and every other
-    leaf goes through the C encoder.  Brackets are added in one f-string or
-    join, so a sidecar-sized body is copied once, not once per ``+``.
+    written by ``_float_lines``, the ``float.__repr__`` text that encoder
+    writes per float.  Every other value is ``json.dumps`` itself, its lines
+    shifted to ``indent``: a JSON string holds no raw newline, so only line
+    breaks move.  Brackets are added in one f-string or join, so a
+    sidecar-sized body is copied once, not once per ``+``.
     """
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         body = sep.join(
-            json.dumps(_json_key(k)) + ": " + _json_text(v, inner)
-            for k, v in sorted(obj.items())
+            json.dumps(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())
         )
         return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(obj, np.ndarray):
-        finite = obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size > 0
-        if not (finite and np.isfinite(obj).all()):
-            return _json_text(obj.tolist(), indent)
+    floats = isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
+    if floats and obj.size > 0 and np.isfinite(obj).all():
         if obj.ndim == 1:
             return f"[\n{inner}{_float_lines(obj[None], sep)[0]}\n{indent}]"
         # the whole matrix in one join: the row brackets go in the separator
@@ -380,12 +384,7 @@ def _json_text(obj, indent=""):
         lines[0] = f"[\n{inner}[\n{row_inner}{lines[0]}"
         lines[-1] += f"\n{inner}]\n{indent}]"
         return f"\n{inner}]{sep}[\n{row_inner}".join(lines)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = sep.join([_json_text(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{indent}]"
-    return json.dumps(obj)
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 def _dump_json(obj, path=None):
@@ -402,8 +401,6 @@ def _dump_json(obj, path=None):
 
 def _jsonable(value):
     """None for NaN so reports stay strict JSON."""
-    if value is None:
-        return None
     value = float(value)
     return None if math.isnan(value) else value
 
@@ -420,10 +417,9 @@ def cmd_estimate(args) -> int:
     sidecar = args.sidecar
     if sidecar is None:
         sidecar = str(Path(output_path).with_suffix(".json"))
-    if Path(sidecar).resolve() == Path(output_path).resolve():
-        raise ValueError(
-            f"sidecar: {sidecar!r} is the gradient CSV --output; pass another --sidecar"
-        )
+    sample_csv = ("the sample CSV --input", input_path)
+    _refuse_same_path("output", output_path, sample_csv)
+    _refuse_same_path("sidecar", sidecar, ("the gradient CSV --output", output_path), sample_csv)
     samples = _read_matrix_csv(input_path, "x")
     fitted = fit_estimator(args.estimator, samples, _kernel_spec(args), args.eta)
     grads = fitted.grads_at_train()
@@ -439,6 +435,10 @@ def cmd_estimate(args) -> int:
 def cmd_ksd(args) -> int:
     if not args.samples or not args.grads:
         raise ValueError("ksd needs --samples and --grads")
+    _refuse_same_path(
+        "output", args.output,
+        ("the sample CSV --samples", args.samples), ("the gradient CSV --grads", args.grads),
+    )
     xs = _read_matrix_csv(args.samples, "x")
     gs = _read_matrix_csv(args.grads, "g")
     ksd_fn = ksd_v if args.statistic == "v" else ksd_u
@@ -469,15 +469,7 @@ def cmd_banana(args) -> int:
     seed = _require_seed(args)
     output_path = args.output
     traj_path = args.trajectories
-    if (
-        traj_path is not None
-        and output_path is not None
-        and Path(traj_path).resolve() == Path(output_path).resolve()
-    ):
-        raise ValueError(
-            f"trajectories: {traj_path!r} is the report --output; pass another "
-            f"--trajectories"
-        )
+    _refuse_same_path("trajectories", traj_path, ("the report --output", output_path))
     # a count left unset comes from the preset; an explicit 0 still fails
     preset = _PRESETS[args.preset]
     n_chains = preset["n_chains"] if args.n_chains is None else args.n_chains
@@ -611,6 +603,10 @@ def cmd_entropy_check(args) -> int:
     names = args.estimators  # a comma-separated flag, or a config list
     if isinstance(names, str):
         names = [s.strip() for s in names.split(",") if s.strip()]
+    if not names:
+        raise ValueError(
+            f"estimators: the list is empty; name at least one of {', '.join(KINDS)}"
+        )
     for i, name in enumerate(names):
         if name not in KINDS:
             raise ValueError(

@@ -55,13 +55,18 @@ def _check_banana_params(b, v):
     return float(b), float(v)
 
 
-def _banana_points(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 2:
+def _banana_terms(x, b, v):
+    """Checked ``(b, v)``, x1 and x2 - b (x1^2 - v) of a point (2,) or a batch (n, 2)."""
+    b, v = _check_banana_params(b, v)
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 2:
         raise ValueError(
-            f"banana target is 2-D: expected shape (2,) or (n, 2), got {arr.shape}"
+            f"banana target is 2-D: expected shape (2,) or (n, 2), got {x.shape}"
         )
-    return arr
+    x1, x2 = x[..., 0], x[..., 1]
+    # products, not ** 2: numpy's scalar power can round differently from
+    # its array square, and a point must score as it does inside a batch
+    return b, v, x1, x2 - b * (x1 * x1 - v)
 
 
 def banana_log_density(x, b: float = BANANA_B, v: float = BANANA_V):
@@ -70,19 +75,14 @@ def banana_log_density(x, b: float = BANANA_B, v: float = BANANA_V):
     A point of shape (2,) gives a float, a batch of shape (n, 2) an (n,)
     array.
     """
-    b, v = _check_banana_params(b, v)
-    x = _banana_points(x)
-    x1, x2 = x[..., 0], x[..., 1]
-    # products, not ** 2: numpy's scalar power can round differently from
-    # its array square, and a point must score as it does inside a batch
-    resid = x2 - b * (x1 * x1 - v)
+    b, v, x1, resid = _banana_terms(x, b, v)
     logp = (
         -0.5 * math.log(2.0 * math.pi * v)
         - 0.5 * (x1 * x1) / v
         - 0.5 * math.log(2.0 * math.pi)
         - 0.5 * (resid * resid)
     )
-    return float(logp) if x.ndim == 1 else logp
+    return float(logp) if x1.ndim == 0 else logp
 
 
 def banana_score(x, b: float = BANANA_B, v: float = BANANA_V) -> np.ndarray:
@@ -90,10 +90,7 @@ def banana_score(x, b: float = BANANA_B, v: float = BANANA_V) -> np.ndarray:
 
     Returns the shape of ``x``: (2,) for a point, (n, 2) for a batch.
     """
-    b, v = _check_banana_params(b, v)
-    x = _banana_points(x)
-    x1, x2 = x[..., 0], x[..., 1]
-    resid = x2 - b * (x1 * x1 - v)
+    b, v, x1, resid = _banana_terms(x, b, v)
     return np.stack([-x1 / v + 2.0 * b * x1 * resid, -resid], axis=-1)
 
 

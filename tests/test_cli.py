@@ -312,6 +312,32 @@ class TestEstimate:
         assert "sidecar" in err and "nope.csv" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "input_name, extra, field",
+        [
+            ("s.csv", ["--output", "s.csv"], "output"),
+            ("s.csv", ["--output", "./s.csv", "--sidecar", "g.json"], "output"),
+            ("s.csv", ["--output", "g.csv", "--sidecar", "s.csv"], "sidecar"),
+            # the default sidecar, g.csv's .json, is the input
+            ("g.json", ["--output", "g.csv"], "sidecar"),
+        ],
+    )
+    def test_output_on_input_refused_before_input_is_read(
+        self, tmp_path, monkeypatch, capsys, input_name, extra, field
+    ):
+        # either output would overwrite the samples; nothing may be read or written
+        monkeypatch.chdir(tmp_path)
+        sample_file(tmp_path, name=input_name)
+        before = (tmp_path / input_name).read_bytes()
+        reads = []
+        monkeypatch.setattr(cli, "_read_matrix_csv", lambda *a: reads.append(a))
+        assert main(["estimate", "--input", input_name, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "--input" in err
+        assert reads == []
+        assert [p.name for p in tmp_path.iterdir()] == [input_name]
+        assert (tmp_path / input_name).read_bytes() == before
+
     def test_epanechnikov_rejects_bandwidth(self, tmp_path):
         path, _ = sample_file(tmp_path, seed=7)
         rc = main(
@@ -418,6 +444,53 @@ def test_dump_json_rejects_what_json_rejects(value):
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         _dump_json(value)
+
+
+# documents shaped like the program's own: string-keyed dicts of finite
+# float64 vectors and matrices, scalars, None, and empty or nested dicts
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_DOC_ARRAYS = st.one_of(
+    arrays(np.float64, st.integers(1, 5), elements=_FINITE_FLOATS),
+    arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4)), elements=_FINITE_FLOATS),
+)
+_DOC_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), _DOC_ARRAYS
+)
+
+
+def _tolist(doc):
+    if isinstance(doc, dict):
+        return {k: _tolist(v) for k, v in doc.items()}
+    return doc.tolist() if isinstance(doc, np.ndarray) else doc
+
+
+def _count_arrays(doc):
+    if isinstance(doc, dict):
+        return sum(_count_arrays(v) for v in doc.values())
+    return isinstance(doc, np.ndarray)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    doc=st.dictionaries(
+        st.text(),
+        st.recursive(
+            _DOC_LEAVES, lambda c: st.dictionaries(st.text(), c, max_size=4), max_leaves=20
+        ),
+        max_size=6,
+    )
+)
+@example(doc={"train": np.eye(2), "grads": np.array([1e-300, 5e-324]), "diag": {}, "eta": None})
+def test_dump_json_of_program_documents_is_json_dumps_of_lists(csv_dir, doc):
+    # every array takes _float_lines, and the bytes are json's for its tolist()
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_float_lines", lambda *a: calls.append(a) or _float_lines(*a))
+        path = csv_dir / "doc.json"
+        _dump_json(doc, path)
+    want = json.dumps(_tolist(doc), sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    assert len(calls) == _count_arrays(doc)
 
 
 # where float.__repr__ and orjson part ways: the exponent window
@@ -689,6 +762,26 @@ class TestKsd:
         assert main(["ksd", "--config", str(config)]) == 2
         assert "'include_constant'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--samples", "--grads"])
+    def test_output_on_input_refused_before_input_is_read(
+        self, tmp_path, monkeypatch, capsys, flag
+    ):
+        # the report would overwrite an input; nothing may be read or written
+        path, xs = sample_file(tmp_path, seed=12, n=5)
+        gpath = tmp_path / "grads.csv"
+        write_csv(gpath, "g", -xs)
+        before = {p: p.read_bytes() for p in (path, gpath)}
+        reads = []
+        monkeypatch.setattr(cli, "_read_matrix_csv", lambda *a: reads.append(a))
+        target = path if flag == "--samples" else gpath
+        argv = ["ksd", "--samples", str(path), "--grads", str(gpath),
+                "--output", str(tmp_path / "." / target.name)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output: ") and flag in err
+        assert reads == []
+        assert {p: p.read_bytes() for p in (path, gpath)} == before
+
     def test_report_file_output(self, tmp_path):
         path, xs = sample_file(tmp_path, seed=12, n=5)
         gpath = tmp_path / "grads.csv"
@@ -958,6 +1051,24 @@ class TestEntropyCheck:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "estimators" in err and bad in err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["", ",", " , ", "config"])
+    def test_empty_list_refused_before_bandwidth(self, tmp_path, capsys, monkeypatch, via):
+        calls = []
+        monkeypatch.setattr(cli, "resolve_bandwidth", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "fit_estimator", lambda *a: calls.append(a))
+        out = tmp_path / "entropy.json"
+        argv = ["entropy-check", "--seed", "1", "--n", "50", "--output", str(out)]
+        if via == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"estimators": []}))
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--estimators", via]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: estimators: ")
         assert calls == []
         assert not out.exists()
 

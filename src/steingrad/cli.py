@@ -24,9 +24,9 @@ command at the same BLAS thread count reproduces its output byte for byte.
 The JSON text is ``json.dumps(doc, sort_keys=True, indent=2)``'s, byte for
 byte: the writer walks the string-keyed dicts the commands build and writes
 the sidecar's finite float arrays itself, and hands every other value to
-``json.dumps``.  No output path may resolve to an input or to another output
-of the same command; such a path is refused (exit 2) before anything is read
-or written.
+``json.dumps``.  No output path may be a directory, lie in a directory that
+does not exist, or resolve to an input or to another output of the same
+command; such a path is refused (exit 2) before anything is read or written.
 
 Every float is written as ``float.__repr__`` writes it, in the CSVs as in the
 JSON (where NaN and infinities are spelled ``NaN`` and ``Infinity``, as
@@ -178,11 +178,14 @@ def _kernel_spec(args):
     return KernelSpec(RBF, base * scale)
 
 
-def _refuse_same_path(field, path, *others):
-    """Refuse the output ``path`` of ``--{field}`` where it resolves to another file.
+def _refuse_output(field, path, *others):
+    """Refuse the output ``path`` of ``--{field}`` where it cannot be written as given.
 
-    Each of ``others`` is a (description, path) pair; a None path is no file.
+    It must name a file in an existing directory and none of ``others``,
+    each a (description, path) pair; a None path is no file.
     """
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"{field}: {path!r} is not a file path in an existing directory")
     for what, other in others:
         if None not in (path, other) and Path(path).resolve() == Path(other).resolve():
             raise ValueError(f"{field}: {path!r} is {what}; pass another --{field}")
@@ -418,8 +421,8 @@ def cmd_estimate(args) -> int:
     if sidecar is None:
         sidecar = str(Path(output_path).with_suffix(".json"))
     sample_csv = ("the sample CSV --input", input_path)
-    _refuse_same_path("output", output_path, sample_csv)
-    _refuse_same_path("sidecar", sidecar, ("the gradient CSV --output", output_path), sample_csv)
+    _refuse_output("output", output_path, sample_csv)
+    _refuse_output("sidecar", sidecar, ("the gradient CSV --output", output_path), sample_csv)
     samples = _read_matrix_csv(input_path, "x")
     fitted = fit_estimator(args.estimator, samples, _kernel_spec(args), args.eta)
     grads = fitted.grads_at_train()
@@ -435,7 +438,7 @@ def cmd_estimate(args) -> int:
 def cmd_ksd(args) -> int:
     if not args.samples or not args.grads:
         raise ValueError("ksd needs --samples and --grads")
-    _refuse_same_path(
+    _refuse_output(
         "output", args.output,
         ("the sample CSV --samples", args.samples), ("the gradient CSV --grads", args.grads),
     )
@@ -469,7 +472,8 @@ def cmd_banana(args) -> int:
     seed = _require_seed(args)
     output_path = args.output
     traj_path = args.trajectories
-    _refuse_same_path("trajectories", traj_path, ("the report --output", output_path))
+    _refuse_output("output", output_path)
+    _refuse_output("trajectories", traj_path, ("the report --output", output_path))
     # a count left unset comes from the preset; an explicit 0 still fails
     preset = _PRESETS[args.preset]
     n_chains = preset["n_chains"] if args.n_chains is None else args.n_chains
@@ -615,6 +619,7 @@ def cmd_entropy_check(args) -> int:
         if name in names[:i]:
             raise ValueError(f"estimators: {name!r} is listed twice")
 
+    _refuse_output("output", args.output)
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(n)
     z = (sigma * eps)[:, None]
@@ -637,8 +642,8 @@ def cmd_entropy_check(args) -> int:
         "exact": entry(entropy_gradient_surrogate(exact_grads, jac)[0]),
         "estimates": {},
     }
-    # one bandwidth for every fit: score and the parametric kinds build their
-    # kernel on the centred sample, so they could not share its pass
+    # one bandwidth for every fit: each fit's own pass would take the median
+    # of the n (n - 1) / 2 distances once per fit
     spec = resolve_bandwidth(z, _kernel_spec(args))
     for name in names:
         fitted = fit_estimator(name, z, spec, args.eta)

@@ -24,11 +24,9 @@ solves the inverse afresh only for a reloaded record, a fit accepted through
 LDL^T, or an inverse that fails its residual check.  Kernel values come from
 :mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
 each kernel matrix over the sample's own pairs, the fits' and the expansion
-kinds' ``grads_at_train``, is one ``build_matrices`` pass, and
-``cross_kernel`` serves new points only.  A fit resolves a median-rule
-bandwidth on its sample: kde and the nonparametric Stein kinds from their
-kernel's own pass; score and the parametric kinds, whose kernel is built on
-the centred sample, from one pass over the sample as given.
+kinds' ``grads_at_train``, is one ``build_matrices`` pass over the sample as
+given, and ``cross_kernel`` serves new points only.  A fit resolves a
+median-rule bandwidth from its kernel's own pass.
 
 ``fit_estimator`` fits any kind into a serialisable :class:`FittedEstimator`,
 whose ``predict`` takes (n, d) points and whose constructor holds the checks.
@@ -304,35 +302,30 @@ def _score_system(xs, spec):
     Both ridge solutions are the exact minimisers of the empirical
     score-matching objective under an l2 penalty (the penalty scale absorbed
     into eta).  Both systems depend on the sample only through differences
-    x^j - x^k, so X is centred on its mean before G and n are formed.  A
-    median-rule bandwidth is taken on the sample as given, before centring;
-    the resolved spec comes back third.
+    x^j - x^k: K is built on the sample as given, with a median-rule
+    bandwidth from its own pass, and X is then centred on its mean, which
+    keeps G and n at the scale of the differences.  The resolved spec comes
+    back third.
     """
     n, d = xs.shape
-    spec = resolve_bandwidth(xs, spec)
-    # both systems are translation invariant in exact arithmetic; centring
-    # keeps the Gram matrix and the norms at the scale of the differences
-    xs = xs - xs.mean(axis=0)
     if spec.family == RBF:
-        km = build_matrices(xs, spec, with_grad_sum=False).k_matrix
-        ksum = km.sum(axis=1)
-        sqn = np.einsum("kd,kd->k", xs, xs)
-        v = d * spec.sigma2 * ksum - (
-            km @ sqn + sqn * ksum - 2.0 * (xs * (km @ xs)).sum(axis=1)
-        )
-        if d < _SIGMA_CLOSED_FORM_MIN_D:
-            # a sum of syrk products, exactly symmetric: its transpose view
-            # is the same matrix, column-major
-            sigma = _score_sigma_by_coordinate(xs, km).T
-        else:
-            sigma = _score_sigma_closed_form(xs, km, sqn)
-    else:
+        mats = build_matrices(xs, spec, with_grad_sum=False)
+        km, spec = mats.k_matrix, mats.spec
+    xs = xs - xs.mean(axis=0)
+    if spec.family != RBF:
         gram = xs @ xs.T
         sqn = np.einsum("kd,kd->k", xs, xs)
         row = gram.sum(axis=1)
         sigma = (gram + (sqn.sum() - row[:, None] - row[None, :]) / n) / d**2
-        v = np.full(n, 0.5)
-    return sigma, v, spec
+        return sigma, np.full(n, 0.5), spec
+    ksum = km.sum(axis=1)
+    sqn = np.einsum("kd,kd->k", xs, xs)
+    v = d * spec.sigma2 * ksum - (
+        km @ sqn + sqn * ksum - 2.0 * (xs * (km @ xs)).sum(axis=1)
+    )
+    if d < _SIGMA_CLOSED_FORM_MIN_D:
+        return _score_sigma_by_coordinate(xs, km).T, v, spec
+    return _score_sigma_closed_form(xs, km, sqn), v, spec
 
 
 def _parametric_system(xs, spec, statistic):
@@ -347,15 +340,14 @@ def _parametric_system(xs, spec, statistic):
 
     The U-statistic variant replaces the inner K of each triple product
     with K - diag(K) (Lambda tilde), keeping the same b; o is the
-    elementwise product.  The bandwidth and the returned spec are as in
+    elementwise product.  K, the centring and the returned spec are as in
     ``_score_system``.
     """
     if spec.family != RBF:
         raise ValueError("parametric Stein fits support the rbf family only")
-    spec = resolve_bandwidth(xs, spec)
-    # translation invariant in exact arithmetic; see _score_system
+    mats = build_matrices(xs, spec, with_grad_sum=False)
+    km, spec = mats.k_matrix, mats.spec
     xs = xs - xs.mean(axis=0)
-    km = build_matrices(xs, spec, with_grad_sum=False).k_matrix
     gram = xs @ xs.T
     ksum = km.sum(axis=1)
     sqn = np.diag(gram)

@@ -1250,15 +1250,14 @@ def test_zero_chains_rejected(tmp_path, capsys, via):
 
 
 class TestDistancePasses:
-    """One condensed distance pass per sample and fit, counted at scipy's door.
+    """One condensed distance pass per sample and kernel, counted at scipy's door.
 
-    A median bandwidth comes from the pass of the kernel it parameterises;
-    score and the parametric kinds build their kernel on the centred sample,
-    so their bandwidth takes one pass over the sample as given, and their
-    gradients at the training points one more, over the pairs.  No command
-    computes the distances of a sample against itself through ``cdist``,
-    but for the discrepancy's row blocks past the first, which ``cdist``
-    against the later rows: each pair is still computed once.
+    Every kernel over a sample's own pairs is built on the sample as given,
+    and a median bandwidth comes from the pass of the kernel it
+    parameterises.  The expansion kinds make one more pass for their
+    gradients at the training points.  ``cdist`` serves new points only:
+    ``predict``, and the discrepancy's row blocks past the first, which take
+    the distances to the later rows, so each pair is still computed once.
     """
 
     @pytest.fixture
@@ -1284,8 +1283,8 @@ class TestDistancePasses:
             ("kde", "median", 1),
             ("stein-v", "median", 1),
             ("stein-u", "median", 1),
-            ("score", "median", 3),
-            ("stein-param-v", "median", 3),
+            ("score", "median", 2),
+            ("stein-param-v", "median", 2),
             ("score", "1.5", 2),
             ("stein-param-v", "1.5", 2),
         ],
@@ -1344,6 +1343,76 @@ class TestDistancePasses:
                 "--output", str(tmp_path / "entropy.json")]
         assert main(argv) == 0
         assert passes == {"pdist": 5, "cdist": 0}
+
+    @pytest.mark.parametrize(
+        "estimator, fit_passes", [("exact", 0), ("stein-v", 2), ("score", 1)]
+    )
+    def test_banana(self, tmp_path, passes, estimator, fit_passes):
+        # the grading kernel's bandwidth, then the fit's kernel (and stein-v's
+        # kinv check kernel), then one pass per discrepancy: each chain and
+        # the pool, every one within a single row block.  Each score call
+        # of a fitted estimator is a predict, one cdist of new points
+        n_chains, n_iters, n_leapfrog = 2, 5, 2
+        argv = ["banana", "--seed", "4", "--estimator", estimator, "--n-train", "30",
+                "--n-chains", str(n_chains), "--n-iters", str(n_iters),
+                "--n-leapfrog", str(n_leapfrog), "--output", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        predicts = 0 if estimator == "exact" else 1 + n_iters * n_leapfrog
+        assert passes == {"pdist": 1 + fit_passes + n_chains + 1, "cdist": predicts}
+
+
+class TestOutputPaths:
+    """An output that cannot be written as given is refused before any input is read."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["estimate", "--input", "s.csv", "--output", "nodir/g.csv"], "output"),
+            (["estimate", "--input", "s.csv", "--output", "g.csv",
+              "--sidecar", "nodir/g.json"], "sidecar"),
+            (["estimate", "--input", "s.csv", "--output", "sub"], "output"),
+            (["estimate", "--input", "s.csv", "--output", "g.csv", "--sidecar", "sub"],
+             "sidecar"),
+            (["ksd", "--samples", "s.csv", "--grads", "g0.csv",
+              "--output", "nodir/k.json"], "output"),
+            (["banana", "--estimator", "exact", "--output", "nodir/r.json"], "output"),
+            (["banana", "--estimator", "exact", "--output", "r.json",
+              "--trajectories", "nodir/t.csv"], "trajectories"),
+            (["banana", "--estimator", "exact", "--output", "r.json",
+              "--trajectories", "sub"], "trajectories"),
+            (["entropy-check", "--n", "30", "--estimators", "kde",
+              "--output", "nodir/e.json"], "output"),
+        ],
+    )
+    def test_nothing_is_read_or_written(self, tmp_path, monkeypatch, capsys, argv, field):
+        # a missing directory or a directory in a file's place fails the
+        # open; checked first, it cannot leave an earlier output behind
+        monkeypatch.chdir(tmp_path)
+        _, xs = sample_file(tmp_path, seed=50, n=30, name="s.csv")
+        write_csv(tmp_path / "g0.csv", "g", -xs)
+        (tmp_path / "sub").mkdir()
+        before = {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()}
+        calls = []
+
+        def record(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_read_matrix_csv", "fit_estimator", "banana_sample", "resolve_bandwidth"):
+            monkeypatch.setattr(cli, name, record(name))
+        if argv[0] in ("banana", "entropy-check"):
+            argv = [*argv, "--seed", "1"]
+        if argv[0] == "banana":
+            argv += ["--n-train", "20", "--n-chains", "2", "--n-iters", "3", "--n-leapfrog", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        assert calls == []
+        assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestRefusalPrecedence:

@@ -539,6 +539,27 @@ class TestOneDistancePass:
         np.testing.assert_array_equal(fit.grads_at_train(), want.grads_at_train())
         assert fit.to_json_dict() == want.to_json_dict()
 
+    @pytest.mark.parametrize("kind", [KIND_SCORE, KIND_STEIN_PARAM_V, KIND_STEIN_PARAM_U])
+    @pytest.mark.parametrize("sigma2", [None, 1.3])
+    def test_expansion_kernel_is_built_on_the_sample_as_given(self, monkeypatch, kind, sigma2):
+        # the fit's kernel and its grads_at_train kernel both come from the
+        # training sample itself, not a centred copy, so they are one kernel
+        from steingrad import estimators
+
+        seen = []
+
+        def spy(samples, spec, with_grad_sum=True):
+            seen.append(np.array(samples))
+            return build_matrices(samples, spec, with_grad_sum)
+
+        monkeypatch.setattr(estimators, "build_matrices", spy)
+        xs = gaussian_sample(64, n=25, d=3) + 5.0
+        spec = KernelSpec("rbf", median_scale=1.0) if sigma2 is None else KernelSpec("rbf", sigma2)
+        fit_estimator(kind, xs, spec).grads_at_train()
+        assert len(seen) == 2
+        for arr in seen:
+            np.testing.assert_array_equal(arr, xs)
+
     def test_estimator_refuses_the_unresolved_rule(self):
         xs = gaussian_sample(62)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF)

@@ -35,7 +35,10 @@ CALLS = {
     "stein-v kinv": lambda: fit_estimator(KIND_STEIN_V, XS, SPEC).kinv,
     "score-rbf fit": lambda: fit_estimator(KIND_SCORE, XS, SPEC),
     "score-rbf fit d=1": lambda: fit_estimator(KIND_SCORE, XS1, SPEC1),
+    "score-rbf fit median": lambda: fit_estimator(KIND_SCORE, XS, MEDIAN),
+    "score-rbf fit d=1 median": lambda: fit_estimator(KIND_SCORE, XS1, MEDIAN),
     "stein-param-v fit": lambda: fit_estimator(KIND_STEIN_PARAM_V, XS, SPEC),
+    "stein-param-v fit median": lambda: fit_estimator(KIND_STEIN_PARAM_V, XS, MEDIAN),
     # n = K, d = 1: three fits in turn, each dropped before the next
     "entropy-check": lambda: main([
         "entropy-check", "--seed", "0", "--n", str(K),
@@ -59,14 +62,17 @@ for _kind, _fit in FITS.items():
 # kernel is built (3.26).  entropy-check peaks in its score fit (3.07):
 # a stein-v fit kept alive through the score fit would hold its factor
 # there too (4.06).  A median-rule fit or discrepancy keeps the same bound:
-# holding the condensed distances through the fit would add 0.5.  The
-# expansion kinds' grads_at_train measured 1.50, the condensed kernel and
-# its mirrored matrix, with the weights formed in place (2.05 when the
-# kernel came from cross_kernel and the weights were new arrays).
+# holding the condensed distances through the fit would add 0.5 (median-rule
+# score 3.01 at d = 1 and 4.20 at d = 50, stein-param-v 5.13, each as with
+# the bandwidth given).  The expansion kinds' grads_at_train measured 1.50,
+# the condensed kernel and its mirrored matrix, with the weights formed in
+# place (2.05 when the kernel came from cross_kernel and the weights were
+# new arrays).
 TIGHT = {
     "ksd_v": 1.75,
     "ksd_v median": 1.75,
     "score-rbf fit d=1": 3.25,
+    "score-rbf fit d=1 median": 3.25,
     "stein-v fit": 2.5,
     "stein-v fit median": 2.5,
     "stein-v kinv": 4.6,

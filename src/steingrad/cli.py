@@ -25,8 +25,9 @@ The JSON text is ``json.dumps(doc, sort_keys=True, indent=2)``'s, byte for
 byte: the writer walks the string-keyed dicts the commands build and writes
 the sidecar's finite float arrays itself, and hands every other value to
 ``json.dumps``.  No output path may be a directory, lie in a directory that
-does not exist, or resolve to an input or to another output of the same
-command; such a path is refused (exit 2) before anything is read or written.
+does not exist, or name the file of an input or of another output of the
+same command (by its resolved path, or as ``os.path.samefile`` finds a hard
+link); such a path is refused (exit 2) before anything is read or written.
 
 Every float is written as ``float.__repr__`` writes it, in the CSVs as in the
 JSON (where NaN and infinities are spelled ``NaN`` and ``Infinity``, as
@@ -58,6 +59,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from functools import partial
 from itertools import product
@@ -76,7 +78,14 @@ from .estimators import (
     entropy_gradient_surrogate,
     fit_estimator,
 )
-from .kernels import EPANECHNIKOV, RBF, KernelSpec, median_heuristic, resolve_bandwidth
+from .kernels import (
+    EPANECHNIKOV,
+    RBF,
+    KernelSpec,
+    check_number,
+    median_heuristic,
+    resolve_bandwidth,
+)
 from .sampler import HmcConfig, banana_sample, banana_score, banana_log_density, run_hmc
 
 
@@ -144,28 +153,23 @@ def _load_config(path, sub):
     return config
 
 
-def _bandwidth_scale(args):
-    scale = args.bandwidth_scale
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(f"bandwidth_scale must be > 0, got {scale!r}")
-    return scale
-
-
 def _kernel_spec(args):
     """Build the KernelSpec from the kernel, sigma2 and bandwidth_scale options.
 
     ``median`` stays the median rule (``median_scale``), so the fit or
     discrepancy that uses the spec takes the bandwidth from its own distance
-    pass over the sample, and reports it resolved.
+    pass over the sample, and reports it resolved.  The epanechnikov kernel
+    carries no bandwidth, so it takes neither a sigma2 nor a scale.
     """
     raw = args.sigma2
-    scale = _bandwidth_scale(args)
+    scale = check_number(args.bandwidth_scale, "bandwidth_scale", gt=0)
     if args.kernel == EPANECHNIKOV:
-        if raw != "median":
-            raise ValueError(
-                f"sigma2 must be 'median' with the epanechnikov kernel, which "
-                f"carries no bandwidth; got {raw!r}"
-            )
+        for field, value, unset in (("sigma2", raw, "median"), ("bandwidth_scale", scale, 1)):
+            if value != unset:
+                raise ValueError(
+                    f"{field} must be {unset!r} with the epanechnikov kernel, "
+                    f"which carries no bandwidth; got {value!r}"
+                )
         return KernelSpec(EPANECHNIKOV)
     if raw == "median":
         return KernelSpec(RBF, median_scale=scale)
@@ -182,12 +186,18 @@ def _refuse_output(field, path, *others):
     """Refuse the output ``path`` of ``--{field}`` where it cannot be written as given.
 
     It must name a file in an existing directory and none of ``others``,
-    each a (description, path) pair; a None path is no file.
+    each a (description, path) pair; a None path is no file.  Two paths
+    name one file when they resolve to one path or, both existing, when
+    ``os.path.samefile`` says so (a hard link, a case-insensitive name).
     """
     if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
         raise ValueError(f"{field}: {path!r} is not a file path in an existing directory")
     for what, other in others:
-        if None not in (path, other) and Path(path).resolve() == Path(other).resolve():
+        if None in (path, other):
+            continue
+        if Path(path).resolve() == Path(other).resolve() or (
+            os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)
+        ):
             raise ValueError(f"{field}: {path!r} is {what}; pass another --{field}")
 
 
@@ -230,11 +240,12 @@ def _parse_plain(data, prefix):
 
     The rows become one JSON array of arrays, parsed in one orjson call.
     None, and so the csv path, for everything else: a header that is not
-    exactly ``{prefix}0,...`` (quoted, with a BOM, ...), a blank line, a lone
-    CR, a byte outside ``_PLAIN_BYTES`` (``nan``, ``true``, spaces, quotes),
-    a line longer than ``csv.field_size_limit()``, text that is not JSON
-    (``+1``, ``.5``, ``1.``, ``00``, an empty field), a value beyond the
-    double range, and ragged rows.  The integer ``-0``, which orjson reads
+    exactly ``{prefix}0,...`` (quoted, with a BOM, ...), a lone CR, a byte
+    outside ``_PLAIN_BYTES`` (``nan``, ``true``, spaces, quotes), a line
+    longer than ``csv.field_size_limit()``, text that is not JSON (``+1``,
+    ``.5``, ``1.``, ``00``, an empty field), a value beyond the double
+    range, and rows not ``d`` wide: ragged ones, and the empty row of a
+    blank line or an empty body.  The integer ``-0``, which orjson reads
     as 0 where ``float`` keeps the sign, also goes to the csv path; so does
     any text that merely contains it, such as ``1e-0,``.
     """
@@ -250,11 +261,7 @@ def _parse_plain(data, prefix):
         body = body[:-1]
     limit = csv.field_size_limit()
     if (
-        not body
-        or body.translate(None, _PLAIN_BYTES)
-        or body.startswith(b"\n")
-        or body.endswith(b"\n")
-        or b"\n\n" in body
+        body.translate(None, _PLAIN_BYTES)
         or b"-0," in body
         or b"-0\n" in body
         or body.endswith(b"-0")
@@ -487,23 +494,18 @@ def cmd_banana(args) -> int:
     )
     b, v = args.banana_b, args.banana_v
     target_score = partial(banana_score, b=b, v=v)
-    init_noise = args.init_noise
-    if not math.isfinite(init_noise) or init_noise < 0:
-        raise ValueError(f"init_noise must be finite and >= 0, got {init_noise!r}")
+    init_noise = check_number(args.init_noise, "init_noise", ge=0)
     name = args.estimator
     if name == KIND_STEIN_U:
         raise ValueError(
             "stein-u has no out-of-sample prediction rule and cannot "
             "drive the sampler; use stein-v or a parametric estimator"
         )
-    scale = _bandwidth_scale(args)
+    scale = check_number(args.bandwidth_scale, "bandwidth_scale", gt=0)
     # the metric kernel's median heuristic needs two training points,
     # whatever the estimator
-    if args.n_train < 2:
-        raise ValueError(f"n_train must be >= 2, got {args.n_train}")
-    pool_cap = args.ksd_pool_cap
-    if pool_cap < 2:
-        raise ValueError(f"ksd_pool_cap must be >= 2, got {pool_cap}")
+    check_number(args.n_train, "n_train", ge=2, integer=True)
+    pool_cap = check_number(args.ksd_pool_cap, "ksd_pool_cap", ge=2, integer=True)
 
     ss_train, ss_init, ss_chains = np.random.SeedSequence(seed).spawn(3)
     train = banana_sample(args.n_train, np.random.default_rng(ss_train), b, v)
@@ -598,12 +600,8 @@ def cmd_banana(args) -> int:
 
 def cmd_entropy_check(args) -> int:
     seed = _require_seed(args)
-    sigma = args.sigma
-    if not math.isfinite(sigma) or sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    n = args.n
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    sigma = check_number(args.sigma, "sigma", gt=0)
+    n = check_number(args.n, "n", ge=2, integer=True)
     names = args.estimators  # a comma-separated flag, or a config list
     if isinstance(names, str):
         names = [s.strip() for s in names.split(",") if s.strip()]

@@ -45,6 +45,7 @@ from .kernels import (
     KernelSpec,
     as_samples,
     build_matrices,
+    check_number,
     cross_kernel,
     resolve_bandwidth,
 )
@@ -85,9 +86,7 @@ def _check_kind(kind: str) -> str:
 
 
 def _check_eta(eta: float, statistic: str = "v") -> float:
-    eta = float(eta)
-    if not np.isfinite(eta) or eta < 0:
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+    eta = float(check_number(eta, "eta", ge=0))
     if statistic == "u" and eta < MIN_U_ETA:
         raise ValueError(
             f"U-statistic fits need eta >= {MIN_U_ETA:g} (the shifted system "
@@ -576,9 +575,12 @@ class FittedEstimator:
         """Rebuild an estimator written by :meth:`to_json_dict`.
 
         Fields are read, not checked: a record loads only if it passes the
-        checks a fit's arguments pass (see the class).  A missing or
-        unreadable field raises ValueError naming it; ``grads``, ``coeffs``
-        and ``diagnostics`` may be null, and an old ``kinv`` is ignored.
+        checks a fit's arguments pass (see the class).  ``eta`` and the
+        kernel's ``sigma2`` go to the constructors as the record holds
+        them, so ``true`` or ``"0.1"`` is refused, not read as a number.  A
+        missing or unreadable field raises ValueError naming it; ``grads``,
+        ``coeffs`` and ``diagnostics`` may be null, and an old ``kinv`` is
+        ignored.
         """
         array = partial(np.asarray, dtype=float)
 
@@ -593,7 +595,7 @@ class FittedEstimator:
             kind=read("kind", lambda kind: kind),
             train=read("train", array),
             spec=read("kernel", lambda k: KernelSpec(k["family"], k.get("sigma2"))),
-            eta=read("eta", float),
+            eta=read("eta", lambda eta: eta),
             grads=read("grads", array, optional=True),
             coeffs=read("coeffs", array, optional=True),
             diagnostics=read("diagnostics", dict, optional=True) or {},

@@ -40,6 +40,7 @@ points only.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,33 @@ def as_samples(x, name: str = "samples") -> np.ndarray:
     return arr
 
 
+def check_number(value, name: str, *, gt=None, ge=None, integer: bool = False):
+    """``value`` itself, once it passes as a finite real number in range.
+
+    Refused, in this order: a bool (``np.bool_`` too), a string or any
+    other non-number, and a non-integer when ``integer`` is set; then a
+    value not ``> gt`` or not ``>= ge``, where that bound is given, NaN and
+    the infinities included; then, with no bound, a value that is not
+    finite.  The ValueError names the field ``name``.  Nothing is
+    converted: a caller that stores the value as a float converts it.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kind):
+        what = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        finite = integer or math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if gt is not None and not (finite and value > gt):
+        raise ValueError(f"{name} must be > {gt}, got {value!r}")
+    if ge is not None and not (finite and value >= ge):
+        raise ValueError(f"{name} must be >= {ge}, got {value!r}")
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def call_score(score_fn, x: np.ndarray) -> np.ndarray:
     """``score_fn`` on the (n, d) points ``x``, held to the (n, d) -> (n, d) contract."""
     g = np.asarray(score_fn(x), dtype=float)
@@ -78,7 +106,7 @@ def call_score(score_fn, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _as_point(x, name: str = "point") -> np.ndarray:
+def _as_point(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
@@ -87,15 +115,24 @@ def _as_point(x, name: str = "point") -> np.ndarray:
     return arr
 
 
+def _as_pair(x, y):
+    """The points ``x`` and ``y`` of a single-pair function, of one dimension."""
+    x, y = _as_point(x, "x"), _as_point(y, "y")
+    if x.shape != y.shape:
+        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
+    return x, y
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family plus its bandwidth.
 
     ``sigma2`` is the squared bandwidth of the RBF family and must be a
-    positive finite float there.  An RBF spec may instead carry the median
+    positive real number there.  An RBF spec may instead carry the median
     rule, ``median_scale`` > 0 with ``sigma2`` left None: its bandwidth is
     ``median_heuristic(sample) * median_scale`` of the sample it is used
-    on, which ``build_matrices`` and ``resolve_bandwidth`` return set.  The
+    on, which ``build_matrices`` and ``resolve_bandwidth`` return set.
+    Either passes ``check_number`` and is stored as a float.  The
     Epanechnikov family carries no bandwidth, so both must be left as None.
     """
 
@@ -111,17 +148,11 @@ class KernelSpec:
         if self.family == EPANECHNIKOV:
             if self.sigma2 is not None or self.median_scale is not None:
                 raise ValueError("epanechnikov kernel carries no bandwidth")
-        elif self.median_scale is not None:
-            scale = self.median_scale
-            if self.sigma2 is not None:
-                raise ValueError("rbf kernel takes sigma2 or median_scale, not both")
-            if not np.isfinite(scale) or scale <= 0:
-                raise ValueError(f"rbf kernel needs median_scale > 0, got {scale!r}")
-            object.__setattr__(self, "median_scale", float(scale))
         else:
-            if self.sigma2 is None or not np.isfinite(self.sigma2) or self.sigma2 <= 0:
-                raise ValueError(f"rbf kernel needs sigma2 > 0, got {self.sigma2!r}")
-            object.__setattr__(self, "sigma2", float(self.sigma2))
+            if self.sigma2 is not None and self.median_scale is not None:
+                raise ValueError("rbf kernel takes sigma2 or median_scale, not both")
+            name = "sigma2" if self.median_scale is None else "median_scale"
+            object.__setattr__(self, name, float(check_number(getattr(self, name), name, gt=0)))
 
 
 def _sigma2(spec: KernelSpec) -> float:
@@ -149,10 +180,7 @@ class KernelMatrices:
 
 def kernel_eval(x, y, spec: KernelSpec) -> float:
     """Evaluate k(x, y) for a single pair of points."""
-    x = _as_point(x, "x")
-    y = _as_point(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
+    x, y = _as_pair(x, y)
     diff = x - y
     sq = float(diff @ diff)
     if spec.family == RBF:
@@ -169,10 +197,7 @@ def kernel_grad_first_arg(x, y, spec: KernelSpec) -> np.ndarray:
     Both families are symmetric and even in the displacement, so this also
     equals the second-argument gradient with the roles of x and y swapped.
     """
-    x = _as_point(x, "x")
-    y = _as_point(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
+    x, y = _as_pair(x, y)
     diff = x - y
     if spec.family == RBF:
         s2 = _sigma2(spec)
@@ -186,10 +211,7 @@ def cross_hess_trace(x, y, spec: KernelSpec) -> float:
     rbf:           k(x, y) * (d / sigma2 - ||x - y||^2 / sigma2^2)
     epanechnikov:  2
     """
-    x = _as_point(x, "x")
-    y = _as_point(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
+    x, y = _as_pair(x, y)
     if spec.family == RBF:
         diff = x - y
         sq = float(diff @ diff)

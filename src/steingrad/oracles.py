@@ -17,6 +17,7 @@ from .errors import NumericalError
 from .kernels import (
     KernelSpec,
     as_samples,
+    check_number,
     cross_hess_trace,
     kernel_eval,
     kernel_grad_first_arg,
@@ -28,8 +29,7 @@ def fd_gradient(f, x, step: float = 1e-5) -> np.ndarray:
 
     out[i] = (f(x + h e_i) - f(x - h e_i)) / (2 h)
     """
-    if not np.isfinite(step) or step <= 0:
-        raise ValueError(f"finite-difference step must be > 0, got {step!r}")
+    check_number(step, "finite-difference step", gt=0)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"x must be a 1-D vector, got shape {x.shape}")
@@ -58,8 +58,7 @@ def quadratic_minimiser(a_matrix, c, ridge: float = 0.0) -> np.ndarray:
         raise ValueError(
             f"c has leading dimension {c.shape[0]}, A is {a_matrix.shape[0]} square"
         )
-    if not np.isfinite(ridge) or ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge!r}")
+    check_number(ridge, "ridge", ge=0)
     w, vecs = np.linalg.eigh(0.5 * (a_matrix + a_matrix.T))
     shifted = w + ridge
     if shifted.min() <= 0:

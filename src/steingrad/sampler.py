@@ -41,17 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import as_samples, call_score
+from .kernels import as_samples, call_score, check_number
 
 BANANA_B = 0.03
 BANANA_V = 100.0
 
 
 def _check_banana_params(b, v):
-    if not np.isfinite(b):
-        raise ValueError(f"banana curvature b must be finite, got {b!r}")
-    if not np.isfinite(v) or v <= 0:
-        raise ValueError(f"banana variance v must be > 0, got {v!r}")
+    b = check_number(b, "banana curvature b")
+    v = check_number(v, "banana variance v", gt=0)
     return float(b), float(v)
 
 
@@ -97,17 +95,10 @@ def banana_score(x, b: float = BANANA_B, v: float = BANANA_V) -> np.ndarray:
 def banana_sample(n: int, rng: np.random.Generator, b: float = BANANA_B, v: float = BANANA_V) -> np.ndarray:
     """Draw n exact banana samples through the generative definition."""
     b, v = _check_banana_params(b, v)
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n!r}")
+    check_number(n, "n", ge=1, integer=True)
     x1 = rng.normal(0.0, math.sqrt(v), size=n)
     x2 = rng.standard_normal(n) + b * (x1**2 - v)
     return np.column_stack([x1, x2])
-
-
-def _check_count(name, count):
-    """Refuse a count that is not a Python or numpy integer (a bool, a float, a string)."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -122,16 +113,9 @@ class HmcConfig:
 
     def __post_init__(self):
         for field in ("n_chains", "n_iters", "n_leapfrog"):
-            _check_count(field, getattr(self, field))
-        if self.n_chains < 1:
-            raise ValueError(f"n_chains must be >= 1, got {self.n_chains}")
-        if self.n_iters < 1:
-            raise ValueError(f"n_iters must be >= 1, got {self.n_iters}")
-        if not np.isfinite(self.stepsize) or self.stepsize <= 0:
-            raise ValueError(f"stepsize must be > 0, got {self.stepsize!r}")
-        if self.n_leapfrog < 1:
-            raise ValueError(f"n_leapfrog must be >= 1, got {self.n_leapfrog}")
-        if not 0.0 <= self.burn_in_fraction < 1.0:
+            check_number(getattr(self, field), field, ge=1, integer=True)
+        check_number(self.stepsize, "stepsize", gt=0)
+        if not check_number(self.burn_in_fraction, "burn_in_fraction", ge=0) < 1:
             raise ValueError(
                 f"burn_in_fraction must be in [0, 1), got {self.burn_in_fraction!r}"
             )
@@ -184,11 +168,8 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
             f"q and p must be (n_chains, d) arrays of equal shape, "
             f"got {q.shape}, {p.shape}"
         )
-    if not np.isfinite(stepsize) or stepsize <= 0:
-        raise ValueError(f"stepsize must be > 0, got {stepsize!r}")
-    _check_count("n_steps", n_steps)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    eps = float(check_number(stepsize, "stepsize", gt=0))
+    check_number(n_steps, "n_steps", ge=1, integer=True)
     if score is None:
         score = call_score(score_fn, q)
     # a private copy: the returned rows of diverged chains come from it
@@ -197,7 +178,6 @@ def leapfrog(q, p, stepsize: float, n_steps: int, score_fn, *, score=None):
         raise ValueError(
             f"score has shape {score0.shape} for positions of shape {q.shape}"
         )
-    eps = float(stepsize)
     q0, p0 = q, p
     diverged_at = np.full(q.shape[0], -1)
     dead = None  # (n_chains, 1) mask of diverged chains; None until one diverges

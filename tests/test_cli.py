@@ -663,6 +663,30 @@ def test_csv_fallback_cases(csv_dir, text, want):
         assert got == (want.shape, want.tobytes())
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,x1\n\n1,2\n",
+        "x0,x1\n1,2\n\n",
+        "x0,x1\n1,2\n\n\n3,4",
+        "x0,x1\r\n\r\n1,2\r\n\r\n",
+        "x0\n1\n\n2\n",
+        "x0\n\n",
+        "x0,x1\n\n\n",
+        "x0,x1\n1,2\n\n3\n",
+    ],
+)
+def test_blank_lines_take_the_csv_path(csv_dir, text):
+    # an empty row is narrower than the header, so the width check sends
+    # every file with a blank line to csv.reader, which reads it as before
+    data = text.encode()
+    path = csv_dir / "blank.csv"
+    path.write_bytes(data)
+    assert cli._parse_plain(data, "x") is None
+    want = _read_outcome(cli._parse_csv, data, path, "x")
+    assert _read_outcome(cli._read_matrix_csv, path, "x") == want
+
+
 def test_csv_field_over_the_size_limit_takes_the_csv_path(csv_dir, capsys):
     field = "0." + "0" * csv.field_size_limit() + "1"
     data = f"x0\n{field}\n".encode()
@@ -1415,6 +1439,82 @@ class TestOutputPaths:
         assert {p.name: p.is_dir() or p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+    @pytest.mark.parametrize(
+        "argv, field, linked",
+        [
+            (["estimate", "--input", "s.csv", "--output", "h.csv"], "output", "s.csv"),
+            (["estimate", "--input", "s.csv", "--output", "g.csv", "--sidecar", "h.json"],
+             "sidecar", "s.csv"),
+            (["estimate", "--input", "s.csv", "--output", "g.csv", "--sidecar", "h.json"],
+             "sidecar", "g.csv"),
+            (["ksd", "--samples", "s.csv", "--grads", "g0.csv", "--output", "h.json"],
+             "output", "s.csv"),
+            (["ksd", "--samples", "s.csv", "--grads", "g0.csv", "--output", "h.json"],
+             "output", "g0.csv"),
+        ],
+    )
+    def test_hard_link_to_another_file_is_refused(
+        self, tmp_path, monkeypatch, capsys, argv, field, linked
+    ):
+        # another name of an input or an earlier output is that file: writing
+        # through it would overwrite the file
+        monkeypatch.chdir(tmp_path)
+        _, xs = sample_file(tmp_path, seed=51, n=30, name="s.csv")
+        write_csv(tmp_path / "g0.csv", "g", -xs)
+        write_csv(tmp_path / "g.csv", "g", xs)
+        os.link(linked, argv[argv.index(f"--{field}") + 1])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        reads = []
+        monkeypatch.setattr(cli, "_read_matrix_csv", lambda *a: reads.append(a))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "--" in err
+        assert reads == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestEpanechnikovScale:
+    """The epanechnikov kernel carries no bandwidth, so no scale applies to one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--input", "s.csv", "--output", "g.csv"],
+            ["ksd", "--samples", "s.csv", "--grads", "g0.csv", "--output", "k.json"],
+            ["entropy-check", "--seed", "1", "--n", "30", "--estimators", "stein-v",
+             "--output", "e.json"],
+        ],
+    )
+    @pytest.mark.parametrize("scale", ["3", "0.5"])
+    def test_scale_refused(self, tmp_path, monkeypatch, capsys, argv, scale):
+        monkeypatch.chdir(tmp_path)
+        _, xs = sample_file(tmp_path, seed=52, n=30, name="s.csv")
+        write_csv(tmp_path / "g0.csv", "g", -xs)
+        before = {p.name for p in tmp_path.iterdir()}
+        argv = [*argv, "--kernel", "epanechnikov", "--bandwidth-scale", scale]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: bandwidth_scale must be 1 with the epanechnikov kernel, which "
+            f"carries no bandwidth; got {float(scale)!r}\n"
+        )
+        assert {p.name for p in tmp_path.iterdir()} == before
+        # the unit scale is no scale, and is taken
+        assert main([*argv[:-1], "1"]) == 0
+
+    def test_exact_banana_scales_its_grading_kernel(self, tmp_path):
+        # with the exact score no estimator kernel is built: the scale goes to
+        # the RBF kernel the run is graded with, whatever --kernel says
+        reports = {}
+        for scale in ("1", "3"):
+            out = tmp_path / f"r{scale}.json"
+            argv = ["banana", "--seed", "1", "--estimator", "exact", "--n-train", "20",
+                    "--n-chains", "2", "--n-iters", "3", "--n-leapfrog", "2",
+                    "--kernel", "epanechnikov", "--bandwidth-scale", scale, "--output", str(out)]
+            assert main(argv) == 0
+            reports[scale] = json.loads(out.read_text())
+        assert reports["3"]["metric_sigma2"] == reports["1"]["metric_sigma2"] * 3.0
+
+
 class TestRefusalPrecedence:
     """A sample the median rule refuses is reported before any later fault."""
 
@@ -1441,7 +1541,7 @@ class TestRefusalPrecedence:
         argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
                 "--bandwidth-scale", "1e308", "--eta", "-1"]
         assert main(argv) == 2
-        assert "sigma2 > 0, got inf" in capsys.readouterr().err
+        assert "sigma2 must be > 0, got inf" in capsys.readouterr().err
 
     @pytest.mark.parametrize("statistic", ["v", "u"])
     def test_ksd_degenerate_sample_before_mismatched_grads(self, tmp_path, capsys, statistic):

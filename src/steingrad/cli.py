@@ -29,6 +29,12 @@ does not exist, or name the file of an input or of another output of the
 same command (by its resolved path, or as ``os.path.samefile`` finds a hard
 link); such a path is refused (exit 2) before anything is read or written.
 
+Every subcommand refuses in one order: its arguments and output paths, then
+its inputs as it reads them, then the faults of the data (the median rule on
+the sample, mismatched gradients, a numerical failure).  No argument is
+refused after an input is read, a number drawn or an estimator fitted; a
+fit's kind, kernel family and eta pass ``estimators.check_fit`` first.
+
 Every float is written as ``float.__repr__`` writes it, in the CSVs as in the
 JSON (where NaN and infinities are spelled ``NaN`` and ``Infinity``, as
 ``json.dumps`` spells them).  Arrays of floats get that text from orjson, one C
@@ -75,6 +81,7 @@ from .estimators import (
     KIND_STEIN_U,
     KIND_STEIN_V,
     KINDS,
+    check_fit,
     entropy_gradient_surrogate,
     fit_estimator,
 )
@@ -204,7 +211,7 @@ def _refuse_output(field, path, *others):
 def _require_seed(args):
     if args.seed is None:
         raise ValueError("this command needs --seed (or a 'seed' config entry)")
-    return args.seed
+    return check_number(args.seed, "seed", ge=0, integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +437,11 @@ def cmd_estimate(args) -> int:
     sample_csv = ("the sample CSV --input", input_path)
     _refuse_output("output", output_path, sample_csv)
     _refuse_output("sidecar", sidecar, ("the gradient CSV --output", output_path), sample_csv)
+    spec = _kernel_spec(args)
+    eta = check_fit(args.estimator, spec, args.eta)
     samples = _read_matrix_csv(input_path, "x")
-    fitted = fit_estimator(args.estimator, samples, _kernel_spec(args), args.eta)
-    grads = fitted.grads_at_train()
-    _write_matrix_csv(output_path, "g", grads)
+    fitted = fit_estimator(args.estimator, samples, spec, eta)
+    _write_matrix_csv(output_path, "g", fitted.grads_at_train())
     _dump_json(fitted._json_record(), sidecar)
     return 0
 
@@ -449,10 +457,11 @@ def cmd_ksd(args) -> int:
         "output", args.output,
         ("the sample CSV --samples", args.samples), ("the gradient CSV --grads", args.grads),
     )
+    spec = _kernel_spec(args)
     xs = _read_matrix_csv(args.samples, "x")
     gs = _read_matrix_csv(args.grads, "g")
     ksd_fn = ksd_v if args.statistic == "v" else ksd_u
-    est = ksd_fn(xs, gs, _kernel_spec(args), includes_constant=args.include_constant)
+    est = ksd_fn(xs, gs, spec, includes_constant=args.include_constant)
     report = {
         "statistic": est.statistic,
         "includes_constant": est.includes_constant,
@@ -481,6 +490,9 @@ def cmd_banana(args) -> int:
     traj_path = args.trajectories
     _refuse_output("output", output_path)
     _refuse_output("trajectories", traj_path, ("the report --output", output_path))
+    # the sampler's own checks, under the flags' names
+    b = check_number(args.banana_b, "banana_b")
+    v = check_number(args.banana_v, "banana_v", gt=0)
     # a count left unset comes from the preset; an explicit 0 still fails
     preset = _PRESETS[args.preset]
     n_chains = preset["n_chains"] if args.n_chains is None else args.n_chains
@@ -492,7 +504,6 @@ def cmd_banana(args) -> int:
         n_leapfrog=args.n_leapfrog,
         burn_in_fraction=args.burn_in,
     )
-    b, v = args.banana_b, args.banana_v
     target_score = partial(banana_score, b=b, v=v)
     init_noise = check_number(args.init_noise, "init_noise", ge=0)
     name = args.estimator
@@ -501,7 +512,12 @@ def cmd_banana(args) -> int:
             "stein-u has no out-of-sample prediction rule and cannot "
             "drive the sampler; use stein-v or a parametric estimator"
         )
-    scale = check_number(args.bandwidth_scale, "bandwidth_scale", gt=0)
+    spec = eta = None
+    if name == "exact":
+        check_number(args.bandwidth_scale, "bandwidth_scale", gt=0)
+    else:
+        spec = _kernel_spec(args)  # checks the scale
+        eta = check_fit(name, spec, args.eta)
     # the metric kernel's median heuristic needs two training points,
     # whatever the estimator
     check_number(args.n_train, "n_train", ge=2, integer=True)
@@ -516,22 +532,12 @@ def cmd_banana(args) -> int:
 
     # the sample-quality metric uses one fixed kernel per seed, derived from
     # the training draw, so runs with different estimators stay comparable
-    metric_spec = KernelSpec(RBF, median_heuristic(train) * scale)
+    metric_spec = KernelSpec(RBF, median_heuristic(train) * args.bandwidth_scale)
 
-    fitted = None
-    if name == "exact":
-        score_fn = target_score
-        spec = None
-        eta = None
-    else:
-        eta = args.eta
-        fitted = fit_estimator(name, train, _kernel_spec(args), eta)
-        spec = fitted.spec
-        score_fn = fitted.predict
-
+    fitted = None if spec is None else fit_estimator(name, train, spec, eta)
     stats = run_hmc(
         partial(banana_log_density, b=b, v=v),
-        score_fn,
+        target_score if fitted is None else fitted.predict,
         cfg,
         init,
         chain_seeds=ss_chains.spawn(n_chains),
@@ -557,8 +563,8 @@ def cmd_banana(args) -> int:
         "preset": args.preset,
         "seed": seed,
         "estimator": name,
-        "kernel": None if spec is None else spec.family,
-        "sigma2": None if spec is None else spec.sigma2,
+        "kernel": None if fitted is None else fitted.spec.family,
+        "sigma2": None if fitted is None else fitted.spec.sigma2,
         "eta": eta,
         "n_train": args.n_train,
         "banana_b": b,
@@ -609,6 +615,7 @@ def cmd_entropy_check(args) -> int:
         raise ValueError(
             f"estimators: the list is empty; name at least one of {', '.join(KINDS)}"
         )
+    spec = _kernel_spec(args)
     for i, name in enumerate(names):
         if name not in KINDS:
             raise ValueError(
@@ -616,6 +623,7 @@ def cmd_entropy_check(args) -> int:
             )
         if name in names[:i]:
             raise ValueError(f"estimators: {name!r} is listed twice")
+        check_fit(name, spec, args.eta)
 
     _refuse_output("output", args.output)
     rng = np.random.default_rng(seed)
@@ -642,7 +650,7 @@ def cmd_entropy_check(args) -> int:
     }
     # one bandwidth for every fit: each fit's own pass would take the median
     # of the n (n - 1) / 2 distances once per fit
-    spec = resolve_bandwidth(z, _kernel_spec(args))
+    spec = resolve_bandwidth(z, spec)
     for name in names:
         fitted = fit_estimator(name, z, spec, args.eta)
         value = entropy_gradient_surrogate(fitted.grads_at_train(), jac)[0]

@@ -47,7 +47,6 @@ from .kernels import (
     build_matrices,
     check_number,
     cross_kernel,
-    resolve_bandwidth,
 )
 from .linalg import inverse_from_factor, is_inverse, solve_symmetric
 
@@ -78,16 +77,21 @@ _GRAD_KINDS = (KIND_KDE, KIND_STEIN_V, KIND_STEIN_U)
 _U_KINDS = (KIND_STEIN_U, KIND_STEIN_PARAM_U)
 
 
-def _check_kind(kind: str) -> str:
-    """The statistic of ``kind``, "u" or "v"; an unknown kind is refused."""
+def check_fit(kind: str, spec: KernelSpec, eta) -> float:
+    """The ridge ``eta`` of a fit of ``kind`` with the kernel ``spec``, as a float.
+
+    The one statement of a fit's argument rules, which fits, records and the
+    command line all pass: ``kind`` is one of :data:`KINDS`, a parametric
+    Stein kind takes the RBF kernel only, and ``eta`` is a number >= 0, at
+    least ``MIN_U_ETA`` for a U-statistic kind.  Refused in that order, with
+    a ValueError naming the field.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-    return "u" if kind in _U_KINDS else "v"
-
-
-def _check_eta(eta: float, statistic: str = "v") -> float:
+    if kind in (KIND_STEIN_PARAM_V, KIND_STEIN_PARAM_U) and spec.family != RBF:
+        raise ValueError("parametric Stein fits support the rbf family only")
     eta = float(check_number(eta, "eta", ge=0))
-    if statistic == "u" and eta < MIN_U_ETA:
+    if kind in _U_KINDS and eta < MIN_U_ETA:
         raise ValueError(
             f"U-statistic fits need eta >= {MIN_U_ETA:g} (the shifted system "
             f"can be indefinite), got {eta!r}"
@@ -330,9 +334,9 @@ def _score_system(xs, spec):
 def _parametric_system(xs, spec, statistic):
     """Quadratic form (Lambda, b) of the parametric Stein objective.
 
-    RBF kernel only.  The expansion coefficients minimising the kernelised
-    Stein discrepancy are a = (Lambda + eta I)^-1 b, where, with X the Gram
-    matrix and K the kernel matrix,
+    RBF kernel only, as ``check_fit`` holds.  The expansion coefficients
+    minimising the kernelised Stein discrepancy are a = (Lambda + eta I)^-1 b,
+    where, with X the Gram matrix and K the kernel matrix,
 
         Lambda = X o (K K K) + K (K o X) K - ((K K) o X) K - K ((K K) o X)
         b = (K diag(X) K + (K K) o X - K (K o X) - (K o X) K) 1
@@ -342,8 +346,6 @@ def _parametric_system(xs, spec, statistic):
     elementwise product.  K, the centring and the returned spec are as in
     ``_score_system``.
     """
-    if spec.family != RBF:
-        raise ValueError("parametric Stein fits support the rbf family only")
     mats = build_matrices(xs, spec, with_grad_sum=False)
     km, spec = mats.k_matrix, mats.spec
     xs = xs - xs.mean(axis=0)
@@ -425,7 +427,7 @@ class FittedEstimator:
     formed from it: neither is in the record, ``==`` or ``repr``.
 
     Fits, records and direct calls are all checked here, on construction:
-    ``kind`` is one of :data:`KINDS`, ``eta`` passes the fit's check,
+    ``kind``, the kernel family and ``eta`` pass :func:`check_fit`,
     ``train`` is a finite (K, d) sample, ``spec`` carries its bandwidth
     (not the median rule, which a fit resolves), and only the kind's own
     parameter set is given, finite, of shape (K, d) or (K,).  ValueError
@@ -442,7 +444,7 @@ class FittedEstimator:
 
     def __post_init__(self):
         kind = self.kind
-        object.__setattr__(self, "eta", _check_eta(self.eta, _check_kind(kind)))
+        object.__setattr__(self, "eta", check_fit(kind, self.spec, self.eta))
         object.__setattr__(self, "train", as_samples(self.train, name="train"))
         if self.spec.median_scale is not None:
             raise ValueError(
@@ -614,16 +616,12 @@ def fit_estimator(
     is formed from it on its first prediction (see
     :attr:`FittedEstimator.kinv`), not here.  A median-rule ``spec`` is
     resolved on ``samples`` by the fit (see the module docstring), and the
-    result holds the resolved spec.  A sample the median rule refuses is
-    reported before a bad ``eta``.
+    result holds the resolved spec.  The arguments pass :func:`check_fit`
+    before the sample is read.
     """
-    stat = _check_kind(kind)
+    eta = check_fit(kind, spec, eta)  # kde ignores it, but its record keeps it
     xs = as_samples(samples)
-    try:
-        eta = _check_eta(eta, stat)  # kde ignores it, but its record keeps it
-    except ValueError:
-        resolve_bandwidth(xs, spec)
-        raise
+    stat = "u" if kind in _U_KINDS else "v"
     diagnostics: dict = {}
     factor = None
     if kind == KIND_KDE:

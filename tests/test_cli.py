@@ -1515,33 +1515,170 @@ class TestEpanechnikovScale:
         assert reports["3"]["metric_sigma2"] == reports["1"]["metric_sigma2"] * 3.0
 
 
+# a small run of each subcommand that exits 0; each fault below overrides
+# these flags (None drops one) so that one argument is bad
+RUNS = {
+    "estimate": {"--input": "s.csv", "--output": "g.csv"},
+    "ksd": {"--samples": "s.csv", "--grads": "g0.csv", "--output": "k.json"},
+    "banana": {"--seed": "1", "--n-train": "20", "--n-chains": "2", "--n-iters": "3",
+               "--n-leapfrog": "2", "--output": "r.json"},
+    "entropy-check": {"--seed": "1", "--n": "30", "--output": "e.json"},
+}
+# (command, flags, the text of the refusal, which names the field)
+ARGUMENT_FAULTS = [
+    ("estimate", {"--input": None}, "estimate needs --input and --output"),
+    ("estimate", {"--output": "nodir/g.csv"}, "output: "),
+    ("estimate", {"--sidecar": "s.csv"}, "sidecar: "),
+    ("estimate", {"--bandwidth-scale": "0"}, "bandwidth_scale must be > 0"),
+    ("estimate", {"--sigma2": "wide"}, "sigma2 must be a positive number or 'median'"),
+    ("estimate", {"--sigma2": "-1"}, "sigma2 must be > 0"),
+    ("estimate", {"--kernel": "epanechnikov", "--sigma2": "2"}, "sigma2 must be 'median'"),
+    ("estimate", {"--kernel": "epanechnikov", "--bandwidth-scale": "3"},
+     "bandwidth_scale must be 1"),
+    ("estimate", {"--eta": "-1"}, "eta must be >= 0"),
+    ("estimate", {"--eta": "nan", "--estimator": "kde"}, "eta must be >= 0"),
+    ("estimate", {"--eta": "0", "--estimator": "stein-u"}, "U-statistic fits need eta >= "),
+    ("estimate", {"--eta": "0", "--estimator": "stein-param-u"},
+     "U-statistic fits need eta >= "),
+    ("estimate", {"--estimator": "stein-param-v", "--kernel": "epanechnikov"},
+     "rbf family only"),
+    ("estimate", {"--estimator": "stein-param-u", "--kernel": "epanechnikov"},
+     "rbf family only"),
+    ("ksd", {"--grads": None}, "ksd needs --samples and --grads"),
+    ("ksd", {"--output": "s.csv"}, "output: "),
+    ("ksd", {"--bandwidth-scale": "0"}, "bandwidth_scale must be > 0"),
+    ("ksd", {"--sigma2": "inf"}, "sigma2 must be > 0"),
+    ("ksd", {"--kernel": "epanechnikov", "--sigma2": "2"}, "sigma2 must be 'median'"),
+    ("ksd", {"--kernel": "epanechnikov", "--bandwidth-scale": "3"},
+     "bandwidth_scale must be 1"),
+    ("banana", {"--seed": None}, "this command needs --seed"),
+    ("banana", {"--seed": "-1"}, "seed must be >= 0"),
+    ("banana", {"--output": "nodir/r.json"}, "output: "),
+    ("banana", {"--trajectories": "r.json"}, "trajectories: "),
+    ("banana", {"--banana-b": "nan"}, "banana_b must be finite"),
+    ("banana", {"--banana-v": "-1"}, "banana_v must be > 0"),
+    ("banana", {"--n-chains": "0"}, "n_chains must be >= 1"),
+    ("banana", {"--n-iters": "0"}, "n_iters must be >= 1"),
+    ("banana", {"--stepsize": "0"}, "stepsize must be > 0"),
+    ("banana", {"--n-leapfrog": "0"}, "n_leapfrog must be >= 1"),
+    ("banana", {"--burn-in": "1"}, "burn_in_fraction must be "),
+    ("banana", {"--init-noise": "-1"}, "init_noise must be >= 0"),
+    ("banana", {"--estimator": "stein-u"}, "stein-u has no out-of-sample prediction rule"),
+    ("banana", {"--bandwidth-scale": "0"}, "bandwidth_scale must be > 0"),
+    ("banana", {"--estimator": "exact", "--bandwidth-scale": "0"},
+     "bandwidth_scale must be > 0"),
+    ("banana", {"--sigma2": "0"}, "sigma2 must be > 0"),
+    ("banana", {"--kernel": "epanechnikov", "--bandwidth-scale": "3"},
+     "bandwidth_scale must be 1"),
+    ("banana", {"--eta": "-1"}, "eta must be >= 0"),
+    ("banana", {"--eta": "0", "--estimator": "stein-param-u"},
+     "U-statistic fits need eta >= "),
+    ("banana", {"--estimator": "stein-param-v", "--kernel": "epanechnikov"},
+     "rbf family only"),
+    ("banana", {"--n-train": "1"}, "n_train must be >= 2"),
+    ("banana", {"--ksd-pool-cap": "1"}, "ksd_pool_cap must be >= 2"),
+    ("entropy-check", {"--seed": None}, "this command needs --seed"),
+    ("entropy-check", {"--seed": "-3"}, "seed must be >= 0"),
+    ("entropy-check", {"--sigma": "0"}, "sigma must be > 0"),
+    ("entropy-check", {"--n": "1"}, "n must be >= 2"),
+    ("entropy-check", {"--estimators": ","}, "estimators: the list is empty"),
+    ("entropy-check", {"--estimators": "kde,mystery"}, "estimators: unknown estimator"),
+    ("entropy-check", {"--estimators": "kde,kde"}, "estimators: 'kde' is listed twice"),
+    ("entropy-check", {"--output": "nodir/e.json"}, "output: "),
+    ("entropy-check", {"--bandwidth-scale": "0"}, "bandwidth_scale must be > 0"),
+    ("entropy-check", {"--sigma2": "wide"}, "sigma2 must be a positive number or 'median'"),
+    ("entropy-check", {"--kernel": "epanechnikov", "--bandwidth-scale": "3"},
+     "bandwidth_scale must be 1"),
+    ("entropy-check", {"--eta": "-1"}, "eta must be >= 0"),
+    ("entropy-check", {"--eta": "0", "--estimators": "kde,stein-v,stein-u"},
+     "U-statistic fits need eta >= "),
+    ("entropy-check", {"--estimators": "kde,stein-param-v", "--kernel": "epanechnikov"},
+     "rbf family only"),
+]
+
+
+class TestArgumentsBeforeWork:
+    """Every subcommand refuses a bad argument before it reads, draws or fits."""
+
+    @staticmethod
+    def argv(command, flags):
+        merged = {**RUNS[command], **flags}
+        return [command, *chain.from_iterable((k, v) for k, v in merged.items() if v)]
+
+    @staticmethod
+    def inputs(tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, xs = sample_file(tmp_path, seed=53, n=30, name="s.csv")
+        write_csv(tmp_path / "g0.csv", "g", -xs)
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_the_runs_exit_0(self, tmp_path, monkeypatch, command):
+        self.inputs(tmp_path, monkeypatch)
+        assert main(self.argv(command, {})) == 0
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        ARGUMENT_FAULTS,
+        ids=["-".join([c, *(f"{k[2:]}={v}" for k, v in f.items())])
+             for c, f, _ in ARGUMENT_FAULTS],
+    )
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, capsys, command, flags, message):
+        self.inputs(tmp_path, monkeypatch)
+        calls = []
+
+        def record(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("_read_matrix_csv", "banana_sample", "fit_estimator", "resolve_bandwidth"):
+            record(cli, name)
+        record(np.random, "default_rng")
+        before = {p.name for p in tmp_path.iterdir()}
+        assert main(self.argv(command, flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert calls == []
+        assert {p.name for p in tmp_path.iterdir()} == before
+
+
 class TestRefusalPrecedence:
-    """A sample the median rule refuses is reported before any later fault."""
+    """A bad argument is refused before the input is read; among the faults
+    of the data, a sample the median rule refuses is reported first."""
+
+    @staticmethod
+    def refused_unread(monkeypatch, capsys, argv, message):
+        reads = []
+        monkeypatch.setattr(cli, "_read_matrix_csv", lambda *a: reads.append(a))
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert reads == []
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_degenerate_sample_before_bad_eta(self, tmp_path, capsys, kind):
+    def test_degenerate_sample_before_bad_eta(self, tmp_path, monkeypatch, capsys, kind):
         path = tmp_path / "flat.csv"
         write_csv(path, "x", np.vstack([np.zeros((8, 2)), np.ones((2, 2))]))
         argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
                 "--estimator", kind, "--eta", "-1"]
-        assert main(argv) == 3
-        assert "median pairwise distance is zero" in capsys.readouterr().err
+        self.refused_unread(monkeypatch, capsys, argv, "eta must be >= 0, got -1.0")
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_one_sample_before_bad_eta(self, tmp_path, capsys, kind):
+    def test_one_sample_before_bad_eta(self, tmp_path, monkeypatch, capsys, kind):
         path = tmp_path / "one.csv"
         write_csv(path, "x", np.array([[1.0, 2.0]]))
         argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
                 "--estimator", kind, "--eta", "nan"]
-        assert main(argv) == 2
-        assert "median heuristic needs at least two samples" in capsys.readouterr().err
+        self.refused_unread(monkeypatch, capsys, argv, "eta must be >= 0, got nan")
 
-    def test_overflowing_bandwidth_before_bad_eta(self, tmp_path, capsys):
+    def test_overflowing_bandwidth_before_bad_eta(self, tmp_path, monkeypatch, capsys):
         path, _ = sample_file(tmp_path, seed=42)
         argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
                 "--bandwidth-scale", "1e308", "--eta", "-1"]
-        assert main(argv) == 2
-        assert "sigma2 must be > 0, got inf" in capsys.readouterr().err
+        self.refused_unread(monkeypatch, capsys, argv, "eta must be >= 0, got -1.0")
 
     @pytest.mark.parametrize("statistic", ["v", "u"])
     def test_ksd_degenerate_sample_before_mismatched_grads(self, tmp_path, capsys, statistic):

@@ -446,6 +446,17 @@ class TestSteinParametric:
         with pytest.raises(ValueError):
             fit_estimator(KIND_STEIN_PARAM_U, xs, KernelSpec("rbf", 1.0), eta=0.0)
 
+    @pytest.mark.parametrize("kind", [KIND_STEIN_PARAM_V, KIND_STEIN_PARAM_U])
+    def test_epanechnikov_record_refused(self, kind):
+        # no fit makes such a record, and none loads or is built
+        fit = fit_estimator(kind, gaussian_sample(25, n=6), KernelSpec("rbf", 1.0))
+        record = json.loads(json.dumps(fit.to_json_dict()))
+        record["kernel"] = {"family": "epanechnikov", "sigma2": None}
+        with pytest.raises(ValueError, match="rbf family only"):
+            FittedEstimator.from_json_dict(record)
+        with pytest.raises(ValueError, match="rbf family only"):
+            FittedEstimator(kind=kind, train=fit.train, spec=EPAN, eta=fit.eta, coeffs=fit.coeffs)
+
 
 class TestEntropySurrogate:
     def test_identity_jacobians_reduce_to_mean(self):

@@ -160,6 +160,9 @@ SITES = {
     "banana.bandwidth_scale": Site(
         "bandwidth_scale", lambda v: _cli("banana", "bandwidth_scale", v), 0, (2.0,)
     ),
+    "banana.seed": Site("seed", lambda v: _cli("banana", "seed", v), -1, (1,)),
+    "banana.banana_b": Site("banana_b", lambda v: _cli("banana", "banana_b", v), None, (0.5,)),
+    "banana.banana_v": Site("banana_v", lambda v: _cli("banana", "banana_v", v), 0, (50.0,)),
     "banana.init_noise": Site("init_noise", lambda v: _cli("banana", "init_noise", v), -1, (0.5,)),
     "banana.n_train": Site("n_train", lambda v: _cli("banana", "n_train", v), 1, (20,)),
     "banana.ksd_pool_cap": Site(
@@ -167,6 +170,7 @@ SITES = {
     ),
     "entropy-check.sigma": Site("sigma", lambda v: _cli("entropy-check", "sigma", v), 0, (1.5,)),
     "entropy-check.n": Site("n", lambda v: _cli("entropy-check", "n", v), 1, (30,)),
+    "entropy-check.seed": Site("seed", lambda v: _cli("entropy-check", "seed", v), -1, (1,)),
 }
 # the command-line values the report does not hold
 _NOT_REPORTED = ("estimate.bandwidth_scale", "banana.bandwidth_scale", "banana.ksd_pool_cap")

@@ -493,6 +493,8 @@ def cmd_banana(args) -> int:
     # the sampler's own checks, under the flags' names
     b = check_number(args.banana_b, "banana_b")
     v = check_number(args.banana_v, "banana_v", gt=0)
+    if not check_number(args.burn_in, "burn_in", ge=0) < 1:
+        raise ValueError(f"burn_in must be in [0, 1), got {args.burn_in!r}")
     # a count left unset comes from the preset; an explicit 0 still fails
     preset = _PRESETS[args.preset]
     n_chains = preset["n_chains"] if args.n_chains is None else args.n_chains
@@ -655,8 +657,6 @@ def cmd_entropy_check(args) -> int:
         fitted = fit_estimator(name, z, spec, args.eta)
         value = entropy_gradient_surrogate(fitted.grads_at_train(), jac)[0]
         report["estimates"][name] = entry(value)
-        # a stein-v fit holds its (n, n) factor: gone before the next fit
-        del fitted
     _dump_json(report, args.output)
     return 0
 

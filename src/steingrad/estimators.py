@@ -18,10 +18,11 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 
 Every kind but kde is fitted the same way: a builder returns its (matrix,
 rhs) system before the ridge, and ``_ridge_solve`` adds eta and makes the one
-solve.  A stein-v fit keeps that solve's Cholesky factor, and its predictive
-inverse is formed from it, so the fit factors its system once; the ladder
-solves the inverse afresh only for a reloaded record, a fit accepted through
-LDL^T, or an inverse that fails its residual check.  Kernel values come from
+solve.  A stein-v fit's predictive inverse is one ``np.linalg.inv`` of its
+own jittered system, on numpy's BLAS pool, so a sampler run after it does
+not share the host with scipy's spinning pool (see :mod:`steingrad.linalg`);
+the ladder solves it against the identity only when that inverse fails its
+residual check.  Kernel values come from
 :mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
 each kernel matrix over the sample's own pairs, the fits' and the expansion
 kinds' ``grads_at_train``, is one ``build_matrices`` pass over the sample as
@@ -48,7 +49,7 @@ from .kernels import (
     check_number,
     cross_kernel,
 )
-from .linalg import inverse_from_factor, is_inverse, solve_symmetric
+from .linalg import checked_inverse, solve_symmetric
 
 DEFAULT_ETA = 0.1
 # U-statistic systems can be indefinite; a strictly positive ridge keeps the
@@ -165,13 +166,13 @@ def _stein_system(xs, spec, statistic):
 def _ridge_solve(system, rhs, eta, name):
     """Solve (system + eta I) z = rhs, adding eta in ``system``'s buffer.
 
-    The one solve site of the fits and of the predictive inverse's ladder;
-    returns z, the jitter diagnostics a fitted estimator records, and the
-    accepted Cholesky factor (None after LDL^T).
+    The one solve site of the fits and of the predictive inverse's ladder
+    fallback; returns z and the jitter diagnostics a fitted estimator
+    records.
     """
     system[np.diag_indices_from(system)] += eta
-    z, jitter, level, factor = solve_symmetric(system, rhs, name=name)
-    return z, {"jitter": jitter, "jitter_level": level}, factor
+    z, jitter, level = solve_symmetric(system, rhs, name=name)
+    return z, {"jitter": jitter, "jitter_level": level}
 
 
 def _stein_predict(fitted, pts):
@@ -185,9 +186,8 @@ def _stein_predict(fitted, pts):
     where grad_y k(., y) stacks the second-argument kernel gradients, one
     row per training point.  Equivalent to refitting on the augmented sample
     and reading off the new row, without the refit.  (K + eta I)^-1 is
-    ``fitted.kinv``, formed on the first call from the Cholesky factor the
-    fit kept (solved on the jitter ladder when there is none) and kept on
-    the fitted object for later ones.  ``pts`` is the (M, d) batch that
+    ``fitted.kinv``, formed on the first call and kept on the fitted object
+    for later ones.  ``pts`` is the (M, d) batch that
     :meth:`FittedEstimator.predict` has already validated.
     """
     train, grads, kinv = fitted.train, fitted.grads, fitted.kinv
@@ -422,16 +422,16 @@ class FittedEstimator:
     Exactly one of ``grads`` (nonparametric kinds: the gradient field is the
     parameter set) and ``coeffs`` (expansion kinds) is populated.  ``kinv``
     is derived state, not a field: (K + eta I)^-1 of the predictive
-    V-statistic nonparametric fit, formed on first use and then kept.  So
-    is the Cholesky factor a fresh stein-v fit holds until ``kinv`` is
-    formed from it: neither is in the record, ``==`` or ``repr``.
+    V-statistic nonparametric fit, formed on first use and then kept, and
+    not in the record, ``==`` or ``repr``.
 
     Fits, records and direct calls are all checked here, on construction:
     ``kind``, the kernel family and ``eta`` pass :func:`check_fit`,
     ``train`` is a finite (K, d) sample, ``spec`` carries its bandwidth
-    (not the median rule, which a fit resolves), and only the kind's own
-    parameter set is given, finite, of shape (K, d) or (K,).  ValueError
-    names the field.
+    (not the median rule, which a fit resolves), only the kind's own
+    parameter set is given, finite, of shape (K, d) or (K,), and a
+    ``diagnostics`` jitter, where there is one, is a number >= 0.
+    ValueError names the field.
     """
 
     kind: str
@@ -465,50 +465,39 @@ class FittedEstimator:
         if not np.all(np.isfinite(params)):
             raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, name, params)
+        check_number(self.diagnostics.get("jitter", 0.0), "jitter", ge=0)
 
     @cached_property
     def kinv(self) -> np.ndarray | None:
         """(K + eta I)^-1 for a stein-v fit, None for other kinds.
 
         Formed on first access and kept on this object; fits that never
-        predict never form it.  A fresh fit holds the Cholesky factor its
-        solve accepted, and the inverse is one ``cho_solve`` of that factor
-        against the identity: no second factorisation.  The factor is then
-        released, before the kernel is built again for the check: the
-        inverse must pass the ladder's identity right-hand-side residual
-        test, with its bound, against the fit's own system, K + eta I plus
-        the jitter of the fit's rung.
-
-        The rung decision: G and ``kinv`` come from one system, on the
-        fit's rung, which the Schur-complement predict assumes.  Only when
-        no factor is held (a record reloaded through ``from_json_dict``, or
-        a fit accepted through LDL^T) or the check fails does the jitter
-        ladder run from rung 0, as for any solve; its residual test depends
-        on the right-hand side, so it can then accept a rung the fit did
-        not.  On a rung both accept, either path gives the same bits.  The
-        system is the kernel alone, with no grad_sum product, taken
-        column-major as in ``_stein_system``.
+        predict never form it.  The system is the fit's own: the kernel,
+        then ``+= eta``, then ``+= jitter``, the jitter being
+        ``diagnostics["jitter"]`` (0.0 when the record holds none), taken
+        column-major as in ``_stein_system``.  Its inverse is one
+        ``np.linalg.inv``, held to the ladder's identity right-hand-side
+        residual test, with its bound (:func:`steingrad.linalg.checked_inverse`).
+        So a fresh fit, its reloaded record and a direct construction get
+        the same bits, on the fit's rung, which the Schur-complement predict
+        assumes.  Only when ``inv`` fails, singular or short of the test,
+        does the jitter ladder solve K + eta I against the identity from
+        rung 0, as for any solve; its residual test depends on the
+        right-hand side, so it can then accept a rung the fit did not.
         """
         if self.kind != KIND_STEIN_V:
             return None
-        held = vars(self).pop("_factor", None)
-        if held is not None:
-            factor, jitter = held
-            kinv = inverse_from_factor(factor)
-            # the factor's last references, gone before the check's kernel
-            del held, factor
-            system = self._kernel_matrix()
-            # (K + eta I) + jitter I, the fit's jittered system, bit for bit
-            diag = np.diag_indices_from(system)
-            system[diag] += self.eta
-            system[diag] += jitter
-            if is_inverse(system, kinv):
-                return kinv
-            del system, kinv
-        kinv, _, _ = _ridge_solve(
-            self._kernel_matrix(), np.eye(self.train.shape[0]), self.eta,
-            "stein predictive inverse",
-        )
+        system = self._kernel_matrix()
+        diag = np.diag_indices_from(system)
+        system[diag] += self.eta
+        system[diag] += self.diagnostics.get("jitter", 0.0)
+        kinv = checked_inverse(system)
+        if kinv is None:
+            del system
+            kinv, _ = _ridge_solve(
+                self._kernel_matrix(), np.eye(self.train.shape[0]), self.eta,
+                "stein predictive inverse",
+            )
         return kinv
 
     def _kernel_matrix(self) -> np.ndarray:
@@ -612,8 +601,7 @@ def fit_estimator(
     ``kind`` is one of :data:`KINDS`; ``score`` takes either kernel family.
     Every kind but ``kde`` builds its (matrix, rhs) system and makes one
     ridge solve.  The V-statistic nonparametric Stein fit can predict out of
-    sample; it keeps its solve's Cholesky factor, and the inverse that needs
-    is formed from it on its first prediction (see
+    sample; the inverse that needs is formed on its first prediction (see
     :attr:`FittedEstimator.kinv`), not here.  A median-rule ``spec`` is
     resolved on ``samples`` by the fit (see the module docstring), and the
     result holds the resolved spec.  The arguments pass :func:`check_fit`
@@ -623,7 +611,6 @@ def fit_estimator(
     xs = as_samples(samples)
     stat = "u" if kind in _U_KINDS else "v"
     diagnostics: dict = {}
-    factor = None
     if kind == KIND_KDE:
         params, spec = _kde_fit(xs, spec)
     else:
@@ -636,9 +623,9 @@ def fit_estimator(
         else:
             system, rhs, spec = _parametric_system(xs, spec, stat)
             name = f"parametric stein {stat}-statistic system"
-        params, diagnostics, factor = _ridge_solve(system, rhs, eta, name)
+        params, diagnostics = _ridge_solve(system, rhs, eta, name)
     grads, coeffs = (params, None) if kind in _GRAD_KINDS else (None, params)
-    fitted = FittedEstimator(
+    return FittedEstimator(
         kind=kind,
         train=xs.copy(),
         spec=spec,
@@ -647,7 +634,3 @@ def fit_estimator(
         coeffs=coeffs,
         diagnostics=diagnostics,
     )
-    if kind == KIND_STEIN_V and factor is not None:
-        # derived state, which kinv takes and releases
-        object.__setattr__(fitted, "_factor", (factor, diagnostics["jitter"]))
-    return fitted

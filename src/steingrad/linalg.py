@@ -18,11 +18,17 @@ column-major (the transpose view of a C-ordered matrix): numpy's Cholesky
 then copies it contiguously instead of transposing it, and the solution
 keeps its bits.  The LDL^T fallback reads the upper triangle.
 
-An accepted Cholesky rung hands its factor back with the solution, so a
-caller that needs the inverse of the same system later,
-:func:`inverse_from_factor`, makes the identity solve without factoring it
-again; :func:`is_inverse` holds that inverse to the ladder's own residual
-test.  This module is the only one that imports ``scipy.linalg``.
+An inverse the caller needs outright, the Stein fit's predictive
+(K + eta I)^-1, is :func:`checked_inverse`: one ``np.linalg.inv`` on numpy's
+BLAS pool, held to the ladder's own residual test by :func:`is_inverse`.
+scipy's OpenBLAS is a second thread pool beside numpy's, and a wide scipy
+triangular solve wakes it.  On a 2-core host, after ``cho_solve`` against
+a 200 x 200 identity its worker accrued 0.04-0.13 s of CPU across the next
+0.2 s (``tools/blas_spin.py``), and a 50-chain, 100-iteration ``run_hmc``
+on a stein-v fit that followed took 330-346 ms against 265-267 ms without
+it (medians of 8).  The fits' own solves at d = 2 leave it asleep; a
+K = 1000, d = 50 fit's does not.  This module is the only one that
+imports ``scipy.linalg``.
 """
 
 import math
@@ -53,17 +59,12 @@ def _factor_and_solve(system, rhs):
     # place; (lower, True) cost a transposing copy, 21 of 24 ms at
     # K = 2000, for the same bits.  An exactly symmetric system may arrive
     # column-major, which spares numpy's Cholesky the same kind of copy.
-    # Returns the solution and the lower factor, None after LDL^T.
     try:
         lower = np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.solve(system, rhs, assume_a="sym"), None
-    return _cho_solve(lower, rhs), lower
-
-
-def _cho_solve(lower, rhs):
+            return scipy.linalg.solve(system, rhs, assume_a="sym")
     return scipy.linalg.cho_solve((lower.T, False), rhs, check_finite=False)
 
 
@@ -104,9 +105,6 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
         (0.0 when the system solved as given).
     level : int
         Index into the jitter ladder of the accepted attempt.
-    factor : (K, K) ndarray or None
-        Lower Cholesky factor of ``mat + jitter I``, or None when the
-        accepted rung solved through LDL^T.
 
     Raises
     ------
@@ -134,27 +132,31 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
             system = mat + 0.0
             system[np.diag_indices(k)] += jitter
         try:
-            z, factor = _factor_and_solve(system, rhs)
+            z = _factor_and_solve(system, rhs)
         except (np.linalg.LinAlgError, ValueError):
             continue
         if np.all(np.isfinite(z)) and _residual_norm(system, z, rhs) <= bound:
-            return z, jitter, level, factor
-        del z, factor  # a rejected rung's arrays go before the next rung's
+            return z, jitter, level
+        del z  # a rejected rung's solution goes before the next rung's
     raise SingularSolveError(
         f"{name}: singular or numerically unsolvable even with diagonal "
         f"jitter up to {JITTER_LADDER[-1] * scale:.3e}; increase the ridge eta"
     )
 
 
-def inverse_from_factor(factor):
-    """``mat^-1`` from the lower Cholesky factor of ``mat``.
+def checked_inverse(system):
+    """``system^-1`` by one ``np.linalg.inv``, or None when it fails.
 
-    ``factor`` is the one :func:`solve_symmetric` returned: the triangular
-    solves run against the (K, K) identity exactly as that function's own
-    identity solve would run them on the same rung, so the inverse has its
-    bits.  Nothing checks it here; :func:`is_inverse` does.
+    It fails when LAPACK finds the system singular or the inverse does not
+    pass :func:`is_inverse`; the caller then solves against the identity on
+    the jitter ladder.  Runs on numpy's BLAS pool only (see the module
+    docstring).
     """
-    return _cho_solve(factor, np.eye(factor.shape[0]))
+    try:
+        inv = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        return None
+    return inv if is_inverse(system, inv) else None
 
 
 def is_inverse(system, inv) -> bool:

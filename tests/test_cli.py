@@ -1561,7 +1561,8 @@ ARGUMENT_FAULTS = [
     ("banana", {"--n-iters": "0"}, "n_iters must be >= 1"),
     ("banana", {"--stepsize": "0"}, "stepsize must be > 0"),
     ("banana", {"--n-leapfrog": "0"}, "n_leapfrog must be >= 1"),
-    ("banana", {"--burn-in": "1"}, "burn_in_fraction must be "),
+    ("banana", {"--burn-in": "1"}, "burn_in must be in [0, 1), got 1.0"),
+    ("banana", {"--burn-in": "-0.1"}, "burn_in must be >= 0, got -0.1"),
     ("banana", {"--init-noise": "-1"}, "init_noise must be >= 0"),
     ("banana", {"--estimator": "stein-u"}, "stein-u has no out-of-sample prediction rule"),
     ("banana", {"--bandwidth-scale": "0"}, "bandwidth_scale must be > 0"),

@@ -1,7 +1,6 @@
 """Tests for the score estimators: closed forms, optimality, prediction, serialisation."""
 
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -683,8 +682,8 @@ class TestFittedEstimator:
     @pytest.mark.parametrize("kind", list(RIDGE_SOLVES))
     def test_fit_makes_one_solve_and_predict_adds_none(self, monkeypatch, kind):
         # every ridge kind makes one named solve and one factorisation;
-        # predict adds neither, stein-v's included: its inverse comes from
-        # the fit's own factor
+        # predict adds neither, stein-v's included: its inverse is one
+        # np.linalg.inv, not a ladder solve
         from steingrad import estimators
 
         solve = RIDGE_SOLVES[kind]
@@ -716,62 +715,66 @@ class TestFittedEstimator:
         assert factorisations == [(9, 9)]
         np.testing.assert_array_equal(fit.predict(pts), first)
 
-    def test_kinv_solves_the_fits_own_factor_then_releases_it(self, monkeypatch):
-        from steingrad import estimators
+    @pytest.mark.parametrize("rung", [0, 1])
+    def test_kinv_is_numpys_inverse_of_the_fits_system(self, monkeypatch, rung):
+        # a fresh fit, its reloaded record and a direct construction all
+        # form kinv as one np.linalg.inv of K + eta I + jitter I, built as
+        # the fit built it, and call no scipy.linalg routine.  Rung 1: the
+        # ladder is made to refuse the unjittered system once, so the fit
+        # is accepted on its first jitter rung.  At rung 0 the direct
+        # construction holds no diagnostics, so its jitter is 0.0.
+        from steingrad import linalg
 
-        factors, want = [], []
-        real = estimators.solve_symmetric
+        if rung:
+            real = linalg._factor_and_solve
+            refused = []
 
-        def keeping(mat, rhs, name="linear system"):
-            z, jitter, level, factor = real(mat, rhs, name)
-            factors.append(weakref.ref(factor))
-            eye = np.eye(len(rhs))
-            want.append(scipy.linalg.cho_solve((factor, True), eye, check_finite=False))
-            return z, jitter, level, factor
+            def refuse_first(system, rhs):
+                if not refused:
+                    refused.append(True)
+                    raise np.linalg.LinAlgError("refused")
+                return real(system, rhs)
 
-        # whether the fit's factor is still alive at each kernel build
-        alive = []
-        real_build = estimators.build_matrices
-
-        def building(*args, **kwargs):
-            alive.append(bool(factors) and factors[0]() is not None)
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(estimators, "solve_symmetric", keeping)
-        monkeypatch.setattr(estimators, "build_matrices", building)
+            monkeypatch.setattr(linalg, "_factor_and_solve", refuse_first)
         xs = gaussian_sample(37, n=15)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF)
-        assert fit.diagnostics["jitter_level"] == 0
-        assert factors[0]() is not None  # held by the fit
-        fit.predict(gaussian_sample(36, n=3))
-        assert factors[0]() is None  # released by the first predict
-        assert len(factors) == 1
-        # the fit's kernel, then the check's, built once the factor was gone
-        assert alive == [False, False]
-        np.testing.assert_array_equal(fit.kinv, want[0])
-        # the bits of the ladder's own identity solve of the fit's system
-        system = _stein_system(xs, RBF, "v")[0] + 0.1 * np.eye(15)
-        np.testing.assert_array_equal(fit.kinv, real(system, np.eye(15), "inverse")[0])
-
-    def test_reloaded_record_makes_one_ladder_solve(self, monkeypatch):
-        from steingrad import estimators
-
-        xs = gaussian_sample(37, n=15)
-        fit = fit_estimator(KIND_STEIN_V, xs, RBF)
+        jitter = fit.diagnostics["jitter"]
+        assert fit.diagnostics["jitter_level"] == rung
+        assert (jitter > 0) == bool(rung)
         back = FittedEstimator.from_json_dict(json.loads(json.dumps(fit.to_json_dict())))
-        calls = []
-        real = estimators.solve_symmetric
+        direct = FittedEstimator(
+            kind=KIND_STEIN_V, train=xs, spec=fit.spec, eta=0.1, grads=fit.grads,
+            diagnostics={"jitter": jitter} if rung else {},
+        )
 
-        def counting(mat, rhs, name="linear system"):
-            calls.append(name)
-            return real(mat, rhs, name)
+        def refuse(*args, **kwargs):
+            raise AssertionError("kinv called scipy.linalg")
 
-        monkeypatch.setattr(estimators, "solve_symmetric", counting)
-        pts = gaussian_sample(36, n=3)
-        back.predict(pts)
-        back.predict(pts)
-        assert calls == ["stein predictive inverse"]
-        np.testing.assert_array_equal(back.kinv, fit.kinv)
+        for name in ("cho_solve", "solve", "cho_factor"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        system = _stein_system(xs, RBF, "v")[0]
+        system[np.diag_indices(15)] += 0.1
+        system[np.diag_indices(15)] += jitter
+        want = np.linalg.inv(system)
+        for estimator in (fit, back, direct):
+            np.testing.assert_array_equal(estimator.kinv, want)
+            estimator.predict(gaussian_sample(36, n=3))
+
+    @pytest.mark.parametrize(
+        "jitter", [-1e-12, float("nan"), float("inf"), "0.1", True, None, [0.0]],
+        ids=["negative", "nan", "inf", "string", "bool", "null", "list"],
+    )
+    def test_record_jitter_must_be_a_number_at_least_0(self, jitter):
+        fit = fit_estimator(KIND_STEIN_V, gaussian_sample(37, n=6), RBF)
+        record = json.loads(json.dumps(fit.to_json_dict()))
+        record["diagnostics"]["jitter"] = jitter
+        with pytest.raises(ValueError, match="jitter"):
+            FittedEstimator.from_json_dict(record)
+        with pytest.raises(ValueError, match="jitter"):
+            FittedEstimator(
+                kind=KIND_STEIN_V, train=fit.train, spec=fit.spec, eta=0.1,
+                grads=fit.grads, diagnostics={"jitter": jitter},
+            )
 
     @staticmethod
     def _ladder_rungs(monkeypatch, xs, eta):
@@ -781,9 +784,9 @@ class TestFittedEstimator:
         real = estimators.solve_symmetric
 
         def counting(mat, rhs, name="linear system"):
-            z, jitter, level, factor = real(mat, rhs, name)
-            rungs[name] = (mat, rhs, z, jitter, level, factor is not None)
-            return z, jitter, level, factor
+            z, jitter, level = real(mat, rhs, name)
+            rungs[name] = (mat, rhs, z, jitter, level)
+            return z, jitter, level
 
         monkeypatch.setattr(estimators, "solve_symmetric", counting)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta)
@@ -795,20 +798,26 @@ class TestFittedEstimator:
     )
     def test_near_duplicate_sample_falls_back_to_the_ladder(self, monkeypatch, offset, fit_factored):
         # two points close together make K + 0 I near singular.  At 1e-9 the
-        # fit's Cholesky fails and LDL^T solves it, so no factor is held; at
-        # 1e-5 the fit accepts its Cholesky rung, but the inverse from that
-        # factor fails the identity residual test.  Either way kinv runs
-        # the ladder from rung 0, which takes a jitter rung, and each solve
-        # meets the residual contract against its own jittered system.
+        # fit's Cholesky fails and LDL^T solves it; at 1e-5 the fit accepts
+        # its Cholesky rung.  Either way the inverse of the fit's system
+        # fails the identity residual test, so kinv runs the ladder from
+        # rung 0, which takes a jitter rung, and each solve meets the
+        # residual contract against its own jittered system.
         xs = gaussian_sample(38, n=9)
         xs[1] = xs[0] + offset
         fit, rungs = self._ladder_rungs(monkeypatch, xs, 0.0)
-        assert rungs["stein v-statistic system"][4:] == (0, fit_factored)
-        _, _, z, _, level, _ = rungs["stein predictive inverse"]
+        mat = rungs["stein v-statistic system"][0]
+        assert rungs["stein v-statistic system"][4] == 0
+        try:
+            np.linalg.cholesky(mat)
+            factored = True
+        except np.linalg.LinAlgError:
+            factored = False
+        assert factored == fit_factored
+        _, _, z, _, level = rungs["stein predictive inverse"]
         assert level > 0
         np.testing.assert_array_equal(fit.kinv, z)
-        assert "_factor" not in vars(fit)
-        for mat, rhs, z, jitter, _, _ in rungs.values():
+        for mat, rhs, z, jitter, _ in rungs.values():
             residual = (mat + jitter * np.eye(9)) @ z - rhs
             assert np.linalg.norm(residual) <= RESIDUAL_RTOL * (1 + np.linalg.norm(rhs))
 

@@ -8,7 +8,7 @@ from steingrad import SingularSolveError
 from steingrad.linalg import (
     JITTER_LADDER,
     RESIDUAL_RTOL,
-    inverse_from_factor,
+    checked_inverse,
     is_inverse,
     solve_symmetric,
 )
@@ -20,23 +20,21 @@ class TestSolveSymmetric:
         m = rng.standard_normal((8, 8))
         mat = m @ m.T + np.eye(8)
         rhs = rng.standard_normal((8, 3))
-        z, jitter, level, factor = solve_symmetric(mat, rhs)
+        z, jitter, level = solve_symmetric(mat, rhs)
         assert jitter == 0.0
         assert level == 0
-        np.testing.assert_array_equal(factor, np.linalg.cholesky(mat))
         np.testing.assert_allclose(mat @ z, rhs, atol=1e-10)
 
     def test_vector_rhs(self):
         mat = np.diag([2.0, 4.0])
-        z, _, _, _ = solve_symmetric(mat, np.array([2.0, 8.0]))
+        z, _, _ = solve_symmetric(mat, np.array([2.0, 8.0]))
         np.testing.assert_allclose(z, [1.0, 2.0], atol=1e-14)
 
     def test_indefinite_but_invertible_system(self):
         mat = np.diag([1.0, -1.0])
         rhs = np.array([3.0, 5.0])
-        z, jitter, _, factor = solve_symmetric(mat, rhs)
+        z, jitter, _ = solve_symmetric(mat, rhs)
         assert jitter == 0.0
-        assert factor is None  # LDL^T solved it
         np.testing.assert_allclose(z, [3.0, -5.0], atol=1e-14)
 
     def test_singular_system_escalates_jitter(self):
@@ -45,7 +43,7 @@ class TestSolveSymmetric:
         v = np.array([1.0, 2.0, 3.0])
         mat = np.outer(v, v)
         rhs = mat @ np.array([0.5, -0.25, 1.0])
-        z, jitter, level, _ = solve_symmetric(mat, rhs)
+        z, jitter, level = solve_symmetric(mat, rhs)
         assert level > 0
         assert jitter == JITTER_LADDER[level] * np.trace(mat) / 3
         residual = np.linalg.norm((mat + jitter * np.eye(3)) @ z - rhs)
@@ -58,7 +56,7 @@ class TestSolveSymmetric:
         v = np.array([1.0, 0.0])
         mat = np.outer(v, v)
         rhs = np.array([0.0, 1.0])
-        z, jitter, level, _ = solve_symmetric(mat, rhs, name="test system")
+        z, jitter, level = solve_symmetric(mat, rhs, name="test system")
         assert level > 0 and jitter > 0
         np.testing.assert_allclose(
             (mat + jitter * np.eye(2)) @ z, rhs, atol=RESIDUAL_RTOL * 2
@@ -82,23 +80,21 @@ class TestSolveSymmetric:
         mat = q @ np.diag([1.0, 1.0, 1.0, 1e-16, 1e-16, 1e-16]) @ q.T
         mat = (mat + mat.T) / 2
         rhs = mat @ rng.standard_normal(6)
-        z, jitter, _, held = solve_symmetric(mat, rhs)
+        z, jitter, _ = solve_symmetric(mat, rhs)
         # the jittered system is positive definite, so the ladder accepted
-        # its Cholesky solve, and hands back that system's factor
+        # its Cholesky solve
         factor = scipy.linalg.cho_factor(mat + jitter * np.eye(6), lower=True)
         again = scipy.linalg.cho_solve(factor, rhs)
         np.testing.assert_allclose(z, again, atol=1e-12)
-        np.testing.assert_allclose(held, np.tril(factor[0]), atol=1e-12)
 
     def test_positive_definite_solve_is_one_cholesky(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((30, 30))
         mat = m @ m.T + 0.1 * np.eye(30)
         rhs = rng.standard_normal((30, 4))
-        z, jitter, level, held = solve_symmetric(mat, rhs)
+        z, jitter, level = solve_symmetric(mat, rhs)
         assert (jitter, level) == (0.0, 0)
         factor = (np.linalg.cholesky(mat), True)
-        np.testing.assert_array_equal(held, factor[0])
         want = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         np.testing.assert_array_equal(z, want)
         # the same factorisation as scipy's cho_factor, up to rounding
@@ -115,8 +111,8 @@ class TestSolveSymmetric:
         rhs = rng.standard_normal(7)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(mat, lower=True)
-        z, jitter, level, factor = solve_symmetric(mat, rhs)
-        assert (jitter, level, factor) == (0.0, 0, None)
+        z, jitter, level = solve_symmetric(mat, rhs)
+        assert (jitter, level) == (0.0, 0)
         np.testing.assert_array_equal(z, scipy.linalg.solve(mat, rhs, assume_a="sym"))
 
     @pytest.mark.parametrize("triangle", ["upper", "lower"])
@@ -142,8 +138,8 @@ def _solve_in_both_orders(mat, rhs):
     assert mat.flags.c_contiguous
     col = np.asfortranarray(mat)
     assert col.flags.f_contiguous
-    z, jitter, level, _ = solve_symmetric(mat, rhs)
-    z_col, jitter_col, level_col, _ = solve_symmetric(col, rhs)
+    z, jitter, level = solve_symmetric(mat, rhs)
+    z_col, jitter_col, level_col = solve_symmetric(col, rhs)
     assert _same_bits(z, z_col)
     assert (jitter, level) == (jitter_col, level_col)
     return z, jitter, level
@@ -205,7 +201,7 @@ class TestMemoryOrder:
         mat = q @ np.diag(np.linspace(0.5, 3.0, 40)) @ q.T
         assert not np.array_equal(mat, mat.T)
         rhs = rng.standard_normal((40, 3))
-        z, jitter, level, _ = solve_symmetric(mat, rhs)
+        z, jitter, level = solve_symmetric(mat, rhs)
         assert (jitter, level) == (0.0, 0)
         want = scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), rhs)
         assert _same_bits(z, want)
@@ -219,31 +215,39 @@ def _ladder_accepts_inverse(mat, inv):
     ) <= RESIDUAL_RTOL * (1 + np.linalg.norm(np.eye(n)))
 
 
-class TestInverseFromFactor:
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_matches_the_ladders_identity_solve(self, n):
-        # the factor of the rung the ladder accepts gives the ladder's
-        # inverse bit for bit, and passes its test; Hilbert 8 takes a
-        # jitter rung
+def _cholesky_inverse(mat):
+    n = len(mat)
+    return scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), np.eye(n))
+
+
+class TestCheckedInverse:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_is_numpys_inverse_when_it_passes(self, n):
+        # one np.linalg.inv, bit for bit, and it passes the ladder's test
         mat = scipy.linalg.hilbert(n)
-        z, jitter, level, factor = solve_symmetric(mat, np.eye(n))
-        assert (level > 0) == (n == 8)
-        inv = inverse_from_factor(factor)
-        assert _same_bits(inv, z)
-        system = mat + jitter * np.eye(n)
-        assert is_inverse(system, inv)
-        assert _ladder_accepts_inverse(system, inv)
+        inv = checked_inverse(mat)
+        assert _same_bits(inv, np.linalg.inv(mat))
+        assert _ladder_accepts_inverse(mat, inv)
+
+    def test_none_where_the_ladder_escalates(self):
+        # Hilbert 8's inverse fails the residual test at rung 0, and a
+        # singular system fails in LAPACK; either way the caller's ladder
+        # takes over
+        mat = scipy.linalg.hilbert(8)
+        assert checked_inverse(mat) is None
+        assert solve_symmetric(mat, np.eye(8))[2] > 0
+        assert checked_inverse(np.zeros((3, 3))) is None
 
     def test_is_inverse_is_the_ladders_test(self):
         # Hilbert 8 factors at rung 0, but the inverse from that factor
         # fails the residual test there, which is why the ladder escalates
         mat = scipy.linalg.hilbert(8)
-        inv = inverse_from_factor(np.linalg.cholesky(mat))
+        inv = _cholesky_inverse(mat)
         assert not is_inverse(mat, inv)
         assert not _ladder_accepts_inverse(mat, inv)
         assert solve_symmetric(mat, np.eye(8))[2] > 0
         mat = scipy.linalg.hilbert(6)
-        inv = inverse_from_factor(np.linalg.cholesky(mat))
+        inv = _cholesky_inverse(mat)
         assert is_inverse(mat, inv)
         inv[2, 3] = np.nan
         assert not is_inverse(mat, inv)

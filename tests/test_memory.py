@@ -53,16 +53,16 @@ for _kind, _fit in FITS.items():
 # tighter bounds, in K^2 doubles, a little above the peaks measured when
 # they were set (ksd_v 1.62, and 1.64 summed in row blocks, at K = 400 one
 # block: the condensed kernel, then its mirrored matrix; score-rbf at
-# d = 1 3.01: K, one D_i buffer, Sigma and one product; stein-v fit 2.25
-# and stein-v kinv, fit included, 4.38,
-# each 1.00 below the peak when cho_solve took a transposing copy of the
-# Cholesky factor).  The stein-v fit holds its factor through its residual
-# check, which subtracts rhs in place (2.39; 2.50 with a second K x d
-# temporary), and kinv solves from that factor, released before the check's
-# kernel is built (3.26).  entropy-check peaks in its score fit (3.07):
-# a stein-v fit kept alive through the score fit would hold its factor
-# there too (4.06).  A median-rule fit or discrepancy keeps the same bound:
-# holding the condensed distances through the fit would add 0.5 (median-rule
+# d = 1 3.01: K, one D_i buffer, Sigma and one product; stein-v fit 2.25:
+# the system, the Cholesky factor, released when the solve returns, and the
+# residual check, which subtracts rhs in place (2.39 while the fit held
+# its factor through that check).  stein-v kinv, fit included, 3.26: the
+# kernel rebuilt as the fit's system, np.linalg.inv's result and the
+# check's product (numpy's linalg module mallocs inv's two working copies,
+# which tracemalloc does not see; 4.38 and then 3.26 when kinv was a
+# cho_solve of a held factor).  entropy-check peaks in its score fit
+# (3.07).  A median-rule fit or discrepancy keeps the same bound: holding
+# the condensed distances through the fit would add 0.5 (median-rule
 # score 3.01 at d = 1 and 4.20 at d = 50, stein-param-v 5.13, each as with
 # the bandwidth given).  The expansion kinds' grads_at_train measured 1.50,
 # the condensed kernel and its mirrored matrix, with the weights formed in
@@ -73,10 +73,10 @@ TIGHT = {
     "ksd_v median": 1.75,
     "score-rbf fit d=1": 3.25,
     "score-rbf fit d=1 median": 3.25,
-    "stein-v fit": 2.5,
-    "stein-v fit median": 2.5,
-    "stein-v kinv": 4.6,
-    "entropy-check": 3.5,
+    "stein-v fit": 2.35,
+    "stein-v fit median": 2.35,
+    "stein-v kinv": 3.5,
+    "entropy-check": 3.25,
     f"{KIND_SCORE} grads_at_train": 1.6,
     f"{KIND_STEIN_PARAM_V} grads_at_train": 1.6,
 }

@@ -40,6 +40,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import kernels
 from .errors import DegenerateDenominatorError, NumericalError
 from .kernels import (
     RBF,
@@ -265,15 +266,35 @@ def _score_sigma_by_coordinate(xs, km):
     return sigma
 
 
+def _gram_blocks(xs):
+    """Row blocks ``(start, stop, xs[start:stop] @ xs.T)`` of the Gram matrix.
+
+    Each block holds at most ``kernels.PAIR_BLOCK`` entries (one row when a
+    row alone has more), so the (K, K) matrix is never formed.  A sample of
+    up to 362 points is one block, bit for bit numpy's full product; above
+    that the blocks may differ from it by rounding.
+    """
+    n = len(xs)
+    rows = max(1, kernels.PAIR_BLOCK // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield start, stop, xs[start:stop] @ xs.T
+
+
 def _score_sigma_closed_form(xs, km, sqn):
-    # B + B^T + (K K) o G in one scratch buffer besides G and B:
-    # K o (1/2 n^T - G), then K K o G, then + B + B^T
-    gram = xs @ xs.T
-    buf = np.subtract(0.5 * sqn, gram)
-    buf *= km
+    # B + B^T + (K K) o G in one scratch buffer besides B, with G in row
+    # blocks: K o (1/2 n^T - G), then K K o G, then + B + B^T.  At most
+    # three (K, K) arrays are alive at once: K, the buffer and B.
+    half_sqn = 0.5 * sqn
+    buf = np.empty_like(km)
+    for start, stop, gram in _gram_blocks(xs):
+        rows = buf[start:stop]
+        np.subtract(half_sqn, gram, out=rows)
+        rows *= km[start:stop]
     b = buf @ km
     np.matmul(km, km, out=buf)
-    buf *= gram
+    for start, stop, gram in _gram_blocks(xs):
+        buf[start:stop] *= gram
     buf += b
     buf += b.T
     return buf
@@ -349,24 +370,26 @@ def _parametric_system(xs, spec, statistic):
     mats = build_matrices(xs, spec, with_grad_sum=False)
     km, spec = mats.k_matrix, mats.spec
     xs = xs - xs.mean(axis=0)
-    gram = xs @ xs.T
     ksum = km.sum(axis=1)
-    sqn = np.diag(gram)
     kk = km @ km
-    kx = km * gram
+    # G = X X^T only in row blocks: this pass fills Q = K o G, the squared
+    # norms from the blocks' diagonals and the rows of (K K) o G's row sums
+    kx = np.empty_like(km)
+    sqn = np.empty(len(xs))
+    kk_gram = np.empty(len(xs))
+    for start, stop, gram in _gram_blocks(xs):
+        np.multiply(km[start:stop], gram, out=kx[start:stop])
+        sqn[start:stop] = np.diagonal(gram, offset=start)
+        kk_gram[start:stop] = np.einsum("ij,ij->i", kk[start:stop], gram)
     # the row sums of K diag(n) K + (K K) o G - K (K o G) - (K o G) K, each
     # as a matrix-vector product
-    b = (
-        km @ (sqn * ksum)
-        + np.einsum("ij,ij->i", kk, gram)
-        - km @ kx.sum(axis=1)
-        - kx @ ksum
-    )
+    b = km @ (sqn * ksum) + kk_gram - km @ kx.sum(axis=1) - kx @ ksum
     # lam = G o (P K) + K Q K - t - t^T with t = (P o G) K, P = K K and
     # Q = K o G; U zeroes the diagonal of Q and of P's second factor.  The
     # last term is t^T because K and G are symmetric.  Built in place,
-    # freeing each product once used, so that at most five (K, K) arrays
-    # are alive at once: K, G, P and two more.
+    # freeing each product once used, with G's blocks made again for the
+    # two elementwise products, so that at most four (K, K) arrays are
+    # alive at once: K, P and two more.
     if statistic == "u":
         np.fill_diagonal(kx, 0.0)
         del kk
@@ -378,10 +401,11 @@ def _parametric_system(xs, spec, statistic):
     del kx
     kxk = kxk @ km
     lam = kk @ km
-    lam *= gram
+    for start, stop, gram in _gram_blocks(xs):
+        lam[start:stop] *= gram
+        kk[start:stop] *= gram
     lam += kxk
     del kxk
-    kk *= gram
     t = kk @ km
     del kk
     lam -= t

@@ -29,9 +29,11 @@ from steingrad.estimators import (
     MIN_U_ETA,
     _expansion_predict,
     _parametric_system,
+    _score_sigma_closed_form,
     _score_system,
     _stein_system,
 )
+from steingrad import kernels
 from steingrad.kernels import cross_hess_trace, cross_kernel, kernel_grad_first_arg
 from steingrad.linalg import RESIDUAL_RTOL
 
@@ -518,6 +520,83 @@ class TestSystemLayout:
     def test_systems_symmetric_up_to_rounding_stay_c_ordered(self, build):
         system, _, _ = build(gaussian_sample(42, n=30, d=3))
         assert system.flags.c_contiguous and not system.flags.f_contiguous
+
+
+def _whole_gram_parametric_system(xs, spec, statistic):
+    """The parametric system as it was built from the whole Gram matrix,
+    kept as the reference for the row-block build."""
+    mats = build_matrices(xs, spec, with_grad_sum=False)
+    km = mats.k_matrix
+    xs = xs - xs.mean(axis=0)
+    gram = xs @ xs.T
+    ksum = km.sum(axis=1)
+    sqn = np.diag(gram)
+    kk = km @ km
+    kx = km * gram
+    b = km @ (sqn * ksum) + np.einsum("ij,ij->i", kk, gram) - km @ kx.sum(axis=1) - kx @ ksum
+    if statistic == "u":
+        np.fill_diagonal(kx, 0.0)
+        km0 = km.copy()
+        np.fill_diagonal(km0, 0.0)
+        kk = km @ km0
+    kxk = (km @ kx) @ km
+    lam = kk @ km
+    lam *= gram
+    lam += kxk
+    kk *= gram
+    t = kk @ km
+    lam -= t
+    lam -= t.T
+    return lam, b
+
+
+def _whole_gram_score_sigma(xs, km, sqn):
+    """The closed-form score Sigma as it was built from the whole Gram
+    matrix, kept as the reference for the row-block build."""
+    gram = xs @ xs.T
+    buf = np.subtract(0.5 * sqn, gram)
+    buf *= km
+    b = buf @ km
+    np.matmul(km, km, out=buf)
+    buf *= gram
+    buf += b
+    buf += b.T
+    return buf
+
+
+class TestGramRowBlocks:
+    # n = 60: the default block size takes the whole Gram matrix in one
+    # block, bit for bit the full product; 1000 entries make blocks of 16
+    # rows with a shorter last one, and 30 entries one row each
+    N, D = 60, 5
+
+    def assert_matches(self, got, want, pair_block):
+        if pair_block is None:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("pair_block", [None, 1000, 30])
+    @pytest.mark.parametrize("statistic", ["v", "u"])
+    def test_parametric_system(self, statistic, pair_block, monkeypatch):
+        xs = gaussian_sample(43, n=self.N, d=self.D)
+        if pair_block is not None:
+            monkeypatch.setattr(kernels, "PAIR_BLOCK", pair_block)
+        lam, b, _ = _parametric_system(xs, RBF, statistic)
+        want_lam, want_b = _whole_gram_parametric_system(xs, RBF, statistic)
+        self.assert_matches(lam, want_lam, pair_block)
+        self.assert_matches(b, want_b, pair_block)
+
+    @pytest.mark.parametrize("pair_block", [None, 1000, 30])
+    def test_score_sigma(self, pair_block, monkeypatch):
+        xs = gaussian_sample(44, n=self.N, d=self.D)
+        km = build_matrices(xs, RBF, with_grad_sum=False).k_matrix
+        xs = xs - xs.mean(axis=0)
+        sqn = np.einsum("kd,kd->k", xs, xs)
+        if pair_block is not None:
+            monkeypatch.setattr(kernels, "PAIR_BLOCK", pair_block)
+        got = _score_sigma_closed_form(xs, km, sqn)
+        self.assert_matches(got, _whole_gram_score_sigma(xs, km, sqn), pair_block)
 
 
 def _cross_kernel_expansion(coeffs, train, spec):

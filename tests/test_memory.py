@@ -13,7 +13,12 @@ import pytest
 
 from steingrad import KernelSpec, build_matrices, fit_estimator, ksd_v, median_heuristic
 from steingrad.cli import main
-from steingrad.estimators import KIND_SCORE, KIND_STEIN_PARAM_V, KIND_STEIN_V
+from steingrad.estimators import (
+    KIND_SCORE,
+    KIND_STEIN_PARAM_U,
+    KIND_STEIN_PARAM_V,
+    KIND_STEIN_V,
+)
 
 K, D = 400, 50
 MAX_KK_DOUBLES = 6.0
@@ -63,11 +68,12 @@ for _kind, _fit in FITS.items():
 # cho_solve of a held factor).  entropy-check peaks in its score fit
 # (3.07).  A median-rule fit or discrepancy keeps the same bound: holding
 # the condensed distances through the fit would add 0.5 (median-rule
-# score 3.01 at d = 1 and 4.20 at d = 50, stein-param-v 5.13, each as with
-# the bandwidth given).  The expansion kinds' grads_at_train measured 1.50,
-# the condensed kernel and its mirrored matrix, with the weights formed in
-# place (2.05 when the kernel came from cross_kernel and the weights were
-# new arrays).
+# score 3.01 at d = 1 and 4.14 at d = 50, stein-param-v 5.14, each as with
+# the bandwidth given; 4.19 and 5.13 when the fits held the whole Gram
+# matrix, whose 327-row blocks at K = 400 are 0.82 K^2).  The expansion
+# kinds' grads_at_train measured 1.50, the condensed kernel and its
+# mirrored matrix, with the weights formed in place (2.05 when the kernel
+# came from cross_kernel and the weights were new arrays).
 TIGHT = {
     "ksd_v": 1.75,
     "ksd_v median": 1.75,
@@ -82,16 +88,37 @@ TIGHT = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
-def test_peak_memory_is_a_few_kernel_matrices(name):
+def traced_peak(call):
+    """Peak bytes numpy allocated in this process during ``call()``."""
     tracemalloc.start()
     try:
-        result = CALLS[name]()
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del result
-    assert peak / (8 * K * K) <= TIGHT.get(name, MAX_KK_DOUBLES)
+    return peak
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_peak_memory_is_a_few_kernel_matrices(name):
+    assert traced_peak(CALLS[name]) / (8 * K * K) <= TIGHT.get(name, MAX_KK_DOUBLES)
+
+
+# at K = 1200, d = 50 the Gram matrix's row blocks of at most
+# kernels.PAIR_BLOCK entries are 109 rows, a small part of one K^2 array;
+# measured 3.23 for score's closed-form Sigma (K, its buffer and B) and
+# 4.23 for both parametric systems (K, K K and two more), against 4.05 and
+# 5.04 when each held the whole Gram matrix.  K = 400 cannot show this:
+# a block there is 327 rows, 0.82 K^2 (see above).
+LARGE_K = 1200
+XS_LARGE = np.random.default_rng(3).standard_normal((LARGE_K, D))
+LARGE_FITS = {KIND_SCORE: 3.35, KIND_STEIN_PARAM_V: 4.35, KIND_STEIN_PARAM_U: 4.35}
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_FITS))
+def test_expansion_fit_holds_no_gram_matrix(kind):
+    peak = traced_peak(lambda: fit_estimator(kind, XS_LARGE, MEDIAN))
+    assert peak / (8 * LARGE_K * LARGE_K) <= LARGE_FITS[kind]
 
 
 def test_ksd_holds_no_pairwise_matrix():
@@ -102,22 +129,11 @@ def test_ksd_holds_no_pairwise_matrix():
     n = 2000
     xs = np.random.default_rng(2).standard_normal((n, 2))
     spec = KernelSpec("rbf", 1.0)
-    tracemalloc.start()
-    try:
-        ksd_v(xs, -xs, spec, includes_constant=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: ksd_v(xs, -xs, spec, includes_constant=True))
     assert peak / (8 * n * n) <= 0.25
 
 
 def test_median_heuristic_holds_one_condensed_vector():
     # the K(K-1)/2 pairwise distances, partitioned in place: no second copy
     # of them for the median (measured 1.005 vectors; np.median's copy gave 2.006)
-    tracemalloc.start()
-    try:
-        median_heuristic(XS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / (8 * K * (K - 1) / 2) <= 1.25
+    assert traced_peak(lambda: median_heuristic(XS)) / (8 * K * (K - 1) / 2) <= 1.25

@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from output_corpus import write_corpus  # noqa: E402
+from output_corpus import write_corpus
 
 
 def openblas_configs():

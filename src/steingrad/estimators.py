@@ -17,12 +17,12 @@ at the samples or as a K-vector of kernel-expansion coefficients:
   minimising the kernelised Stein discrepancy (RBF only).
 
 Every kind but kde is fitted the same way: a builder returns its (matrix,
-rhs) system before the ridge, and ``_ridge_solve`` adds eta and makes the one
-solve.  A stein-v fit's predictive inverse is one ``np.linalg.inv`` of its
-own jittered system, on numpy's BLAS pool, so a sampler run after it does
-not share the host with scipy's spinning pool (see :mod:`steingrad.linalg`);
-the ladder solves it against the identity only when that inverse fails its
-residual check.  Kernel values come from
+rhs) system before the ridge, and ``fit_estimator`` adds eta and makes the
+one solve.  A stein-v fit's predictive inverse is
+:func:`steingrad.linalg.invert_symmetric` of its own jittered system: one
+``np.linalg.inv`` per ladder rung, on numpy's BLAS pool, so a sampler run
+after it does not share the host with scipy's spinning pool (see
+:mod:`steingrad.linalg`).  Kernel values come from
 :mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
 each kernel matrix over the sample's own pairs, the fits' and the expansion
 kinds' ``grads_at_train``, is one ``build_matrices`` pass over the sample as
@@ -36,7 +36,7 @@ sample Jacobians into a gradient of the entropy term.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .kernels import (
     check_number,
     cross_kernel,
 )
-from .linalg import checked_inverse, solve_symmetric
+from .linalg import invert_symmetric, solve_symmetric
 
 DEFAULT_ETA = 0.1
 # U-statistic systems can be indefinite; a strictly positive ridge keeps the
@@ -162,18 +162,6 @@ def _stein_system(xs, spec, statistic):
     if statistic == "u":
         np.fill_diagonal(system, 0.0)
     return system, -mats.grad_sum, mats.spec
-
-
-def _ridge_solve(system, rhs, eta, name):
-    """Solve (system + eta I) z = rhs, adding eta in ``system``'s buffer.
-
-    The one solve site of the fits and of the predictive inverse's ladder
-    fallback; returns z and the jitter diagnostics a fitted estimator
-    records.
-    """
-    system[np.diag_indices_from(system)] += eta
-    z, jitter, level = solve_symmetric(system, rhs, name=name)
-    return z, {"jitter": jitter, "jitter_level": level}
 
 
 def _stein_predict(fitted, pts):
@@ -499,33 +487,23 @@ class FittedEstimator:
         predict never form it.  The system is the fit's own: the kernel,
         then ``+= eta``, then ``+= jitter``, the jitter being
         ``diagnostics["jitter"]`` (0.0 when the record holds none), taken
-        column-major as in ``_stein_system``.  Its inverse is one
-        ``np.linalg.inv``, held to the ladder's identity right-hand-side
-        residual test, with its bound (:func:`steingrad.linalg.checked_inverse`).
-        So a fresh fit, its reloaded record and a direct construction get
-        the same bits, on the fit's rung, which the Schur-complement predict
-        assumes.  Only when ``inv`` fails, singular or short of the test,
-        does the jitter ladder solve K + eta I against the identity from
-        rung 0, as for any solve; its residual test depends on the
-        right-hand side, so it can then accept a rung the fit did not.
+        column-major as in ``_stein_system``.  Its inverse is
+        :func:`steingrad.linalg.invert_symmetric` of that system: one
+        ``np.linalg.inv`` per rung, held to the ladder's identity
+        right-hand-side residual test.  At rung 0 it is ``np.linalg.inv``
+        of the fit's system, so a fresh fit, its reloaded record and a
+        direct construction get the same bits, on the fit's rung, which the
+        Schur-complement predict assumes.  Only an inverse that fails there,
+        singular or short of the test, climbs the ladder, from the fit's
+        own system, so it never lands below the fit's jitter.
         """
         if self.kind != KIND_STEIN_V:
             return None
-        system = self._kernel_matrix()
+        system = build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix.T
         diag = np.diag_indices_from(system)
         system[diag] += self.eta
         system[diag] += self.diagnostics.get("jitter", 0.0)
-        kinv = checked_inverse(system)
-        if kinv is None:
-            del system
-            kinv, _ = _ridge_solve(
-                self._kernel_matrix(), np.eye(self.train.shape[0]), self.eta,
-                "stein predictive inverse",
-            )
-        return kinv
-
-    def _kernel_matrix(self) -> np.ndarray:
-        return build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix.T
+        return invert_symmetric(system, "stein predictive inverse")[0]
 
     def grads_at_train(self) -> np.ndarray:
         """Gradient field at the training samples (the fit output).
@@ -592,12 +570,22 @@ class FittedEstimator:
         Fields are read, not checked: a record loads only if it passes the
         checks a fit's arguments pass (see the class).  ``eta`` and the
         kernel's ``sigma2`` go to the constructors as the record holds
-        them, so ``true`` or ``"0.1"`` is refused, not read as a number.  A
-        missing or unreadable field raises ValueError naming it; ``grads``,
-        ``coeffs`` and ``diagnostics`` may be null, and an old ``kinv`` is
-        ignored.
+        them, so ``true`` or ``"0.1"`` is refused, not read as a number; a
+        bool or string in ``train``, ``grads`` or ``coeffs`` is refused too,
+        and ``diagnostics`` must be an object.  A missing or unreadable
+        field raises ValueError naming it; ``grads``, ``coeffs`` and
+        ``diagnostics`` may be null, and an old ``kinv`` is ignored.
         """
-        array = partial(np.asarray, dtype=float)
+
+        def array(value):
+            if any(isinstance(x, (bool, str)) for x in np.asarray(value, dtype=object).flat):
+                raise ValueError("holds a bool or string, not a number")
+            return np.asarray(value, dtype=float)
+
+        def mapping(value):
+            if not isinstance(value, dict):
+                raise ValueError(f"must be an object, got {type(value).__name__}")
+            return dict(value)
 
         def read(name, convert, optional=False):
             try:
@@ -613,7 +601,7 @@ class FittedEstimator:
             eta=read("eta", lambda eta: eta),
             grads=read("grads", array, optional=True),
             coeffs=read("coeffs", array, optional=True),
-            diagnostics=read("diagnostics", dict, optional=True) or {},
+            diagnostics=read("diagnostics", mapping, optional=True) or {},
         )
 
 
@@ -647,7 +635,9 @@ def fit_estimator(
         else:
             system, rhs, spec = _parametric_system(xs, spec, stat)
             name = f"parametric stein {stat}-statistic system"
-        params, diagnostics = _ridge_solve(system, rhs, eta, name)
+        system[np.diag_indices_from(system)] += eta
+        params, jitter, level = solve_symmetric(system, rhs, name=name)
+        diagnostics = {"jitter": jitter, "jitter_level": level}
     grads, coeffs = (params, None) if kind in _GRAD_KINDS else (None, params)
     return FittedEstimator(
         kind=kind,

@@ -2,14 +2,13 @@
 
 Every regularised system in this library is symmetric: positive definite in
 the common case (a PSD matrix plus eta I), possibly indefinite for the
-U-statistic variants.  All of them are routed through
-:func:`solve_symmetric`.  At each rung of a diagonal-jitter ladder it tries
-a Cholesky factorisation first and, only if that fails (the matrix is not
-numerically positive definite), scipy's symmetric-indefinite LDL^T solver
-at the same rung; it moves to the next rung when neither yields a finite
-solution with an acceptable residual.  The ladder is deterministic, so a
-given system always resolves the same way, and the jitter actually used is
-reported back to the caller.
+U-statistic variants.  All of them climb one diagonal-jitter ladder.
+:func:`solve_symmetric` tries a Cholesky factorisation at each rung first
+and, only if that fails (the matrix is not numerically positive definite),
+scipy's symmetric-indefinite LDL^T solver at the same rung; it moves to the
+next rung when neither yields a finite solution with an acceptable
+residual.  The ladder is deterministic, so a given system always resolves
+the same way, and the jitter actually used is reported back to the caller.
 
 Layout: Cholesky reads the lower triangle, and its factor goes to LAPACK
 ``potrs`` transposed, as the column-major upper factor, so it is read in
@@ -19,8 +18,9 @@ then copies it contiguously instead of transposing it, and the solution
 keeps its bits.  The LDL^T fallback reads the upper triangle.
 
 An inverse the caller needs outright, the Stein fit's predictive
-(K + eta I)^-1, is :func:`checked_inverse`: one ``np.linalg.inv`` on numpy's
-BLAS pool, held to the ladder's own residual test by :func:`is_inverse`.
+(K + eta I)^-1, is :func:`invert_symmetric`: the same ladder, with one
+``np.linalg.inv`` at each rung in place of the factorisation, on numpy's
+BLAS pool, and the residual test of a solve against the identity.
 scipy's OpenBLAS is a second thread pool beside numpy's, and a wide scipy
 triangular solve wakes it.  On a 2-core host, after ``cho_solve`` against
 a 200 x 200 identity its worker accrued 0.04-0.13 s of CPU across the next
@@ -78,6 +78,41 @@ def _residual_norm(system, z, rhs):
     return float(np.linalg.norm(residual))
 
 
+def _ladder(mat, rhs, name):
+    # the one ladder loop: solves mat z = rhs, or inverts mat when rhs is
+    # None, with the bound of a solve against the identity, 1 + sqrt(K)
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{name}: system matrix must be square, got {mat.shape}")
+    k = mat.shape[0]
+    if rhs is None:
+        bound = RESIDUAL_RTOL * (1.0 + math.sqrt(k))
+    elif rhs.shape[0] != k:
+        raise ValueError(f"{name}: rhs has {rhs.shape[0]} rows, system has {k}")
+    else:
+        bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(rhs)))
+    scale = abs(float(np.trace(mat))) / k
+    for level, mult in enumerate(JITTER_LADDER):
+        jitter = mult * scale
+        system = mat
+        if jitter:
+            # mat + jitter I in mat's own layout: + 0.0 turns -0.0 into +0.0
+            # off the diagonal as adding jitter * eye(k) would, same bits
+            system = mat + 0.0
+            system[np.diag_indices(k)] += jitter
+        try:
+            z = np.linalg.inv(system) if rhs is None else _factor_and_solve(system, rhs)
+        except (np.linalg.LinAlgError, ValueError):
+            continue
+        if np.all(np.isfinite(z)) and _residual_norm(system, z, rhs) <= bound:
+            return z, jitter, level
+        del z  # a rejected rung's solution goes before the next rung's
+    raise SingularSolveError(
+        f"{name}: singular or numerically unsolvable even with diagonal "
+        f"jitter up to {JITTER_LADDER[-1] * scale:.3e}; increase the ridge eta"
+    )
+
+
 def solve_symmetric(mat, rhs, name: str = "linear system"):
     """Solve ``mat @ z = rhs`` for symmetric ``mat``.
 
@@ -112,60 +147,18 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
         If no ladder level produces a finite solution with residual at most
         ``RESIDUAL_RTOL * (1 + ||rhs||_F)`` against the (jittered) system.
     """
-    mat = np.asarray(mat, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name}: system matrix must be square, got {mat.shape}")
-    if rhs.shape[0] != mat.shape[0]:
-        raise ValueError(
-            f"{name}: rhs has {rhs.shape[0]} rows, system has {mat.shape[0]}"
-        )
-    k = mat.shape[0]
-    scale = abs(float(np.trace(mat))) / k
-    bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(rhs)))
-    for level, mult in enumerate(JITTER_LADDER):
-        jitter = mult * scale
-        system = mat
-        if jitter:
-            # mat + jitter I in mat's own layout: + 0.0 turns -0.0 into +0.0
-            # off the diagonal as adding jitter * eye(k) would, same bits
-            system = mat + 0.0
-            system[np.diag_indices(k)] += jitter
-        try:
-            z = _factor_and_solve(system, rhs)
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-        if np.all(np.isfinite(z)) and _residual_norm(system, z, rhs) <= bound:
-            return z, jitter, level
-        del z  # a rejected rung's solution goes before the next rung's
-    raise SingularSolveError(
-        f"{name}: singular or numerically unsolvable even with diagonal "
-        f"jitter up to {JITTER_LADDER[-1] * scale:.3e}; increase the ridge eta"
-    )
+    return _ladder(mat, np.asarray(rhs, dtype=float), name)
 
 
-def checked_inverse(system):
-    """``system^-1`` by one ``np.linalg.inv``, or None when it fails.
+def invert_symmetric(mat, name: str = "linear system"):
+    """``mat^-1`` for symmetric ``mat``, on the jitter ladder.
 
-    It fails when LAPACK finds the system singular or the inverse does not
-    pass :func:`is_inverse`; the caller then solves against the identity on
-    the jitter ladder.  Runs on numpy's BLAS pool only (see the module
-    docstring).
+    Each rung makes one ``np.linalg.inv`` of ``mat + jitter I`` and accepts
+    it when it is finite and ``||(mat + jitter I) Z - I||_F <= RESIDUAL_RTOL
+    (1 + sqrt(K))``: the test and bound of :func:`solve_symmetric` against
+    the identity, from one product buffer and no identity matrix.  Rung 0 is
+    ``np.linalg.inv(mat)`` itself, bit for bit.  Runs on numpy's BLAS pool
+    only (see the module docstring).  Returns ``(inverse, jitter, level)``
+    and raises :class:`SingularSolveError` as :func:`solve_symmetric` does.
     """
-    try:
-        inv = np.linalg.inv(system)
-    except np.linalg.LinAlgError:
-        return None
-    return inv if is_inverse(system, inv) else None
-
-
-def is_inverse(system, inv) -> bool:
-    """Whether ``inv`` passes the ladder's test as the inverse of ``system``.
-
-    The test :func:`solve_symmetric` makes of a solve against the identity:
-    ``inv`` is finite and ``||system @ inv - I||_F <= RESIDUAL_RTOL (1 +
-    sqrt(K))``, the same residual and bound, bit for bit, from one product
-    buffer and no identity matrix.
-    """
-    bound = RESIDUAL_RTOL * (1.0 + math.sqrt(system.shape[0]))
-    return bool(np.all(np.isfinite(inv))) and _residual_norm(system, inv, None) <= bound
+    return _ladder(mat, None, name)

@@ -747,6 +747,47 @@ class TestFittedEstimator:
         with pytest.raises(ValueError, match=field):
             FittedEstimator.from_json_dict(record)
 
+    @pytest.mark.parametrize(
+        "kind, edit, field",
+        [
+            (KIND_STEIN_V, lambda r: r["train"][0].__setitem__(0, True), "train"),
+            (KIND_STEIN_V, lambda r: r["train"][1].__setitem__(1, "2.0"), "train"),
+            (KIND_STEIN_V, lambda r: r["grads"][0].__setitem__(0, "1.5"), "grads"),
+            (KIND_STEIN_V, lambda r: r["grads"][2].__setitem__(1, False), "grads"),
+            (KIND_SCORE, lambda r: r["coeffs"].__setitem__(0, True), "coeffs"),
+            (KIND_SCORE, lambda r: r["coeffs"].__setitem__(3, "0.5"), "coeffs"),
+            (KIND_STEIN_V, lambda r: r.update(diagnostics=[["jitter", 0.0]]), "diagnostics"),
+            (KIND_STEIN_V, lambda r: r.update(diagnostics=[]), "diagnostics"),
+            (KIND_STEIN_V, lambda r: r.update(diagnostics="{}"), "diagnostics"),
+        ],
+        ids=[
+            "train-bool", "train-string", "grads-string", "grads-bool", "coeffs-bool",
+            "coeffs-string", "diagnostics-pairs", "diagnostics-empty-list",
+            "diagnostics-string",
+        ],
+    )
+    def test_from_json_refuses_what_it_would_coerce(self, kind, edit, field):
+        # a bool or string in an array field, or diagnostics that are not an
+        # object, would be read as a number or a dict; each is refused
+        # naming the field, as eta and sigma2 are
+        fit = fit_estimator(kind, gaussian_sample(43, n=6), RBF)
+        record = json.loads(json.dumps(fit.to_json_dict()))
+        edit(record)
+        with pytest.raises(ValueError, match=field):
+            FittedEstimator.from_json_dict(record)
+
+    def test_from_json_takes_json_integers(self):
+        # integers are numbers: a record whose arrays hold them loads as floats
+        xs = np.round(5.0 * gaussian_sample(44, n=6))
+        fit = fit_estimator(KIND_SCORE, xs, RBF)
+        record = json.loads(json.dumps(fit.to_json_dict()))
+        record["train"] = [[int(v) for v in row] for row in record["train"]]
+        record["coeffs"] = [int(round(v)) for v in record["coeffs"]]
+        back = FittedEstimator.from_json_dict(record)
+        np.testing.assert_array_equal(back.train, xs)
+        assert back.train.dtype == back.coeffs.dtype == np.float64
+        np.testing.assert_array_equal(back.coeffs, np.round(fit.coeffs))
+
     def test_from_json_ignores_legacy_kinv(self):
         # older sidecars stored the inverse; it is derivable, so a stale or
         # even wrong copy is dropped and the inverse solved afresh
@@ -857,17 +898,25 @@ class TestFittedEstimator:
 
     @staticmethod
     def _ladder_rungs(monkeypatch, xs, eta):
+        # each ladder call by name: (matrix, rhs, result, jitter, level),
+        # the inverse's rhs being the identity it is tested against
         from steingrad import estimators
 
         rungs = {}
-        real = estimators.solve_symmetric
+        solve, invert = estimators.solve_symmetric, estimators.invert_symmetric
 
-        def counting(mat, rhs, name="linear system"):
-            z, jitter, level = real(mat, rhs, name)
+        def solving(mat, rhs, name="linear system"):
+            z, jitter, level = solve(mat, rhs, name)
             rungs[name] = (mat, rhs, z, jitter, level)
             return z, jitter, level
 
-        monkeypatch.setattr(estimators, "solve_symmetric", counting)
+        def inverting(mat, name="linear system"):
+            z, jitter, level = invert(mat, name)
+            rungs[name] = (mat, np.eye(len(mat)), z, jitter, level)
+            return z, jitter, level
+
+        monkeypatch.setattr(estimators, "solve_symmetric", solving)
+        monkeypatch.setattr(estimators, "invert_symmetric", inverting)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=eta)
         fit.kinv
         return fit, rungs
@@ -879,9 +928,9 @@ class TestFittedEstimator:
         # two points close together make K + 0 I near singular.  At 1e-9 the
         # fit's Cholesky fails and LDL^T solves it; at 1e-5 the fit accepts
         # its Cholesky rung.  Either way the inverse of the fit's system
-        # fails the identity residual test, so kinv runs the ladder from
-        # rung 0, which takes a jitter rung, and each solve meets the
-        # residual contract against its own jittered system.
+        # fails the identity residual test, so kinv climbs the ladder from
+        # the fit's own system to a jitter rung, and each ladder call meets
+        # the residual contract against its own jittered system.
         xs = gaussian_sample(38, n=9)
         xs[1] = xs[0] + offset
         fit, rungs = self._ladder_rungs(monkeypatch, xs, 0.0)
@@ -899,6 +948,22 @@ class TestFittedEstimator:
         for mat, rhs, z, jitter, _ in rungs.values():
             residual = (mat + jitter * np.eye(9)) @ z - rhs
             assert np.linalg.norm(residual) <= RESIDUAL_RTOL * (1 + np.linalg.norm(rhs))
+
+    @pytest.mark.parametrize("offset", [1e-9, 1e-5])
+    def test_near_duplicate_inverse_calls_no_scipy_linalg(self, monkeypatch, offset):
+        # the inverse that fails at the fit's system climbs the ladder with
+        # np.linalg.inv at each rung, never a scipy solve against the identity
+        xs = gaussian_sample(38, n=9)
+        xs[1] = xs[0] + offset
+        fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=0.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kinv called scipy.linalg")
+
+        for name in ("cho_solve", "solve", "cho_factor"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        assert fit.kinv.shape == (9, 9)
+        assert np.all(np.isfinite(fit.predict(gaussian_sample(36, n=3))))
 
     def test_grads_at_train_for_expansion_kinds(self):
         xs = gaussian_sample(29, n=7)

@@ -8,8 +8,7 @@ from steingrad import SingularSolveError
 from steingrad.linalg import (
     JITTER_LADDER,
     RESIDUAL_RTOL,
-    checked_inverse,
-    is_inverse,
+    invert_symmetric,
     solve_symmetric,
 )
 
@@ -215,39 +214,39 @@ def _ladder_accepts_inverse(mat, inv):
     ) <= RESIDUAL_RTOL * (1 + np.linalg.norm(np.eye(n)))
 
 
-def _cholesky_inverse(mat):
-    n = len(mat)
-    return scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), np.eye(n))
-
-
-class TestCheckedInverse:
+class TestInvertSymmetric:
     @pytest.mark.parametrize("n", [6, 7])
-    def test_is_numpys_inverse_when_it_passes(self, n):
+    def test_rung_0_is_numpys_inverse(self, n):
         # one np.linalg.inv, bit for bit, and it passes the ladder's test
         mat = scipy.linalg.hilbert(n)
-        inv = checked_inverse(mat)
+        inv, jitter, level = invert_symmetric(mat)
+        assert (jitter, level) == (0.0, 0)
         assert _same_bits(inv, np.linalg.inv(mat))
         assert _ladder_accepts_inverse(mat, inv)
 
-    def test_none_where_the_ladder_escalates(self):
-        # Hilbert 8's inverse fails the residual test at rung 0, and a
-        # singular system fails in LAPACK; either way the caller's ladder
-        # takes over
+    def test_escalates_to_an_inverse_of_its_own_jittered_system(self):
+        # Hilbert 8's inverse fails the residual test at rung 0; the
+        # accepted rung's inverse is np.linalg.inv of the jittered system
+        # and meets the bound against it
         mat = scipy.linalg.hilbert(8)
-        assert checked_inverse(mat) is None
-        assert solve_symmetric(mat, np.eye(8))[2] > 0
-        assert checked_inverse(np.zeros((3, 3))) is None
+        assert not _ladder_accepts_inverse(mat, np.linalg.inv(mat))
+        inv, jitter, level = invert_symmetric(mat, name="test system")
+        assert level > 0
+        assert jitter == JITTER_LADDER[level] * np.trace(mat) / 8
+        system = mat + jitter * np.eye(8)
+        assert _same_bits(inv, np.linalg.inv(system))
+        assert _ladder_accepts_inverse(system, inv)
 
-    def test_is_inverse_is_the_ladders_test(self):
-        # Hilbert 8 factors at rung 0, but the inverse from that factor
-        # fails the residual test there, which is why the ladder escalates
-        mat = scipy.linalg.hilbert(8)
-        inv = _cholesky_inverse(mat)
-        assert not is_inverse(mat, inv)
-        assert not _ladder_accepts_inverse(mat, inv)
-        assert solve_symmetric(mat, np.eye(8))[2] > 0
-        mat = scipy.linalg.hilbert(6)
-        inv = _cholesky_inverse(mat)
-        assert is_inverse(mat, inv)
-        inv[2, 3] = np.nan
-        assert not is_inverse(mat, inv)
+    @pytest.mark.parametrize("case", ["zeros", "nan"])
+    def test_hopeless_system_fails_naming_it(self, case):
+        # zeros: zero trace, so the ladder has nothing to add and inv finds
+        # every rung singular.  nan: every rung's inverse is not finite.
+        mat = np.zeros((3, 3)) if case == "zeros" else scipy.linalg.hilbert(3)
+        if case == "nan":
+            mat[0, 2] = mat[2, 0] = np.nan
+        with pytest.raises(SingularSolveError, match="test system"):
+            invert_symmetric(mat, name="test system")
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="square"):
+            invert_symmetric(np.zeros((2, 3)))

@@ -18,11 +18,11 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 
 Every kind but kde is fitted the same way: a builder returns its (matrix,
 rhs) system before the ridge, and ``fit_estimator`` adds eta and makes the
-one solve.  A stein-v fit's predictive inverse is
+one solve, :func:`steingrad.linalg.solve_symmetric`: one ``np.linalg.solve``
+per jitter-ladder rung.  A stein-v fit's predictive inverse is
 :func:`steingrad.linalg.invert_symmetric` of its own jittered system: one
-``np.linalg.inv`` per ladder rung, on numpy's BLAS pool, so a sampler run
-after it does not share the host with scipy's spinning pool (see
-:mod:`steingrad.linalg`).  Kernel values come from
+``np.linalg.inv`` per rung.  Both run on numpy's BLAS pool, the one every
+product here uses (see :mod:`steingrad.linalg`).  Kernel values come from
 :mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
 each kernel matrix over the sample's own pairs, the fits' and the expansion
 kinds' ``grads_at_train``, is one ``build_matrices`` pass over the sample as
@@ -153,9 +153,8 @@ def _stein_system(xs, spec, statistic):
     the U-statistic removes the kernel diagonal from the system matrix and
     requires a strictly positive eta.  The matrix is the kernel matrix's
     buffer, returned as its column-major transpose view: squareform mirrors
-    it, so it is exactly symmetric and the view is the same matrix, which
-    the solver's Cholesky copies without transposing.  The resolved spec
-    comes back third.
+    it, so it is exactly symmetric and the view is the same matrix, in the
+    layout the solver takes.  The resolved spec comes back third.
     """
     mats = build_matrices(xs, spec)
     system = mats.k_matrix.T
@@ -240,13 +239,27 @@ _SIGMA_CLOSED_FORM_MIN_D = 3
 
 
 def _score_sigma_by_coordinate(xs, km):
-    # D_i[j, k] = (x_ij - x_ik) K_jk, rebuilt in one buffer per coordinate;
-    # the first coordinate's product is Sigma itself
-    d_i = np.empty_like(km)
+    """Sigma = sum_i D_i^T D_i with D_i[j, k] = (x_ij - x_ik) K_jk.
+
+    Consumes K: every coordinate but the last is rebuilt in one scratch
+    buffer, and the last is formed in K's own buffer, in row blocks of at
+    most ``kernels.PAIR_BLOCK`` entries, as ``K_jk (x_ij - x_ik)``, the same
+    product and bits, since nothing reads K after it.  So a d = 1 Sigma
+    holds two (K, K) arrays, K as D_1 and Sigma.  The first coordinate's
+    product is Sigma itself.
+    """
+    n, d = xs.shape
+    rows = max(1, kernels.PAIR_BLOCK // n)
+    d_i = np.empty_like(km) if d > 1 else km
     sigma = None
-    for xi in xs.T:
-        np.subtract(xi[:, None], xi[None, :], out=d_i)
-        d_i *= km
+    for i, xi in enumerate(xs.T):
+        if i < d - 1:
+            np.subtract(xi[:, None], xi[None, :], out=d_i)
+            d_i *= km
+        else:
+            d_i = km  # drops the scratch buffer
+            for start in range(0, n, rows):
+                d_i[start:start + rows] *= xi[start:start + rows, None] - xi[None, :]
         if sigma is None:
             sigma = d_i.T @ d_i
         else:
@@ -303,9 +316,10 @@ def _score_system(xs, spec):
          ones, at half the flops of a general product) and the
          coordinate-free form 2 general ones, so Sigma is the sum for
          d <= 2 and the coordinate-free form from d = 3 on.  The sum is
-         exactly symmetric and is returned column-major; the closed form
+         exactly symmetric and is returned column-major, and it is formed
+         after v, since its last coordinate consumes K; the closed form
          is symmetric only up to rounding and stays C-ordered, so the
-         solver's Cholesky reads its C lower triangle as before.
+         solver takes its column-major view, the transpose.
 
     epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
          Sigma_kk' = (1/d^2) [ x^k . x^k'
@@ -489,13 +503,16 @@ class FittedEstimator:
         ``diagnostics["jitter"]`` (0.0 when the record holds none), taken
         column-major as in ``_stein_system``.  Its inverse is
         :func:`steingrad.linalg.invert_symmetric` of that system: one
-        ``np.linalg.inv`` per rung, held to the ladder's identity
-        right-hand-side residual test.  At rung 0 it is ``np.linalg.inv``
-        of the fit's system, so a fresh fit, its reloaded record and a
-        direct construction get the same bits, on the fit's rung, which the
-        Schur-complement predict assumes.  Only an inverse that fails there,
-        singular or short of the test, climbs the ladder, from the fit's
-        own system, so it never lands below the fit's jitter.
+        ``np.linalg.inv`` per rung on numpy's BLAS pool, held to the
+        ladder's identity right-hand-side residual test.  At rung 0 it is
+        ``np.linalg.inv`` of the fit's system, so a fresh fit, its reloaded
+        record and a direct construction get the same bits, on the fit's
+        rung, which the Schur-complement predict assumes.  Only an inverse
+        that fails there, singular or short of the test, climbs the ladder,
+        from the fit's own system, so it never lands below the fit's
+        jitter.  Each rung is decided by its own residual test, the fit's
+        against its right-hand side and this one against the identity, so
+        on a near-singular system the inverse may land above the fit.
         """
         if self.kind != KIND_STEIN_V:
             return None

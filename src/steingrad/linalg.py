@@ -2,40 +2,35 @@
 
 Every regularised system in this library is symmetric: positive definite in
 the common case (a PSD matrix plus eta I), possibly indefinite for the
-U-statistic variants.  All of them climb one diagonal-jitter ladder.
-:func:`solve_symmetric` tries a Cholesky factorisation at each rung first
-and, only if that fails (the matrix is not numerically positive definite),
-scipy's symmetric-indefinite LDL^T solver at the same rung; it moves to the
-next rung when neither yields a finite solution with an acceptable
-residual.  The ladder is deterministic, so a given system always resolves
-the same way, and the jitter actually used is reported back to the caller.
+U-statistic variants.  All of them climb one diagonal-jitter ladder.  Each
+rung is one LAPACK LU solve through numpy: :func:`solve_symmetric` makes one
+``np.linalg.solve`` of ``mat + jitter I`` and :func:`invert_symmetric` one
+``np.linalg.inv`` (a solve against the identity).  A rung is accepted when
+its result is finite and its residual against the jittered system is small,
+so definite and indefinite systems take the same path, and which rung a
+system lands on is decided by that residual alone.  The ladder is
+deterministic, so a given system always resolves the same way, and the
+jitter actually used is reported back to the caller.
 
-Layout: Cholesky reads the lower triangle, and its factor goes to LAPACK
-``potrs`` transposed, as the column-major upper factor, so it is read in
-place rather than copied.  A system that is exactly symmetric may arrive
-column-major (the transpose view of a C-ordered matrix): numpy's Cholesky
-then copies it contiguously instead of transposing it, and the solution
-keeps its bits.  The LDL^T fallback reads the upper triangle.
+One pool: every factorisation and product runs on numpy's OpenBLAS thread
+pool, the one the library's matrix products use.  scipy loads a second
+OpenBLAS, and a wide scipy solve woke its pool, whose worker then spun
+beside the next numpy work; no module here imports ``scipy.linalg`` now.
 
-An inverse the caller needs outright, the Stein fit's predictive
-(K + eta I)^-1, is :func:`invert_symmetric`: the same ladder, with one
-``np.linalg.inv`` at each rung in place of the factorisation, on numpy's
-BLAS pool, and the residual test of a solve against the identity.
-scipy's OpenBLAS is a second thread pool beside numpy's, and a wide scipy
-triangular solve wakes it.  On a 2-core host, after ``cho_solve`` against
-a 200 x 200 identity its worker accrued 0.04-0.13 s of CPU across the next
-0.2 s (``tools/blas_spin.py``), and a 50-chain, 100-iteration ``run_hmc``
-on a stein-v fit that followed took 330-346 ms against 265-267 ms without
-it (medians of 8).  The fits' own solves at d = 2 leave it asleep; a
-K = 1000, d = 50 fit's does not.  This module is the only one that
-imports ``scipy.linalg``.
+One layout: the ladder solves, and checks the residual of, the column-major
+view of a C-contiguous system, so LAPACK's work copy is a plain copy.  A
+system that is exactly symmetric is the same matrix in either memory order,
+so it gets the same bits and the same rung whichever order it arrives in.
+
+Memory: numpy mallocs LU's work copy of the system, where tracemalloc does
+not see it, so rung 0 holds two (K, K) arrays, the system and that copy,
+besides the solution and one residual product of the solution's shape; a
+jitter rung adds its jittered system.
 """
 
 import math
-import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularSolveError
 
@@ -48,24 +43,9 @@ JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
 
 def _factor_and_solve(system, rhs):
-    # Cholesky reads the lower triangle only; a pivot that is not positive
-    # raises LinAlgError, and the indefinite solver takes over, reading the
-    # upper triangle.  numpy's factorisation runs on the same BLAS thread
-    # pool as the library's matrix products; scipy's cho_factor, on scipy's
-    # own pool, stalled for up to 0.1 s on a 2-core host while numpy's
-    # threads still spun after a product (the factor itself is the same:
-    # same LAPACK routine).  numpy returns the factor C-ordered, so its
-    # transpose is the column-major upper factor, which potrs reads in
-    # place; (lower, True) cost a transposing copy, 21 of 24 ms at
-    # K = 2000, for the same bits.  An exactly symmetric system may arrive
-    # column-major, which spares numpy's Cholesky the same kind of copy.
-    try:
-        lower = np.linalg.cholesky(system)
-    except np.linalg.LinAlgError:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            return scipy.linalg.solve(system, rhs, assume_a="sym")
-    return scipy.linalg.cho_solve((lower.T, False), rhs, check_finite=False)
+    # one LU factorisation and solve (LAPACK gesv) on numpy's pool; rhs
+    # None asks for the inverse, a solve against the identity
+    return np.linalg.inv(system) if rhs is None else np.linalg.solve(system, rhs)
 
 
 def _residual_norm(system, z, rhs):
@@ -84,6 +64,8 @@ def _ladder(mat, rhs, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name}: system matrix must be square, got {mat.shape}")
+    if mat.flags.c_contiguous:
+        mat = mat.T  # the column-major view (see the module docstring)
     k = mat.shape[0]
     if rhs is None:
         bound = RESIDUAL_RTOL * (1.0 + math.sqrt(k))
@@ -101,7 +83,7 @@ def _ladder(mat, rhs, name):
             system = mat + 0.0
             system[np.diag_indices(k)] += jitter
         try:
-            z = np.linalg.inv(system) if rhs is None else _factor_and_solve(system, rhs)
+            z = _factor_and_solve(system, rhs)
         except (np.linalg.LinAlgError, ValueError):
             continue
         if np.all(np.isfinite(z)) and _residual_norm(system, z, rhs) <= bound:
@@ -116,16 +98,16 @@ def _ladder(mat, rhs, name):
 def solve_symmetric(mat, rhs, name: str = "linear system"):
     """Solve ``mat @ z = rhs`` for symmetric ``mat``.
 
-    Each ladder rung factorises ``mat + jitter I`` by Cholesky, falling back
-    to the symmetric-indefinite LDL^T solver at the same rung when the
-    Cholesky factorisation fails.  A rung is accepted when its solution is
-    finite and its residual against the full (jittered) matrix is small.
+    Each ladder rung makes one ``np.linalg.solve`` of ``mat + jitter I``, an
+    LU factorisation that serves definite and indefinite systems alike.  A
+    rung is accepted when its solution is finite and its residual against
+    the full (jittered) matrix is small.
 
     Parameters
     ----------
     mat : (K, K) array
-        Symmetric system matrix, in either memory order (see the module
-        docstring).
+        Symmetric system matrix, in either memory order: it is solved as
+        its column-major view (see the module docstring).
     rhs : (K,) or (K, m) array
         Right-hand side.
     name : str
@@ -157,8 +139,9 @@ def invert_symmetric(mat, name: str = "linear system"):
     it when it is finite and ``||(mat + jitter I) Z - I||_F <= RESIDUAL_RTOL
     (1 + sqrt(K))``: the test and bound of :func:`solve_symmetric` against
     the identity, from one product buffer and no identity matrix.  Rung 0 is
-    ``np.linalg.inv(mat)`` itself, bit for bit.  Runs on numpy's BLAS pool
-    only (see the module docstring).  Returns ``(inverse, jitter, level)``
-    and raises :class:`SingularSolveError` as :func:`solve_symmetric` does.
+    ``np.linalg.inv`` of ``mat``'s column-major view, which for an exactly
+    symmetric ``mat`` is ``np.linalg.inv(mat)`` bit for bit.  Returns
+    ``(inverse, jitter, level)`` and raises :class:`SingularSolveError` as
+    :func:`solve_symmetric` does.
     """
     return _ladder(mat, None, name)

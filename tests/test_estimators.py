@@ -47,6 +47,21 @@ RIDGE_SOLVES = {
     KIND_STEIN_PARAM_V: "parametric stein v-statistic system",
     KIND_STEIN_PARAM_U: "parametric stein u-statistic system",
 }
+
+
+def refuse_scipy_linalg(monkeypatch):
+    """Make every ``scipy.linalg`` routine raise: the package's solves and
+    inverses are numpy's, on numpy's BLAS pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called scipy.linalg")
+
+    for name in dir(scipy.linalg):
+        obj = getattr(scipy.linalg, name)
+        if not name.startswith("_") and callable(obj) and not isinstance(obj, type):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+
+
 # every kind under the rbf kernel, and score matching under both families,
 # so that properties drawing from it cover the Epanechnikov closed form too
 KIND_FAMILIES = [(kind, "rbf") for kind in KINDS] + [(KIND_SCORE, "epanechnikov")]
@@ -132,17 +147,16 @@ class TestSteinNonparametric:
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_u_statistic_fit_is_the_indefinite_solve(self):
-        # the U system is indefinite, so Cholesky fails at once and the
-        # ladder takes the LDL^T solve every U fit took before
+        # the U system is indefinite, which Cholesky would refuse; the
+        # ladder's LU solve takes it at rung 0, as it takes every system
         xs = gaussian_sample(9, n=20)
         system, rhs, _ = _stein_system(xs, RBF, "u")
         system += 0.05 * np.eye(20)
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.cho_factor(system, lower=True)
-        want = scipy.linalg.solve(system, rhs, assume_a="sym")
+            np.linalg.cholesky(system)
         fit = fit_estimator(KIND_STEIN_U, xs, RBF, eta=0.05)
         assert fit.diagnostics["jitter_level"] == 0
-        np.testing.assert_allclose(fit.grads, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(fit.grads, np.linalg.solve(system, rhs))
 
     def test_u_statistic_requires_positive_eta(self):
         xs = gaussian_sample(4)
@@ -491,9 +505,10 @@ class TestEntropySurrogate:
 
 
 class TestSystemLayout:
-    # the solver may take an exactly symmetric system column-major, which
-    # spares its Cholesky a transposing copy; a system that is symmetric
-    # only up to rounding stays C-ordered, so its C lower triangle is read
+    # an exactly symmetric system comes back column-major, the layout the
+    # solver takes, so LU's work copy is a plain copy; a system that is
+    # symmetric only up to rounding stays C-ordered, and the solver takes
+    # its column-major view, the transpose
     @pytest.mark.parametrize("statistic", ["v", "u"])
     @pytest.mark.parametrize("spec", [RBF, EPAN], ids=["rbf", "epanechnikov"])
     def test_stein_system_is_column_major_and_exactly_symmetric(self, spec, statistic):
@@ -801,30 +816,35 @@ class TestFittedEstimator:
 
     @pytest.mark.parametrize("kind", list(RIDGE_SOLVES))
     def test_fit_makes_one_solve_and_predict_adds_none(self, monkeypatch, kind):
-        # every ridge kind makes one named solve and one factorisation;
-        # predict adds neither, stein-v's included: its inverse is one
-        # np.linalg.inv, not a ladder solve
+        # every ridge kind makes one named ladder solve, which is one
+        # np.linalg.solve; predict adds neither.  stein-v's first predict
+        # forms its inverse, one np.linalg.inv, and later ones add none.
         from steingrad import estimators
 
         solve = RIDGE_SOLVES[kind]
-        calls, factorisations = [], []
+        calls, lapack = [], []
         real = estimators.solve_symmetric
-        real_cholesky = np.linalg.cholesky
+        real_solve, real_inv = np.linalg.solve, np.linalg.inv
 
         def counting(mat, rhs, name="linear system"):
             calls.append(name)
             return real(mat, rhs, name)
 
-        def cholesky(a, *args, **kwargs):
-            factorisations.append(a.shape)
-            return real_cholesky(a, *args, **kwargs)
+        def numpy_solve(a, b):
+            lapack.append(("solve", a.shape))
+            return real_solve(a, b)
+
+        def numpy_inv(a):
+            lapack.append(("inv", a.shape))
+            return real_inv(a)
 
         monkeypatch.setattr(estimators, "solve_symmetric", counting)
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        monkeypatch.setattr(np.linalg, "solve", numpy_solve)
+        monkeypatch.setattr(np.linalg, "inv", numpy_inv)
         xs = gaussian_sample(35, n=9)
         fit = fit_estimator(kind, xs, RBF)
         assert calls == [solve]
-        assert factorisations == [(9, 9)]
+        assert lapack == [("solve", (9, 9))]
         assert set(fit.diagnostics) == {"jitter", "jitter_level"}
         if kind == KIND_STEIN_U:
             return  # no out-of-sample rule
@@ -832,7 +852,8 @@ class TestFittedEstimator:
         first = fit.predict(pts)
         fit.predict(pts)
         assert calls == [solve]
-        assert factorisations == [(9, 9)]
+        inverse = [("inv", (9, 9))] if kind == KIND_STEIN_V else []
+        assert lapack == [("solve", (9, 9))] + inverse
         np.testing.assert_array_equal(fit.predict(pts), first)
 
     @pytest.mark.parametrize("rung", [0, 1])
@@ -867,11 +888,7 @@ class TestFittedEstimator:
             diagnostics={"jitter": jitter} if rung else {},
         )
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("kinv called scipy.linalg")
-
-        for name in ("cho_solve", "solve", "cho_factor"):
-            monkeypatch.setattr(scipy.linalg, name, refuse)
+        refuse_scipy_linalg(monkeypatch)
         system = _stein_system(xs, RBF, "v")[0]
         system[np.diag_indices(15)] += 0.1
         system[np.diag_indices(15)] += jitter
@@ -922,26 +939,20 @@ class TestFittedEstimator:
         return fit, rungs
 
     @pytest.mark.parametrize(
-        "offset, fit_factored", [(1e-9, False), (1e-5, True)], ids=["ldlt", "check-fails"]
+        "offset, fit_level", [(1e-9, 1), (1e-5, 0)], ids=["fit-jitters", "check-fails"]
     )
-    def test_near_duplicate_sample_falls_back_to_the_ladder(self, monkeypatch, offset, fit_factored):
+    def test_near_duplicate_sample_falls_back_to_the_ladder(self, monkeypatch, offset, fit_level):
         # two points close together make K + 0 I near singular.  At 1e-9 the
-        # fit's Cholesky fails and LDL^T solves it; at 1e-5 the fit accepts
-        # its Cholesky rung.  Either way the inverse of the fit's system
-        # fails the identity residual test, so kinv climbs the ladder from
-        # the fit's own system to a jitter rung, and each ladder call meets
-        # the residual contract against its own jittered system.
+        # fit's solve at rung 0 misses the residual bound and rung 1 meets
+        # it; at 1e-5 the fit accepts rung 0.  Either way the inverse of the
+        # fit's system fails the identity residual test, so kinv climbs the
+        # ladder from the fit's own system to a jitter rung, and each ladder
+        # call meets the residual contract against its own jittered system.
         xs = gaussian_sample(38, n=9)
         xs[1] = xs[0] + offset
         fit, rungs = self._ladder_rungs(monkeypatch, xs, 0.0)
-        mat = rungs["stein v-statistic system"][0]
-        assert rungs["stein v-statistic system"][4] == 0
-        try:
-            np.linalg.cholesky(mat)
-            factored = True
-        except np.linalg.LinAlgError:
-            factored = False
-        assert factored == fit_factored
+        assert rungs["stein v-statistic system"][4] == fit_level
+        assert fit.diagnostics["jitter_level"] == fit_level
         _, _, z, _, level = rungs["stein predictive inverse"]
         assert level > 0
         np.testing.assert_array_equal(fit.kinv, z)
@@ -951,18 +962,25 @@ class TestFittedEstimator:
 
     @pytest.mark.parametrize("offset", [1e-9, 1e-5])
     def test_near_duplicate_inverse_calls_no_scipy_linalg(self, monkeypatch, offset):
-        # the inverse that fails at the fit's system climbs the ladder with
-        # np.linalg.inv at each rung, never a scipy solve against the identity
+        # with every scipy.linalg routine refusing: an eta = 0 fit on a
+        # near-duplicate sample, which climbs the ladder at 1e-9, and its
+        # inverse, which climbs it from the fit's system at both offsets,
+        # np.linalg.solve and np.linalg.inv at each rung
+        refuse_scipy_linalg(monkeypatch)
         xs = gaussian_sample(38, n=9)
         xs[1] = xs[0] + offset
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=0.0)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("kinv called scipy.linalg")
-
-        for name in ("cho_solve", "solve", "cho_factor"):
-            monkeypatch.setattr(scipy.linalg, name, refuse)
         assert fit.kinv.shape == (9, 9)
+        assert np.all(np.isfinite(fit.predict(gaussian_sample(36, n=3))))
+
+    @pytest.mark.parametrize("kind, family", KIND_FAMILIES)
+    def test_every_fit_calls_no_scipy_linalg(self, monkeypatch, kind, family):
+        # every kind's fit, V and U statistics alike, and stein-v's inverse
+        # and predictions finish with every scipy.linalg routine refusing
+        refuse_scipy_linalg(monkeypatch)
+        fit = fit_estimator(kind, gaussian_sample(39, n=15), RBF if family == "rbf" else EPAN)
+        if kind == KIND_STEIN_U:
+            return  # no out-of-sample rule
         assert np.all(np.isfinite(fit.predict(gaussian_sample(36, n=3))))
 
     def test_grads_at_train_for_expansion_kinds(self):

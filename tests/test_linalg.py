@@ -74,50 +74,47 @@ class TestSolveSymmetric:
             solve_symmetric(np.eye(2), np.zeros(3))
 
     def test_reported_jitter_reproduces_solution(self):
+        # the accepted rung is np.linalg.solve of mat + jitter I, bit for
+        # bit, and meets the residual bound against that system
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         mat = q @ np.diag([1.0, 1.0, 1.0, 1e-16, 1e-16, 1e-16]) @ q.T
         mat = (mat + mat.T) / 2
         rhs = mat @ rng.standard_normal(6)
         z, jitter, _ = solve_symmetric(mat, rhs)
-        # the jittered system is positive definite, so the ladder accepted
-        # its Cholesky solve
-        factor = scipy.linalg.cho_factor(mat + jitter * np.eye(6), lower=True)
-        again = scipy.linalg.cho_solve(factor, rhs)
-        np.testing.assert_allclose(z, again, atol=1e-12)
+        system = mat + jitter * np.eye(6)
+        assert _same_bits(z, np.linalg.solve(system, rhs))
+        assert _residual_within_bound(system, z, rhs)
 
-    def test_positive_definite_solve_is_one_cholesky(self):
+    def test_positive_definite_solve_is_one_np_linalg_solve(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((30, 30))
         mat = m @ m.T + 0.1 * np.eye(30)
         rhs = rng.standard_normal((30, 4))
         z, jitter, level = solve_symmetric(mat, rhs)
         assert (jitter, level) == (0.0, 0)
-        factor = (np.linalg.cholesky(mat), True)
-        want = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        np.testing.assert_array_equal(z, want)
-        # the same factorisation as scipy's cho_factor, up to rounding
-        factor = scipy.linalg.cho_factor(mat, lower=True, check_finite=False)
-        np.testing.assert_allclose(z, scipy.linalg.cho_solve(factor, rhs), rtol=1e-12)
+        assert _same_bits(z, np.linalg.solve(mat, rhs))
+        assert _residual_within_bound(mat, z, rhs)
 
-    def test_indefinite_system_takes_the_ldlt_path(self):
-        # Cholesky fails on the first negative pivot; the indefinite solver
-        # at the same rung gives the answer
+    def test_indefinite_system_is_the_same_solve(self):
+        # Cholesky would fail on the first negative pivot; LU does not care,
+        # so an indefinite system takes the one np.linalg.solve at rung 0
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
         mat = q @ np.diag([-2.0, -1.0, 0.5, 1.0, 2.0, 3.0, 4.0]) @ q.T
         mat = (mat + mat.T) / 2
         rhs = rng.standard_normal(7)
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.cho_factor(mat, lower=True)
+            np.linalg.cholesky(mat)
         z, jitter, level = solve_symmetric(mat, rhs)
         assert (jitter, level) == (0.0, 0)
-        np.testing.assert_array_equal(z, scipy.linalg.solve(mat, rhs, assume_a="sym"))
+        assert _same_bits(z, np.linalg.solve(mat, rhs))
+        assert _residual_within_bound(mat, z, rhs)
 
     @pytest.mark.parametrize("triangle", ["upper", "lower"])
     def test_nan_in_one_triangle_is_singular(self, triangle):
-        # Cholesky reads one triangle and LDL^T may read the other; the
-        # residual against the whole matrix catches a NaN either misses
+        # LU reads the whole matrix, so the NaN reaches every rung's
+        # solution, and the residual against the whole matrix catches it
         m = np.random.default_rng(4).standard_normal((5, 5))
         mat = m @ m.T + np.eye(5)
         i, j = (1, 3) if triangle == "upper" else (3, 1)
@@ -128,6 +125,12 @@ class TestSolveSymmetric:
 
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _residual_within_bound(system, z, rhs):
+    # the ladder's acceptance test, written out
+    bound = RESIDUAL_RTOL * (1 + np.linalg.norm(rhs))
+    return bool(np.linalg.norm(system @ z - rhs) <= bound)
 
 
 def _solve_in_both_orders(mat, rhs):
@@ -159,15 +162,22 @@ class TestMemoryOrder:
         }[rhs_shape]
         z, jitter, level = _solve_in_both_orders(mat, rhs)
         assert (jitter, level) == (0.0, 0)
-        want = scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), rhs)
-        assert _same_bits(z, want)
+        assert _same_bits(z, np.linalg.solve(mat, rhs))
+        assert _residual_within_bound(mat, z, rhs)
 
     def test_near_singular_system_takes_a_jitter_rung(self):
+        # LU accepts a rung on its residual alone, so the residual of the
+        # two orders must be the same product: the ladder checks the
+        # column-major view of either (rung 3 C-ordered and rung 4
+        # column-major when each order was checked as given)
         b = np.random.default_rng(5).standard_normal((6, 2))
         mat = b @ b.T  # rank 2
         rhs = np.ones(6)
-        _, jitter, level = _solve_in_both_orders(mat, rhs)
+        z, jitter, level = _solve_in_both_orders(mat, rhs)
         assert level > 0 and jitter > 0
+        system = mat + jitter * np.eye(6)
+        assert _same_bits(z, np.linalg.solve(system, rhs))
+        assert _residual_within_bound(system.T, z, rhs)
 
     def test_jitter_rung_keeps_signed_zeros(self):
         # the rung adds jitter on the diagonal only, as mat + jitter * I
@@ -177,10 +187,9 @@ class TestMemoryOrder:
         z, jitter, level = _solve_in_both_orders(mat, rhs)
         assert level > 0
         system = mat + jitter * np.eye(2)
-        want = scipy.linalg.cho_solve((np.linalg.cholesky(system), True), rhs)
-        assert _same_bits(z, want)
+        assert _same_bits(z, np.linalg.solve(system, rhs))
 
-    def test_indefinite_system_on_the_ldlt_path(self):
+    def test_indefinite_system(self):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
         mat = q @ np.diag([-3.0, -1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]) @ q.T
@@ -190,20 +199,23 @@ class TestMemoryOrder:
         rhs = rng.standard_normal((9, 2))
         z, jitter, level = _solve_in_both_orders(mat, rhs)
         assert (jitter, level) == (0.0, 0)
-        assert _same_bits(z, scipy.linalg.solve(mat, rhs, assume_a="sym"))
+        assert _same_bits(z, np.linalg.solve(mat, rhs))
+        assert _residual_within_bound(mat, z, rhs)
 
-    def test_asymmetric_by_rounding_reads_the_lower_triangle(self):
-        # a C-ordered matrix that is symmetric only up to rounding is still
-        # factored from its lower triangle, as numpy's Cholesky reads it
+    def test_asymmetric_by_rounding_solves_the_column_major_view(self):
+        # a C-ordered matrix that is symmetric only up to rounding is solved
+        # as its column-major view, the transpose; a column-major one as it
+        # is.  Either way the residual is checked on the matrix solved.
         rng = np.random.default_rng(7)
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         mat = q @ np.diag(np.linspace(0.5, 3.0, 40)) @ q.T
         assert not np.array_equal(mat, mat.T)
         rhs = rng.standard_normal((40, 3))
-        z, jitter, level = solve_symmetric(mat, rhs)
-        assert (jitter, level) == (0.0, 0)
-        want = scipy.linalg.cho_solve((np.linalg.cholesky(mat), True), rhs)
-        assert _same_bits(z, want)
+        for given, solved in ((mat, mat.T), (np.asfortranarray(mat), mat)):
+            z, jitter, level = solve_symmetric(given, rhs)
+            assert (jitter, level) == (0.0, 0)
+            assert _same_bits(z, np.linalg.solve(solved, rhs))
+            assert _residual_within_bound(solved, z, rhs)
 
 
 def _ladder_accepts_inverse(mat, inv):

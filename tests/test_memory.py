@@ -58,31 +58,33 @@ for _kind, _fit in FITS.items():
 # tighter bounds, in K^2 doubles, a little above the peaks measured when
 # they were set (ksd_v 1.62, and 1.64 summed in row blocks, at K = 400 one
 # block: the condensed kernel, then its mirrored matrix; score-rbf at
-# d = 1 3.01: K, one D_i buffer, Sigma and one product; stein-v fit 2.25:
-# the system, the Cholesky factor, released when the solve returns, and the
-# residual check, which subtracts rhs in place (2.39 while the fit held
-# its factor through that check).  stein-v kinv, fit included, 3.26: the
-# kernel rebuilt as the fit's system, np.linalg.inv's result and the
-# check's product (numpy's linalg module mallocs inv's two working copies,
-# which tracemalloc does not see; 4.38 and then 3.26 when kinv was a
-# cho_solve of a held factor).  entropy-check peaks in its score fit
-# (3.07).  A median-rule fit or discrepancy keeps the same bound: holding
-# the condensed distances through the fit would add 0.5 (median-rule
-# score 3.01 at d = 1 and 4.14 at d = 50, stein-param-v 5.14, each as with
-# the bandwidth given; 4.19 and 5.13 when the fits held the whole Gram
-# matrix, whose 327-row blocks at K = 400 are 0.82 K^2).  The expansion
-# kinds' grads_at_train measured 1.50, the condensed kernel and its
-# mirrored matrix, with the weights formed in place (2.05 when the kernel
-# came from cross_kernel and the weights were new arrays).
+# d = 1 2.01: K, which becomes the last coordinate's D_i, and Sigma; stein-v
+# fit 1.50: the condensed kernel and its mirrored matrix, which is then the
+# system.  A fit's solve is one np.linalg.solve, and numpy mallocs LU's
+# work copy of the system, so tracemalloc does not see it; the bench's
+# peak_rss_mb does.  Before the solve was LU these read 3.01 and 2.25: a
+# D_i buffer beside K, and numpy's Cholesky factor.  stein-v kinv, fit
+# included, 3.26: the kernel rebuilt as the fit's system, np.linalg.inv's
+# result and the check's product (numpy mallocs inv's two working copies
+# too; 4.38 and then 3.26 when kinv was a cho_solve of a held factor).
+# entropy-check peaks in its score fit (2.08; 3.08 before).  A median-rule
+# fit or discrepancy keeps the same bound: holding the condensed distances
+# through the fit would add 0.5 (median-rule score 2.01 at d = 1 and 4.14
+# at d = 50, stein-param-v 5.14, each as with the bandwidth given; 4.19 and
+# 5.13 when the fits held the whole Gram matrix, whose 327-row blocks at
+# K = 400 are 0.82 K^2).  The expansion kinds' grads_at_train measured
+# 1.50, the condensed kernel and its mirrored matrix, with the weights
+# formed in place (2.05 when the kernel came from cross_kernel and the
+# weights were new arrays).
 TIGHT = {
     "ksd_v": 1.75,
     "ksd_v median": 1.75,
-    "score-rbf fit d=1": 3.25,
-    "score-rbf fit d=1 median": 3.25,
-    "stein-v fit": 2.35,
-    "stein-v fit median": 2.35,
+    "score-rbf fit d=1": 2.15,
+    "score-rbf fit d=1 median": 2.15,
+    "stein-v fit": 1.6,
+    "stein-v fit median": 1.6,
     "stein-v kinv": 3.5,
-    "entropy-check": 3.25,
+    "entropy-check": 2.2,
     f"{KIND_SCORE} grads_at_train": 1.6,
     f"{KIND_STEIN_PARAM_V} grads_at_train": 1.6,
 }

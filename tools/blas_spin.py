@@ -10,7 +10,9 @@ asleep, so CPU time there is a BLAS worker still spinning after the step
 returned.  numpy and scipy each load their own OpenBLAS, whose worker
 threads start when the library loads: the threads that appear with
 ``import numpy`` are numpy's pool, those that appear with scipy's are
-scipy's.  The last step, scipy's ``cho_solve`` against the 200 x 200
+scipy's.  The package's own steps, the K = 1000, d = 50 stein-v fit
+included, factorise and solve on numpy's pool, so they leave scipy's
+asleep.  The last step, scipy's ``cho_solve`` against the 200 x 200
 identity, is the control: a wide scipy triangular solve wakes scipy's pool.
 The script reads only this process's clocks and sets no thread count.
 """

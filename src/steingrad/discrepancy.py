@@ -19,8 +19,8 @@ kernel.  The last (gradient-free) term is constant in G, so it is
 optional: fits minimise the constant-free part, sample-quality metrics
 want it included.  The U-statistic drops the j = l terms and normalises by
 K (K - 1).  Memory is O(B + K d) doubles for a given bandwidth, B the
-pairs per block, ``kernels.PAIR_BLOCK``; a median-rule kernel adds the one
-condensed vector of K (K - 1) / 2 distances its bandwidth is taken from.
+pairs per block, ``kernels.PAIR_BLOCK``; a median-rule kernel adds the
+distance pass its bandwidth is taken from, about K^2 / 2 doubles.
 """
 
 from dataclasses import dataclass

@@ -152,9 +152,9 @@ def _stein_system(xs, spec, statistic):
     The ridge solve (K + eta I) G = -<grad, K> gives the V-statistic field;
     the U-statistic removes the kernel diagonal from the system matrix and
     requires a strictly positive eta.  The matrix is the kernel matrix's
-    buffer, returned as its column-major transpose view: squareform mirrors
-    it, so it is exactly symmetric and the view is the same matrix, in the
-    layout the solver takes.  The resolved spec comes back third.
+    buffer, returned as its column-major transpose view: it is exactly
+    symmetric, so the view is the same matrix, in the layout the solver
+    takes.  The resolved spec comes back third.
     """
     mats = build_matrices(xs, spec)
     system = mats.k_matrix.T

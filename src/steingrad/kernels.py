@@ -26,14 +26,22 @@ The kernel-value formulas live here only: ``build_matrices`` and
 ``pair_blocks`` (sample pairs) and ``cross_kernel`` (new points against the
 sample) share one evaluation.
 
+Squared distances come from one routine, ``_sq_distances``, in one of two
+forms picked by the dimension d.  Below ``GRAM_MIN_D`` coordinates it sums
+the squared coordinate differences in order, scipy's ``sqeuclidean`` bits,
+so every value below is the same whatever rows a pass is split into.  From
+``GRAM_MIN_D`` it takes the Gram form on the centred rows, whose bits depend
+on the product's block shape: there the "bit for bit" claims below read
+"agree to rounding".
+
 One distance pass per sample: every (K, K) kernel matrix over a sample's own
-pairs is assembled by ``build_matrices`` from one condensed squared-distance
-pass, and a median-rule spec (``KernelSpec(RBF, median_scale=s)``) takes its
-bandwidth from that same pass, bit for bit ``median_heuristic(sample) * s``.
+pairs is assembled by ``build_matrices`` from one squared-distance pass, and
+a median-rule spec (``KernelSpec(RBF, median_scale=s)``) takes its bandwidth
+from that same pass, bit for bit ``median_heuristic(sample) * s``.
 ``pair_blocks`` hands out the same pairs' kernel values, with the same
 bits, in row blocks of at most ``PAIR_BLOCK`` pairs, for a sum over pairs
 that needs no (K, K) matrix; its one distance pass is made block by block,
-and under the median rule it is kept for the bandwidth, K (K - 1) / 2
+and under the median rule it is kept for the bandwidth, about K^2 / 2
 doubles.  ``resolve_bandwidth`` makes a pass of its own, for a caller that
 needs the bandwidth apart from the kernel.  ``cross_kernel`` serves new
 points only.
@@ -44,7 +52,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DegenerateBandwidthError
 
@@ -55,6 +62,10 @@ FAMILIES = (RBF, EPANECHNIKOV)
 # unordered sample pairs per row block of ``pair_blocks`` (1 MiB of
 # doubles): a block's arrays are a few times this, whatever the sample size
 PAIR_BLOCK = 1 << 17
+# coordinates from which squared distances take the Gram form
+GRAM_MIN_D = 8
+# doubles in each temporary of a distance pass (128 KiB)
+_TILE = 1 << 14
 
 
 def as_samples(x, name: str = "samples") -> np.ndarray:
@@ -230,14 +241,68 @@ def _kernel_of_sq(sq, spec: KernelSpec, d: int) -> np.ndarray:
     return np.subtract(1.0, sq, out=sq)
 
 
+def _sq_distances(a, b) -> np.ndarray:
+    """The dense (m, n) squared distances ||a_i - b_j||^2 of (m, d) and (n, d) rows.
+
+    ``b is a`` means a sample's own pairs.  Below ``GRAM_MIN_D`` coordinates
+    the squared differences are summed coordinate by coordinate, in order:
+    scipy's ``sqeuclidean`` bits, exactly symmetric with a zero diagonal
+    for a sample's pairs, ``inf`` where the sum overflows.  From
+    ``GRAM_MIN_D`` the rows are centred on b's mean and each entry is
+    (|a_i|^2 + |b_j|^2) - 2 a_i . b_j, the norm sum first, clipped at 0; a
+    sample's pairs come from one symmetric product, so they are exactly
+    symmetric, and their diagonal is set to 0.  If the squared norms may
+    overflow there, the in-order sum is taken instead.  Each temporary
+    beside the result and the centred rows is at most ``_TILE`` doubles.
+    """
+    pairs = b is a
+    m, d = a.shape
+    step = max(1, _TILE // b.shape[0])
+    if d >= GRAM_MIN_D:
+        centre = b.mean(axis=0)
+        ac = a - centre
+        bc = ac if pairs else b - centre
+        na = np.einsum("ij,ij->i", ac, ac)
+        nb = na if pairs else np.einsum("ij,ij->i", bc, bc)
+        # every entry is at most 4 times the largest squared norm
+        if max(na.max(initial=0.0), nb.max(initial=0.0)) <= np.finfo(float).max / 4:
+            sq = ac @ bc.T
+            sq *= -2.0
+            for lo in range(0, m, step):
+                sq[lo:lo + step] += na[lo:lo + step, None] + nb
+            np.maximum(sq, 0.0, out=sq)
+            if pairs:
+                np.fill_diagonal(sq, 0.0)
+            return sq
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for lo in range(0, m, step):
+        rows = sq[lo:lo + step]
+        for j in range(1, d):
+            diff = np.subtract.outer(a[lo:lo + step, j], b[:, j])
+            diff *= diff
+            rows += diff
+    return sq
+
+
+def _condensed(blocks) -> np.ndarray:
+    """The pairs of row blocks of squared distances, one vector.
+
+    Each (b, m) block holds rows against the rows from the block's first
+    on; row i gives its entries from column i + 1.  For one square block,
+    or for blocks that cover a sample in order, that is every pair once in
+    scipy's condensed (``pdist``) order.
+    """
+    return np.concatenate([row[i + 1:] for sq in blocks for i, row in enumerate(sq)] or [np.empty(0)])
+
+
 def cross_kernel(points, train, spec: KernelSpec) -> np.ndarray:
     """The (M, K) matrix k(y^m, x^k) of validated (M, d) and (K, d) arrays.
 
     For new points against a sample; the kernel over a sample's own pairs is
-    ``build_matrices``', from half the distance work and with the same bits.
+    ``build_matrices``'.
     """
-    sq = cdist(points, train, "sqeuclidean")
-    return _kernel_of_sq(sq, spec, train.shape[1])
+    return _kernel_of_sq(_sq_distances(points, train), spec, train.shape[1])
 
 
 def build_matrices(samples, spec: KernelSpec, with_grad_sum: bool = True) -> KernelMatrices:
@@ -253,18 +318,10 @@ def build_matrices(samples, spec: KernelSpec, with_grad_sum: bool = True) -> Ker
     """
     xs = as_samples(samples)
     n, d = xs.shape
-    # pdist computes each unordered pair once; the kernel is evaluated on
-    # that condensed vector and squareform mirrors it, so the matrix is
-    # exactly symmetric, with no (K, K, d) difference tensor and no (K, K)
-    # distance matrix
-    sq = pdist(xs, "sqeuclidean")
+    sq = _sq_distances(xs, xs)
     if spec.median_scale is not None:
-        # the order statistics from a copy: sq keeps its pair order
-        spec = KernelSpec(RBF, _median_sigma2(sq.copy()) * spec.median_scale)
-    kern = _kernel_of_sq(sq, spec, d)
-    del sq
-    k_matrix = squareform(kern, checks=False)
-    del kern
+        spec = KernelSpec(RBF, _median_sigma2(_condensed([sq])) * spec.median_scale)
+    k_matrix = _kernel_of_sq(sq, spec, d)
     # k(x, x) = 1 for both families
     np.fill_diagonal(k_matrix, 1.0)
     grad_sum = None
@@ -297,25 +354,21 @@ def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
 
     A block holds at most ``PAIR_BLOCK`` pairs unless one row alone has
     more, so its arrays are bounded whatever K is; one block covers a
-    sample of up to 512 points, where ``kern`` is the mirrored kernel
-    matrix with a zero diagonal.  The distances are one pass, ``pdist`` among a block's rows
-    and ``cdist`` against the later ones: ``build_matrices``' bits, pair by
-    pair.  Under the median rule that pass is made here, before the first
-    block, and kept, K (K - 1) / 2 doubles, for the bandwidth and then for
-    the blocks; a sample the rule refuses is refused by this call, not by
-    the iterator.
+    sample of up to 512 points, where ``kern`` is the kernel matrix with a
+    zero diagonal.  The distances are one pass, one ``_sq_distances`` call
+    per block, of its rows against the rows from its first on:
+    ``build_matrices``' bits, pair by pair.  Under the median rule that pass
+    is made here, before the first block, and kept for the bandwidth and
+    then for the blocks; a sample the rule refuses is refused by this call,
+    not by the iterator.
     """
     xs = as_samples(samples)
     dists = _distance_blocks(xs)
     if spec.median_scale is not None:
         held = list(dists)
-        # every pair once, in block order: the values of one pdist pass,
-        # so the same order statistics; the copy is partitioned
-        parts = [a.ravel() for _, _, tri, rect in held for a in (tri, rect)]
-        flat = np.concatenate(parts) if parts else np.empty(0)
-        del parts
+        # every pair once, in pdist's order: the same order statistics
+        flat = _condensed(sq for _, _, sq in held)
         spec = KernelSpec(RBF, _median_sigma2(flat) * spec.median_scale)
-        del flat
         # handed out in order and dropped from the list as they go, so
         # each block's distances are freed once its kernel is made
         held.reverse()
@@ -324,50 +377,58 @@ def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
 
 
 def _distance_blocks(xs):
-    """(start, stop, tri, rect): the condensed squared distances among rows
-    [start, stop) and the dense ones from them to every later row."""
+    """(start, stop, sq): the squared distances of rows [start, stop)
+    against rows [start, K)."""
     n = xs.shape[0]
     start = 0
     while start < n - 1:  # the last row has no later row to pair with
         stop = _block_stop(start, n)
-        rows = xs[start:stop]
-        later = cdist(rows, xs[stop:], "sqeuclidean") if stop < n else np.empty((stop - start, 0))
-        yield start, stop, pdist(rows, "sqeuclidean"), later
+        yield start, stop, _sq_distances(xs[start:stop], xs[start:])
         start = stop
 
 
 def _kernel_blocks(d, spec, dists, with_trace):
-    """``pair_blocks``' blocks, from their squared distances."""
-    for start, stop, tri, rect in dists:
+    """``pair_blocks``' blocks, from their squared distances, each kernel
+    made in its distances' buffer.  The trace sums the block's own pairs in
+    pdist's order, then its pairs with later rows; each pair stands for
+    its two orders."""
+    rbf_trace = with_trace and spec.family == RBF
+    for start, stop, sq in dists:
         b = stop - start
-        traces = [_kernel_and_trace(sq, spec, d, with_trace) for sq in (tri, rect)]
-        # each pair stands for its two orders
-        trace = 2.0 * sum(traces) if with_trace else None
-        square = squareform(tri, checks=False)
-        del tri
-        if rect.shape[1]:
-            kern = np.empty((b, b + rect.shape[1]))
-            kern[:, :b] = square
-            np.multiply(rect, 2.0, out=kern[:, b:])
-        else:
-            kern = square
-        del square, rect
+        if rbf_trace:
+            own = float(_trace_terms(_condensed([sq[:, :b]]), spec, d).sum())
+            # the later pairs' factor, before their distances become the kernel
+            later = _trace_factor(sq[:, b:], spec, d)
+        kern = _kernel_of_sq(sq, spec, d)
+        trace = None
+        if rbf_trace:
+            trace = 2.0 * (own + float(np.multiply(later, kern[:, b:], out=later).sum()))
+        elif with_trace:  # 2 at every pair
+            trace = 2.0 * (2.0 * (b * (b - 1) // 2) + 2.0 * (sq.size - b * b))
+        np.fill_diagonal(kern, 0.0)
+        kern[:, b:] *= 2.0
         yield start, stop, kern, trace
 
 
-def _kernel_and_trace(sq, spec, d, with_trace):
-    """The kernel at the squared distances ``sq``, in their buffer, and,
-    with ``with_trace``, the sum of cross_hess_trace over those pairs."""
-    if not with_trace or spec.family != RBF:
-        _kernel_of_sq(sq, spec, d)
-        return 2.0 * sq.size if with_trace else None  # 2 at every pair
-    # k (d / s2 - sq / s2^2), the factor taken before the kernel overwrites
-    # sq and summed by numpy, not a BLAS dot, so no thread pool enters
-    s2 = spec.sigma2
-    factor = np.divide(sq, s2**2)
-    np.subtract(d / s2, factor, out=factor)
-    _kernel_of_sq(sq, spec, d)
-    return float(np.multiply(factor, sq, out=factor).sum())
+def _trace_factor(sq, spec, d):
+    """d / s2 - sq / s2^2, a new array: cross_hess_trace at the squared
+    distances ``sq`` over their kernel value."""
+    factor = np.divide(sq, spec.sigma2**2)
+    return np.subtract(d / spec.sigma2, factor, out=factor)
+
+
+def _trace_terms(sq, spec, d):
+    """cross_hess_trace at the squared distances of the contiguous array
+    ``sq``, written over them ``_TILE // 4`` at a time, since it is a copy
+    beside its whole block; the caller sums them with numpy, not a BLAS
+    dot, so no thread pool enters."""
+    flat = sq.reshape(-1)
+    for lo in range(0, flat.size, _TILE // 4):
+        part = flat[lo:lo + _TILE // 4]
+        factor = _trace_factor(part, spec, d)
+        _kernel_of_sq(part, spec, d)
+        np.multiply(factor, part, out=part)
+    return flat
 
 
 def _block_stop(start, n):
@@ -390,10 +451,10 @@ def _median_sigma2(sq: np.ndarray) -> float:
 
     ``sq`` is partitioned in its own buffer.  For an even pair count the
     median is the mean of the two central order statistics, their sum
-    halved, as ``np.median`` takes it.  The square root is monotone and
-    ``sqrt(pdist(x, "sqeuclidean"))`` is bit for bit ``pdist(x)``, so the
-    order statistics' roots are the distances' own order statistics: the
-    result is bit for bit ``m * m`` for ``m = float(np.median(pdist(x)))``.
+    halved, as ``np.median`` takes it.  The square root is monotone, so the
+    order statistics' roots are the distances' own order statistics: below
+    ``GRAM_MIN_D``, where the squared distances are scipy's, the result is
+    bit for bit ``m * m`` for ``m = float(np.median(pdist(x)))``.
     """
     if sq.size == 0:
         raise ValueError("median heuristic needs at least two samples")
@@ -417,9 +478,23 @@ def median_heuristic(samples) -> float:
     All K(K-1)/2 distinct unordered pairs enter; for an even pair count the
     median is the mean of the two central order statistics.  Needs K >= 2.
     One condensed vector of squared distances is held and partitioned in
-    place (see ``_median_sigma2``).
+    place (see ``_median_sigma2``); it is filled from square tiles of the
+    distance matrix, each at most about a 64th of it.
     """
-    return _median_sigma2(pdist(as_samples(samples), "sqeuclidean"))
+    xs = as_samples(samples)
+    n = xs.shape[0]
+    sq = np.empty(n * (n - 1) // 2)
+    t = max(40, math.isqrt(sq.size // 64))
+    pos = 0
+    for r0 in range(0, n, t):
+        rows = xs[r0:r0 + t]
+        for c0 in range(r0, n, t):
+            # a diagonal tile gives its upper triangle, the others all of theirs
+            tile = _sq_distances(rows, rows if c0 == r0 else xs[c0:c0 + t])
+            part = _condensed([tile]) if c0 == r0 else tile.ravel()
+            sq[pos:pos + part.size] = part
+            pos += part.size
+    return _median_sigma2(sq)
 
 
 def resolve_bandwidth(samples, spec: KernelSpec) -> KernelSpec:

@@ -13,9 +13,7 @@ deterministic, so a given system always resolves the same way, and the
 jitter actually used is reported back to the caller.
 
 One pool: every factorisation and product runs on numpy's OpenBLAS thread
-pool, the one the library's matrix products use.  scipy loads a second
-OpenBLAS, and a wide scipy solve woke its pool, whose worker then spun
-beside the next numpy work; no module here imports ``scipy.linalg`` now.
+pool, the only one the package loads.
 
 One layout: the ladder solves, and checks the residual of, the column-major
 view of a C-contiguous system, so LAPACK's work copy is a plain copy.  A

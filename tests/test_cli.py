@@ -1275,35 +1275,45 @@ def test_zero_chains_rejected(tmp_path, capsys, via):
 
 
 class TestDistancePasses:
-    """One condensed distance pass per sample and kernel, counted at scipy's door.
+    """One distance pass per sample and kernel, counted at the distance routine's door.
 
     Every kernel over a sample's own pairs is built on the sample as given,
     and a median bandwidth comes from the pass of the kernel it
     parameterises.  The expansion kinds make one more pass for their
-    gradients at the training points.  ``cdist`` serves new points only:
-    ``predict``, and the discrepancy's row blocks past the first, which take
-    the distances to the later rows, so each pair is still computed once.
+    gradients at the training points.  A call on a sample's own rows is a
+    pair pass; a call on new points against a sample, a ``predict``, is a
+    cross pass.  ``median_heuristic`` makes its one pass in square tiles,
+    counted once.
     """
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        from steingrad import kernels
+        from steingrad import cli, kernels
 
-        calls = {"pdist": 0, "cdist": 0}
+        calls = {"pairs": 0, "cross": 0}
+        inside = []
+        sq_distances, median = kernels._sq_distances, kernels.median_heuristic
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counting(a, b):
+            if not inside:
+                calls["pairs" if np.shares_memory(a, b) else "cross"] += 1
+            return sq_distances(a, b)
 
-            return wrapper
+        def counting_median(samples):
+            calls["pairs"] += 1
+            inside.append(True)
+            try:
+                return median(samples)
+            finally:
+                inside.pop()
 
-        for name in calls:
-            monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "_sq_distances", counting)
+        for module in (kernels, cli):
+            monkeypatch.setattr(module, "median_heuristic", counting_median)
         return calls
 
     @pytest.mark.parametrize(
-        "kind, sigma2, pdist_calls",
+        "kind, sigma2, pair_passes",
         [
             ("kde", "median", 1),
             ("stein-v", "median", 1),
@@ -1314,12 +1324,12 @@ class TestDistancePasses:
             ("stein-param-v", "1.5", 2),
         ],
     )
-    def test_estimate(self, tmp_path, passes, kind, sigma2, pdist_calls):
+    def test_estimate(self, tmp_path, passes, kind, sigma2, pair_passes):
         path, _ = sample_file(tmp_path, seed=40, n=30, d=3)
         argv = ["estimate", "--input", str(path), "--output", str(tmp_path / "g.csv"),
                 "--estimator", kind, "--sigma2", sigma2]
         assert main(argv) == 0
-        assert passes == {"pdist": pdist_calls, "cdist": 0}
+        assert passes == {"pairs": pair_passes, "cross": 0}
 
     @pytest.mark.parametrize("statistic", ["v", "u"])
     def test_ksd(self, tmp_path, passes, statistic):
@@ -1329,37 +1339,35 @@ class TestDistancePasses:
         argv = ["ksd", "--samples", str(path), "--grads", str(grads),
                 "--statistic", statistic, "--output", str(tmp_path / "ksd.json")]
         assert main(argv) == 0
-        assert passes == {"pdist": 1, "cdist": 0}
+        assert passes == {"pairs": 1, "cross": 0}
 
     def test_ksd_in_row_blocks(self, tmp_path, monkeypatch):
-        # with the block size patched down the pass is split: pdist within
-        # each block, cdist from it to the later rows, every pair once
+        # with the block size patched down the pass is split: one call per
+        # block, of its rows against the rows from its first on, every pair
+        # once
         from steingrad import kernels
 
-        entries = {"pdist": 0, "cdist": 0}
+        shapes = []
+        sq_distances = kernels._sq_distances
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                entries[name] += out.size
-                return out
+        def counting(a, b):
+            out = sq_distances(a, b)
+            shapes.append(out.shape)
+            return out
 
-            return wrapper
-
-        for name in entries:
-            monkeypatch.setattr(kernels, name, counting(name, getattr(kernels, name)))
+        monkeypatch.setattr(kernels, "_sq_distances", counting)
         monkeypatch.setattr(kernels, "PAIR_BLOCK", 60)
         n = 30
         path, xs = sample_file(tmp_path, seed=42, n=n, d=3)
         grads = tmp_path / "grads.csv"
         write_csv(grads, "g", -xs)
         for sigma2 in ("median", "1.5"):
-            entries.update(pdist=0, cdist=0)
+            shapes.clear()
             argv = ["ksd", "--samples", str(path), "--grads", str(grads),
                     "--sigma2", sigma2, "--output", str(tmp_path / "ksd.json")]
             assert main(argv) == 0
-            assert entries["cdist"] > 0
-            assert entries["pdist"] + entries["cdist"] == n * (n - 1) // 2
+            assert len(shapes) > 1
+            assert sum(b * m - b * (b + 1) // 2 for b, m in shapes) == n * (n - 1) // 2
 
     def test_entropy_check(self, tmp_path, passes):
         # the bandwidth once for the three fits, one pass per fit, and one
@@ -1367,7 +1375,7 @@ class TestDistancePasses:
         argv = ["entropy-check", "--seed", "3", "--n", "200",
                 "--output", str(tmp_path / "entropy.json")]
         assert main(argv) == 0
-        assert passes == {"pdist": 5, "cdist": 0}
+        assert passes == {"pairs": 5, "cross": 0}
 
     @pytest.mark.parametrize(
         "estimator, fit_passes", [("exact", 0), ("stein-v", 2), ("score", 1)]
@@ -1376,14 +1384,14 @@ class TestDistancePasses:
         # the grading kernel's bandwidth, then the fit's kernel (and stein-v's
         # kinv check kernel), then one pass per discrepancy: each chain and
         # the pool, every one within a single row block.  Each score call
-        # of a fitted estimator is a predict, one cdist of new points
+        # of a fitted estimator is a predict, one cross pass of new points
         n_chains, n_iters, n_leapfrog = 2, 5, 2
         argv = ["banana", "--seed", "4", "--estimator", estimator, "--n-train", "30",
                 "--n-chains", str(n_chains), "--n-iters", str(n_iters),
                 "--n-leapfrog", str(n_leapfrog), "--output", str(tmp_path / "r.json")]
         assert main(argv) == 0
         predicts = 0 if estimator == "exact" else 1 + n_iters * n_leapfrog
-        assert passes == {"pdist": 1 + fit_passes + n_chains + 1, "cdist": predicts}
+        assert passes == {"pairs": 1 + fit_passes + n_chains + 1, "cross": predicts}
 
 
 class TestOutputPaths:

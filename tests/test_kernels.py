@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from steingrad import (
     DegenerateBandwidthError,
@@ -212,7 +212,7 @@ def family_spec(family, d):
 
 
 class TestCrossKernel:
-    @pytest.mark.parametrize("d", [1, 2, 7, 50])
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 50])
     @pytest.mark.parametrize("family", ["rbf", "epanechnikov"])
     def test_matches_scalar_kernel(self, family, d):
         rng = np.random.default_rng(25 + d)
@@ -224,7 +224,7 @@ class TestCrossKernel:
         assert got.shape == (5, 8)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("d", [1, 2, 7, 50])
+    @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 50])
     @pytest.mark.parametrize("family", ["rbf", "epanechnikov"])
     def test_sample_kernel_matrix_is_bitwise_the_cross_kernel(self, family, d):
         # build_matrices and the predict rules share one evaluation, so the
@@ -234,6 +234,52 @@ class TestCrossKernel:
         np.testing.assert_array_equal(
             build_matrices(xs, spec).k_matrix, cross_kernel(xs, xs, spec)
         )
+
+
+class TestSquaredDistances:
+    """``kernels._sq_distances`` against scipy's, an independent reference."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 7])
+    @pytest.mark.parametrize("n", [1, 3, 201])
+    def test_in_order_sum_is_scipy_bitwise(self, n, d):
+        from steingrad.kernels import _sq_distances
+
+        rng = np.random.default_rng(40 + d)
+        xs = 3.0 * rng.standard_normal((n, d)) + 5.0
+        pts = rng.standard_normal((50, d))
+        np.testing.assert_array_equal(_sq_distances(xs, xs), squareform(pdist(xs, "sqeuclidean")))
+        np.testing.assert_array_equal(_sq_distances(pts, xs), cdist(pts, xs, "sqeuclidean"))
+
+    @pytest.mark.parametrize("d", [8, 50])
+    def test_gram_form_is_symmetric_and_scipy_to_rounding(self, d):
+        from steingrad.kernels import _sq_distances
+
+        rng = np.random.default_rng(50 + d)
+        # an offset far from the sample's scale: the centring keeps the
+        # cancellation at the scale of the differences
+        xs = rng.standard_normal((200, d)) + 1e4
+        xs[7] = xs[3]  # a repeated point: zero to rounding, never negative
+        sq = _sq_distances(xs, xs)
+        np.testing.assert_array_equal(sq, sq.T)
+        np.testing.assert_array_equal(np.diag(sq), 0.0)
+        assert sq.min() >= 0.0
+        want = squareform(pdist(xs, "sqeuclidean"))
+        np.testing.assert_allclose(sq, want, rtol=1e-14, atol=1e-14 * want.max())
+        pts = rng.standard_normal((30, d)) + 1e4
+        want = cdist(pts, xs, "sqeuclidean")
+        np.testing.assert_allclose(_sq_distances(pts, xs), want, rtol=1e-14, atol=1e-14 * want.max())
+
+    def test_overflowing_norms_read_inf_as_scipy(self):
+        from steingrad.kernels import _sq_distances
+
+        xs = np.random.default_rng(60).choice([-1.0, 1.0], (6, 50)) * 1e154
+        with np.errstate(over="ignore"):
+            sq = _sq_distances(xs, xs)
+            want = squareform(pdist(xs, "sqeuclidean"))
+            cross = _sq_distances(xs[:2], xs)
+        assert np.isinf(want).any() and not np.isnan(sq).any()
+        np.testing.assert_array_equal(sq, want)
+        np.testing.assert_array_equal(cross, want[:2])
 
 
 class TestMedianHeuristic:
@@ -370,7 +416,7 @@ class TestOneDistancePass:
     def test_resolved_spec_makes_no_pass(self, monkeypatch):
         from steingrad import kernels
 
-        monkeypatch.setattr(kernels, "pdist", None)
+        monkeypatch.setattr(kernels, "_sq_distances", None)
         spec = rbf_spec(1.5)
         assert resolve_bandwidth(np.zeros((3, 2)), spec) is spec
 

@@ -11,7 +11,7 @@ files::
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tools/corpus_manifest.py > tools/output_corpus.sha256
 
-The bytes depend on the numpy and scipy builds and on the OpenBLAS kernels
+The bytes depend on the numpy build and on the OpenBLAS kernels
 chosen at run time, which the manifest records as its fingerprint.  Under
 another fingerprint the corpus must still hold the same files, but their
 bytes are not compared: the test is skipped, and the skip reason names the

@@ -5,6 +5,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import steingrad
@@ -89,13 +92,9 @@ def test_import_scan_sees_every_form(tmp_path):
     }
 
 
-# the one module that may import each scipy subpackage: the distance pass
-# stays behind the kernel layer.  A subpackage not named here is imported
-# by no module: every factorisation is numpy's, on numpy's BLAS pool, so no
-# module imports scipy.linalg and wakes scipy's own pool.
-SCIPY_OWNER = {"spatial": "kernels"}
-
-
+# the package needs numpy alone: distances are numpy's in-order sums or
+# products, and every factorisation is numpy's, on numpy's one BLAS pool.
+# Tests may still use scipy as an independent reference.
 def scipy_imports(path):
     """The scipy subpackages the source at ``path`` imports; "" for bare scipy."""
     found = set()
@@ -111,15 +110,17 @@ def scipy_imports(path):
     return found
 
 
-def test_scipy_subpackages_stay_in_their_layer():
-    strays = {
-        name: sorted(
-            sub for sub in scipy_imports(PACKAGE_DIR / f"{name}.py")
-            if SCIPY_OWNER.get(sub) != name
-        )
-        for name in MAY_IMPORT
-    }
-    assert {name: subs for name, subs in strays.items() if subs} == {}
+def test_no_module_imports_scipy():
+    found = {name: scipy_imports(PACKAGE_DIR / f"{name}.py") for name in MAY_IMPORT}
+    assert {name: subs for name, subs in found.items() if subs} == {}
+
+
+def test_command_line_loads_no_scipy():
+    # a fresh process, so that no test's own import of scipy counts
+    code = "import sys, steingrad.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_scipy_scan_sees_every_form(tmp_path):

@@ -7,7 +7,7 @@ Usage::
 Writes the corpus of ``tools/output_corpus.py`` into a temporary directory
 and prints one ``sha256  relative/path`` line per file, sorted by path, as
 ``sha256sum`` prints them.  Before them come ``#`` lines with the
-fingerprint the bytes depend on: the numpy and scipy versions and the
+fingerprint the bytes depend on: the numpy version and the
 configuration string of each OpenBLAS library the process loaded (read
 through ``/proc/self/maps``, so Linux only; elsewhere the fingerprint has
 no OpenBLAS line and matches no Linux manifest).  The corpus is
@@ -25,7 +25,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from output_corpus import write_corpus
 
@@ -52,7 +51,7 @@ def openblas_configs():
 
 def fingerprint():
     """The lines, without their ``#``, that name what the corpus bytes depend on."""
-    lines = [f"numpy {np.__version__}", f"scipy {scipy.__version__}"]
+    lines = [f"numpy {np.__version__}"]
     lines += [f"openblas {name}: {config}" for name, config in openblas_configs()]
     return lines
 

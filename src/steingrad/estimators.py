@@ -18,15 +18,18 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 
 Every kind but kde is fitted the same way: a builder returns its (matrix,
 rhs) system before the ridge, and ``fit_estimator`` adds eta and makes the
-one solve, :func:`steingrad.linalg.solve_symmetric`: one ``np.linalg.solve``
-per jitter-ladder rung.  A stein-v fit's predictive inverse is
-:func:`steingrad.linalg.invert_symmetric` of its own jittered system: one
-``np.linalg.inv`` per rung.  Both run on numpy's BLAS pool, the one every
-product here uses (see :mod:`steingrad.linalg`).  Kernel values come from
-:mod:`steingrad.kernels`, which holds the only copy of the kernel formulas:
-each kernel matrix over the sample's own pairs, the fits' and the expansion
-kinds' ``grads_at_train``, is one ``build_matrices`` pass over the sample as
-given, and ``cross_kernel`` serves new points only.  A fit resolves a
+one solve, :func:`steingrad.linalg.solve_symmetric`, which consumes the
+system: one Cholesky factorisation in the system's own buffer per
+jitter-ladder rung.  A stein-v fit's predictive inverse is
+:func:`steingrad.linalg.invert_symmetric` of its own jittered system, built
+afresh: one factorisation and inversion in place per rung.  Both run on
+numpy's BLAS pool, the one every product here uses, and fall back to
+numpy's LU where Cholesky refuses a system (see :mod:`steingrad.linalg`).
+Kernel values come from :mod:`steingrad.kernels`, which holds the only copy
+of the kernel formulas: each kernel matrix over the sample's own pairs, the
+fits' and the expansion kinds' ``grads_at_train``, is one
+``build_matrices`` pass over the sample as given, and ``cross_kernel``
+serves new points only.  A fit resolves a
 median-rule bandwidth from its kernel's own pass.
 
 ``fit_estimator`` fits any kind into a serialisable :class:`FittedEstimator`,
@@ -502,13 +505,14 @@ class FittedEstimator:
         then ``+= eta``, then ``+= jitter``, the jitter being
         ``diagnostics["jitter"]`` (0.0 when the record holds none), taken
         column-major as in ``_stein_system``.  Its inverse is
-        :func:`steingrad.linalg.invert_symmetric` of that system: one
-        ``np.linalg.inv`` per rung on numpy's BLAS pool, held to the
-        ladder's identity right-hand-side residual test.  At rung 0 it is
-        ``np.linalg.inv`` of the fit's system, so a fresh fit, its reloaded
-        record and a direct construction get the same bits, on the fit's
-        rung, which the Schur-complement predict assumes.  Only an inverse
-        that fails there, singular or short of the test, climbs the ladder,
+        :func:`steingrad.linalg.invert_symmetric` of that system, in the
+        system's own buffer: one Cholesky factorisation and inversion per
+        rung on numpy's BLAS pool, held to the ladder's identity
+        right-hand-side residual test.  At rung 0 it inverts the fit's
+        system, so a fresh fit, its reloaded record and a direct
+        construction get the same bits, on the fit's rung, which the
+        Schur-complement predict assumes.  Only an inverse that fails
+        there, singular or short of the test, climbs the ladder,
         from the fit's own system, so it never lands below the fit's
         jitter.  Each rung is decided by its own residual test, the fit's
         against its right-hand side and this one against the identity, so

@@ -66,6 +66,8 @@ PAIR_BLOCK = 1 << 17
 GRAM_MIN_D = 8
 # doubles in each temporary of a distance pass (128 KiB)
 _TILE = 1 << 14
+# rows of a square tile of median_heuristic's in-order pass at most (512 KiB)
+_MEDIAN_TILE = 256
 
 
 def as_samples(x, name: str = "samples") -> np.ndarray:
@@ -241,7 +243,7 @@ def _kernel_of_sq(sq, spec: KernelSpec, d: int) -> np.ndarray:
     return np.subtract(1.0, sq, out=sq)
 
 
-def _sq_distances(a, b) -> np.ndarray:
+def _sq_distances(a, b, out=None) -> np.ndarray:
     """The dense (m, n) squared distances ||a_i - b_j||^2 of (m, d) and (n, d) rows.
 
     ``b is a`` means a sample's own pairs.  Below ``GRAM_MIN_D`` coordinates
@@ -254,6 +256,8 @@ def _sq_distances(a, b) -> np.ndarray:
     symmetric, and their diagonal is set to 0.  If the squared norms may
     overflow there, the in-order sum is taken instead.  Each temporary
     beside the result and the centred rows is at most ``_TILE`` doubles.
+    ``out``, an (m, n) C-contiguous array, takes the result in place of a
+    new one, with the same bits.
     """
     pairs = b is a
     m, d = a.shape
@@ -266,7 +270,7 @@ def _sq_distances(a, b) -> np.ndarray:
         nb = na if pairs else np.einsum("ij,ij->i", bc, bc)
         # every entry is at most 4 times the largest squared norm
         if max(na.max(initial=0.0), nb.max(initial=0.0)) <= np.finfo(float).max / 4:
-            sq = ac @ bc.T
+            sq = np.matmul(ac, bc.T, out=out)
             sq *= -2.0
             for lo in range(0, m, step):
                 sq[lo:lo + step] += na[lo:lo + step, None] + nb
@@ -274,7 +278,7 @@ def _sq_distances(a, b) -> np.ndarray:
             if pairs:
                 np.fill_diagonal(sq, 0.0)
             return sq
-    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq = np.subtract.outer(a[:, 0], b[:, 0], out=out)
     sq *= sq
     for lo in range(0, m, step):
         rows = sq[lo:lo + step]
@@ -472,28 +476,50 @@ def _median_sigma2(sq: np.ndarray) -> float:
     return med * med
 
 
+def _median_tile_rows(n: int, d: int) -> int:
+    """Rows of a square tile of ``median_heuristic``'s pass over n points.
+
+    Tiles off the diagonal are written in place, so a pass holds a diagonal
+    tile, its upper triangle and the form's own temporaries.  The in-order
+    sum's are row blocks of at most a tile: 2.5 t^2 doubles in all, kept
+    within a 16th of the condensed vector, and t within ``_MEDIAN_TILE``,
+    where a tile stays in cache.  The Gram form adds the tile rows'
+    centred copies, 2 t d doubles, within about a 32nd at d = 50.
+    """
+    pairs = n * (n - 1) // 2
+    if d >= GRAM_MIN_D:
+        return max(40, math.isqrt(pairs // 64))
+    return max(40, min(_MEDIAN_TILE, math.isqrt(pairs // 40)))
+
+
 def median_heuristic(samples) -> float:
     """Median-heuristic squared bandwidth: (median pairwise distance)^2.
 
     All K(K-1)/2 distinct unordered pairs enter; for an even pair count the
     median is the mean of the two central order statistics.  Needs K >= 2.
     One condensed vector of squared distances is held and partitioned in
-    place (see ``_median_sigma2``); it is filled from square tiles of the
-    distance matrix, each at most about a 64th of it.
+    place (see ``_median_sigma2``).  It is filled from square tiles of the
+    distance matrix, sized by ``_median_tile_rows``: a diagonal tile gives
+    its upper triangle, and each tile right of it is written straight into
+    the vector.  The pairs' order is not pdist's, which the median ignores.
     """
     xs = as_samples(samples)
-    n = xs.shape[0]
+    n, d = xs.shape
     sq = np.empty(n * (n - 1) // 2)
-    t = max(40, math.isqrt(sq.size // 64))
+    t = _median_tile_rows(n, d)
+    above = ~np.tri(t, dtype=bool)
     pos = 0
     for r0 in range(0, n, t):
         rows = xs[r0:r0 + t]
-        for c0 in range(r0, n, t):
-            # a diagonal tile gives its upper triangle, the others all of theirs
-            tile = _sq_distances(rows, rows if c0 == r0 else xs[c0:c0 + t])
-            part = _condensed([tile]) if c0 == r0 else tile.ravel()
-            sq[pos:pos + part.size] = part
-            pos += part.size
+        m = len(rows)
+        part = _sq_distances(rows, rows)[above[:m, :m]]
+        sq[pos:pos + part.size] = part
+        pos += part.size
+        for c0 in range(r0 + t, n, t):
+            cols = xs[c0:c0 + t]
+            size = m * len(cols)
+            _sq_distances(rows, cols, out=sq[pos:pos + size].reshape(m, len(cols)))
+            pos += size
     return _median_sigma2(sq)
 
 

@@ -2,30 +2,46 @@
 
 Every regularised system in this library is symmetric: positive definite in
 the common case (a PSD matrix plus eta I), possibly indefinite for the
-U-statistic variants.  All of them climb one diagonal-jitter ladder.  Each
-rung is one LAPACK LU solve through numpy: :func:`solve_symmetric` makes one
-``np.linalg.solve`` of ``mat + jitter I`` and :func:`invert_symmetric` one
-``np.linalg.inv`` (a solve against the identity).  A rung is accepted when
-its result is finite and its residual against the jittered system is small,
-so definite and indefinite systems take the same path, and which rung a
-system lands on is decided by that residual alone.  The ladder is
-deterministic, so a given system always resolves the same way, and the
-jitter actually used is reported back to the caller.
+U-statistic variants.  All of them climb one diagonal-jitter ladder, and a
+rung is accepted when its result is finite and its residual against the
+rung's (jittered) system is small.  The ladder is deterministic, so a given
+system always resolves the same way, and the jitter actually used is
+reported back to the caller.
 
-One pool: every factorisation and product runs on numpy's OpenBLAS thread
-pool, the only one the package loads.
+One factor, in place, in one array.  :func:`solve_symmetric` and
+:func:`invert_symmetric` consume ``mat``: every caller hands them a system
+it built for that call, and the ladder works in it.  Each rung factors the
+lower triangle of the system's column-major view where it lies, with
+LAPACK's Cholesky ``dpotrf``, then solves with ``dpotrs`` or inverts in the
+same place with ``dpotri``: half LU's flops, and no work copy.  The strict
+upper triangle is not written until an inverse is accepted, and the
+system's diagonal is kept as a K-vector, so a rung's residual (``dsymm`` on
+the upper triangle) and a jitter rung's system (the upper triangle mirrored
+onto the lower, plus the jittered diagonal) both come from the system
+itself.  A solve holds one (K, K) array, the system, besides vectors of the
+right-hand side's shape; an inverse is returned in the system's own buffer,
+mirrored to a full matrix, and its residual is taken column block by column
+block, two blocks of at most an eighth of the system each.  On return
+``mat`` holds the factor, or the inverse, not the system.
 
-One layout: the ladder solves, and checks the residual of, the column-major
-view of a C-contiguous system, so LAPACK's work copy is a plain copy.  A
-system that is exactly symmetric is the same matrix in either memory order,
-so it gets the same bits and the same rung whichever order it arrives in.
+The routines are numpy's own: the OpenBLAS its wheel loads exports them
+under the ILP64 names ``scipy_dpotrf_64_`` and so on, looked up once per
+process through ctypes, so they run on numpy's thread pool, the only one
+the package loads.  The one second path is numpy's LU, one
+``np.linalg.solve`` or ``np.linalg.inv`` of the rung's system rebuilt in
+full from the intact triangle: a rung takes it when Cholesky refuses the
+system (``info > 0``, as on an indefinite U-statistic system), and every
+rung takes it when numpy's library does not export those symbols (a numpy
+not built on scipy-openblas).  LU reads the whole matrix and mallocs a work
+copy of it, where tracemalloc does not see it.
 
-Memory: numpy mallocs LU's work copy of the system, where tracemalloc does
-not see it, so rung 0 holds two (K, K) arrays, the system and that copy,
-besides the solution and one residual product of the solution's shape; a
-jitter rung adds its jittered system.
+Cholesky reads one triangle and the residual the other.  A non-finite
+entry in the upper one fails every residual; one in the lower one makes
+the factor non-finite, and the ladder stops there, as no jitter mends it.
 """
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -39,21 +55,169 @@ RESIDUAL_RTOL = 1e-8
 # system as given, then add 1e-10 * trace/K escalating tenfold to 1e-4.
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 
+# numpy's LAPACK and BLAS routines, by their names in scipy-openblas' ILP64
+# build, with their Fortran arguments: characters, int64 sizes by
+# reference, arrays, and each character argument's hidden length last
+_SYMBOL = "scipy_{}_64_"
+_CHAR, _SIZE, _ARRAY = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+_SCALAR, _LEN = ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
+_ROUTINES = {
+    "dpotrf": (_CHAR, _SIZE, _ARRAY, _SIZE, _SIZE, _LEN),
+    "dpotri": (_CHAR, _SIZE, _ARRAY, _SIZE, _SIZE, _LEN),
+    "dpotrs": (_CHAR, _SIZE, _SIZE, _ARRAY, _SIZE, _ARRAY, _SIZE, _SIZE, _LEN),
+    "dsymm": (_CHAR, _CHAR, _SIZE, _SIZE, _SCALAR, _ARRAY, _SIZE, _ARRAY, _SIZE,
+              _SCALAR, _ARRAY, _SIZE, _LEN, _LEN),
+}
+# rows and columns of a square tile of the triangle mirror
+_MIRROR_TILE = 256
+# an inverse's residual is taken in column blocks of at most 1/8 of the system
+_RESIDUAL_BLOCKS = 8
 
-def _factor_and_solve(system, rhs):
-    # one LU factorisation and solve (LAPACK gesv) on numpy's pool; rhs
-    # None asks for the inverse, a solve against the identity
-    return np.linalg.inv(system) if rhs is None else np.linalg.solve(system, rhs)
+
+@functools.cache
+def _lapack():
+    """numpy's own routines ``{name: function}``, or None when it lacks them.
+
+    Looked up once per process in the library numpy's linear algebra loads,
+    whose dependencies include the OpenBLAS numpy's products run on.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = {name: getattr(lib, _SYMBOL.format(name)) for name in _ROUTINES}
+    except (OSError, AttributeError):
+        return None
+    for name, fn in routines.items():
+        fn.argtypes, fn.restype = _ROUTINES[name], None
+    return routines
 
 
-def _residual_norm(system, z, rhs):
-    # ||system @ z - rhs||_F from one product buffer; rhs None is the identity
-    residual = system @ z
+def _int(value):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _factor_call(lapack, routine, a, *rest):
+    # dpotrf, dpotri (no rest) or dpotrs (rest: nrhs and b) on the lower
+    # triangle of the column-major float64 a; returns LAPACK's info
+    info = ctypes.c_int64()
+    k = _int(len(a))
+    if rest:
+        nrhs, b = rest
+        lapack[routine](
+            b"L", k, _int(nrhs), a.ctypes.data, k, b.ctypes.data, k, ctypes.byref(info), 1
+        )
+    else:
+        lapack[routine](b"L", k, a.ctypes.data, k, ctypes.byref(info), 1)
+    return info.value
+
+
+def _symmetric_product(lapack, a, b):
+    """``M @ b`` for the column-major (K, m) ``b``, M read from ``a``'s upper
+    triangle and diagonal (``dsymm``), as a new column-major array."""
+    k, m = b.shape
+    out = np.empty((k, m), order="F")
+    one, zero = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
+    lapack["dsymm"](
+        b"L", b"U", _int(k), _int(m), one, a.ctypes.data, _int(k),
+        b.ctypes.data, _int(k), zero, out.ctypes.data, _int(k), 1, 1,
+    )
+    return out
+
+
+def _mirror(a):
+    """Copy the strict upper triangle of the square ``a`` over its strict lower one.
+
+    Tile by tile: numpy's transposing copy of a whole triangle is several
+    times slower.  ``_mirror(a.T)`` copies the lower triangle over the upper.
+    """
+    k, t = len(a), _MIRROR_TILE
+    below = np.tri(min(k, t), k=-1, dtype=bool)
+    for j0 in range(0, k, t):
+        tile = a[j0:j0 + t, j0:j0 + t]
+        n = len(tile)
+        np.copyto(tile, tile.T, where=below[:n, :n])
+        for i0 in range(j0 + t, k, t):
+            a[i0:i0 + t, j0:j0 + t] = a[j0:j0 + t, i0:i0 + t].T
+
+
+class _NonFiniteFactor(Exception):
+    """A factor that is not finite: the triangle it read holds a non-finite entry."""
+
+
+def _rung(a, system_diag, rhs, bound):
+    """One rung on the system held in ``a``: the accepted result, or None.
+
+    ``a`` holds the rung's system, with ``system_diag`` on its diagonal.
+    Cholesky factors it in place; when it refuses, the system is rebuilt
+    from the upper triangle and ``system_diag`` for numpy's LU, which also
+    serves every rung when the routines are missing.
+    """
+    lapack = _lapack()
+    if lapack is not None:
+        info = _factor_call(lapack, "dpotrf", a)
+        if not np.all(np.isfinite(a if info else a.diagonal())):
+            raise _NonFiniteFactor
+        if info == 0:
+            if rhs is None:
+                return _invert_factored(lapack, a, system_diag, bound)
+            return _solve_factored(lapack, a, system_diag, rhs, bound)
+        _mirror(a)
+        np.fill_diagonal(a, system_diag)
+    try:
+        z = np.linalg.inv(a) if rhs is None else np.linalg.solve(a, rhs)
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    residual = a @ z
     if rhs is None:
         residual[np.diag_indices_from(residual)] -= 1.0
     else:
         residual -= rhs
-    return float(np.linalg.norm(residual))
+    return z if np.all(np.isfinite(z)) and np.linalg.norm(residual) <= bound else None
+
+
+def _solve_factored(lapack, a, system_diag, rhs, bound):
+    # dpotrs on a copy of rhs, then the residual on the upper triangle with
+    # the system's diagonal put back, which the factor no longer needs
+    z = np.array(rhs, order="F")
+    cols = z.reshape(len(z), -1)
+    _factor_call(lapack, "dpotrs", a, cols.shape[1], cols)
+    np.fill_diagonal(a, system_diag)
+    residual = _symmetric_product(lapack, a, cols)
+    residual -= rhs.reshape(cols.shape)
+    return z if np.all(np.isfinite(z)) and np.linalg.norm(residual) <= bound else None
+
+
+def _invert_factored(lapack, a, system_diag, bound):
+    """dpotri in place, tested column block by column block, then mirrored.
+
+    The inverse Z lies in the lower triangle and the system in the upper
+    one, each with its diagonal beside it, so each block of Z's columns is
+    put together from the lower triangle for ``dsymm``.
+    """
+    if _factor_call(lapack, "dpotri", a):
+        return None
+    k = len(a)
+    z_diag = a.diagonal().copy()
+    np.fill_diagonal(a, system_diag)
+    step = -(-k // _RESIDUAL_BLOCKS)
+    sum_sq = 0.0
+    for j0 in range(0, k, step):
+        j1 = min(j0 + step, k)
+        cols = np.empty((k, j1 - j0), order="F")  # Z[:, j0:j1]
+        cols[:j0] = a[j0:j1, :j0].T
+        cols[j0:] = a[j0:, j0:j1]
+        _mirror(cols[j0:j1].T)
+        np.fill_diagonal(cols[j0:j1], z_diag[j0:j1])
+        if not np.all(np.isfinite(cols)):
+            return None
+        residual = _symmetric_product(lapack, a, cols)
+        del cols
+        residual[j0:j1][np.diag_indices(j1 - j0)] -= 1.0
+        sum_sq += float(np.linalg.norm(residual)) ** 2
+    if not math.sqrt(sum_sq) <= bound:
+        return None
+    _mirror(a.T)
+    np.fill_diagonal(a, z_diag)
+    return a.T
 
 
 def _ladder(mat, rhs, name):
@@ -62,31 +226,31 @@ def _ladder(mat, rhs, name):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name}: system matrix must be square, got {mat.shape}")
-    if mat.flags.c_contiguous:
-        mat = mat.T  # the column-major view (see the module docstring)
-    k = mat.shape[0]
+    # the column-major view, or a column-major copy of a system that is
+    # neither contiguous nor writeable
+    a = np.require(mat.T if mat.flags.c_contiguous else mat, requirements="FAW")
+    k = a.shape[0]
     if rhs is None:
         bound = RESIDUAL_RTOL * (1.0 + math.sqrt(k))
     elif rhs.shape[0] != k:
         raise ValueError(f"{name}: rhs has {rhs.shape[0]} rows, system has {k}")
     else:
         bound = RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(rhs)))
-    scale = abs(float(np.trace(mat))) / k
+    scale = abs(float(np.trace(a))) / k
+    diag = a.diagonal().copy()
     for level, mult in enumerate(JITTER_LADDER):
         jitter = mult * scale
-        system = mat
-        if jitter:
-            # mat + jitter I in mat's own layout: + 0.0 turns -0.0 into +0.0
-            # off the diagonal as adding jitter * eye(k) would, same bits
-            system = mat + 0.0
-            system[np.diag_indices(k)] += jitter
+        system_diag = diag + jitter if level else diag
+        if level:
+            if _lapack() is not None:
+                _mirror(a)  # the last rung's factor leaves the lower triangle
+            np.fill_diagonal(a, system_diag)
         try:
-            z = _factor_and_solve(system, rhs)
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-        if np.all(np.isfinite(z)) and _residual_norm(system, z, rhs) <= bound:
+            z = _rung(a, system_diag, rhs, bound)
+        except _NonFiniteFactor:
+            break
+        if z is not None:
             return z, jitter, level
-        del z  # a rejected rung's solution goes before the next rung's
     raise SingularSolveError(
         f"{name}: singular or numerically unsolvable even with diagonal "
         f"jitter up to {JITTER_LADDER[-1] * scale:.3e}; increase the ridge eta"
@@ -94,18 +258,22 @@ def _ladder(mat, rhs, name):
 
 
 def solve_symmetric(mat, rhs, name: str = "linear system"):
-    """Solve ``mat @ z = rhs`` for symmetric ``mat``.
+    """Solve ``mat @ z = rhs`` for symmetric ``mat``, consuming ``mat``.
 
-    Each ladder rung makes one ``np.linalg.solve`` of ``mat + jitter I``, an
-    LU factorisation that serves definite and indefinite systems alike.  A
-    rung is accepted when its solution is finite and its residual against
-    the full (jittered) matrix is small.
+    Each ladder rung factors ``mat + jitter I`` in place with Cholesky and
+    solves with the factor, or, when Cholesky refuses the system (an
+    indefinite one) or numpy's LAPACK symbols are missing, makes one
+    ``np.linalg.solve`` of it (see the module docstring).  A rung is
+    accepted when its solution is finite and its residual against the
+    (jittered) system is small.
 
     Parameters
     ----------
     mat : (K, K) array
-        Symmetric system matrix, in either memory order: it is solved as
-        its column-major view (see the module docstring).
+        Symmetric system matrix, in either memory order: it is read as its
+        column-major view, the factor from that view's lower triangle and
+        the residual from its upper one.  The solve works in its buffer, so
+        the caller must not read it afterwards.
     rhs : (K,) or (K, m) array
         Right-hand side.
     name : str
@@ -131,15 +299,17 @@ def solve_symmetric(mat, rhs, name: str = "linear system"):
 
 
 def invert_symmetric(mat, name: str = "linear system"):
-    """``mat^-1`` for symmetric ``mat``, on the jitter ladder.
+    """``mat^-1`` for symmetric ``mat``, on the jitter ladder, consuming ``mat``.
 
-    Each rung makes one ``np.linalg.inv`` of ``mat + jitter I`` and accepts
-    it when it is finite and ``||(mat + jitter I) Z - I||_F <= RESIDUAL_RTOL
-    (1 + sqrt(K))``: the test and bound of :func:`solve_symmetric` against
-    the identity, from one product buffer and no identity matrix.  Rung 0 is
-    ``np.linalg.inv`` of ``mat``'s column-major view, which for an exactly
-    symmetric ``mat`` is ``np.linalg.inv(mat)`` bit for bit.  Returns
-    ``(inverse, jitter, level)`` and raises :class:`SingularSolveError` as
+    Each rung factors ``mat + jitter I`` in place and inverts with the
+    factor (``dpotri``), or makes one ``np.linalg.inv`` where
+    :func:`solve_symmetric` makes ``np.linalg.solve``.  A rung is accepted
+    when its inverse is finite and ``||(mat + jitter I) Z - I||_F <=
+    RESIDUAL_RTOL (1 + sqrt(K))``: the test and bound of
+    :func:`solve_symmetric` against the identity, with no identity matrix.
+    On the Cholesky path the accepted inverse is exactly symmetric and is
+    returned in ``mat``'s own buffer.  Returns ``(inverse, jitter,
+    level)`` and raises :class:`SingularSolveError` as
     :func:`solve_symmetric` does.
     """
     return _ladder(mat, None, name)

@@ -1294,10 +1294,10 @@ class TestDistancePasses:
         inside = []
         sq_distances, median = kernels._sq_distances, kernels.median_heuristic
 
-        def counting(a, b):
+        def counting(a, b, out=None):
             if not inside:
                 calls["pairs" if np.shares_memory(a, b) else "cross"] += 1
-            return sq_distances(a, b)
+            return sq_distances(a, b, out)
 
         def counting_median(samples):
             calls["pairs"] += 1

@@ -147,8 +147,8 @@ class TestSteinNonparametric:
         np.testing.assert_allclose(got, want, atol=1e-11)
 
     def test_u_statistic_fit_is_the_indefinite_solve(self):
-        # the U system is indefinite, which Cholesky would refuse; the
-        # ladder's LU solve takes it at rung 0, as it takes every system
+        # the U system is indefinite, which Cholesky refuses; the same rung
+        # falls back to LU on the system rebuilt bit for bit, at rung 0
         xs = gaussian_sample(9, n=20)
         system, rhs, _ = _stein_system(xs, RBF, "u")
         system += 0.05 * np.eye(20)
@@ -814,13 +814,19 @@ class TestFittedEstimator:
         back = FittedEstimator.from_json_dict(record)
         np.testing.assert_array_equal(back.kinv, fit.kinv)
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "numpy"])
     @pytest.mark.parametrize("kind", list(RIDGE_SOLVES))
-    def test_fit_makes_one_solve_and_predict_adds_none(self, monkeypatch, kind):
-        # every ridge kind makes one named ladder solve, which is one
-        # np.linalg.solve; predict adds neither.  stein-v's first predict
-        # forms its inverse, one np.linalg.inv, and later ones add none.
+    def test_fit_makes_one_solve_and_predict_adds_none(self, request, monkeypatch, kind, fallback):
+        # every ridge kind makes one named ladder solve; predict adds none.
+        # stein-v's first predict forms its inverse, and later ones add
+        # none.  On the np.linalg fallback the solve is one np.linalg.solve
+        # and the inverse one np.linalg.inv; in place, Cholesky calls
+        # neither, save on the indefinite U-statistic systems, which it
+        # refuses, so that the same rung makes one np.linalg.solve.
         from steingrad import estimators
 
+        if fallback:
+            request.getfixturevalue("numpy_linalg_only")
         solve = RIDGE_SOLVES[kind]
         calls, lapack = [], []
         real = estimators.solve_symmetric
@@ -844,39 +850,59 @@ class TestFittedEstimator:
         xs = gaussian_sample(35, n=9)
         fit = fit_estimator(kind, xs, RBF)
         assert calls == [solve]
-        assert lapack == [("solve", (9, 9))]
+        lu = fallback or kind in (KIND_STEIN_U, KIND_STEIN_PARAM_U)
+        assert lapack == ([("solve", (9, 9))] if lu else [])
         assert set(fit.diagnostics) == {"jitter", "jitter_level"}
         if kind == KIND_STEIN_U:
             return  # no out-of-sample rule
+        fitted = list(lapack)
         pts = gaussian_sample(36, n=3)
         first = fit.predict(pts)
         fit.predict(pts)
         assert calls == [solve]
-        inverse = [("inv", (9, 9))] if kind == KIND_STEIN_V else []
-        assert lapack == [("solve", (9, 9))] + inverse
+        inverse = [("inv", (9, 9))] if kind == KIND_STEIN_V and fallback else []
+        assert lapack == fitted + inverse
         np.testing.assert_array_equal(fit.predict(pts), first)
 
+    @pytest.mark.parametrize("kind, family", KIND_FAMILIES)
+    def test_every_fit_passes_through_the_fallback(self, request, kind, family):
+        # with numpy's LAPACK symbols missing, every kind fits and predicts
+        # on np.linalg alone, within rounding of the fit made in place
+        spec = RBF if family == "rbf" else EPAN
+        xs, pts = gaussian_sample(39, n=15), gaussian_sample(36, n=3)
+        in_place = fit_estimator(kind, xs, spec)
+        request.getfixturevalue("numpy_linalg_only")
+        fallback = fit_estimator(kind, xs, spec)
+        for name in ("grads", "coeffs"):
+            if getattr(in_place, name) is not None:
+                np.testing.assert_allclose(
+                    getattr(fallback, name), getattr(in_place, name), rtol=1e-9, atol=1e-12
+                )
+        assert fallback.diagnostics == in_place.diagnostics
+        if kind != KIND_STEIN_U:
+            np.testing.assert_allclose(fallback.predict(pts), in_place.predict(pts), rtol=1e-9, atol=1e-12)
+
     @pytest.mark.parametrize("rung", [0, 1])
-    def test_kinv_is_numpys_inverse_of_the_fits_system(self, monkeypatch, rung):
+    def test_kinv_is_the_inverse_of_the_fits_system(self, monkeypatch, rung):
         # a fresh fit, its reloaded record and a direct construction all
-        # form kinv as one np.linalg.inv of K + eta I + jitter I, built as
-        # the fit built it, and call no scipy.linalg routine.  Rung 1: the
-        # ladder is made to refuse the unjittered system once, so the fit
-        # is accepted on its first jitter rung.  At rung 0 the direct
-        # construction holds no diagnostics, so its jitter is 0.0.
+        # form kinv as one invert_symmetric of K + eta I + jitter I, built as
+        # the fit built it, at rung 0, and call no scipy.linalg routine.
+        # Rung 1: the ladder is made to refuse the unjittered system once,
+        # so the fit is accepted on its first jitter rung.  At rung 0 the
+        # direct construction holds no diagnostics, so its jitter is 0.0.
         from steingrad import linalg
 
         if rung:
-            real = linalg._factor_and_solve
+            real = linalg._rung
             refused = []
 
-            def refuse_first(system, rhs):
+            def refuse_first(*args):
                 if not refused:
                     refused.append(True)
-                    raise np.linalg.LinAlgError("refused")
-                return real(system, rhs)
+                    return None
+                return real(*args)
 
-            monkeypatch.setattr(linalg, "_factor_and_solve", refuse_first)
+            monkeypatch.setattr(linalg, "_rung", refuse_first)
         xs = gaussian_sample(37, n=15)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF)
         jitter = fit.diagnostics["jitter"]
@@ -888,11 +914,14 @@ class TestFittedEstimator:
             diagnostics={"jitter": jitter} if rung else {},
         )
 
+        monkeypatch.undo()
         refuse_scipy_linalg(monkeypatch)
         system = _stein_system(xs, RBF, "v")[0]
         system[np.diag_indices(15)] += 0.1
         system[np.diag_indices(15)] += jitter
-        want = np.linalg.inv(system)
+        want, _, level = linalg.invert_symmetric(system.copy())
+        assert level == 0
+        np.testing.assert_allclose(want @ system, np.eye(15), atol=1e-10)
         for estimator in (fit, back, direct):
             np.testing.assert_array_equal(estimator.kinv, want)
             estimator.predict(gaussian_sample(36, n=3))
@@ -916,20 +945,23 @@ class TestFittedEstimator:
     @staticmethod
     def _ladder_rungs(monkeypatch, xs, eta):
         # each ladder call by name: (matrix, rhs, result, jitter, level),
-        # the inverse's rhs being the identity it is tested against
+        # the inverse's rhs being the identity it is tested against; the
+        # matrix is copied before the call, which consumes it
         from steingrad import estimators
 
         rungs = {}
         solve, invert = estimators.solve_symmetric, estimators.invert_symmetric
 
         def solving(mat, rhs, name="linear system"):
+            given = mat.copy()
             z, jitter, level = solve(mat, rhs, name)
-            rungs[name] = (mat, rhs, z, jitter, level)
+            rungs[name] = (given, rhs, z, jitter, level)
             return z, jitter, level
 
         def inverting(mat, name="linear system"):
+            given = mat.copy()
             z, jitter, level = invert(mat, name)
-            rungs[name] = (mat, np.eye(len(mat)), z, jitter, level)
+            rungs[name] = (given, np.eye(len(mat)), z, jitter, level)
             return z, jitter, level
 
         monkeypatch.setattr(estimators, "solve_symmetric", solving)

@@ -15,6 +15,7 @@ from steingrad import (
     resolve_bandwidth,
 )
 from steingrad.kernels import (
+    _median_tile_rows,
     cross_hess_trace,
     cross_kernel,
     kernel_eval,
@@ -311,6 +312,16 @@ class TestMedianHeuristic:
         xs = np.ones((5, 2))
         with pytest.raises(DegenerateBandwidthError):
             median_heuristic(xs)
+
+    @pytest.mark.parametrize("n", [41, 600, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_tiled_pass_is_np_median_bitwise(self, n, d):
+        # many tiles, each right of the diagonal written in place: below
+        # GRAM_MIN_D the same in-order sums as pdist, so the same median
+        xs = np.random.default_rng(n + d).standard_normal((n, d))
+        assert _median_tile_rows(n, d) < n
+        got = median_heuristic(xs)
+        assert np.float64(got).tobytes() == np.float64(float(np.median(pdist(xs))) ** 2).tobytes()
 
     def test_degenerate_majority_rejected(self):
         # median of pairwise distances is zero when most points coincide

@@ -2,10 +2,14 @@
 
 Each call below holds a handful of (K, K) matrices at once, never a
 (K, K, d) difference tensor; at d = 50 such a tensor alone would be 50 K^2
-doubles.  tracemalloc sees numpy's allocations in this process only.
+doubles.  tracemalloc sees numpy's allocations in this process only; the
+last test measures a solve's resident set in a fresh process, which counts
+what numpy mallocs too.
 """
 
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -60,13 +64,15 @@ for _kind, _fit in FITS.items():
 # block: the condensed kernel, then its mirrored matrix; score-rbf at
 # d = 1 2.01: K, which becomes the last coordinate's D_i, and Sigma; stein-v
 # fit 1.50: the condensed kernel and its mirrored matrix, which is then the
-# system.  A fit's solve is one np.linalg.solve, and numpy mallocs LU's
-# work copy of the system, so tracemalloc does not see it; the bench's
-# peak_rss_mb does.  Before the solve was LU these read 3.01 and 2.25: a
-# D_i buffer beside K, and numpy's Cholesky factor.  stein-v kinv, fit
-# included, 3.26: the kernel rebuilt as the fit's system, np.linalg.inv's
-# result and the check's product (numpy mallocs inv's two working copies
-# too; 4.38 and then 3.26 when kinv was a cho_solve of a held factor).
+# system.  A fit's solve factors the system in place, so it adds vectors
+# only (when it was one np.linalg.solve, numpy malloc'd LU's work copy of
+# the system, which tracemalloc does not see; the RSS test below does).
+# Before the solve was LU these read 3.01 and 2.25: a D_i buffer beside K,
+# and numpy's Cholesky factor.  stein-v kinv, fit included, 1.85: the kernel
+# rebuilt as the fit's system, inverted in its own buffer, and the check's
+# two column blocks of an eighth of it (3.26 with np.linalg.inv's result
+# and the check's whole product beside it, numpy malloc'ing inv's two
+# working copies too; 4.38 when kinv was a cho_solve of a held factor).
 # entropy-check peaks in its score fit (2.08; 3.08 before).  A median-rule
 # fit or discrepancy keeps the same bound: holding the condensed distances
 # through the fit would add 0.5 (median-rule score 2.01 at d = 1 and 4.14
@@ -83,7 +89,7 @@ TIGHT = {
     "score-rbf fit d=1 median": 2.15,
     "stein-v fit": 1.6,
     "stein-v fit median": 1.6,
-    "stein-v kinv": 3.5,
+    "stein-v kinv": 2.0,
     "entropy-check": 2.2,
     f"{KIND_SCORE} grads_at_train": 1.6,
     f"{KIND_STEIN_PARAM_V} grads_at_train": 1.6,
@@ -135,7 +141,57 @@ def test_ksd_holds_no_pairwise_matrix():
     assert peak / (8 * n * n) <= 0.25
 
 
-def test_median_heuristic_holds_one_condensed_vector():
+@pytest.mark.parametrize("xs", [XS, XS1], ids=["d=50", "d=1"])
+def test_median_heuristic_holds_one_condensed_vector(xs):
     # the K(K-1)/2 pairwise distances, partitioned in place: no second copy
-    # of them for the median (measured 1.005 vectors; np.median's copy gave 2.006)
-    assert traced_peak(lambda: median_heuristic(XS)) / (8 * K * (K - 1) / 2) <= 1.25
+    # of them for the median, and tiles sized by their form's temporaries
+    # (measured 1.13 vectors at d = 50 and 1.09 at d = 1, against 1.17 and
+    # 1.09 with tiles sized for the Gram form's copies at every d;
+    # np.median's copy gave 2.006)
+    assert traced_peak(lambda: median_heuristic(xs)) / (8 * K * (K - 1) / 2) <= 1.25
+
+
+# one solve_symmetric of a K = 3000 system built before it, in a fresh
+# process: the growth of its resident-set high-water mark, in units of the
+# (K, K) system.  VmHWM, not ru_maxrss, which keeps the high-water mark of
+# the forked parent's image across exec, so that under pytest it may start
+# above anything the solve adds.
+_RSS_SOLVE = """
+import sys
+import numpy as np
+from steingrad import linalg
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+if sys.argv[1] == "numpy":
+    linalg._SYMBOL = "steingrad_missing_{}"
+k = 3000
+mat = np.full((k, k), 1.0 / k)
+mat[np.diag_indices(k)] += 1.0
+rhs = np.ones(k)
+linalg.solve_symmetric(np.eye(400) + 1.0, np.ones(400))  # BLAS buffers
+before = high_water()
+linalg.solve_symmetric(mat, rhs)
+print((high_water() - before) * 1024 / (8 * k * k))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("path", ["lapack", "numpy"])
+def test_solve_adds_no_second_system_to_the_resident_set(path):
+    # tracemalloc does not see LU's malloc'd work copy, so the resident set
+    # measures it: the np.linalg fallback's solve adds about one more
+    # system (measured 1.09), the in-place Cholesky vectors and OpenBLAS's
+    # buffers (0.09)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_SOLVE, path], capture_output=True, text=True,
+        check=True, env=env, timeout=120,
+    )
+    growth = float(out.stdout)
+    if path == "lapack":
+        assert growth <= 0.25, growth
+    else:
+        assert growth >= 0.75, growth

@@ -11,8 +11,10 @@ files::
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tools/corpus_manifest.py > tools/output_corpus.sha256
 
-The bytes depend on the numpy build and on the OpenBLAS kernels
-chosen at run time, which the manifest records as its fingerprint.  Under
+The bytes depend on the numpy build, on the OpenBLAS kernels chosen at
+run time and on the path the symmetric solves take (numpy's own LAPACK in
+place, or the ``np.linalg`` fallback where its library lacks the symbols),
+which the manifest records as its fingerprint.  Under
 another fingerprint the corpus must still hold the same files, but their
 bytes are not compared: the test is skipped, and the skip reason names the
 fingerprint lines that differ and how many files do.

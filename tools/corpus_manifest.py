@@ -7,10 +7,13 @@ Usage::
 Writes the corpus of ``tools/output_corpus.py`` into a temporary directory
 and prints one ``sha256  relative/path`` line per file, sorted by path, as
 ``sha256sum`` prints them.  Before them come ``#`` lines with the
-fingerprint the bytes depend on: the numpy version and the
+fingerprint the bytes depend on: the numpy version, the
 configuration string of each OpenBLAS library the process loaded (read
 through ``/proc/self/maps``, so Linux only; elsewhere the fingerprint has
-no OpenBLAS line and matches no Linux manifest).  The corpus is
+no OpenBLAS line and matches no Linux manifest), and the path the
+symmetric solves took: ``solver: lapack potrf in place`` where numpy's
+library exports the LAPACK symbols ``steingrad.linalg`` looks up, and
+``solver: numpy.linalg`` where it does not.  The corpus is
 byte-reproducible only at a fixed BLAS thread count, and the committed
 manifest is written at one thread, so set ``OPENBLAS_NUM_THREADS=1`` for
 this process.  ``tests/test_output_corpus.py`` runs this script and
@@ -49,10 +52,18 @@ def openblas_configs():
     return found
 
 
+def solver():
+    """The path the package's symmetric solves take in this process."""
+    from steingrad import linalg
+
+    return "lapack potrf in place" if linalg._lapack() is not None else "numpy.linalg"
+
+
 def fingerprint():
     """The lines, without their ``#``, that name what the corpus bytes depend on."""
     lines = [f"numpy {np.__version__}"]
     lines += [f"openblas {name}: {config}" for name, config in openblas_configs()]
+    lines.append(f"solver: {solver()}")
     return lines
 
 

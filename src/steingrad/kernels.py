@@ -484,7 +484,8 @@ def _median_tile_rows(n: int, d: int) -> int:
     sum's are row blocks of at most a tile: 2.5 t^2 doubles in all, kept
     within a 16th of the condensed vector, and t within ``_MEDIAN_TILE``,
     where a tile stays in cache.  The Gram form adds the tile rows'
-    centred copies, 2 t d doubles, within about a 32nd at d = 50.
+    centred copies, 2 t d doubles, so its tiles stay at a 64th of the
+    vector, and at least 40 rows.
     """
     pairs = n * (n - 1) // 2
     if d >= GRAM_MIN_D:

@@ -243,7 +243,7 @@ def _ladder(mat, rhs, name):
         system_diag = diag + jitter if level else diag
         if level:
             if _lapack() is not None:
-                _mirror(a)  # the last rung's factor leaves the lower triangle
+                _mirror(a)  # the lower triangle the last rung's factor overwrote
             np.fill_diagonal(a, system_diag)
         try:
             z = _rung(a, system_diag, rhs, bound)

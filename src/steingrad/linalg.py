@@ -21,8 +21,9 @@ onto the lower, plus the jittered diagonal) both come from the system
 itself.  A solve holds one (K, K) array, the system, besides vectors of the
 right-hand side's shape; an inverse is returned in the system's own buffer,
 mirrored to a full matrix, and its residual is taken column block by column
-block, two blocks of at most an eighth of the system each.  On return
-``mat`` holds the factor, or the inverse, not the system.
+block, two blocks of at most an eighth of the system each.  The caller
+must not read ``mat`` afterwards: it holds the factor, the inverse, or the
+system with a rung's jitter on its diagonal.
 
 The routines are numpy's own: the OpenBLAS its wheel loads exports them
 under the ILP64 names ``scipy_dpotrf_64_`` and so on, looked up once per

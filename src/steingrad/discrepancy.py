@@ -8,18 +8,20 @@ the V-statistic is the full double sum
                                 + trace(grad_{x^j} grad_{x^l} k_jl) ]
 
 summed here over the sample's unordered pairs, a row block at a time, so
-no (K, K) matrix is held: per block the quadratic term through K G, the
-cross term through the centred row sums and K x, and the pairwise trace
-term as one numpy reduction, which no BLAS thread pool touches.  Each
-unordered pair stands for its two ordered ones; the diagonal, where k = 1
-and the cross term vanishes, is added in closed form.  All of it comes
+no (K, K) matrix is held: per block the quadratic term through K G and
+the cross term through the centred row sums and K x.  The pairwise trace
+term comes with each block, summed by ``kernels.pair_blocks`` as it makes
+the block's kernel, with numpy's own sums, which no BLAS thread pool
+touches.  Each unordered pair stands for its two ordered ones; the
+diagonal, where k = 1 and the cross term vanishes, is added in closed
+form.  All of it comes
 from one distance pass over the sample; a median-rule kernel takes its
 bandwidth from that pass too, and the estimate reports the resolved
 kernel.  The last (gradient-free) term is constant in G, so it is
 optional: fits minimise the constant-free part, sample-quality metrics
 want it included.  The U-statistic drops the j = l terms and normalises by
 K (K - 1).  Memory is O(B + K d) doubles for a given bandwidth, B the
-pairs per block, ``kernels.PAIR_BLOCK``; a median-rule kernel adds the
+entries per block, ``kernels.PAIR_BLOCK``; a median-rule kernel adds the
 distance pass its bandwidth is taken from, about K^2 / 2 doubles.
 """
 

@@ -155,12 +155,10 @@ def _stein_system(xs, spec, statistic):
     The ridge solve (K + eta I) G = -<grad, K> gives the V-statistic field;
     the U-statistic removes the kernel diagonal from the system matrix and
     requires a strictly positive eta.  The matrix is the kernel matrix's
-    buffer, returned as its column-major transpose view: it is exactly
-    symmetric, so the view is the same matrix, in the layout the solver
-    takes.  The resolved spec comes back third.
+    buffer.  The resolved spec comes back third.
     """
     mats = build_matrices(xs, spec)
-    system = mats.k_matrix.T
+    system = mats.k_matrix
     if statistic == "u":
         np.fill_diagonal(system, 0.0)
     return system, -mats.grad_sum, mats.spec
@@ -245,14 +243,13 @@ def _score_sigma_by_coordinate(xs, km):
     """Sigma = sum_i D_i^T D_i with D_i[j, k] = (x_ij - x_ik) K_jk.
 
     Consumes K: every coordinate but the last is rebuilt in one scratch
-    buffer, and the last is formed in K's own buffer, in row blocks of at
-    most ``kernels.PAIR_BLOCK`` entries, as ``K_jk (x_ij - x_ik)``, the same
-    product and bits, since nothing reads K after it.  So a d = 1 Sigma
+    buffer, and the last is formed in K's own buffer, in
+    ``kernels.row_blocks``, as ``K_jk (x_ij - x_ik)``, the same product and
+    bits, since nothing reads K after it.  So a d = 1 Sigma
     holds two (K, K) arrays, K as D_1 and Sigma.  The first coordinate's
     product is Sigma itself.
     """
-    n, d = xs.shape
-    rows = max(1, kernels.PAIR_BLOCK // n)
+    d = xs.shape[1]
     d_i = np.empty_like(km) if d > 1 else km
     sigma = None
     for i, xi in enumerate(xs.T):
@@ -261,8 +258,8 @@ def _score_sigma_by_coordinate(xs, km):
             d_i *= km
         else:
             d_i = km  # drops the scratch buffer
-            for start in range(0, n, rows):
-                d_i[start:start + rows] *= xi[start:start + rows, None] - xi[None, :]
+            for start, stop in kernels.row_blocks(len(xs)):
+                d_i[start:stop] *= xi[start:stop, None] - xi[None, :]
         if sigma is None:
             sigma = d_i.T @ d_i
         else:
@@ -273,15 +270,11 @@ def _score_sigma_by_coordinate(xs, km):
 def _gram_blocks(xs):
     """Row blocks ``(start, stop, xs[start:stop] @ xs.T)`` of the Gram matrix.
 
-    Each block holds at most ``kernels.PAIR_BLOCK`` entries (one row when a
-    row alone has more), so the (K, K) matrix is never formed.  A sample of
-    up to 362 points is one block, bit for bit numpy's full product; above
-    that the blocks may differ from it by rounding.
+    The blocks are ``kernels.row_blocks``', so the (K, K) matrix is never
+    formed.  A sample of up to 362 points is one block, bit for bit numpy's
+    full product; above that the blocks may differ from it by rounding.
     """
-    n = len(xs)
-    rows = max(1, kernels.PAIR_BLOCK // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    for start, stop in kernels.row_blocks(len(xs)):
         yield start, stop, xs[start:stop] @ xs.T
 
 
@@ -319,10 +312,7 @@ def _score_system(xs, spec):
          ones, at half the flops of a general product) and the
          coordinate-free form 2 general ones, so Sigma is the sum for
          d <= 2 and the coordinate-free form from d = 3 on.  The sum is
-         exactly symmetric and is returned column-major, and it is formed
-         after v, since its last coordinate consumes K; the closed form
-         is symmetric only up to rounding and stays C-ordered, so the
-         solver takes its column-major view, the transpose.
+         formed after v, since its last coordinate consumes K.
 
     epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
          Sigma_kk' = (1/d^2) [ x^k . x^k'
@@ -353,7 +343,7 @@ def _score_system(xs, spec):
         km @ sqn + sqn * ksum - 2.0 * (xs * (km @ xs)).sum(axis=1)
     )
     if d < _SIGMA_CLOSED_FORM_MIN_D:
-        return _score_sigma_by_coordinate(xs, km).T, v, spec
+        return _score_sigma_by_coordinate(xs, km), v, spec
     return _score_sigma_closed_form(xs, km, sqn), v, spec
 
 
@@ -503,11 +493,10 @@ class FittedEstimator:
         Formed on first access and kept on this object; fits that never
         predict never form it.  The system is the fit's own: the kernel,
         then ``+= eta``, then ``+= jitter``, the jitter being
-        ``diagnostics["jitter"]`` (0.0 when the record holds none), taken
-        column-major as in ``_stein_system``.  Its inverse is
-        :func:`steingrad.linalg.invert_symmetric` of that system, in the
-        system's own buffer: one Cholesky factorisation and inversion per
-        rung on numpy's BLAS pool, held to the ladder's identity
+        ``diagnostics["jitter"]`` (0.0 when the record holds none).  Its
+        inverse is :func:`steingrad.linalg.invert_symmetric` of that
+        system, in the system's own buffer: one Cholesky factorisation and
+        inversion per rung on numpy's BLAS pool, held to the ladder's identity
         right-hand-side residual test.  At rung 0 it inverts the fit's
         system, so a fresh fit, its reloaded record and a direct
         construction get the same bits, on the fit's rung, which the
@@ -520,7 +509,7 @@ class FittedEstimator:
         """
         if self.kind != KIND_STEIN_V:
             return None
-        system = build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix.T
+        system = build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix
         diag = np.diag_indices_from(system)
         system[diag] += self.eta
         system[diag] += self.diagnostics.get("jitter", 0.0)

@@ -39,12 +39,14 @@ pairs is assembled by ``build_matrices`` from one squared-distance pass, and
 a median-rule spec (``KernelSpec(RBF, median_scale=s)``) takes its bandwidth
 from that same pass, bit for bit ``median_heuristic(sample) * s``.
 ``pair_blocks`` hands out the same pairs' kernel values, with the same
-bits, in row blocks of at most ``PAIR_BLOCK`` pairs, for a sum over pairs
-that needs no (K, K) matrix; its one distance pass is made block by block,
-and under the median rule it is kept for the bandwidth, about K^2 / 2
-doubles.  ``resolve_bandwidth`` makes a pass of its own, for a caller that
-needs the bandwidth apart from the kernel.  ``cross_kernel`` serves new
-points only.
+bits, in row blocks for a sum over pairs that needs no (K, K) matrix, and
+sums the RBF trace term as it makes each block's kernel.  Its one distance
+pass is made block by block, and under the median rule it is kept for the
+bandwidth, about K^2 / 2 doubles.  Its blocks, and the fits' Gram and
+Sigma blocks, follow one rule, ``row_blocks``: ``max(1, PAIR_BLOCK // K)``
+rows a block, at most ``PAIR_BLOCK`` entries.  ``resolve_bandwidth``
+makes a pass of its own, for a caller that needs the bandwidth apart from
+the kernel.  ``cross_kernel`` serves new points only.
 """
 
 import math
@@ -59,7 +61,7 @@ RBF = "rbf"
 EPANECHNIKOV = "epanechnikov"
 FAMILIES = (RBF, EPANECHNIKOV)
 
-# unordered sample pairs per row block of ``pair_blocks`` (1 MiB of
+# entries per row block of a pass over a sample's pairs (1 MiB of
 # doubles): a block's arrays are a few times this, whatever the sample size
 PAIR_BLOCK = 1 << 17
 # coordinates from which squared distances take the Gram form
@@ -342,6 +344,18 @@ def build_matrices(samples, spec: KernelSpec, with_grad_sum: bool = True) -> Ker
     return KernelMatrices(k_matrix=k_matrix, grad_sum=grad_sum, spec=spec)
 
 
+def row_blocks(n):
+    """``(start, stop)`` of the row blocks of a pass over n rows, each row
+    against at most n columns: ``max(1, PAIR_BLOCK // n)`` rows a block, so
+    a block holds at most ``PAIR_BLOCK`` entries unless one row alone has
+    more.  Up to 362 rows are one block.  The one row-block rule of every
+    pass over a sample's pairs: ``pair_blocks`` and the fits' Gram and Sigma
+    blocks."""
+    rows = max(1, PAIR_BLOCK // n)
+    for start in range(0, n, rows):
+        yield start, min(start + rows, n)
+
+
 def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
     """The kernel over a sample's pairs of distinct points, in row blocks.
 
@@ -356,22 +370,26 @@ def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
     cross_hess_trace over the block's ordered pairs when ``with_trace`` is
     set, else None.
 
-    A block holds at most ``PAIR_BLOCK`` pairs unless one row alone has
-    more, so its arrays are bounded whatever K is; one block covers a
-    sample of up to 512 points, where ``kern`` is the kernel matrix with a
-    zero diagonal.  The distances are one pass, one ``_sq_distances`` call
-    per block, of its rows against the rows from its first on:
-    ``build_matrices``' bits, pair by pair.  Under the median rule that pass
-    is made here, before the first block, and kept for the bandwidth and
-    then for the blocks; a sample the rule refuses is refused by this call,
-    not by the iterator.
+    The blocks are ``row_blocks``' (the last row, which has no later row to
+    pair with, makes none), so a block's arrays are bounded whatever K is;
+    one block covers a sample of up to 362 points, where ``kern`` is the
+    kernel matrix with a zero diagonal.  The distances are one pass, one
+    ``_sq_distances`` call per block, of its rows against the rows from its
+    first on: ``build_matrices``' bits, pair by pair.  Under the median rule
+    that pass is made here, before the first block, and kept for the
+    bandwidth and then for the blocks; a sample the rule refuses is refused
+    by this call, not by the iterator.
     """
     xs = as_samples(samples)
-    dists = _distance_blocks(xs)
+    n = xs.shape[0]
+    dists = (
+        (start, stop, _sq_distances(xs[start:stop], xs[start:]))
+        for start, stop in row_blocks(n)
+        if start < n - 1
+    )
     if spec.median_scale is not None:
         held = list(dists)
-        # every pair once, in pdist's order: the same order statistics
-        flat = _condensed(sq for _, _, sq in held)
+        flat = _condensed(sq for _, _, sq in held)  # every pair once
         spec = KernelSpec(RBF, _median_sigma2(flat) * spec.median_scale)
         # handed out in order and dropped from the list as they go, so
         # each block's distances are freed once its kernel is made
@@ -380,74 +398,36 @@ def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
     return spec, _kernel_blocks(xs.shape[1], spec, dists, with_trace)
 
 
-def _distance_blocks(xs):
-    """(start, stop, sq): the squared distances of rows [start, stop)
-    against rows [start, K)."""
-    n = xs.shape[0]
-    start = 0
-    while start < n - 1:  # the last row has no later row to pair with
-        stop = _block_stop(start, n)
-        yield start, stop, _sq_distances(xs[start:stop], xs[start:])
-        start = stop
-
-
 def _kernel_blocks(d, spec, dists, with_trace):
     """``pair_blocks``' blocks, from their squared distances, each kernel
-    made in its distances' buffer.  The trace sums the block's own pairs in
-    pdist's order, then its pairs with later rows; each pair stands for
-    its two orders."""
+    made in its distances' buffer.  The RBF trace is summed as the kernel
+    is made, a row chunk of at most ``_TILE`` entries at a time: each
+    entry's cross_hess_trace, zeroed at the block's diagonal, the block's
+    own pairs added once and its later pairs twice, by numpy's own sums,
+    not a BLAS dot, so no thread pool enters."""
     rbf_trace = with_trace and spec.family == RBF
     for start, stop, sq in dists:
         b = stop - start
-        if rbf_trace:
-            own = float(_trace_terms(_condensed([sq[:, :b]]), spec, d).sum())
-            # the later pairs' factor, before their distances become the kernel
-            later = _trace_factor(sq[:, b:], spec, d)
-        kern = _kernel_of_sq(sq, spec, d)
         trace = None
         if rbf_trace:
-            trace = 2.0 * (own + float(np.multiply(later, kern[:, b:], out=later).sum()))
-        elif with_trace:  # 2 at every pair
-            trace = 2.0 * (2.0 * (b * (b - 1) // 2) + 2.0 * (sq.size - b * b))
+            trace = 0.0
+            step = max(1, _TILE // sq.shape[1])
+            for lo in range(0, b, step):
+                chunk = sq[lo:lo + step]
+                # d / s2 - sq / s2^2, cross_hess_trace over the kernel value
+                terms = np.divide(chunk, spec.sigma2**2)
+                np.subtract(d / spec.sigma2, terms, out=terms)
+                terms *= _kernel_of_sq(chunk, spec, d)
+                np.fill_diagonal(terms[:, lo:], 0.0)
+                trace += float(terms[:, :b].sum()) + 2.0 * float(terms[:, b:].sum())
+        else:
+            _kernel_of_sq(sq, spec, d)
+            if with_trace:  # 2 at every ordered pair
+                trace = 2.0 * (b * (b - 1) + 2 * (sq.size - b * b))
+        kern = sq
         np.fill_diagonal(kern, 0.0)
         kern[:, b:] *= 2.0
         yield start, stop, kern, trace
-
-
-def _trace_factor(sq, spec, d):
-    """d / s2 - sq / s2^2, a new array: cross_hess_trace at the squared
-    distances ``sq`` over their kernel value."""
-    factor = np.divide(sq, spec.sigma2**2)
-    return np.subtract(d / spec.sigma2, factor, out=factor)
-
-
-def _trace_terms(sq, spec, d):
-    """cross_hess_trace at the squared distances of the contiguous array
-    ``sq``, written over them ``_TILE // 4`` at a time, since it is a copy
-    beside its whole block; the caller sums them with numpy, not a BLAS
-    dot, so no thread pool enters."""
-    flat = sq.reshape(-1)
-    for lo in range(0, flat.size, _TILE // 4):
-        part = flat[lo:lo + _TILE // 4]
-        factor = _trace_factor(part, spec, d)
-        _kernel_of_sq(part, spec, d)
-        np.multiply(factor, part, out=part)
-    return flat
-
-
-def _block_stop(start, n):
-    """End of the row block from ``start``: the most rows, at least one,
-    whose pairs with each other and with every later row are at most
-    ``PAIR_BLOCK``."""
-    m = n - start
-    if m * (m - 1) // 2 <= PAIR_BLOCK:
-        return n
-    # rows [start, start + b) hold b (2 m - b - 1) / 2 pairs, at most
-    # PAIR_BLOCK for b up to the smaller root of that quadratic; with the
-    # discriminant's square root rounded up, isqrt(D - 1) + 1, in integers,
-    # b never passes the root
-    b = (2 * m - 2 - math.isqrt((2 * m - 1) ** 2 - 8 * PAIR_BLOCK - 1)) // 2
-    return start + max(b, 1)
 
 
 def _median_sigma2(sq: np.ndarray) -> float:

@@ -74,9 +74,9 @@ MEDIAN = KernelSpec("rbf", median_scale=1.5)
 
 
 class TestBlockEdges:
-    # with the block size patched down, 30 samples span nine row blocks:
-    # two-row blocks, growing ones, and a ragged four-row last block
-    N, PAIR_BLOCK = 30, 60
+    # with the block size patched down, 30 samples span eight row blocks:
+    # four rows each, 120 entries at most, and a ragged two-row last block
+    N, PAIR_BLOCK = 30, 120
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
@@ -86,11 +86,11 @@ class TestBlockEdges:
         xs, _ = random_case(13, n=self.N)
         _, blocks = kernels.pair_blocks(xs, RBF)
         rows = [(start, stop) for start, stop, *_ in blocks]
-        pairs = [(e - a) * (e - a - 1) // 2 + (e - a) * (self.N - e) for a, e in rows]
-        assert len(rows) >= 4
+        sizes = [e - a for a, e in rows]
+        assert len(rows) == 8
         assert rows[-1][1] == self.N
-        assert max(pairs) <= self.PAIR_BLOCK
-        assert pairs[-1] < min(pairs[:-1])
+        assert max((e - a) * (self.N - a) for a, e in rows) <= self.PAIR_BLOCK
+        assert sizes[-1] < min(sizes[:-1]) == max(sizes[:-1])
 
     @pytest.mark.parametrize("spec", [RBF, EPAN, MEDIAN], ids=["rbf", "epanechnikov", "median"])
     @pytest.mark.parametrize("statistic", ["v", "u"])

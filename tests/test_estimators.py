@@ -505,21 +505,21 @@ class TestEntropySurrogate:
 
 
 class TestSystemLayout:
-    # an exactly symmetric system comes back column-major, the layout the
-    # solver takes, so LU's work copy is a plain copy; a system that is
-    # symmetric only up to rounding stays C-ordered, and the solver takes
-    # its column-major view, the transpose
+    # every system reaches the solver as it was built, C-ordered: the
+    # solver alone takes its column-major view, which for an exactly
+    # symmetric system is the same matrix, and for one symmetric only up
+    # to rounding its transpose
     @pytest.mark.parametrize("statistic", ["v", "u"])
     @pytest.mark.parametrize("spec", [RBF, EPAN], ids=["rbf", "epanechnikov"])
-    def test_stein_system_is_column_major_and_exactly_symmetric(self, spec, statistic):
+    def test_stein_system_is_c_ordered_and_exactly_symmetric(self, spec, statistic):
         system, _, _ = _stein_system(gaussian_sample(40, n=30), spec, statistic)
-        assert system.flags.f_contiguous and not system.flags.c_contiguous
+        assert system.flags.c_contiguous and not system.flags.f_contiguous
         assert np.array_equal(system, system.T)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_coordinate_sum_sigma_is_column_major_and_exactly_symmetric(self, d):
+    def test_coordinate_sum_sigma_is_c_ordered_and_exactly_symmetric(self, d):
         sigma, _, _ = _score_system(gaussian_sample(41, n=30, d=d), RBF)
-        assert sigma.flags.f_contiguous and not sigma.flags.c_contiguous
+        assert sigma.flags.c_contiguous and not sigma.flags.f_contiguous
         assert np.array_equal(sigma, sigma.T)
 
     @pytest.mark.parametrize(

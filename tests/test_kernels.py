@@ -440,10 +440,10 @@ def collect_blocks(xs, spec, with_trace=False):
 
 
 class TestPairBlocks:
-    # sample sizes that make one block at the default size, and, with the
-    # block size patched down, several rows per block, single-row blocks
-    # and a ragged last block
-    @pytest.mark.parametrize("pair_block", [None, 40, 3])
+    # 23 points make one block at the default size, and, with the block
+    # size patched down, four-row blocks with a ragged three-row last one,
+    # or single-row blocks, where the last row makes no block of its own
+    @pytest.mark.parametrize("pair_block", [None, 100, 3])
     @pytest.mark.parametrize("spec", [rbf_spec(0.9), EPAN, KernelSpec("rbf", median_scale=1.5)],
                              ids=["rbf", "epanechnikov", "median"])
     def test_blocks_are_the_kernel_matrix_bitwise(self, monkeypatch, pair_block, spec):
@@ -457,9 +457,13 @@ class TestPairBlocks:
         assert resolved == full.spec
         km = full.k_matrix.copy()
         np.fill_diagonal(km, 0.0)
+        n = len(xs)
         starts = [start for start, *_ in blocks]
         stops = [stop for _, stop, *_ in blocks]
-        assert starts == [0] + stops[:-1] and stops[-1] == len(xs)
+        # in order, up to the last row, which has no later row to pair with
+        assert starts == [0] + stops[:-1] and stops[-1] >= n - 1
+        rows = max(1, kernels.PAIR_BLOCK // n)
+        assert all(stop - start == rows for start, stop in zip(starts[:-1], stops))
         if pair_block is not None:
             assert len(blocks) >= 4
         for start, stop, kern, trace in blocks:
@@ -470,18 +474,24 @@ class TestPairBlocks:
             # pairs with later rows at twice their value
             np.testing.assert_array_equal(kern[:, :b], km[start:stop, start:stop])
             np.testing.assert_array_equal(kern[:, b:], 2.0 * km[start:stop, stop:])
-            if pair_block is not None and b > 1:
-                assert b * (b - 1) // 2 + b * (len(xs) - stop) <= pair_block
+            if b > 1:  # a single row may hold more
+                assert b * (n - start) <= kernels.PAIR_BLOCK
 
-    @pytest.mark.parametrize("pair_block", [None, 40])
-    def test_block_trace_is_the_scalar_sum(self, monkeypatch, pair_block):
+    # a tile of 40 entries sums the RBF trace over several row chunks of a
+    # block, two to four rows at a time, with a ragged last chunk
+    @pytest.mark.parametrize("tile", [None, 40])
+    @pytest.mark.parametrize("pair_block", [None, 100])
+    def test_block_trace_is_the_scalar_sum(self, monkeypatch, pair_block, tile):
         from steingrad import kernels
 
         if pair_block is not None:
             monkeypatch.setattr(kernels, "PAIR_BLOCK", pair_block)
+        if tile is not None:
+            monkeypatch.setattr(kernels, "_TILE", tile)
         xs = np.random.default_rng(39).standard_normal((15, 2))
         for spec in (rbf_spec(0.9), EPAN):
             _, blocks = collect_blocks(xs, spec, with_trace=True)
+            assert len(blocks) == (1 if pair_block is None else 3)
             for start, stop, _, trace in blocks:
                 want = sum(
                     cross_hess_trace(xs[i], xs[j], spec)

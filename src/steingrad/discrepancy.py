@@ -14,13 +14,12 @@ term comes with each block, summed by ``kernels.pair_blocks`` as it makes
 the block's kernel, with numpy's own sums, which no BLAS thread pool
 touches.  Each unordered pair stands for its two ordered ones; the
 diagonal, where k = 1 and the cross term vanishes, is added in closed
-form.  All of it comes
-from one distance pass over the sample; a median-rule kernel takes its
-bandwidth from that pass too, and the estimate reports the resolved
-kernel.  The last (gradient-free) term is constant in G, so it is
-optional: fits minimise the constant-free part, sample-quality metrics
-want it included.  The U-statistic drops the j = l terms and normalises by
-K (K - 1).  Memory is O(B + K d) doubles for a given bandwidth, B the
+form.  All of it comes from one distance pass over the sample; a
+median-rule kernel takes its bandwidth from that pass too, and the
+estimate reports the resolved kernel.  The last (gradient-free) term is
+constant in G, so it is optional: fits minimise the constant-free part,
+sample-quality metrics want it included.  The U-statistic drops the
+j = l terms and normalises by K (K - 1).  Memory is O(B + K d) doubles for a given bandwidth, B the
 entries per block, ``kernels.PAIR_BLOCK``; a median-rule kernel adds the
 distance pass its bandwidth is taken from, about K^2 / 2 doubles.
 """

@@ -245,9 +245,9 @@ def _score_sigma_by_coordinate(xs, km):
     Consumes K: every coordinate but the last is rebuilt in one scratch
     buffer, and the last is formed in K's own buffer, in
     ``kernels.row_blocks``, as ``K_jk (x_ij - x_ik)``, the same product and
-    bits, since nothing reads K after it.  So a d = 1 Sigma
-    holds two (K, K) arrays, K as D_1 and Sigma.  The first coordinate's
-    product is Sigma itself.
+    bits, since nothing reads K after it.  So a d = 1 Sigma holds two
+    (K, K) arrays, K as D_1 and Sigma.  The first coordinate's product is
+    Sigma itself.
     """
     d = xs.shape[1]
     d_i = np.empty_like(km) if d > 1 else km
@@ -496,9 +496,9 @@ class FittedEstimator:
         ``diagnostics["jitter"]`` (0.0 when the record holds none).  Its
         inverse is :func:`steingrad.linalg.invert_symmetric` of that
         system, in the system's own buffer: one Cholesky factorisation and
-        inversion per rung on numpy's BLAS pool, held to the ladder's identity
-        right-hand-side residual test.  At rung 0 it inverts the fit's
-        system, so a fresh fit, its reloaded record and a direct
+        inversion per rung on numpy's BLAS pool, held to the ladder's
+        identity right-hand-side residual test.  At rung 0 it inverts the
+        fit's system, so a fresh fit, its reloaded record and a direct
         construction get the same bits, on the fit's rung, which the
         Schur-complement predict assumes.  Only an inverse that fails
         there, singular or short of the test, climbs the ladder,

@@ -79,15 +79,16 @@ def _pair_sums(samples, grads, spec, includes_constant):
             # the rows' side g_j . (rowsum_j x^j - (K x)_j) plus the
             # columns' side g_l . (colsum_l x^l - (K^T x)_l), whose product
             # is taken from K G as x . (K G)
-            xa = h[: stop - start, d:]
             cross += 0.5 * (
                 float((kern.sum(axis=1) * gx[start:stop]).sum())
                 - float(np.einsum("ij,ij->", ga, prod[:, d:]))
                 + float((kern.sum(axis=0) * gx[start:]).sum())
-                - float(np.einsum("ij,ij->", xa, prod[:, :d]))
+                - float(np.einsum("ij,ij->", h[: stop - start, d:], prod[:, :d]))
             )
         if includes_constant:
             trace += block_trace
+        # dropped before the next block's distances are made
+        del kern, prod, h
     if rbf:
         cross /= spec.sigma2
     else:

@@ -53,7 +53,7 @@ from .kernels import (
     check_number,
     cross_kernel,
 )
-from .linalg import invert_symmetric, solve_symmetric
+from .linalg import add_product_and_transpose, invert_symmetric, solve_symmetric
 
 DEFAULT_ETA = 0.1
 # U-statistic systems can be indefinite; a strictly positive ridge keeps the
@@ -233,9 +233,12 @@ def _expansion_predict(coeffs, train, spec, points=None):
     return weights.sum(axis=1)[:, None] * points - weights @ train
 
 
-# from this dimension on, Sigma's 2 coordinate-free K^3 products beat the
-# d symmetric products of the per-coordinate sum; at d = 2 they run about
-# even (K = 1000, 2-core host: 0.041 s for the sum, 0.047 s for the form)
+# from this dimension on, Sigma's coordinate-free form (one symmetric
+# product and one rank-2k update) beats the d symmetric products of the
+# per-coordinate sum.  K = 1000, 2-core host, medians of 9 in each of 3
+# processes: at d = 2 the sum is ahead, 30-68 ms against 34-76 ms; at d = 3
+# the form, 44-48 against 33-37 ms, and at d = 4, 64-77 against 38-46 ms.
+# Kept at 3, so no d <= 2 output moves.
 _SIGMA_CLOSED_FORM_MIN_D = 3
 
 
@@ -279,22 +282,19 @@ def _gram_blocks(xs):
 
 
 def _score_sigma_closed_form(xs, km, sqn):
-    # B + B^T + (K K) o G in one scratch buffer besides B, with G in row
-    # blocks: K o (1/2 n^T - G), then K K o G, then + B + B^T.  At most
-    # three (K, K) arrays are alive at once: K, the buffer and B.
+    # (K K) o G from numpy's symmetric product, then + M K + K M^T by one
+    # rank-2k update, M = K o (1/2 1 n^T - G), with G in row blocks: three
+    # (K, K) arrays, K, Sigma and M, and Sigma exactly symmetric
     half_sqn = 0.5 * sqn
-    buf = np.empty_like(km)
+    sigma = km.T @ km
+    m = np.empty_like(km)
     for start, stop, gram in _gram_blocks(xs):
-        rows = buf[start:stop]
+        sigma[start:stop] *= gram
+        rows = m[start:stop]
         np.subtract(half_sqn, gram, out=rows)
         rows *= km[start:stop]
-    b = buf @ km
-    np.matmul(km, km, out=buf)
-    for start, stop, gram in _gram_blocks(xs):
-        buf[start:stop] *= gram
-    buf += b
-    buf += b.T
-    return buf
+    add_product_and_transpose(sigma, m, km)
+    return sigma
 
 
 def _score_system(xs, spec):
@@ -304,15 +304,18 @@ def _score_system(xs, spec):
 
     rbf: a = (Sigma + eta I)^-1 v with
          Sigma = sum_i D_i^T D_i,    D_i = diag(x_i) K - K diag(x_i)
-               = B + B^T + (K K) o G,    B = (K o (1/2 1 n^T - G)) K,
+               = (K K) o G + M K + K M^T,    M = K o (1/2 1 n^T - G),
          v = d sigma2 K 1 - (K n + n o K 1 - 2 rowsum(X o (K X))),
          x_i the i-th coordinate column of the sample matrix X, n its
          squared row norms, G = X X^T and o the elementwise product.
-         The sum over coordinates costs d K x K x K products (symmetric
-         ones, at half the flops of a general product) and the
-         coordinate-free form 2 general ones, so Sigma is the sum for
-         d <= 2 and the coordinate-free form from d = 3 on.  The sum is
-         formed after v, since its last coordinate consumes K.
+         The sum over coordinates costs d symmetric K x K x K products
+         (syrk, half a general product's flops each); the
+         coordinate-free form one symmetric product and one rank-2k
+         update, M K + K M^T by ``dsyr2k`` (one general product's flops,
+         see :func:`steingrad.linalg.add_product_and_transpose`).  So
+         Sigma is the sum for d <= 2 and the coordinate-free form from
+         d = 3 on; both are exactly symmetric.  The sum is formed after
+         v, since its last coordinate consumes K.
 
     epanechnikov: a = 1/2 (Sigma + eta I)^-1 1 with
          Sigma_kk' = (1/d^2) [ x^k . x^k'
@@ -359,52 +362,55 @@ def _parametric_system(xs, spec, statistic):
 
     The U-statistic variant replaces the inner K of each triple product
     with K - diag(K) (Lambda tilde), keeping the same b; o is the
-    elementwise product.  K, the centring and the returned spec are as in
-    ``_score_system``.
+    elementwise product.  Lambda is built as
+
+        Lambda = X o (P K) + W K + K W^T,    W = 1/2 K Q - P o X,
+
+    with P = K K (K (K - I) for U, as diag(K) = I) and Q = K o X (its
+    diagonal zeroed for U): P by numpy's symmetric product, Q K in row
+    blocks, and W K + K W^T by one rank-2k update (``dsyr2k``, see
+    :func:`steingrad.linalg.add_product_and_transpose`).  That is 7
+    K^3-flop units, a general product being 2, where the five general
+    products of the form above take 10, and Lambda comes out exactly
+    symmetric.  K, the centring and the returned
+    spec are as in ``_score_system``.
     """
     mats = build_matrices(xs, spec, with_grad_sum=False)
     km, spec = mats.k_matrix, mats.spec
     xs = xs - xs.mean(axis=0)
+    n = len(xs)
     ksum = km.sum(axis=1)
-    kk = km @ km
-    # G = X X^T only in row blocks: this pass fills Q = K o G, the squared
-    # norms from the blocks' diagonals and the rows of (K K) o G's row sums
-    kx = np.empty_like(km)
-    sqn = np.empty(len(xs))
-    kk_gram = np.empty(len(xs))
+    p = km.T @ km
+    # G = X X^T only in row blocks: this pass takes the squared norms from
+    # the blocks' diagonals, and the row sums of (K K) o G and of Q = K o G
+    # and Q's product with K 1
+    sqn, kk_gram, q_sum, q_ksum = (np.empty(n) for _ in range(4))
     for start, stop, gram in _gram_blocks(xs):
-        np.multiply(km[start:stop], gram, out=kx[start:stop])
+        q = km[start:stop] * gram
         sqn[start:stop] = np.diagonal(gram, offset=start)
-        kk_gram[start:stop] = np.einsum("ij,ij->i", kk[start:stop], gram)
+        kk_gram[start:stop] = np.einsum("ij,ij->i", p[start:stop], gram)
+        q_sum[start:stop] = q.sum(axis=1)
+        q_ksum[start:stop] = q @ ksum
     # the row sums of K diag(n) K + (K K) o G - K (K o G) - (K o G) K, each
     # as a matrix-vector product
-    b = km @ (sqn * ksum) + kk_gram - km @ kx.sum(axis=1) - kx @ ksum
-    # lam = G o (P K) + K Q K - t - t^T with t = (P o G) K, P = K K and
-    # Q = K o G; U zeroes the diagonal of Q and of P's second factor.  The
-    # last term is t^T because K and G are symmetric.  Built in place,
-    # freeing each product once used, with G's blocks made again for the
-    # two elementwise products, so that at most four (K, K) arrays are
-    # alive at once: K, P and two more.
+    b = km @ (sqn * ksum) + kk_gram - km @ q_sum - q_ksum
+    # lam = G o (P K) + W K + K W^T with W = 1/2 K Q - P o G.  U takes
+    # P = K (K - I), the inner K's unit diagonal removed, and Q with its
+    # diagonal zeroed.  W^T's rows are written over P's once P K is made,
+    # so three (K, K) arrays are alive at once: K, P and lam.
     if statistic == "u":
-        np.fill_diagonal(kx, 0.0)
-        del kk
-        km0 = km.copy()
-        np.fill_diagonal(km0, 0.0)
-        kk = km @ km0
-        del km0
-    kxk = km @ kx
-    del kx
-    kxk = kxk @ km
-    lam = kk @ km
+        p -= km
+    lam = p @ km
     for start, stop, gram in _gram_blocks(xs):
         lam[start:stop] *= gram
-        kk[start:stop] *= gram
-    lam += kxk
-    del kxk
-    t = kk @ km
-    del kk
-    lam -= t
-    lam -= t.T
+        q = km[start:stop] * gram
+        if statistic == "u":
+            np.fill_diagonal(q[:, start:], 0.0)
+        q *= 0.5
+        w_t = p[start:stop]
+        w_t *= gram
+        np.subtract(q @ km, w_t, out=w_t)
+    add_product_and_transpose(lam, p.T, km)
     return lam, b, spec
 
 

@@ -420,14 +420,15 @@ def _kernel_blocks(d, spec, dists, with_trace):
                 terms *= _kernel_of_sq(chunk, spec, d)
                 np.fill_diagonal(terms[:, lo:], 0.0)
                 trace += float(terms[:, :b].sum()) + 2.0 * float(terms[:, b:].sum())
+            del chunk, terms
         else:
             _kernel_of_sq(sq, spec, d)
             if with_trace:  # 2 at every ordered pair
                 trace = 2.0 * (b * (b - 1) + 2 * (sq.size - b * b))
-        kern = sq
-        np.fill_diagonal(kern, 0.0)
-        kern[:, b:] *= 2.0
-        yield start, stop, kern, trace
+        np.fill_diagonal(sq, 0.0)
+        sq[:, b:] *= 2.0
+        yield start, stop, sq, trace
+        del sq  # before the next block's distances are made
 
 
 def _median_sigma2(sq: np.ndarray) -> float:

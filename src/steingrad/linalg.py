@@ -39,6 +39,13 @@ copy of it, where tracemalloc does not see it.
 Cholesky reads one triangle and the residual the other.  A non-finite
 entry in the upper one fails every residual; one in the lower one makes
 the factor non-finite, and the ladder stops there, as no jitter mends it.
+
+The estimators' systems are built with one more of those routines:
+:func:`add_product_and_transpose` adds ``a @ b + (a @ b).T`` into a
+symmetric ``c`` by BLAS ``dsyr2k`` with beta = 1, one product's flops and
+no product array, then mirrors the triangle it wrote.  Where the symbols
+are missing it makes the product and adds it and its transpose: one more
+(K, K) array, and the same mirror.
 """
 
 import ctypes
@@ -68,6 +75,8 @@ _ROUTINES = {
     "dpotrs": (_CHAR, _SIZE, _SIZE, _ARRAY, _SIZE, _ARRAY, _SIZE, _SIZE, _LEN),
     "dsymm": (_CHAR, _CHAR, _SIZE, _SIZE, _SCALAR, _ARRAY, _SIZE, _ARRAY, _SIZE,
               _SCALAR, _ARRAY, _SIZE, _LEN, _LEN),
+    "dsyr2k": (_CHAR, _CHAR, _SIZE, _SIZE, _SCALAR, _ARRAY, _SIZE, _ARRAY, _SIZE,
+               _SCALAR, _ARRAY, _SIZE, _LEN, _LEN),
 }
 # rows and columns of a square tile of the triangle mirror
 _MIRROR_TILE = 256
@@ -122,6 +131,35 @@ def _symmetric_product(lapack, a, b):
         b.ctypes.data, _int(k), zero, out.ctypes.data, _int(k), 1, 1,
     )
     return out
+
+
+def add_product_and_transpose(c, a, b):
+    """``c += a @ b + (a @ b).T`` in place, for symmetric ``b``, mirrored exact.
+
+    ``c`` and ``b`` are C-contiguous (K, K) arrays, ``b`` symmetric, and
+    ``a`` a C- or F-contiguous one.  One BLAS ``dsyr2k`` with beta = 1 adds
+    the sum into ``c``'s upper triangle: one product's flops, not two, and
+    no product array.  The triangle is then mirrored, so ``c`` comes out
+    exactly symmetric.  Without numpy's routines it is ``t = a @ b; c += t;
+    c += t.T`` (one more (K, K) array), then the same mirror.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        t = a @ b
+        c += t
+        c += t.T
+    else:
+        # column-major, c reads as c^T, whose lower triangle is c's upper;
+        # an F-ordered a reads as a (C += A B^T + B A^T), a C-ordered one as
+        # a^T (C += A^T B + B^T A), and b as b
+        k = _int(len(c))
+        one = ctypes.byref(ctypes.c_double(1.0))
+        trans = b"N" if a.flags.f_contiguous else b"T"
+        lapack["dsyr2k"](
+            b"L", trans, k, k, one, a.ctypes.data, k, b.ctypes.data, k,
+            one, c.ctypes.data, k, 1, 1,
+        )
+    _mirror(c)
 
 
 def _mirror(a):

@@ -35,7 +35,7 @@ from steingrad.estimators import (
 )
 from steingrad import kernels
 from steingrad.kernels import cross_hess_trace, cross_kernel, kernel_grad_first_arg
-from steingrad.linalg import RESIDUAL_RTOL
+from steingrad.linalg import RESIDUAL_RTOL, add_product_and_transpose
 
 RBF = KernelSpec("rbf", 1.3)
 EPAN = KernelSpec("epanechnikov")
@@ -538,45 +538,74 @@ class TestSystemLayout:
 
 
 def _whole_gram_parametric_system(xs, spec, statistic):
-    """The parametric system as it was built from the whole Gram matrix,
-    kept as the reference for the row-block build."""
+    """The parametric system built from the whole Gram matrix in the row-block
+    build's product order, kept as its reference."""
     mats = build_matrices(xs, spec, with_grad_sum=False)
     km = mats.k_matrix
     xs = xs - xs.mean(axis=0)
     gram = xs @ xs.T
     ksum = km.sum(axis=1)
     sqn = np.diag(gram)
-    kk = km @ km
-    kx = km * gram
-    b = km @ (sqn * ksum) + np.einsum("ij,ij->i", kk, gram) - km @ kx.sum(axis=1) - kx @ ksum
+    p = km.T @ km
+    q = km * gram
+    b = km @ (sqn * ksum) + np.einsum("ij,ij->i", p, gram) - km @ q.sum(axis=1) - q @ ksum
     if statistic == "u":
-        np.fill_diagonal(kx, 0.0)
-        km0 = km.copy()
-        np.fill_diagonal(km0, 0.0)
-        kk = km @ km0
-    kxk = (km @ kx) @ km
-    lam = kk @ km
+        p -= km
+        np.fill_diagonal(q, 0.0)
+    lam = p @ km
     lam *= gram
-    lam += kxk
-    kk *= gram
-    t = kk @ km
-    lam -= t
-    lam -= t.T
+    w_t = (0.5 * q) @ km - p * gram
+    add_product_and_transpose(lam, w_t.T, km)
     return lam, b
 
 
 def _whole_gram_score_sigma(xs, km, sqn):
-    """The closed-form score Sigma as it was built from the whole Gram
-    matrix, kept as the reference for the row-block build."""
+    """The closed-form score Sigma built from the whole Gram matrix in the
+    row-block build's product order, kept as its reference."""
     gram = xs @ xs.T
-    buf = np.subtract(0.5 * sqn, gram)
-    buf *= km
-    b = buf @ km
-    np.matmul(km, km, out=buf)
-    buf *= gram
-    buf += b
-    buf += b.T
-    return buf
+    sigma = km.T @ km
+    sigma *= gram
+    m = np.subtract(0.5 * sqn, gram)
+    m *= km
+    add_product_and_transpose(sigma, m, km)
+    return sigma
+
+
+def _systems_by_definition(xs, spec):
+    """Lambda for V and U, and the score Sigma, coordinate by coordinate.
+
+    With D_c = diag(x_c) K - K diag(x_c) for the coordinate column x_c of
+    the centred sample, Lambda = sum_c D_c^T K_s D_c, K_s being K for V
+    and K - I for U, and Sigma = sum_c D_c^T D_c.
+    """
+    km = build_matrices(xs, spec, with_grad_sum=False).k_matrix
+    lam_v, lam_u, sigma = (np.zeros_like(km) for _ in range(3))
+    for x_c in (xs - xs.mean(axis=0)).T:
+        d_c = x_c[:, None] * km - km * x_c[None, :]
+        lam_v += d_c.T @ km @ d_c
+        lam_u += d_c.T @ (km - np.eye(len(km))) @ d_c
+        sigma += d_c.T @ d_c
+    return {"v": lam_v, "u": lam_u, "score": sigma}
+
+
+class TestSystemsByDefinition:
+    # the parametric Lambda and the closed-form score Sigma against their
+    # coordinate-by-coordinate definition, on both paths of the symmetric
+    # rank-2k update: numpy's dsyr2k and the product-and-add fallback
+    @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "numpy"])
+    @pytest.mark.parametrize("n, d", [(12, 3), (20, 5)])
+    def test_builders_match_the_definition(self, request, fallback, n, d):
+        if fallback:
+            request.getfixturevalue("numpy_linalg_only")
+        xs = gaussian_sample(45, n=n, d=d)
+        want = _systems_by_definition(xs, RBF)
+        got = {stat: _parametric_system(xs, RBF, stat)[0] for stat in ("v", "u")}
+        got["score"] = _score_system(xs, RBF)[0]
+        for name, m in got.items():
+            np.testing.assert_allclose(
+                m, want[name], rtol=1e-12, atol=1e-12 * np.abs(want[name]).max(), err_msg=name
+            )
+            assert np.array_equal(m, m.T), name
 
 
 class TestGramRowBlocks:

@@ -448,3 +448,25 @@ class TestMirror:
         assert _same_bits(b, want_lower)
         linalg._mirror(a.T)
         assert _same_bits(a, want_upper)
+
+
+class TestAddProductAndTranspose:
+    # c += a @ b + (a @ b).T for symmetric b: one dsyr2k, or the fallback's
+    # product and two adds, then the upper triangle mirrored
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    def test_is_the_product_and_its_transpose_added(self, k, order, path):
+        rng = np.random.default_rng(k)
+        a = np.asarray(rng.standard_normal((k, k)), order=order)
+        s = rng.standard_normal((k, k))
+        b, c = s + s.T, s @ s.T
+        want = c + a @ b + (a @ b).T
+        got = c.copy()
+        linalg.add_product_and_transpose(got, a, b)
+        assert np.array_equal(got, got.T)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        if path == NUMPY:
+            t = a @ b
+            c += t
+            c += t.T
+            assert _same_bits(got, np.triu(c) + np.triu(c, 1).T)

@@ -60,10 +60,12 @@ for _kind, _fit in FITS.items():
     CALLS[f"{_kind} grads_at_train"] = _fit.grads_at_train
 
 # tighter bounds, in K^2 doubles, a little above the peaks measured when
-# they were set (ksd_v 1.60, and 1.52 under the median rule, at K = 400:
+# they were set (ksd_v 1.41, and 1.52 under the median rule, at K = 400:
 # a 327-row block of 0.82 K^2 and a 73-row one, beside the sums' (K, d)
-# arrays; 1.68 each when a sample of up to 512 points was one block, its
-# trace summed from a condensed copy; score-rbf at
+# arrays; 1.60 when a block's kernel, products and trace chunk were still
+# held while the next block's distances were made; 1.68 each when a
+# sample of up to 512 points was one block, its trace summed from a
+# condensed copy; score-rbf at
 # d = 1 2.01: K, which becomes the last coordinate's D_i, and Sigma; stein-v
 # fit 1.50: the condensed kernel and its mirrored matrix, which is then the
 # system.  A fit's solve factors the system in place, so it adds vectors
@@ -85,7 +87,7 @@ for _kind, _fit in FITS.items():
 # formed in place (2.05 when the kernel came from cross_kernel and the
 # weights were new arrays).
 TIGHT = {
-    "ksd_v": 1.65,
+    "ksd_v": 1.5,
     "ksd_v median": 1.56,
     "score-rbf fit d=1": 2.15,
     "score-rbf fit d=1 median": 2.15,
@@ -116,13 +118,18 @@ def test_peak_memory_is_a_few_kernel_matrices(name):
 
 # at K = 1200, d = 50 the Gram matrix's row blocks of at most
 # kernels.PAIR_BLOCK entries are 109 rows, a small part of one K^2 array;
-# measured 3.23 for score's closed-form Sigma (K, its buffer and B) and
-# 4.23 for both parametric systems (K, K K and two more), against 4.05 and
-# 5.04 when each held the whole Gram matrix.  K = 400 cannot show this:
-# a block there is 327 rows, 0.82 K^2 (see above).
+# measured 3.23 for score's closed-form Sigma (K, Sigma and M) and 3.32
+# for both parametric systems (K, K K, whose rows become W^T, and Lambda),
+# each adding its product-and-transpose by one dsyr2k.  The parametric
+# systems read 4.23 when built from general products (K, K K and two
+# more), and 4.05 and 5.04 when each held the whole Gram matrix.  K = 400
+# cannot show this: a block there is 327 rows, 0.82 K^2 (see above).
 LARGE_K = 1200
 XS_LARGE = np.random.default_rng(3).standard_normal((LARGE_K, D))
-LARGE_FITS = {KIND_SCORE: 3.35, KIND_STEIN_PARAM_V: 4.35, KIND_STEIN_PARAM_U: 4.35}
+LARGE_FITS = {KIND_SCORE: 3.35, KIND_STEIN_PARAM_V: 3.45, KIND_STEIN_PARAM_U: 3.45}
+# without numpy's dsyr2k the product is one more (K, K) array: measured
+# 4.10 for each kind
+LARGE_FALLBACK_FITS = {KIND_SCORE: 4.2, KIND_STEIN_PARAM_V: 4.2}
 
 
 @pytest.mark.parametrize("kind", sorted(LARGE_FITS))
@@ -131,17 +138,24 @@ def test_expansion_fit_holds_no_gram_matrix(kind):
     assert peak / (8 * LARGE_K * LARGE_K) <= LARGE_FITS[kind]
 
 
+@pytest.mark.parametrize("kind", sorted(LARGE_FALLBACK_FITS))
+def test_expansion_fit_on_the_fallback_holds_no_gram_matrix(kind, numpy_linalg_only):
+    peak = traced_peak(lambda: fit_estimator(kind, XS_LARGE, MEDIAN))
+    assert peak / (8 * LARGE_K * LARGE_K) <= LARGE_FALLBACK_FITS[kind]
+
+
 def test_ksd_holds_no_pairwise_matrix():
     # under a given bandwidth the discrepancy sums row blocks of at most
     # kernels.PAIR_BLOCK entries, so at n = 2000 its peak is a small part
-    # of one n^2 matrix (measured 0.080; 0.136 when blocks held up to
-    # PAIR_BLOCK pairs; the whole matrix, as the kernel layer once
-    # mirrored it, was 1.5)
+    # of one n^2 matrix (measured 0.046; 0.080 when a block was held while
+    # the next one was made, 0.136 when blocks held up to PAIR_BLOCK
+    # pairs; the whole matrix, as the kernel layer once mirrored it, was
+    # 1.5)
     n = 2000
     xs = np.random.default_rng(2).standard_normal((n, 2))
     spec = KernelSpec("rbf", 1.0)
     peak = traced_peak(lambda: ksd_v(xs, -xs, spec, includes_constant=True))
-    assert peak / (8 * n * n) <= 0.09
+    assert peak / (8 * n * n) <= 0.06
 
 
 @pytest.mark.parametrize("xs", [XS, XS1], ids=["d=50", "d=1"])

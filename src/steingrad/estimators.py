@@ -26,11 +26,11 @@ afresh: one factorisation and inversion in place per rung.  Both run on
 numpy's BLAS pool, the one every product here uses, and fall back to
 numpy's LU where Cholesky refuses a system (see :mod:`steingrad.linalg`).
 Kernel values come from :mod:`steingrad.kernels`, which holds the only copy
-of the kernel formulas: each kernel matrix over the sample's own pairs, the
-fits' and the expansion kinds' ``grads_at_train``, is one
-``build_matrices`` pass over the sample as given, and ``cross_kernel``
-serves new points only.  A fit resolves a
-median-rule bandwidth from its kernel's own pass.
+of the kernel formulas: a fit's kernel matrix is one ``build_matrices``
+pass over the sample as given, which also resolves a median-rule
+bandwidth, and every kernel a :class:`FittedEstimator` evaluates, at new
+points, at its training sample or for ``kinv``, is one ``cross_kernel``
+pass at the resolved bandwidth.
 
 ``fit_estimator`` fits any kind into a serialisable :class:`FittedEstimator`,
 whose ``predict`` takes (n, d) points and whose constructor holds the checks.
@@ -208,25 +208,18 @@ def _stein_predict(fitted, pts):
     return -(kmat @ grads - pulled) / schur[:, None]
 
 
-def _expansion_predict(coeffs, train, spec, points=None):
+def _expansion_predict(coeffs, train, spec, points):
     """Rows sum_k a_k grad_first k(y^i, x^k) = sum_k w_ik (y^i - x^k).
 
-    ``points`` None means the training points themselves, whose kernel is
-    ``build_matrices``' over the sample's pairs: bit for bit the cross
-    kernel of train with itself, from half the distance work.  The RBF
-    weights are formed in the kernel's buffer, with the products and
-    rounding of ``-k * a / sigma2``.
+    ``points`` is ``train`` itself for the gradients at the training
+    sample, whose ``cross_kernel`` is then ``build_matrices``' kernel, bit
+    for bit.  The RBF weights are formed in the kernel's buffer, with the
+    products and rounding of ``-k * a / sigma2``.
     """
-    at_train = points is None
-    if at_train:
-        points = train
     if spec.family != RBF:
         weights = (-2.0 / train.shape[1]) * coeffs
         return weights.sum() * points - (weights @ train)[None, :]
-    if at_train:
-        weights = build_matrices(train, spec, with_grad_sum=False).k_matrix
-    else:
-        weights = cross_kernel(points, train, spec)
+    weights = cross_kernel(points, train, spec)
     np.negative(weights, out=weights)
     weights *= coeffs
     weights /= spec.sigma2
@@ -498,11 +491,12 @@ class FittedEstimator:
 
         Formed on first access and kept on this object; fits that never
         predict never form it.  The system is the fit's own: the kernel,
-        then ``+= eta``, then ``+= jitter``, the jitter being
-        ``diagnostics["jitter"]`` (0.0 when the record holds none).  Its
-        inverse is :func:`steingrad.linalg.invert_symmetric` of that
-        system, in the system's own buffer: one Cholesky factorisation and
-        inversion per rung on numpy's BLAS pool, held to the ladder's
+        ``cross_kernel`` of the training sample with itself and so the
+        fit's kernel bit for bit, then ``+= eta``, then ``+= jitter``, the
+        jitter being ``diagnostics["jitter"]`` (0.0 when the record holds
+        none).  Its inverse is :func:`steingrad.linalg.invert_symmetric` of
+        that system, in the system's own buffer: one Cholesky factorisation
+        and inversion per rung on numpy's BLAS pool, held to the ladder's
         identity right-hand-side residual test.  At rung 0 it inverts the
         fit's system, so a fresh fit, its reloaded record and a direct
         construction get the same bits, on the fit's rung, which the
@@ -515,7 +509,7 @@ class FittedEstimator:
         """
         if self.kind != KIND_STEIN_V:
             return None
-        system = build_matrices(self.train, self.spec, with_grad_sum=False).k_matrix
+        system = cross_kernel(self.train, self.train, self.spec)
         diag = np.diag_indices_from(system)
         system[diag] += self.eta
         system[diag] += self.diagnostics.get("jitter", 0.0)
@@ -525,12 +519,12 @@ class FittedEstimator:
         """Gradient field at the training samples (the fit output).
 
         An expansion kind evaluates its expansion there from the kernel over
-        the training pairs, one ``build_matrices`` pass that the call drops
+        the training pairs, one ``cross_kernel`` pass that the call drops
         when it returns.
         """
         if self.grads is not None:
             return self.grads.copy()
-        return _expansion_predict(self.coeffs, self.train, self.spec)
+        return _expansion_predict(self.coeffs, self.train, self.spec, self.train)
 
     def predict(self, points) -> np.ndarray:
         """Gradient field at new points; not every kind supports this.

@@ -22,9 +22,11 @@ Conventions used throughout the package:
 literature; for translation-invariant kernels it equals minus the sum of
 first-argument gradients.
 
-The kernel-value formulas live here only: ``build_matrices`` and
-``pair_blocks`` (sample pairs) and ``cross_kernel`` (new points against the
-sample) share one evaluation.
+The kernel-value formulas live here only, in one evaluation that three
+routes share, one per job: ``build_matrices`` is a fit's own pass over its
+sample, ``pair_blocks`` the discrepancy's, and ``cross_kernel`` serves every
+kernel a fitted estimator evaluates, at new points or at its training
+sample.
 
 Squared distances come from one routine, ``_sq_distances``, in one of two
 forms picked by the dimension d.  Below ``GRAM_MIN_D`` coordinates it sums
@@ -34,10 +36,13 @@ so every value below is the same whatever rows a pass is split into.  From
 on the product's block shape: there the "bit for bit" claims below read
 "agree to rounding".
 
-One distance pass per sample: every (K, K) kernel matrix over a sample's own
-pairs is assembled by ``build_matrices`` from one squared-distance pass, and
-a median-rule spec (``KernelSpec(RBF, median_scale=s)``) takes its bandwidth
-from that same pass, bit for bit ``median_heuristic(sample) * s``.
+One distance pass per kernel: a fit's (K, K) kernel matrix is assembled by
+``build_matrices`` from one squared-distance pass, and a median-rule spec
+(``KernelSpec(RBF, median_scale=s)``) takes its bandwidth from that same
+pass, bit for bit ``median_heuristic(sample) * s``.  ``cross_kernel`` of a
+sample with itself takes the same pairs path, so it is ``build_matrices``'
+kernel bit for bit: a fitted estimator's kernel at its training sample
+(``grads_at_train``, ``kinv``) is one ``cross_kernel`` pass.
 ``pair_blocks`` hands out the same pairs' kernel values, with the same
 bits, in row blocks for a sum over pairs that needs no (K, K) matrix, and
 sums the RBF trace term as it makes each block's kernel.  Its one distance
@@ -46,7 +51,7 @@ bandwidth, about K^2 / 2 doubles.  Its blocks, and the fits' Gram and
 Sigma blocks, follow one rule, ``row_blocks``: ``max(1, PAIR_BLOCK // K)``
 rows a block, at most ``PAIR_BLOCK`` entries.  ``resolve_bandwidth``
 makes a pass of its own, for a caller that needs the bandwidth apart from
-the kernel.  ``cross_kernel`` serves new points only.
+the kernel.
 """
 
 import math
@@ -68,8 +73,6 @@ PAIR_BLOCK = 1 << 17
 GRAM_MIN_D = 8
 # doubles in each temporary of a distance pass (128 KiB)
 _TILE = 1 << 14
-# rows of a square tile of median_heuristic's in-order pass at most (512 KiB)
-_MEDIAN_TILE = 256
 
 
 def as_samples(x, name: str = "samples") -> np.ndarray:
@@ -305,8 +308,11 @@ def _condensed(blocks) -> np.ndarray:
 def cross_kernel(points, train, spec: KernelSpec) -> np.ndarray:
     """The (M, K) matrix k(y^m, x^k) of validated (M, d) and (K, d) arrays.
 
-    For new points against a sample; the kernel over a sample's own pairs is
-    ``build_matrices``'.
+    Every kernel a fitted estimator evaluates, at new points or, with
+    ``points is train``, at its training sample: then the distances take
+    the sample's pairs path, so the result is ``build_matrices``' kernel
+    bit for bit, with a diagonal of exactly 1 for both families.  The
+    bandwidth must be resolved.
     """
     return _kernel_of_sq(_sq_distances(points, train), spec, train.shape[1])
 
@@ -314,13 +320,15 @@ def cross_kernel(points, train, spec: KernelSpec) -> np.ndarray:
 def build_matrices(samples, spec: KernelSpec, with_grad_sum: bool = True) -> KernelMatrices:
     """Build k_matrix and grad_sum for one sample set, from one distance pass.
 
-    The grad_sum column j holds sum_k d/d x^k_j k(x^i, x^k): the kernel
-    gradient taken in its second argument and summed over the sample, the
-    quantity every estimator in this package consumes; a caller that needs
-    the kernel alone passes ``with_grad_sum=False`` and skips its product.
-    A median-rule spec takes its bandwidth from the same distances (see the
-    module docstring); the returned ``spec`` carries it.  Nothing of the
-    pass outlives the call.
+    A fit's own pass.  The grad_sum column j holds sum_k d/d x^k_j
+    k(x^i, x^k): the kernel gradient taken in its second argument and
+    summed over the sample, the quantity every estimator in this package
+    consumes; a fit that needs the kernel alone passes
+    ``with_grad_sum=False`` and skips its product.  A median-rule spec
+    takes its bandwidth from the same distances (see the module
+    docstring); the returned ``spec`` carries it.  The kernel's diagonal
+    is exactly 1: a sample's own squared distances have a zero diagonal.
+    Nothing of the pass outlives the call.
     """
     xs = as_samples(samples)
     n, d = xs.shape
@@ -328,8 +336,6 @@ def build_matrices(samples, spec: KernelSpec, with_grad_sum: bool = True) -> Ker
     if spec.median_scale is not None:
         spec = KernelSpec(RBF, _median_sigma2(_condensed([sq])) * spec.median_scale)
     k_matrix = _kernel_of_sq(sq, spec, d)
-    # k(x, x) = 1 for both families
-    np.fill_diagonal(k_matrix, 1.0)
     grad_sum = None
     if with_grad_sum:
         # grad_sum depends only on differences x^i - x^k; centring keeps its
@@ -356,19 +362,19 @@ def row_blocks(n):
         yield start, min(start + rows, n)
 
 
-def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
+def pair_blocks(xs, spec: KernelSpec, with_trace: bool = False):
     """The kernel over a sample's pairs of distinct points, in row blocks.
 
-    Returns the spec, its bandwidth resolved, and an iterator of blocks
-    ``(start, stop, kern, trace)`` that covers every pair once.  ``kern`` is
-    the (b, K - start) kernel of rows [start, stop) against rows [start, K),
-    laid out for sums over ordered pairs: the block's own pairs stand in
-    both orders, its diagonal is zero, and each pair with a later row stands
-    once at twice its value.  So for f symmetric in (i, j), summing
-    ``kern[i - start, j - start] * f(i, j)`` over all blocks gives the sum
-    of k_ij f(i, j) over all i != j.  ``trace`` is the sum of
-    cross_hess_trace over the block's ordered pairs when ``with_trace`` is
-    set, else None.
+    ``xs`` is a validated (K, d) sample.  Returns the spec, its bandwidth
+    resolved, and an iterator of blocks ``(start, stop, kern, trace)`` that
+    covers every pair once.  ``kern`` is the (b, K - start) kernel of rows
+    [start, stop) against rows [start, K), laid out for sums over ordered
+    pairs: the block's own pairs stand in both orders, its diagonal is
+    zero, and each pair with a later row stands once at twice its value.
+    So for f symmetric in (i, j), summing ``kern[i - start, j - start] *
+    f(i, j)`` over all blocks gives the sum of k_ij f(i, j) over all
+    i != j.  ``trace`` is the sum of cross_hess_trace over the block's
+    ordered pairs when ``with_trace`` is set, else None.
 
     The blocks are ``row_blocks``' (the last row, which has no later row to
     pair with, makes none), so a block's arrays are bounded whatever K is;
@@ -380,7 +386,6 @@ def pair_blocks(samples, spec: KernelSpec, with_trace: bool = False):
     bandwidth and then for the blocks; a sample the rule refuses is refused
     by this call, not by the iterator.
     """
-    xs = as_samples(samples)
     n = xs.shape[0]
     dists = (
         (start, stop, _sq_distances(xs[start:stop], xs[start:]))
@@ -457,21 +462,16 @@ def _median_sigma2(sq: np.ndarray) -> float:
     return med * med
 
 
-def _median_tile_rows(n: int, d: int) -> int:
-    """Rows of a square tile of ``median_heuristic``'s pass over n points.
+def _median_tile_rows(n: int) -> int:
+    """Rows t of a square tile of ``median_heuristic``'s pass over n points.
 
     Tiles off the diagonal are written in place, so a pass holds a diagonal
-    tile, its upper triangle and the form's own temporaries.  The in-order
-    sum's are row blocks of at most a tile: 2.5 t^2 doubles in all, kept
-    within a 16th of the condensed vector, and t within ``_MEDIAN_TILE``,
-    where a tile stays in cache.  The Gram form adds the tile rows'
-    centred copies, 2 t d doubles, so its tiles stay at a 64th of the
-    vector, and at least 40 rows.
+    tile, its upper triangle and the distance form's own temporaries: the
+    in-order sum's row blocks of at most a tile, or the Gram form's centred
+    copies of the tile rows, 2 t d doubles.  So a tile stays at a 64th of
+    the condensed vector, at every d, and at least 40 rows.
     """
-    pairs = n * (n - 1) // 2
-    if d >= GRAM_MIN_D:
-        return max(40, math.isqrt(pairs // 64))
-    return max(40, min(_MEDIAN_TILE, math.isqrt(pairs // 40)))
+    return max(40, math.isqrt(n * (n - 1) // 2 // 64))
 
 
 def median_heuristic(samples) -> float:
@@ -481,14 +481,15 @@ def median_heuristic(samples) -> float:
     median is the mean of the two central order statistics.  Needs K >= 2.
     One condensed vector of squared distances is held and partitioned in
     place (see ``_median_sigma2``).  It is filled from square tiles of the
-    distance matrix, sized by ``_median_tile_rows``: a diagonal tile gives
-    its upper triangle, and each tile right of it is written straight into
-    the vector.  The pairs' order is not pdist's, which the median ignores.
+    distance matrix, of ``_median_tile_rows`` rows at every d: a diagonal
+    tile gives its upper triangle, and each tile right of it is written
+    straight into the vector.  The pairs' order is not pdist's, which the
+    median ignores.
     """
     xs = as_samples(samples)
-    n, d = xs.shape
+    n = len(xs)
     sq = np.empty(n * (n - 1) // 2)
-    t = _median_tile_rows(n, d)
+    t = _median_tile_rows(n)
     above = ~np.tri(t, dtype=bool)
     pos = 0
     for r0 in range(0, n, t):

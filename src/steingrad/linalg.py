@@ -44,8 +44,8 @@ The estimators' systems are built with one more of those routines:
 :func:`add_product_and_transpose` adds ``a @ b + (a @ b).T`` into a
 symmetric ``c`` by BLAS ``dsyr2k`` with beta = 1, one product's flops and
 no product array, then mirrors the triangle it wrote.  Where the symbols
-are missing it makes the product and adds it and its transpose: one more
-(K, K) array, and the same mirror.
+are missing it makes the product in row blocks of at most an eighth of it
+and adds each block and its transpose, then makes the same mirror.
 """
 
 import ctypes
@@ -80,8 +80,9 @@ _ROUTINES = {
 }
 # rows and columns of a square tile of the triangle mirror
 _MIRROR_TILE = 256
-# an inverse's residual is taken in column blocks of at most 1/8 of the system
-_RESIDUAL_BLOCKS = 8
+# a (K, K) temporary is made in blocks of at most 1/8 of it: an inverse's
+# residual in column blocks, the fallback's product in row blocks
+_BLOCKS = 8
 
 
 @functools.cache
@@ -99,6 +100,13 @@ def _lapack():
     for name, fn in routines.items():
         fn.argtypes, fn.restype = _ROUTINES[name], None
     return routines
+
+
+def _blocks(k):
+    """``(start, stop)`` of the ``_BLOCKS`` rule's blocks of k rows or columns."""
+    step = -(-k // _BLOCKS)
+    for start in range(0, k, step):
+        yield start, min(start + step, k)
 
 
 def _int(value):
@@ -140,14 +148,18 @@ def add_product_and_transpose(c, a, b):
     ``a`` a C- or F-contiguous one.  One BLAS ``dsyr2k`` with beta = 1 adds
     the sum into ``c``'s upper triangle: one product's flops, not two, and
     no product array.  The triangle is then mirrored, so ``c`` comes out
-    exactly symmetric.  Without numpy's routines it is ``t = a @ b; c += t;
-    c += t.T`` (one more (K, K) array), then the same mirror.
+    exactly symmetric.  Without numpy's routines each row block of
+    ``_blocks`` makes ``t = a[rows] @ b`` and adds ``c[rows] += t;
+    c[:, rows] += t.T``, so the upper triangle gets ``t``'s entry and then
+    its transpose's, the whole product's order, with an eighth of a (K, K)
+    array beside ``c``; then the same mirror.
     """
     lapack = _lapack()
     if lapack is None:
-        t = a @ b
-        c += t
-        c += t.T
+        for start, stop in _blocks(len(c)):
+            t = a[start:stop] @ b
+            c[start:stop] += t
+            c[:, start:stop] += t.T
     else:
         # column-major, c reads as c^T, whose lower triangle is c's upper;
         # an F-ordered a reads as a (C += A B^T + B A^T), a C-ordered one as
@@ -237,10 +249,8 @@ def _invert_factored(lapack, a, system_diag, bound):
     k = len(a)
     z_diag = a.diagonal().copy()
     np.fill_diagonal(a, system_diag)
-    step = -(-k // _RESIDUAL_BLOCKS)
     sum_sq = 0.0
-    for j0 in range(0, k, step):
-        j1 = min(j0 + step, k)
+    for j0, j1 in _blocks(k):
         cols = np.empty((k, j1 - j0), order="F")  # Z[:, j0:j1]
         cols[:j0] = a[j0:j1, :j0].T
         cols[j0:] = a[j0:, j0:j1]

@@ -675,22 +675,30 @@ class TestOneDistancePass:
     @pytest.mark.parametrize("kind", [KIND_SCORE, KIND_STEIN_PARAM_V, KIND_STEIN_PARAM_U])
     @pytest.mark.parametrize("sigma2", [None, 1.3])
     def test_expansion_kernel_is_built_on_the_sample_as_given(self, monkeypatch, kind, sigma2):
-        # the fit's kernel and its grads_at_train kernel both come from the
-        # training sample itself, not a centred copy, so they are one kernel
+        # the fit's kernel (build_matrices) and its grads_at_train kernel
+        # (cross_kernel of the training sample with itself) both come from
+        # the training sample itself, not a centred copy, so they are one
+        # kernel
         from steingrad import estimators
 
         seen = []
 
         def spy(samples, spec, with_grad_sum=True):
-            seen.append(np.array(samples))
+            seen.append(("build_matrices", np.array(samples)))
             return build_matrices(samples, spec, with_grad_sum)
 
+        def cross_spy(points, train, spec):
+            assert points is train
+            seen.append(("cross_kernel", np.array(train)))
+            return cross_kernel(points, train, spec)
+
         monkeypatch.setattr(estimators, "build_matrices", spy)
+        monkeypatch.setattr(estimators, "cross_kernel", cross_spy)
         xs = gaussian_sample(64, n=25, d=3) + 5.0
         spec = KernelSpec("rbf", median_scale=1.0) if sigma2 is None else KernelSpec("rbf", sigma2)
         fit_estimator(kind, xs, spec).grads_at_train()
-        assert len(seen) == 2
-        for arr in seen:
+        assert [name for name, _ in seen] == ["build_matrices", "cross_kernel"]
+        for _, arr in seen:
             np.testing.assert_array_equal(arr, xs)
 
     def test_estimator_refuses_the_unresolved_rule(self):

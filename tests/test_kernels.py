@@ -228,13 +228,35 @@ class TestCrossKernel:
     @pytest.mark.parametrize("d", [1, 2, 5, 7, 8, 50])
     @pytest.mark.parametrize("family", ["rbf", "epanechnikov"])
     def test_sample_kernel_matrix_is_bitwise_the_cross_kernel(self, family, d):
-        # build_matrices and the predict rules share one evaluation, so the
-        # kernel at the sample's own pairs carries the same bits either way
+        # a fit's kernel (build_matrices) and a fitted estimator's kernel at
+        # its training sample (cross_kernel of the sample with itself) are
+        # one kernel, whose diagonal is exactly 1 by arithmetic: setting it
+        # to 1 afterwards changes no bit
         xs = np.random.default_rng(35 + d).standard_normal((30, d))
-        spec = family_spec(family, d)
-        np.testing.assert_array_equal(
-            build_matrices(xs, spec).k_matrix, cross_kernel(xs, xs, spec)
-        )
+        _assert_one_sample_kernel(xs, family_spec(family, d))
+
+    @pytest.mark.parametrize("d", [8, 50])
+    @pytest.mark.parametrize("family", ["rbf", "epanechnikov"])
+    def test_overflowing_sample_kernel_is_bitwise_the_cross_kernel(self, family, d):
+        # squared norms beyond finfo.max / 4: from GRAM_MIN_D the distances
+        # take the in-order sum in place of the Gram form, so an overflowing
+        # distance reads inf, never NaN
+        xs = 3e153 * np.random.default_rng(45 + d).standard_normal((30, d))
+        centred = xs - xs.mean(axis=0)
+        spec = rbf_spec(1e307) if family == "rbf" else EPAN
+        with np.errstate(over="ignore"):
+            assert np.einsum("ij,ij->i", centred, centred).max() > np.finfo(float).max / 4
+            _assert_one_sample_kernel(xs, spec)
+            assert not np.isnan(cross_kernel(xs, xs, spec)).any()
+
+
+def _assert_one_sample_kernel(xs, spec):
+    fit = build_matrices(xs, spec, with_grad_sum=False).k_matrix
+    cross = cross_kernel(xs, xs, spec)
+    refilled = fit.copy()
+    np.fill_diagonal(refilled, 1.0)
+    assert fit.tobytes() == cross.tobytes() == refilled.tobytes()
+    assert np.diag(fit).tobytes() == np.ones(len(xs)).tobytes()
 
 
 class TestSquaredDistances:
@@ -319,7 +341,7 @@ class TestMedianHeuristic:
         # many tiles, each right of the diagonal written in place: below
         # GRAM_MIN_D the same in-order sums as pdist, so the same median
         xs = np.random.default_rng(n + d).standard_normal((n, d))
-        assert _median_tile_rows(n, d) < n
+        assert _median_tile_rows(n) < n
         got = median_heuristic(xs)
         assert np.float64(got).tobytes() == np.float64(float(np.median(pdist(xs))) ** 2).tobytes()
 

@@ -452,7 +452,7 @@ class TestMirror:
 
 class TestAddProductAndTranspose:
     # c += a @ b + (a @ b).T for symmetric b: one dsyr2k, or the fallback's
-    # product and two adds, then the upper triangle mirrored
+    # row-block products and two adds each, then the upper triangle mirrored
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("k", [1, 7, 300])
     def test_is_the_product_and_its_transpose_added(self, k, order, path):
@@ -466,7 +466,10 @@ class TestAddProductAndTranspose:
         assert np.array_equal(got, got.T)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         if path == NUMPY:
-            t = a @ b
+            # the product in the fallback's row blocks, whose bits may
+            # differ from the whole product's; each upper entry gets t's
+            # entry and then its transpose's, the whole product's order
+            t = np.vstack([a[start:stop] @ b for start, stop in linalg._blocks(k)])
             c += t
             c += t.T
             assert _same_bits(got, np.triu(c) + np.triu(c, 1).T)

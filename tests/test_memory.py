@@ -83,8 +83,8 @@ for _kind, _fit in FITS.items():
 # at d = 50, stein-param-v 5.14, each as with the bandwidth given; 4.19 and
 # 5.13 when the fits held the whole Gram matrix, whose 327-row blocks at
 # K = 400 are 0.82 K^2).  The expansion kinds' grads_at_train measured
-# 1.50, the condensed kernel and its mirrored matrix, with the weights
-# formed in place (2.05 when the kernel came from cross_kernel and the
+# 1.375: one cross_kernel pass of the training sample with itself, the
+# weights formed in its buffer, and three (K, d) arrays (2.05 when the
 # weights were new arrays).
 TIGHT = {
     "ksd_v": 1.5,
@@ -127,9 +127,10 @@ def test_peak_memory_is_a_few_kernel_matrices(name):
 LARGE_K = 1200
 XS_LARGE = np.random.default_rng(3).standard_normal((LARGE_K, D))
 LARGE_FITS = {KIND_SCORE: 3.35, KIND_STEIN_PARAM_V: 3.45, KIND_STEIN_PARAM_U: 3.45}
-# without numpy's dsyr2k the product is one more (K, K) array: measured
-# 4.10 for each kind
-LARGE_FALLBACK_FITS = {KIND_SCORE: 4.2, KIND_STEIN_PARAM_V: 4.2}
+# without numpy's dsyr2k the product is made in row blocks of an eighth
+# of a (K, K) array: measured 3.30 for score and 3.32 for stein-param-v
+# (4.10 each when the whole product was held)
+LARGE_FALLBACK_FITS = {KIND_SCORE: 3.35, KIND_STEIN_PARAM_V: 3.45}
 
 
 @pytest.mark.parametrize("kind", sorted(LARGE_FITS))
@@ -161,10 +162,10 @@ def test_ksd_holds_no_pairwise_matrix():
 @pytest.mark.parametrize("xs", [XS, XS1], ids=["d=50", "d=1"])
 def test_median_heuristic_holds_one_condensed_vector(xs):
     # the K(K-1)/2 pairwise distances, partitioned in place: no second copy
-    # of them for the median, and tiles sized by their form's temporaries
-    # (measured 1.13 vectors at d = 50 and 1.09 at d = 1, against 1.17 and
-    # 1.09 with tiles sized for the Gram form's copies at every d;
-    # np.median's copy gave 2.006)
+    # of them for the median, and tiles of at most a 64th of the vector at
+    # every d (measured 1.13 vectors at d = 50 and 1.08 at d = 1; 1.09 at
+    # d = 1 when the in-order sum's tiles were a 40th of it, up to 256
+    # rows; np.median's copy gave 2.006)
     assert traced_peak(lambda: median_heuristic(xs)) / (8 * K * (K - 1) / 2) <= 1.25
 
 

@@ -83,9 +83,9 @@ from .discrepancy import ksd_to_target, ksd_u, ksd_v
 from .errors import NumericalError
 from .estimators import (
     DEFAULT_ETA,
-    KIND_STEIN_U,
     KIND_STEIN_V,
     KINDS,
+    _KIND_RULES,
     check_fit,
     entropy_gradient_surrogate,
     fit_estimator,
@@ -540,9 +540,9 @@ def cmd_banana(args) -> int:
     target_score = partial(banana_score, b=b, v=v)
     init_noise = check_number(args.init_noise, "init_noise", ge=0)
     name = args.estimator
-    if name == KIND_STEIN_U:
+    if name in KINDS and _KIND_RULES[name].predict is None:
         raise ValueError(
-            "stein-u has no out-of-sample prediction rule and cannot "
+            f"{name} has no out-of-sample prediction rule and cannot "
             "drive the sampler; use stein-v or a parametric estimator"
         )
     spec = eta = None

@@ -16,6 +16,14 @@ at the samples or as a K-vector of kernel-expansion coefficients:
 - ``stein-param-v`` / ``stein-param-u``: the same expansion fitted by
   minimising the kernelised Stein discrepancy (RBF only).
 
+A kind's fixed rules live in one place, the kind table ``_KIND_RULES``,
+one record per kind: its system builder, its statistic (V or U), whether
+its parameter is the gradient field or expansion coefficients, its predict
+rule, whether it takes the RBF kernel only, and its system's name.
+``check_fit``, ``fit_estimator``, :class:`FittedEstimator`'s checks,
+``kinv`` and ``predict`` read it, and so does the command line's refusal
+of a kind with no out-of-sample rule; :data:`KINDS` is its keys, in order.
+
 Every kind but kde is fitted the same way: a builder returns its (matrix,
 rhs) system before the ridge, and ``fit_estimator`` adds eta and makes the
 one solve, :func:`steingrad.linalg.solve_symmetric`, which consumes the
@@ -38,20 +46,16 @@ whose ``predict`` takes (n, d) points and whose constructor holds the checks.
 sample Jacobians into a gradient of the entropy term.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import kernels
 from .errors import DegenerateDenominatorError, NumericalError
 from .kernels import (
-    RBF,
-    KernelSpec,
-    as_samples,
-    build_matrices,
-    check_number,
-    cross_kernel,
+    RBF, KernelSpec, as_samples, build_matrices, check_number, cross_kernel,
 )
 from .linalg import add_product_and_transpose, invert_symmetric, solve_symmetric
 
@@ -66,37 +70,27 @@ KIND_STEIN_U = "stein-u"
 KIND_STEIN_PARAM_V = "stein-param-v"
 KIND_STEIN_PARAM_U = "stein-param-u"
 KIND_SCORE = "score"
-KINDS = (
-    KIND_KDE,
-    KIND_STEIN_V,
-    KIND_STEIN_U,
-    KIND_STEIN_PARAM_V,
-    KIND_STEIN_PARAM_U,
-    KIND_SCORE,
-)
-
-# kinds whose parameters are the gradient field itself; the others are
-# parameterised by expansion coefficients
-_GRAD_KINDS = (KIND_KDE, KIND_STEIN_V, KIND_STEIN_U)
-# kinds fitted by a U-statistic, whose ridge must be at least MIN_U_ETA
-_U_KINDS = (KIND_STEIN_U, KIND_STEIN_PARAM_U)
+# KINDS, in this order, is the kind table's keys (see _KIND_RULES)
 
 
 def check_fit(kind: str, spec: KernelSpec, eta) -> float:
     """The ridge ``eta`` of a fit of ``kind`` with the kernel ``spec``, as a float.
 
     The one statement of a fit's argument rules, which fits, records and the
-    command line all pass: ``kind`` is one of :data:`KINDS`, a parametric
-    Stein kind takes the RBF kernel only, and ``eta`` is a number >= 0, at
-    least ``MIN_U_ETA`` for a U-statistic kind.  Refused in that order, with
-    a ValueError naming the field.
+    command line all pass: ``kind`` is one of :data:`KINDS`, a kind whose
+    record is RBF-only (the parametric Stein kinds) takes the RBF kernel
+    only, and ``eta`` is a number >= 0, at least ``MIN_U_ETA`` for a kind
+    whose record's statistic is "u".  Refused in that order, with a
+    ValueError naming the field.  ``kind`` is tested against :data:`KINDS`
+    before the table is read, so an unhashable kind is refused the same way.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}")
-    if kind in (KIND_STEIN_PARAM_V, KIND_STEIN_PARAM_U) and spec.family != RBF:
+    rules = _KIND_RULES[kind]
+    if rules.rbf_only and spec.family != RBF:
         raise ValueError("parametric Stein fits support the rbf family only")
     eta = float(check_number(eta, "eta", ge=0))
-    if kind in _U_KINDS and eta < MIN_U_ETA:
+    if rules.statistic == "u" and eta < MIN_U_ETA:
         raise ValueError(
             f"U-statistic fits need eta >= {MIN_U_ETA:g} (the shifted system "
             f"can be indefinite), got {eta!r}"
@@ -116,8 +110,9 @@ def _kde_fit(xs, spec):
     return -mats.grad_sum / denom[:, None], mats.spec
 
 
-def _kde_predict(train: np.ndarray, spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+def _kde_predict(fitted, points):
     # same ratio form as _kde_fit, evaluated at new points
+    train, spec = fitted.train, fitted.spec
     n, d = train.shape
     kmat = cross_kernel(points, train, spec)
     denom = _kde_row_sums(kmat, "prediction point")
@@ -224,6 +219,11 @@ def _expansion_predict(coeffs, train, spec, points):
     weights *= coeffs
     weights /= spec.sigma2
     return weights.sum(axis=1)[:, None] * points - weights @ train
+
+
+def _fitted_expansion(fitted, points):
+    # the expansion kinds' predict rule
+    return _expansion_predict(fitted.coeffs, fitted.train, fitted.spec, points)
 
 
 # from this dimension on, Sigma's coordinate-free form (one symmetric
@@ -407,6 +407,37 @@ def _parametric_system(xs, spec, statistic):
     return lam, b, spec
 
 
+# One record per estimator kind, the one place a kind's fixed rules live;
+# every per-kind decision reads it.  ``system`` builds the kind's (matrix,
+# rhs, resolved spec) from (xs, spec) before the ridge, None for kde's direct
+# fit; ``statistic`` is "v" or "u"; ``grad_field`` is whether the parameter
+# is the (K, d) gradient field, not (K,) expansion coefficients; ``predict``
+# maps a fit and validated (n, d) points to scores, None where the kind has
+# no out-of-sample rule; ``rbf_only`` refuses the other kernel families;
+# ``system_name`` names the system in the solver's errors.  The entries are
+# this module's private builders and rules, which reach ``build_matrices``
+# and ``cross_kernel`` through the module's globals, as ``fit_estimator``
+# reaches ``solve_symmetric``, so ``bench/tracing.py``, which rebinds those
+# names, still sees every call.
+_Kind = namedtuple("_Kind", "system statistic grad_field predict rbf_only system_name")
+_KIND_RULES = {
+    KIND_KDE: _Kind(None, "v", True, _kde_predict, False, None),
+    KIND_STEIN_V: _Kind(partial(_stein_system, statistic="v"), "v", True,
+                        _stein_predict, False, "stein v-statistic system"),
+    KIND_STEIN_U: _Kind(partial(_stein_system, statistic="u"), "u", True,
+                        None, False, "stein u-statistic system"),
+    KIND_STEIN_PARAM_V: _Kind(partial(_parametric_system, statistic="v"), "v",
+                              False, _fitted_expansion, True,
+                              "parametric stein v-statistic system"),
+    KIND_STEIN_PARAM_U: _Kind(partial(_parametric_system, statistic="u"), "u",
+                              False, _fitted_expansion, True,
+                              "parametric stein u-statistic system"),
+    KIND_SCORE: _Kind(_score_system, "v", False, _fitted_expansion, False,
+                      "score matching system"),
+}
+KINDS = tuple(_KIND_RULES)
+
+
 def entropy_gradient_surrogate(grads, jacobians) -> np.ndarray:
     """Entropy gradient from estimated scores and sample Jacobians.
 
@@ -469,13 +500,14 @@ class FittedEstimator:
                 "spec carries the median rule, not a bandwidth; fit_estimator "
                 "resolves it on the sample"
             )
-        name, other = ("grads", "coeffs") if kind in _GRAD_KINDS else ("coeffs", "grads")
+        grad_field = _KIND_RULES[kind].grad_field
+        name, other = ("grads", "coeffs") if grad_field else ("coeffs", "grads")
         if getattr(self, other) is not None:
             raise ValueError(f"{kind!r} estimator carries {other!r}; it takes {name!r}")
         if getattr(self, name) is None:
             raise ValueError(f"{kind!r} estimator lacks {name!r}")
         params = np.asarray(getattr(self, name), dtype=float)
-        want = self.train.shape if kind in _GRAD_KINDS else self.train.shape[:1]
+        want = self.train.shape if grad_field else self.train.shape[:1]
         if params.shape != want:
             raise ValueError(
                 f"{name} has shape {params.shape}, expected {want} for train {self.train.shape}"
@@ -489,15 +521,18 @@ class FittedEstimator:
     def kinv(self) -> np.ndarray | None:
         """(K + eta I)^-1 for a stein-v fit, None for other kinds.
 
-        Formed on first access and kept on this object; fits that never
-        predict never form it.  The system is the fit's own: the kernel,
-        ``cross_kernel`` of the training sample with itself and so the
-        fit's kernel bit for bit, then ``+= eta``, then ``+= jitter``, the
-        jitter being ``diagnostics["jitter"]`` (0.0 when the record holds
-        none).  Its inverse is :func:`steingrad.linalg.invert_symmetric` of
-        that system, in the system's own buffer: one Cholesky factorisation
-        and inversion per rung on numpy's BLAS pool, held to the ladder's
-        identity right-hand-side residual test.  At rung 0 it inverts the
+        Which kinds have it is read from the kind table: those whose record
+        holds the Schur-complement predict rule, ``_stein_predict``, the
+        one that uses it.  It is formed on first access and kept on this
+        object; fits that never predict never form it.  The system is the
+        fit's own: the kernel, ``cross_kernel`` of the training sample with
+        itself and so the fit's kernel bit for bit, then ``+= eta``, then
+        ``+= jitter``, the jitter being ``diagnostics["jitter"]`` (0.0 when
+        the record holds none).  Its inverse is
+        :func:`steingrad.linalg.invert_symmetric` of that system, in the
+        system's own buffer: one Cholesky factorisation and inversion per
+        rung on numpy's BLAS pool, held to the ladder's identity
+        right-hand-side residual test.  At rung 0 it inverts the
         fit's system, so a fresh fit, its reloaded record and a direct
         construction get the same bits, on the fit's rung, which the
         Schur-complement predict assumes.  Only an inverse that fails
@@ -507,7 +542,7 @@ class FittedEstimator:
         against its right-hand side and this one against the identity, so
         on a near-singular system the inverse may land above the fit.
         """
-        if self.kind != KIND_STEIN_V:
+        if _KIND_RULES[self.kind].predict is not _stein_predict:
             return None
         system = cross_kernel(self.train, self.train, self.spec)
         diag = np.diag_indices_from(system)
@@ -531,7 +566,9 @@ class FittedEstimator:
 
         ``points`` is an (n, d) batch and the result holds one score row per
         point, so ``predict`` serves directly as the score function of
-        :func:`steingrad.run_hmc`.
+        :func:`steingrad.run_hmc`.  The rule is the one the kind's record in
+        the kind table holds; a kind whose record has none (stein-u) is
+        refused with ValueError once the points are checked.
         """
         pts = as_samples(points, name="points")
         if pts.shape[1] != self.train.shape[1]:
@@ -539,16 +576,13 @@ class FittedEstimator:
                 f"points have dimension {pts.shape[1]}, training data "
                 f"{self.train.shape[1]}"
             )
-        if self.kind == KIND_KDE:
-            return _kde_predict(self.train, self.spec, pts)
-        if self.kind == KIND_STEIN_V:
-            return _stein_predict(self, pts)
-        if self.coeffs is not None:
-            return _expansion_predict(self.coeffs, self.train, self.spec, pts)
-        raise ValueError(
-            f"{self.kind!r} has no out-of-sample prediction rule; refit on "
-            f"the augmented sample instead"
-        )
+        rule = _KIND_RULES[self.kind].predict
+        if rule is None:
+            raise ValueError(
+                f"{self.kind!r} has no out-of-sample prediction rule; refit on "
+                f"the augmented sample instead"
+            )
+        return rule(self, pts)
 
     def _json_record(self) -> dict:
         """The record of :meth:`to_json_dict` with its arrays left as arrays."""
@@ -622,33 +656,26 @@ def fit_estimator(
 
     ``kind`` is one of :data:`KINDS`; ``score`` takes either kernel family.
     Every kind but ``kde`` builds its (matrix, rhs) system and makes one
-    ridge solve.  The V-statistic nonparametric Stein fit can predict out of
-    sample; the inverse that needs is formed on its first prediction (see
-    :attr:`FittedEstimator.kinv`), not here.  A median-rule ``spec`` is
-    resolved on ``samples`` by the fit (see the module docstring), and the
-    result holds the resolved spec.  The arguments pass :func:`check_fit`
-    before the sample is read.
+    ridge solve; the builder, the solve's name and the parameter set are
+    the kind's record in the kind table.  The V-statistic nonparametric
+    Stein fit can predict out of sample; the inverse that needs is formed
+    on its first prediction (see :attr:`FittedEstimator.kinv`), not here.
+    A median-rule ``spec`` is resolved on ``samples`` by the fit (see the
+    module docstring), and the result holds the resolved spec.  The
+    arguments pass :func:`check_fit` before the sample is read.
     """
     eta = check_fit(kind, spec, eta)  # kde ignores it, but its record keeps it
     xs = as_samples(samples)
-    stat = "u" if kind in _U_KINDS else "v"
+    rules = _KIND_RULES[kind]
     diagnostics: dict = {}
-    if kind == KIND_KDE:
+    if rules.system is None:
         params, spec = _kde_fit(xs, spec)
     else:
-        if kind in (KIND_STEIN_V, KIND_STEIN_U):
-            system, rhs, spec = _stein_system(xs, spec, stat)
-            name = f"stein {stat}-statistic system"
-        elif kind == KIND_SCORE:
-            system, rhs, spec = _score_system(xs, spec)
-            name = "score matching system"
-        else:
-            system, rhs, spec = _parametric_system(xs, spec, stat)
-            name = f"parametric stein {stat}-statistic system"
+        system, rhs, spec = rules.system(xs, spec)
         system[np.diag_indices_from(system)] += eta
-        params, jitter, level = solve_symmetric(system, rhs, name=name)
+        params, jitter, level = solve_symmetric(system, rhs, name=rules.system_name)
         diagnostics = {"jitter": jitter, "jitter_level": level}
-    grads, coeffs = (params, None) if kind in _GRAD_KINDS else (None, params)
+    grads, coeffs = (params, None) if rules.grad_field else (None, params)
     return FittedEstimator(
         kind=kind,
         train=xs.copy(),

@@ -1740,6 +1740,36 @@ class TestArgumentsBeforeWork:
         assert {p.name for p in tmp_path.iterdir()} == before
 
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_banana_refuses_exactly_the_kinds_without_a_predict_rule(
+        self, tmp_path, monkeypatch, capsys, kind
+    ):
+        # a kind with no out-of-sample rule cannot drive the sampler; any
+        # other kind is refused on n_train = 1 instead, both before a fit
+        fit = fit_estimator(kind, np.random.default_rng(54).standard_normal((12, 2)),
+                            KernelSpec("rbf", 1.0))
+        try:
+            fit.predict(np.zeros((1, 2)))
+            predicts = True
+        except ValueError as exc:
+            assert "no out-of-sample prediction rule" in str(exc)
+            predicts = False
+        self.inputs(tmp_path, monkeypatch)
+        fits = []
+        monkeypatch.setattr(cli, "fit_estimator", lambda *args: fits.append(args))
+        assert main(self.argv("banana", {"--estimator": kind, "--n-train": "1"})) == 2
+        err = capsys.readouterr().err
+        if predicts:
+            assert err == "error: n_train must be >= 2, got 1\n"
+        else:
+            assert err == (
+                f"error: {kind} has no out-of-sample prediction rule and cannot drive "
+                "the sampler; use stein-v or a parametric estimator\n"
+            )
+        assert fits == []
+        assert predicts or kind == "stein-u"
+
+
 class TestRefusalPrecedence:
     """A bad argument is refused before the input is read; among the faults
     of the data, a sample the median rule refuses is reported first."""

@@ -1118,6 +1118,18 @@ class TestFittedEstimator:
         with pytest.raises(ValueError, match="stein-nonparam-w"):
             FittedEstimator.from_json_dict(record)
 
+    @pytest.mark.parametrize(
+        "kind", [["kde"], {"kde": "kde"}, None, 3, 0.5], ids=["list", "dict", "null", "int", "float"]
+    )
+    def test_record_kind_of_another_type_is_named(self, kind):
+        # the kind is tested for membership in KINDS before anything is
+        # looked up by it, so an unhashable kind is unknown, not a TypeError
+        record = fit_estimator(KIND_KDE, gaussian_sample(30), RBF).to_json_dict()
+        record["kind"] = kind
+        with pytest.raises(ValueError, match="unknown estimator kind") as refused:
+            FittedEstimator.from_json_dict(json.loads(json.dumps(record)))
+        assert repr(kind) in str(refused.value)
+
     def test_diagnostics_record_jitter(self):
         xs = gaussian_sample(31)
         fit = fit_estimator(KIND_STEIN_V, xs, RBF, eta=0.1)

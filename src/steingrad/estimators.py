@@ -222,7 +222,7 @@ def _expansion_predict(coeffs, train, spec, points):
 
 
 def _fitted_expansion(fitted, points):
-    # the expansion kinds' predict rule
+    # the expansion kinds' predict rule, and their gradients at the sample
     return _expansion_predict(fitted.coeffs, fitted.train, fitted.spec, points)
 
 
@@ -559,7 +559,7 @@ class FittedEstimator:
         """
         if self.grads is not None:
             return self.grads.copy()
-        return _expansion_predict(self.coeffs, self.train, self.spec, self.train)
+        return _fitted_expansion(self, self.train)
 
     def predict(self, points) -> np.ndarray:
         """Gradient field at new points; not every kind supports this.
